@@ -130,12 +130,8 @@ def body_from_facets(facets) -> SymmetricBody:
 
 def contains_point(generators: tuple[Vec, ...], x: Vec) -> bool:
     """Exact test whether x lies in the convex hull of the generators."""
-    dim = len(x)
-    n = len(generators)
-    A = [[g[k] for g in generators] for k in range(dim)]
-    A.append([ONE] * n)
-    b = list(x) + [ONE]
-    return lp.solve_min([ZERO] * n, A, b).status == lp.OPTIMAL
+    res = lp.solve_combination(generators, x, groups=[range(len(generators))])
+    return res.status == lp.OPTIMAL
 
 
 def _axis_extent(vertices: tuple[Vec, ...], axis: int) -> Fraction:
@@ -147,14 +143,10 @@ def _axis_extent(vertices: tuple[Vec, ...], axis: int) -> Fraction:
     """
     dim = len(vertices[0])
     n = len(vertices)
-    A = []
-    for k in range(dim):
-        row = [v[k] for v in vertices]
-        row.append(-ONE if k == axis else ZERO)
-        A.append(row)
-    A.append([ONE] * n + [ZERO])
-    b = [ZERO] * dim + [ONE]
-    res = lp.solve_min([ZERO] * n + [-ONE], A, b)
+    step = tuple(-ONE if k == axis else ZERO for k in range(dim))
+    res = lp.solve_combination(
+        (*vertices, step), (ZERO,) * dim, cost=[ZERO] * n + [-ONE], groups=[range(n)]
+    )
     if res.status != lp.OPTIMAL:
         return ZERO
     return -res.value
@@ -228,11 +220,20 @@ def is_full_dimensional(K: VPolytope) -> bool:
 
 
 def difference_body(K: VPolytope) -> SymmetricBody:
-    """The centrally symmetric body K - K, as a certified vertex body."""
+    """The centrally symmetric body K - K, as a certified vertex body.
+
+    When K = -K, K - K = 2K, whose vertices are twice those of K: the
+    quadratic set of pairwise sums is then neither built nor pruned.
+    """
     if not is_full_dimensional(K):
         raise DegenerateBody("difference body requires a full-dimensional polytope")
-    diff = minkowski_sum(K, negate(K))
-    return validate_body(SymmetricBody(K.dim, vertices=diff.vertices))
+    vset = set(K.vertices)
+    if all(vneg(v) in vset for v in vset):
+        base = K if K.pruned else prune_redundant(K)
+        verts = tuple(sorted({tuple(2 * c for c in v) for v in base.vertices}))
+    else:
+        verts = minkowski_sum(K, negate(K)).vertices
+    return validate_body(SymmetricBody(K.dim, vertices=verts))
 
 
 def lift_body(K: VPolytope) -> LiftedBody:

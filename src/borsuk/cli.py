@@ -130,6 +130,16 @@ def _cmd_plot2d(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="borsuk",
@@ -176,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("verify", _cmd_verify, "run a verification suite")
     p.add_argument("--suite", required=True, choices=SUITES)
-    p.add_argument("--count", type=int, default=10)
+    p.add_argument("--count", type=_positive_int, default=10)
     p.add_argument("--seed", type=int, default=0)
 
     p = add("plot2d", _cmd_plot2d, "SVG figure of a planar instance")

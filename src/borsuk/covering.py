@@ -21,7 +21,7 @@ from itertools import product
 from . import lp
 from .bodies import PointSet, SymmetricBody, VPolytope, contains_point
 from .errors import DomainError, GridTooCoarse, PointUncovered
-from .linalg import ONE, ZERO, Vec, vsub
+from .linalg import Vec, vsub
 from .partition import Partition
 
 SAMPLE_CERTIFIED = "sample_certified"
@@ -67,13 +67,9 @@ def _translate_meets_body(K: VPolytope, lam: Fraction, center: Vec) -> bool:
     # feasibility: z in K and (z - center)/lam in K, i.e.
     # sum(a_i v_i) - lam * sum(b_i v_i) = center with both combos convex
     n = len(K.vertices)
-    A = []
-    for k in range(K.dim):
-        A.append([v[k] for v in K.vertices] + [-lam * v[k] for v in K.vertices])
-    A.append([ONE] * n + [ZERO] * n)
-    A.append([ZERO] * n + [ONE] * n)
-    b = list(center) + [ONE, ONE]
-    return lp.solve_min([ZERO] * (2 * n), A, b).status == lp.OPTIMAL
+    shrunk = tuple(tuple(-lam * c for c in v) for v in K.vertices)
+    res = lp.solve_combination((*K.vertices, *shrunk), center, groups=[range(n), range(n, 2 * n)])
+    return res.status == lp.OPTIMAL
 
 
 def _in_translate(K: VPolytope, lam: Fraction, center: Vec, point: Vec) -> bool:

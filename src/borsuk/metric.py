@@ -39,9 +39,7 @@ def gauge(C: SymmetricBody, x: Vec) -> Fraction:
         return max(abs(vdot(a, x)) / b for a, b in C.facets)
     if all(v == 0 for v in x):
         return ZERO
-    verts = C.vertices
-    A = [[v[k] for v in verts] for k in range(C.dim)]
-    res = lp.solve_min([ONE] * len(verts), A, list(x))
+    res = lp.solve_combination(C.vertices, x, cost=[ONE] * len(C.vertices))
     # a validated body keeps this LP feasible for every x
     if res.status != lp.OPTIMAL:
         raise ValueError("gauge LP failed; body was not validated")

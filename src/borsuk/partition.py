@@ -14,7 +14,7 @@ import os
 from dataclasses import dataclass
 
 from .bodies import PointSet, SymmetricBody, VPolytope, difference_body, lift_body, lift_set
-from .errors import IndexOutOfRange
+from .errors import BorsukError, IndexOutOfRange
 from .metric import DiameterGraph, diameter_graph, set_diameter
 
 DEFAULT_NODE_BUDGET = 10_000_000
@@ -60,9 +60,15 @@ class BorsukCertificate:
 
 def node_budget_default() -> int:
     raw = os.environ.get(BUDGET_ENV_VAR)
-    if raw:
-        return int(raw)
-    return DEFAULT_NODE_BUDGET
+    if not raw:
+        return DEFAULT_NODE_BUDGET
+    try:
+        budget = int(raw)
+    except ValueError:
+        budget = 0
+    if budget < 1:
+        raise BorsukError(f"{BUDGET_ENV_VAR} must be a positive integer, got {raw!r}")
+    return budget
 
 
 def _greedy_clique(n, adj) -> list[int]:

@@ -2,13 +2,19 @@
 
 Everything here deliberately avoids the package's simplex and pruning
 code paths: linear systems are solved by plain Gaussian elimination and
-optima are found by enumerating candidate supports.
+optima are found by enumerating candidate supports. The one exception
+is :func:`fraction_simplex`, the reference the package's integer
+simplex is tested against: the same two-phase Bland's-rule simplex
+with every tableau entry a ``Fraction``.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
+from borsuk.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult
+
 ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 def solve_exact(rows, rhs):
@@ -149,3 +155,116 @@ def chromatic_by_bruteforce(n, edges):
         if extend([-1] * n, 0, k):
             return k
     return n
+
+
+def fraction_simplex(c, A, b) -> LPResult:
+    """Minimize c.x over {x >= 0 : Ax = b} with a Fraction tableau.
+
+    Two phases with artificial variables and Bland's smallest-index rule
+    for entering and leaving variables; ``pivots`` counts every pivot,
+    including those that drive artificials out after phase 1.
+    """
+    m = len(A)
+    n = len(c)
+    cost = [Fraction(v) for v in c]
+
+    # Phase-1 tableau: structural columns, one artificial per row, rhs
+    # last; rows are flipped so the rhs is nonnegative.
+    tab = []
+    for i in range(m):
+        row = [Fraction(v) for v in A[i]]
+        rhs = Fraction(b[i])
+        if rhs < 0:
+            row = [-v for v in row]
+            rhs = -rhs
+        row.extend(ZERO for _ in range(m))
+        row[n + i] = ONE
+        row.append(rhs)
+        tab.append(row)
+    basis = list(range(n, n + m))
+
+    width = n + m
+    red = [ZERO] * (width + 1)
+    for row in tab:
+        for j in range(n):
+            red[j] -= row[j]
+        red[width] -= row[width]
+
+    pivots = [0]
+    status = _fraction_iterate(tab, red, basis, width, pivots)
+    if status != OPTIMAL or -red[width] != 0:
+        return LPResult(INFEASIBLE, pivots=pivots[0])
+
+    keep = []
+    for i in range(len(tab)):
+        if basis[i] < n:
+            keep.append(i)
+            continue
+        pivot_col = next((j for j in range(n) if tab[i][j] != 0), None)
+        if pivot_col is not None:
+            _fraction_pivot(tab, red, basis, i, pivot_col, pivots)
+            keep.append(i)
+    tab = [tab[i] for i in keep]
+    basis = [basis[i] for i in keep]
+
+    rhs_col = n
+    tab = [row[:n] + [row[width]] for row in tab]
+    red = cost + [ZERO]
+    for i, row in enumerate(tab):
+        f = red[basis[i]]
+        if f != 0:
+            for j in range(rhs_col + 1):
+                red[j] -= f * row[j]
+
+    status = _fraction_iterate(tab, red, basis, n, pivots)
+    if status == UNBOUNDED:
+        return LPResult(UNBOUNDED, pivots=pivots[0])
+
+    x = [ZERO] * n
+    for i, bi in enumerate(basis):
+        x[bi] = tab[i][rhs_col]
+    return LPResult(OPTIMAL, value=-red[rhs_col], x=x, pivots=pivots[0])
+
+
+def _fraction_iterate(tab, red, basis, n_cols, pivots) -> str:
+    rhs_col = len(red) - 1
+    while True:
+        enter = next((j for j in range(n_cols) if red[j] < 0), None)
+        if enter is None:
+            return OPTIMAL
+        leave = None
+        best_ratio = None
+        best_var = None
+        for i, row in enumerate(tab):
+            a = row[enter]
+            if a > 0:
+                ratio = row[rhs_col] / a
+                if (
+                    best_ratio is None
+                    or ratio < best_ratio
+                    or (ratio == best_ratio and basis[i] < best_var)
+                ):
+                    best_ratio = ratio
+                    best_var = basis[i]
+                    leave = i
+        if leave is None:
+            return UNBOUNDED
+        _fraction_pivot(tab, red, basis, leave, enter, pivots)
+
+
+def _fraction_pivot(tab, red, basis, i, j, pivots):
+    row = tab[i]
+    piv = row[j]
+    if piv != 1:
+        inv = ONE / piv
+        tab[i] = row = [v * inv for v in row]
+    for k, other in enumerate(tab):
+        if k != i:
+            f = other[j]
+            if f != 0:
+                tab[k] = [u - f * v for u, v in zip(other, row)]
+    f = red[j]
+    if f != 0:
+        red[:] = [u - f * v for u, v in zip(red, row)]
+    basis[i] = j
+    pivots[0] += 1

@@ -22,6 +22,7 @@ from borsuk.bodies import (
     vpolytope,
 )
 from borsuk.errors import DegenerateBody, DimensionMismatch, NotSymmetric
+from borsuk.generators import gen_random_body, gen_random_polytope
 from borsuk.metric import gauge
 
 F = Fraction
@@ -266,3 +267,25 @@ def test_point_set_rejects_duplicates():
 def test_point_set_rejects_mixed_dimensions():
     with pytest.raises(DimensionMismatch):
         PointSet(2, ((F(0), F(0)), (F(1),)))
+
+
+def _symmetric_inputs():
+    """Negation-closed vertex sets: lifted polytopes (pruned) and random
+    symmetric bodies, the latter also padded with interior points and
+    marked unpruned so the fast path has to prune them itself."""
+    for seed in range(12):
+        dim = 1 + seed % 3
+        K = gen_random_polytope(900 + seed, dim, dim + 2, max_numerator=6, max_denominator=4)
+        yield lift_body(K).as_polytope()
+    for seed in range(8):
+        dim = 2 + seed % 2
+        C = gen_random_body(700 + seed, dim, dim + 2, max_numerator=6, max_denominator=4)
+        yield VPolytope(dim, C.vertices, pruned=True)
+        half = tuple(tuple(c / 2 for c in v) for v in C.vertices)
+        yield VPolytope(dim, tuple(sorted(C.vertices + half)))
+
+
+def test_difference_body_of_symmetric_polytope_matches_minkowski_sum():
+    for P in _symmetric_inputs():
+        expected = minkowski_sum(P, negate(P)).vertices
+        assert difference_body(P).vertices == expected

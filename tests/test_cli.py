@@ -161,3 +161,16 @@ def test_invalid_body_exits_one(tmp_path, capsys):
     bad.write_text(json.dumps({"dim": 2, "vertices": [["0", "0"], ["1", "0"], ["0", "1"]]}))
     code = cli_dispatch(["gauge", "--body", str(bad), "--point", '["1","1"]'])
     assert code == 1
+
+
+@pytest.mark.parametrize("count", ["0", "-3", "x"])
+def test_verify_count_below_one_is_usage_error(count, capsys):
+    assert cli_dispatch(["verify", "--suite", "doubling", "--count", count]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_bad_node_budget_env_exits_one(cube2, monkeypatch, capsys):
+    body, points = cube2
+    monkeypatch.setenv("BORSUK_NODE_BUDGET", "abc")
+    assert cli_dispatch(["borsuk", "--body", str(body), "--points", str(points)]) == 1
+    assert "BORSUK_NODE_BUDGET" in capsys.readouterr().err

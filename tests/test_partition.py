@@ -297,3 +297,13 @@ def test_pointwise_norm_domination_bound():
             continue
         S = point_set(K.vertices)
         assert borsuk_number(C, S).number <= borsuk_number(D, S).number
+
+
+@pytest.mark.parametrize("raw", ["abc", "1.5", "0", "-3"])
+def test_node_budget_env_rejects_bad_values(monkeypatch, raw):
+    from borsuk.errors import BorsukError
+    from borsuk.partition import node_budget_default
+
+    monkeypatch.setenv("BORSUK_NODE_BUDGET", raw)
+    with pytest.raises(BorsukError, match="BORSUK_NODE_BUDGET"):
+        node_budget_default()
