@@ -76,7 +76,6 @@ from .partition import (
     chromatic_number,
     doubling_check,
     lift_partition,
-    partition,
     verify_partition,
 )
 from .svgplot import plot2d_svg, render_svg
@@ -84,4 +83,29 @@ from .verify import SUITES, VerificationReport, run_verify_suite
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # bodies
+    "LiftedBody", "PointSet", "SymmetricBody", "VPolytope", "body_from_facets",
+    "body_from_vertices", "difference_body", "lift_body", "lift_set", "minkowski_sum", "negate",
+    "point_set", "prune_redundant", "validate_body", "vpolytope",
+    # covering
+    "BoundValue", "Covering", "binomial_bound", "bounds_table", "cover_to_partition",
+    "covering_bound", "greedy_cover", "partition_bound",
+    # errors
+    "BorsukError", "DegenerateBody", "DimensionMismatch", "DimensionUnsupported", "DomainError",
+    "GenerationFailed", "GridTooCoarse", "IndexOutOfRange", "NotSymmetric", "PointUncovered",
+    "UnknownSuite", "ZeroDiameter",
+    # generators
+    "InstanceSpec", "cross_polytope_body", "cube_body", "cube_vertices", "gen_random_body",
+    "gen_random_points", "gen_random_polytope", "parallelogram_body",
+    # metric
+    "DiameterGraph", "body_contains", "diameter_graph", "distance", "gauge",
+    "normalize_to_unit_diameter", "polytope_diameter", "set_diameter",
+    # partition
+    "BorsukCertificate", "Partition", "borsuk_number", "chromatic_number", "doubling_check",
+    "lift_partition", "verify_partition",
+    # svgplot
+    "plot2d_svg", "render_svg",
+    # verify
+    "SUITES", "VerificationReport", "run_verify_suite",
+]

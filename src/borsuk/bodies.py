@@ -268,7 +268,3 @@ def scale_polytope(K: VPolytope, t: Fraction) -> VPolytope:
     if t == 0:
         raise ValueError("scale factor must be nonzero")
     return VPolytope(K.dim, tuple(tuple(t * x for x in v) for v in K.vertices), pruned=K.pruned)
-
-
-def scale_points(S: PointSet, t: Fraction) -> PointSet:
-    return PointSet(S.dim, tuple(tuple(t * x for x in p) for p in S.points), S.labels)

@@ -145,10 +145,6 @@ def parallelogram_body() -> SymmetricBody:
     )
 
 
-BODY_KINDS = ("random_symmetric_polytope", "cube", "cross_polytope", "parallelogram", "user_file")
-SET_KINDS = ("body_vertices", "random_points", "user_file")
-
-
 @dataclass(frozen=True)
 class InstanceSpec:
     """Recipe for a reproducible (body, point set) instance."""
@@ -159,8 +155,6 @@ class InstanceSpec:
     set_kind: str = "body_vertices"
     n_vertex_pairs: int = 4
     n_points: int = 6
-    body_path: str | None = None
-    points_path: str | None = None
 
     def build(self) -> tuple[SymmetricBody, PointSet]:
         if self.body_kind == "random_symmetric_polytope":
@@ -171,13 +165,6 @@ class InstanceSpec:
             body = cross_polytope_body(self.dim)
         elif self.body_kind == "parallelogram":
             body = parallelogram_body()
-        elif self.body_kind == "user_file":
-            from . import jsonio
-
-            with open(self.body_path) as fh:
-                import json
-
-                body = validate_body(jsonio.body_from_obj(json.load(fh)))
         else:
             raise ValueError(f"unknown body kind {self.body_kind!r}")
 
@@ -191,13 +178,6 @@ class InstanceSpec:
                 points = PointSet(body.dim, body.vertices)
         elif self.set_kind == "random_points":
             points = gen_random_points(self.seed + 1, self.dim, self.n_points)
-        elif self.set_kind == "user_file":
-            from . import jsonio
-
-            with open(self.points_path) as fh:
-                import json
-
-                points = jsonio.pointset_from_obj(json.load(fh))
         else:
             raise ValueError(f"unknown set kind {self.set_kind!r}")
         return body, points

@@ -8,10 +8,10 @@ deterministic: sorted keys, fixed indentation, trailing newline.
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 from .bodies import LiftedBody, PointSet, SymmetricBody, VPolytope
 from .covering import Covering
-from .linalg import format_rational, parse_rational
 from .metric import DiameterGraph
 from .partition import BorsukCertificate, Partition
 
@@ -21,11 +21,12 @@ def dumps(obj) -> str:
 
 
 def _vec_to_obj(v):
-    return [format_rational(c) for c in v]
+    return [str(c) for c in v]
 
 
 def _vec_from_obj(coords):
-    return tuple(parse_rational(c) for c in coords)
+    # str() first, so a JSON float 0.1 parses as 1/10, not as its binary value
+    return tuple(Fraction(str(c)) for c in coords)
 
 
 def _freeze(value):
@@ -49,7 +50,7 @@ def body_to_obj(C: SymmetricBody) -> dict:
         return {"dim": C.dim, "vertices": [_vec_to_obj(v) for v in C.vertices]}
     return {
         "dim": C.dim,
-        "facets": [{"a": _vec_to_obj(a), "b": format_rational(b)} for a, b in C.facets],
+        "facets": [{"a": _vec_to_obj(a), "b": str(b)} for a, b in C.facets],
     }
 
 
@@ -58,7 +59,7 @@ def body_from_obj(obj) -> SymmetricBody:
     if "vertices" in obj:
         return SymmetricBody(dim, vertices=tuple(_vec_from_obj(v) for v in obj["vertices"]))
     facets = tuple(
-        (_vec_from_obj(f["a"]), parse_rational(f["b"])) for f in obj["facets"]
+        (_vec_from_obj(f["a"]), Fraction(str(f["b"]))) for f in obj["facets"]
     )
     return SymmetricBody(dim, facets=facets)
 
@@ -89,7 +90,7 @@ def lifted_body_to_obj(L: LiftedBody) -> dict:
 def graph_to_obj(G: DiameterGraph) -> dict:
     return {
         "n_points": G.n_points,
-        "diameter": format_rational(G.diameter),
+        "diameter": str(G.diameter),
         "edges": [list(e) for e in G.edges],
     }
 
@@ -97,7 +98,7 @@ def graph_to_obj(G: DiameterGraph) -> dict:
 def graph_from_obj(obj) -> DiameterGraph:
     return DiameterGraph(
         int(obj["n_points"]),
-        parse_rational(obj["diameter"]),
+        Fraction(str(obj["diameter"])),
         tuple((int(i), int(j)) for i, j in obj["edges"]),
     )
 
@@ -122,7 +123,7 @@ def partition_from_obj(obj, n_points: int | None = None) -> Partition:
 
 def covering_to_obj(cov: Covering) -> dict:
     return {
-        "ratio": format_rational(cov.ratio),
+        "ratio": str(cov.ratio),
         "centers": [_vec_to_obj(c) for c in cov.centers],
         "certificate_level": cov.certificate_level,
         "witness_count": len(cov.witnesses),

@@ -32,10 +32,6 @@ def vneg(a: Vec) -> Vec:
     return tuple(-x for x in a)
 
 
-def vscale(a: Vec, t: Fraction) -> Vec:
-    return tuple(t * x for x in a)
-
-
 def vdot(a: Vec, b: Vec) -> Fraction:
     return sum((x * y for x, y in zip(a, b)), ZERO)
 
@@ -96,13 +92,3 @@ def affine_rank(points: list[Vec]) -> int:
         return 0
     base = points[0]
     return matrix_rank([vsub(p, base) for p in points[1:]])
-
-
-def parse_rational(text: str) -> Fraction:
-    """Parse a "p/q" or "p" string into an exact rational."""
-    return Fraction(str(text))
-
-
-def format_rational(q: Fraction) -> str:
-    """Canonical string form: lowest terms, "p/q" or plain "p"."""
-    return str(q)

@@ -53,35 +53,20 @@ def distance(C: SymmetricBody, x: Vec, y: Vec) -> Fraction:
     return gauge(C, vsub(x, y))
 
 
-class _DistanceCache:
-    """Per-computation cache keyed by the sign-canonical difference vector.
-
-    Within one diameter computation many index pairs share a difference
-    (and g(-z) = g(z)), so caching on the difference subsumes caching on
-    the pair.
-    """
-
-    def __init__(self, C: SymmetricBody):
-        self.C = C
-        self.memo: dict[Vec, Fraction] = {}
-
-    def between(self, p: Vec, q: Vec) -> Fraction:
-        key = canonical_sign(vsub(p, q))
-        val = self.memo.get(key)
-        if val is None:
-            val = gauge(self.C, key)
-            self.memo[key] = val
-        return val
-
-
 def _pairwise_max(C: SymmetricBody, points) -> tuple[Fraction, list[tuple[int, int]]]:
-    cache = _DistanceCache(C)
+    # Many index pairs share a difference, and g(-z) = g(z), so the
+    # gauges are memoized on the sign-canonical difference vector.
+    memo: dict[Vec, Fraction] = {}
     best = ZERO
     witnesses: list[tuple[int, int]] = []
     n = len(points)
     for i in range(n):
         for j in range(i + 1, n):
-            d = cache.between(points[i], points[j])
+            key = canonical_sign(vsub(points[i], points[j]))
+            d = memo.get(key)
+            if d is None:
+                d = gauge(C, key)
+                memo[key] = d
             if d > best:
                 best = d
                 witnesses = [(i, j)]

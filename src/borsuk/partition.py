@@ -187,18 +187,17 @@ def borsuk_number(C: SymmetricBody, S: PointSet, node_budget: int | None = None)
 
 
 def verify_partition(C: SymmetricBody, S: PointSet, P: Partition) -> bool:
-    """True iff every class has diameter strictly below the full one."""
+    """True iff every class has diameter strictly below the full one.
+
+    A class has a strictly smaller diameter exactly when it contains no
+    pair attaining the full diameter, i.e. no edge of the diameter graph,
+    so one pass over S decides every class.
+    """
     if P.n_points != len(S.points):
         raise IndexOutOfRange(f"partition of {P.n_points} points against a set of {len(S.points)}")
-    full, _ = set_diameter(C, S)
-    for cls in P.classes:
-        if len(cls) == 1:
-            continue
-        sub = PointSet(S.dim, tuple(S.points[i] for i in cls))
-        d, _ = set_diameter(C, sub)
-        if d >= full:
-            return False
-    return True
+    _, witnesses = set_diameter(C, S)
+    label = {i: k for k, cls in enumerate(P.classes) for i in cls}
+    return all(label[i] != label[j] for i, j in witnesses)
 
 
 def lift_partition(P: Partition, S: PointSet) -> Partition:

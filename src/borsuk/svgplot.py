@@ -142,8 +142,6 @@ def render_svg(C: SymmetricBody, S: PointSet, P: Partition) -> str:
     legend_x = px + pw + 16
     legend_y = 24.0
     for k, cls in enumerate(P.classes):
-        if not cls:
-            continue  # nothing to report for an empty class
         color = PALETTE[k % len(PALETTE)]
         parts.append(
             f'<rect x="{_fmt(legend_x)}" y="{_fmt(legend_y - 9)}" width="12" height="12" '

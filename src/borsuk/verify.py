@@ -19,11 +19,10 @@ from .bodies import (
     lift_body,
     lift_set,
     point_set,
-    prune_redundant,
     scale_polytope,
 )
 from .covering import binomial_bound, covering_bound, partition_bound
-from .errors import UnknownSuite
+from .errors import BorsukError, UnknownSuite
 from .generators import cube_body, cube_vertices, gen_random_body, gen_random_points, gen_random_polytope
 from .metric import distance, gauge, polytope_diameter, set_diameter
 from .partition import borsuk_number, doubling_check, verify_partition
@@ -213,7 +212,6 @@ def _suite_norm_domination(report, count, seed):
         K = gen_random_polytope(s + 1, dim, dim + 3, max_numerator=6, max_denominator=4)
         diam = polytope_diameter(C, K)
         K = scale_polytope(K, Fraction(1) / diam)
-        K = prune_redundant(K)
         D = difference_body(K)
         S = point_set(K.vertices)
         b_ambient = borsuk_number(C, S).number
@@ -274,10 +272,14 @@ def run_verify_suite(name: str, count: int = 10, seed: int = 0) -> VerificationR
     """Run the named suite on ``count`` seeded instances.
 
     ``cube_exact`` and ``bounds_table`` have fixed instance ranges and
-    ignore ``count``. Unknown names raise :class:`UnknownSuite`.
+    otherwise ignore ``count``. Unknown names raise :class:`UnknownSuite`;
+    a ``count`` below 1 raises :class:`BorsukError` for every suite, since
+    a suite that runs nothing must not pass.
     """
     if name not in _SUITE_FUNCS:
         raise UnknownSuite(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
+    if count < 1:
+        raise BorsukError(f"count must be at least 1, got {count}")
     report = VerificationReport(name, count, seed)
     _SUITE_FUNCS[name](report, count, seed)
     return report

@@ -5,13 +5,19 @@ code paths: linear systems are solved by plain Gaussian elimination and
 optima are found by enumerating candidate supports. The one exception
 is :func:`fraction_simplex`, the reference the package's integer
 simplex is tested against: the same two-phase Bland's-rule simplex
-with every tableau entry a ``Fraction``.
+with every tableau entry a ``Fraction``. :func:`verify_partition_by_class`
+is likewise the reference for ``verify_partition``: it measures every
+class with its own ``set_diameter`` instead of reading the diameter
+graph's edges.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
+from borsuk.bodies import PointSet
+from borsuk.errors import IndexOutOfRange
 from borsuk.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult
+from borsuk.metric import set_diameter
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -155,6 +161,22 @@ def chromatic_by_bruteforce(n, edges):
         if extend([-1] * n, 0, k):
             return k
     return n
+
+
+def verify_partition_by_class(C, S, P) -> bool:
+    """True iff every class has diameter strictly below the full one,
+    each class measured as a point set of its own."""
+    if P.n_points != len(S.points):
+        raise IndexOutOfRange(f"partition of {P.n_points} points against a set of {len(S.points)}")
+    full, _ = set_diameter(C, S)
+    for cls in P.classes:
+        if len(cls) == 1:
+            continue
+        sub = PointSet(S.dim, tuple(S.points[i] for i in cls))
+        d, _ = set_diameter(C, sub)
+        if d >= full:
+            return False
+    return True
 
 
 def fraction_simplex(c, A, b) -> LPResult:

@@ -8,6 +8,7 @@ import pytest
 from borsuk.bodies import (
     SymmetricBody,
     VPolytope,
+    body_from_facets,
     difference_body,
     lift_body,
     lift_set,
@@ -15,6 +16,7 @@ from borsuk.bodies import (
     validate_body,
     vpolytope,
 )
+from borsuk import metric
 from borsuk.errors import DegenerateBody, IndexOutOfRange
 from borsuk.generators import (
     cube_body,
@@ -33,7 +35,7 @@ from borsuk.partition import (
     partition,
     verify_partition,
 )
-from oracles import chromatic_by_bruteforce
+from oracles import chromatic_by_bruteforce, verify_partition_by_class
 
 F = Fraction
 
@@ -307,3 +309,81 @@ def test_node_budget_env_rejects_bad_values(monkeypatch, raw):
     monkeypatch.setenv("BORSUK_NODE_BUDGET", raw)
     with pytest.raises(BorsukError, match="BORSUK_NODE_BUDGET"):
         node_budget_default()
+
+
+def _random_facet_body(rng, dim):
+    while True:
+        facets = [
+            (tuple(rng.randint(-3, 3) for _ in range(dim)), rng.randint(1, 3))
+            for _ in range(dim + rng.randint(0, 2))
+        ]
+        try:
+            return body_from_facets(facets)
+        except DegenerateBody:
+            continue
+
+
+def _from_labels(labels):
+    classes: dict[int, list[int]] = {}
+    for i, c in enumerate(labels):
+        classes.setdefault(c, []).append(i)
+    return partition(len(labels), classes.values())
+
+
+def _candidate_partitions(rng, C, S):
+    """Eleven partitions of S: all singletons, one class, the optimal
+    certificate, the certificate on shuffled indices, the certificate
+    with one to three points moved, and three uniformly random labelings."""
+    n = len(S.points)
+    cert = borsuk_number(C, S)
+    label = [0] * n
+    for k, cls in enumerate(cert.partition.classes):
+        for i in cls:
+            label[i] = k
+    perm = list(range(n))
+    rng.shuffle(perm)
+    yield partition(n, [(i,) for i in range(n)])
+    yield partition(n, [tuple(range(n))])
+    yield cert.partition
+    yield _from_labels([label[perm[i]] for i in range(n)])
+    for moves in (1, 1, 2, 3):
+        moved = list(label)
+        for _ in range(moves):
+            moved[rng.randrange(n)] = rng.randint(0, cert.number)
+        yield _from_labels(moved)
+    for k in (2, 3, 4):
+        yield _from_labels([rng.randrange(k) for _ in range(n)])
+
+
+def test_verify_partition_matches_per_class_diameters(monkeypatch):
+    # the diameter-graph check against measuring every class on its own,
+    # on vertex-form and facet-form bodies in 2D and 3D; both sides read
+    # gauges through one memo per body, so each difference costs one LP
+    # and the test compares the decisions, not the gauge code
+    exact_gauge = metric.gauge
+    memo = {}
+
+    def memo_gauge(C, x):
+        if x not in memo:
+            memo[x] = exact_gauge(C, x)
+        return memo[x]
+
+    monkeypatch.setattr(metric, "gauge", memo_gauge)
+    outcomes = {True: 0, False: 0}
+    for seed in range(48):
+        rng = random.Random(seed)
+        for dim in (2, 3):
+            vertex_body = gen_random_body(seed, dim, dim + 1, max_numerator=4, max_denominator=2)
+            for C in (vertex_body, _random_facet_body(rng, dim)):
+                memo.clear()
+                S = gen_random_points(seed + 500, dim, 3 + seed % 4, max_numerator=3, max_denominator=2)
+                pts = list(S.points)
+                if C.vertices is not None and seed % 3 == 0:
+                    pts += [v for v in C.vertices[:3] if v not in pts]
+                S = point_set(pts)
+                for P in _candidate_partitions(rng, C, S):
+                    expected = verify_partition_by_class(C, S, P)
+                    assert verify_partition(C, S, P) == expected, (C, S, P)
+                    outcomes[expected] += 1
+    assert sum(outcomes.values()) >= 2000
+    assert min(outcomes.values()) >= 200, outcomes

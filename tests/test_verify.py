@@ -5,7 +5,7 @@ import json
 import pytest
 
 from borsuk import jsonio
-from borsuk.errors import UnknownSuite
+from borsuk.errors import BorsukError, UnknownSuite
 from borsuk.verify import SUITES, run_verify_suite
 
 
@@ -15,6 +15,14 @@ def test_suite_passes(suite):
     assert report.passed, report.failures[:1]
     assert report.instances_run > 0
     assert report.checks_passed > 0
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_count_below_one_raises(count):
+    # a suite that ran no instance must not report a pass
+    for suite in SUITES:
+        with pytest.raises(BorsukError, match=f"got {count}"):
+            run_verify_suite(suite, count, 1)
 
 
 def test_unknown_suite():
