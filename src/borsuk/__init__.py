@@ -44,6 +44,7 @@ from .errors import (
     GenerationFailed,
     GridTooCoarse,
     IndexOutOfRange,
+    InvalidInput,
     NotSymmetric,
     PointUncovered,
     UnknownSuite,
@@ -93,8 +94,8 @@ __all__ = [
     "covering_bound", "greedy_cover", "partition_bound",
     # errors
     "BorsukError", "DegenerateBody", "DimensionMismatch", "DimensionUnsupported", "DomainError",
-    "GenerationFailed", "GridTooCoarse", "IndexOutOfRange", "NotSymmetric", "PointUncovered",
-    "UnknownSuite", "ZeroDiameter",
+    "GenerationFailed", "GridTooCoarse", "IndexOutOfRange", "InvalidInput", "NotSymmetric",
+    "PointUncovered", "UnknownSuite", "ZeroDiameter",
     # generators
     "InstanceSpec", "cross_polytope_body", "cube_body", "cube_vertices", "gen_random_body",
     "gen_random_points", "gen_random_polytope", "parallelogram_body",

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import lp
-from .errors import DegenerateBody, DimensionMismatch, NotSymmetric
+from .errors import DegenerateBody, DimensionMismatch, InvalidInput, NotSymmetric
 from .linalg import ONE, ZERO, Vec, affine_rank, as_vec, matrix_rank, vadd, vneg
 
 Facet = tuple[Vec, Fraction]  # normal a and offset b, encoding |<a, x>| <= b
@@ -28,9 +28,9 @@ class VPolytope:
 
     def __post_init__(self):
         if self.dim < 1:
-            raise ValueError("dimension must be >= 1")
+            raise InvalidInput("dimension must be >= 1")
         if not self.vertices:
-            raise ValueError("a polytope needs at least one vertex")
+            raise InvalidInput("a polytope needs at least one vertex")
         for v in self.vertices:
             if len(v) != self.dim:
                 raise DimensionMismatch(f"vertex {v} does not have dim {self.dim}")
@@ -51,9 +51,9 @@ class SymmetricBody:
 
     def __post_init__(self):
         if (self.vertices is None) == (self.facets is None):
-            raise ValueError("exactly one of vertices/facets must be given")
+            raise InvalidInput("exactly one of vertices/facets must be given")
         if self.dim < 1:
-            raise ValueError("dimension must be >= 1")
+            raise InvalidInput("dimension must be >= 1")
         if self.vertices is not None:
             for v in self.vertices:
                 if len(v) != self.dim:
@@ -74,15 +74,15 @@ class PointSet:
 
     def __post_init__(self):
         if not self.points:
-            raise ValueError("a point set needs at least one point")
+            raise InvalidInput("a point set needs at least one point")
         for p in self.points:
             if len(p) != self.dim:
                 raise DimensionMismatch(f"point {p} does not have dim {self.dim}")
         if len(set(self.points)) != len(self.points):
             # duplicates would make partition counts bookkeeping artifacts
-            raise ValueError("points must be pairwise distinct")
+            raise InvalidInput("points must be pairwise distinct")
         if self.labels is not None and len(self.labels) != len(self.points):
-            raise ValueError("labels must match points one to one")
+            raise InvalidInput("labels must match points one to one")
 
     def __len__(self):
         return len(self.points)

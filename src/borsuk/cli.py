@@ -11,12 +11,11 @@ import argparse
 import json
 import sys
 import time
-from fractions import Fraction
 
 from . import jsonio
 from .bodies import difference_body, lift_body, lift_set, validate_body
 from .covering import bounds_table, greedy_cover
-from .errors import BorsukError
+from .errors import BorsukError, InvalidInput
 from .metric import diameter_graph, gauge
 from .partition import borsuk_number
 from .svgplot import render_svg
@@ -24,10 +23,13 @@ from .verify import SUITES, run_verify_suite
 
 
 def _read_json(path: str):
-    if path == "-":
-        return json.load(sys.stdin)
-    with open(path) as fh:
-        return json.load(fh)
+    try:
+        if path == "-":
+            return json.load(sys.stdin)
+        with open(path) as fh:
+            return json.load(fh)
+    except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deep
+        raise InvalidInput(f"{path}: not valid JSON: {exc}") from None
 
 
 def _write_text(text: str, out: str | None):
@@ -95,7 +97,7 @@ def _cmd_lift(args) -> int:
 
 def _cmd_cover(args) -> int:
     K = jsonio.polytope_from_obj(_read_json(args.polytope))
-    cov = greedy_cover(K, Fraction(args.ratio), Fraction(args.grid_step))
+    cov = greedy_cover(K, jsonio.parse_rational(args.ratio), jsonio.parse_rational(args.grid_step))
     _write_text(jsonio.dumps(jsonio.covering_to_obj(cov)), args.out)
     return 0
 
@@ -205,10 +207,7 @@ def cli_dispatch(argv) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except BorsukError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (BorsukError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

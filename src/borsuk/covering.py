@@ -6,9 +6,11 @@ body), and says so in its certificate level. Turning a covering into a
 partition assigns each point to the first translate containing it,
 which is the constructive reading of "few homothets force few parts".
 
-The two closed-form bound evaluators are the only deliberately inexact
+The closed-form bound evaluators are the only deliberately inexact
 computation in the package: they report double-precision values of
 asymptotic formulas (with natural logarithms) and are not certificates.
+Past the largest n whose value is a finite double they raise
+:class:`DomainError` naming that n.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from itertools import product
 
 from . import lp
 from .bodies import PointSet, SymmetricBody, VPolytope, contains_point
-from .errors import DomainError, GridTooCoarse, PointUncovered
+from .errors import DomainError, GridTooCoarse, InvalidInput, PointUncovered
 from .linalg import Vec, vsub
 from .partition import Partition
 
@@ -30,6 +32,12 @@ VERTEX_CERTIFIED = "vertex_certified"
 FORMULA_COVERING = "rogers_zong"
 FORMULA_PARTITION = "partition"
 FORMULA_BINOMIAL = "binomial"
+
+# Largest n at which each bound formula is a finite double (below
+# sys.float_info.max); every larger n overflows.
+COVERING_BOUND_MAX_N = 1010
+PARTITION_BOUND_MAX_N = 1010
+BINOMIAL_BOUND_MAX_N = 508
 
 
 @dataclass(frozen=True)
@@ -91,9 +99,9 @@ def greedy_cover(K: VPolytope, lam: Fraction, grid_step: Fraction) -> Covering:
     lam = Fraction(lam)
     grid_step = Fraction(grid_step)
     if not 0 < lam < 1:
-        raise ValueError("shrink ratio must satisfy 0 < ratio < 1")
+        raise InvalidInput(f"shrink ratio must satisfy 0 < ratio < 1, got {lam}")
     if grid_step <= 0:
-        raise ValueError("grid step must be positive")
+        raise InvalidInput(f"grid step must be positive, got {grid_step}")
 
     lo, hi = _bounding_box(K.vertices)
     inner_axes = [_lattice_axis(lo[i], hi[i], grid_step) for i in range(K.dim)]
@@ -160,18 +168,27 @@ def _inner_term(m: int) -> float:
     return m * math.log(m) + m * math.log(math.log(m)) + 5.0 * m
 
 
+def _check_finite(name: str, n: int, max_n: int):
+    if n > max_n:
+        raise DomainError(f"{name} overflows a double past n = {max_n}, got n = {n}")
+
+
 def covering_bound(n: int) -> BoundValue:
     """Upper bound 2^n (n ln n + n ln ln n + 5n) on covering a symmetric
     body by smaller homothets. Defined for n >= 2 (ln ln n must be real;
-    it is negative for n = 2, which is returned as-is)."""
+    it is negative for n = 2, which is returned as-is), and finite up to
+    n = COVERING_BOUND_MAX_N; DomainError outside that range."""
     if n <= 1:
         raise DomainError("covering bound needs n >= 2 (ln ln n undefined below)")
+    _check_finite("covering bound", n, COVERING_BOUND_MAX_N)
     return BoundValue(n, math.ldexp(_inner_term(n), n), FORMULA_COVERING)
 
 
 def partition_bound(n: int) -> BoundValue:
     """Upper bound 2^n ((n+1) ln(n+1) + (n+1) ln ln(n+1) + 5n + 5) on
-    partition numbers in n-dimensional gauge spaces. Defined for n >= 1.
+    partition numbers in n-dimensional gauge spaces. Defined for n >= 1,
+    and finite up to n = PARTITION_BOUND_MAX_N; DomainError outside that
+    range.
 
     Shares the inner term with :func:`covering_bound`, so the identity
     partition_bound(n) == covering_bound(n+1) / 2 holds to the last bit
@@ -179,19 +196,25 @@ def partition_bound(n: int) -> BoundValue:
     """
     if n < 1:
         raise DomainError("partition bound needs n >= 1")
+    _check_finite("partition bound", n, PARTITION_BOUND_MAX_N)
     return BoundValue(n, math.ldexp(_inner_term(n + 1), n), FORMULA_PARTITION)
 
 
 def binomial_bound(n: int) -> BoundValue:
     """The older binomial-coefficient bound binom(2n, n) (n ln n + n ln ln n + 5n),
-    kept for comparison tables."""
+    kept for comparison tables. Defined for n >= 2, and finite up to
+    n = BINOMIAL_BOUND_MAX_N; DomainError outside that range."""
     if n <= 1:
         raise DomainError("binomial bound needs n >= 2")
+    _check_finite("binomial bound", n, BINOMIAL_BOUND_MAX_N)
     return BoundValue(n, math.comb(2 * n, n) * _inner_term(n), FORMULA_BINOMIAL)
 
 
 def bounds_table(n_min: int = 2, n_max: int = 64):
-    """Rows (n, partition_bound, covering_bound, binomial_bound)."""
+    """Rows (n, partition_bound, covering_bound, binomial_bound).
+
+    Raises DomainError for n_max past BINOMIAL_BOUND_MAX_N, where the
+    first of the three formulas overflows."""
     if n_min < 2:
         raise DomainError("table starts at n = 2")
     return [

@@ -47,3 +47,11 @@ class DomainError(BorsukError):
 
 class DimensionUnsupported(BorsukError):
     """The operation is only implemented for a specific dimension."""
+
+
+class InvalidInput(BorsukError, ValueError):
+    """Input is malformed or out of range: bad JSON, a missing field, an
+    unparsable rational, duplicate points, an option outside its domain.
+
+    Also a ``ValueError``, so callers that catch that keep working.
+    """

@@ -3,15 +3,20 @@
 All coordinates travel as strings in lowest terms ("p/q", or "p" for
 integers), so parse -> serialize -> parse is the identity. Emission is
 deterministic: sorted keys, fixed indentation, trailing newline.
+Parsing raises :class:`InvalidInput` on any malformed object: bad JSON
+text, a missing field, a value of the wrong type or an unparsable
+rational.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from fractions import Fraction
 
 from .bodies import LiftedBody, PointSet, SymmetricBody, VPolytope
 from .covering import Covering
+from .errors import BorsukError, InvalidInput
 from .metric import DiameterGraph
 from .partition import BorsukCertificate, Partition
 
@@ -24,9 +29,38 @@ def _vec_to_obj(v):
     return [str(c) for c in v]
 
 
+def parse_rational(text) -> Fraction:
+    """Exact value of "p/q", "p" or a decimal; JSON numbers go through
+    ``str()`` first, so a JSON float 0.1 parses as 1/10, not as its
+    binary value."""
+    try:
+        return Fraction(str(text))
+    except (ValueError, ZeroDivisionError):
+        raise InvalidInput(f"not a rational number: {text!r}") from None
+
+
+def _parses(what):
+    """Report a parser's structural failures as InvalidInput."""
+
+    def wrap(parse):
+        @functools.wraps(parse)
+        def parse_or_raise(*args, **kwargs):
+            try:
+                return parse(*args, **kwargs)
+            except BorsukError:
+                raise
+            except KeyError as exc:
+                raise InvalidInput(f"{what}: missing field {exc.args[0]!r}") from None
+            except (TypeError, ValueError, AttributeError, OverflowError, RecursionError) as exc:
+                raise InvalidInput(f"{what}: {exc}") from None
+
+        return parse_or_raise
+
+    return wrap
+
+
 def _vec_from_obj(coords):
-    # str() first, so a JSON float 0.1 parses as 1/10, not as its binary value
-    return tuple(Fraction(str(c)) for c in coords)
+    return tuple(parse_rational(c) for c in coords)
 
 
 def _freeze(value):
@@ -40,6 +74,7 @@ def polytope_to_obj(K: VPolytope) -> dict:
     return {"dim": K.dim, "vertices": [_vec_to_obj(v) for v in K.vertices]}
 
 
+@_parses("polytope")
 def polytope_from_obj(obj) -> VPolytope:
     verts = tuple(_vec_from_obj(v) for v in obj["vertices"])
     return VPolytope(int(obj["dim"]), verts)
@@ -54,12 +89,13 @@ def body_to_obj(C: SymmetricBody) -> dict:
     }
 
 
+@_parses("body")
 def body_from_obj(obj) -> SymmetricBody:
     dim = int(obj["dim"])
     if "vertices" in obj:
         return SymmetricBody(dim, vertices=tuple(_vec_from_obj(v) for v in obj["vertices"]))
     facets = tuple(
-        (_vec_from_obj(f["a"]), Fraction(str(f["b"]))) for f in obj["facets"]
+        (_vec_from_obj(f["a"]), parse_rational(f["b"])) for f in obj["facets"]
     )
     return SymmetricBody(dim, facets=facets)
 
@@ -71,6 +107,7 @@ def pointset_to_obj(S: PointSet) -> dict:
     return obj
 
 
+@_parses("point set")
 def pointset_from_obj(obj) -> PointSet:
     points = tuple(_vec_from_obj(p) for p in obj["points"])
     labels = obj.get("labels")
@@ -95,10 +132,11 @@ def graph_to_obj(G: DiameterGraph) -> dict:
     }
 
 
+@_parses("diameter graph")
 def graph_from_obj(obj) -> DiameterGraph:
     return DiameterGraph(
         int(obj["n_points"]),
-        Fraction(str(obj["diameter"])),
+        parse_rational(obj["diameter"]),
         tuple((int(i), int(j)) for i, j in obj["edges"]),
     )
 
@@ -113,6 +151,7 @@ def certificate_to_obj(cert: BorsukCertificate, elapsed: float | None = None) ->
     }
 
 
+@_parses("partition")
 def partition_from_obj(obj, n_points: int | None = None) -> Partition:
     """Accepts either a bare partition object or a certificate."""
     classes = tuple(tuple(int(i) for i in cls) for cls in obj["classes"])
@@ -130,6 +169,7 @@ def covering_to_obj(cov: Covering) -> dict:
     }
 
 
+@_parses("point")
 def parse_rational_point(text: str):
     """Parse a JSON array of rational strings into a point."""
     return _vec_from_obj(json.loads(text))

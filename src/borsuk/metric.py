@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import lp
 from .bodies import PointSet, SymmetricBody, VPolytope, contains_point
-from .errors import DimensionMismatch, ZeroDiameter
+from .errors import DimensionMismatch, InvalidInput, ZeroDiameter
 from .linalg import ONE, ZERO, Vec, canonical_sign, vdot, vsub
 
 
@@ -103,7 +103,7 @@ def polytope_diameter(C: SymmetricBody, K: VPolytope) -> Fraction:
 def diameter_graph(C: SymmetricBody, S: PointSet) -> DiameterGraph:
     """Edges at exact rational equality with the maximum distance."""
     if len(S.points) < 2:
-        raise ValueError("diameter graph needs at least two points")
+        raise InvalidInput("diameter graph needs at least two points")
     diam, witnesses = set_diameter(C, S)
     return DiameterGraph(len(S.points), diam, tuple(witnesses))
 

@@ -4,8 +4,10 @@ A finite set splits into parts of strictly smaller diameter exactly
 when no part spans an edge of the diameter graph, so the partition
 number is the chromatic number of that graph. The search below is a
 deterministic DSATUR-style branch and bound with a greedy clique lower
-bound; outcomes are certified by the returned coloring and, when the
-search finished, by exhaustion.
+bound, run on an explicit stack (no depth limit) with every vertex's
+saturation kept up to date as colors are assigned and undone; outcomes
+are certified by the returned coloring and, when the search finished,
+by exhaustion.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import os
 from dataclasses import dataclass
 
 from .bodies import PointSet, SymmetricBody, VPolytope, difference_body, lift_body, lift_set
-from .errors import BorsukError, IndexOutOfRange
+from .errors import BorsukError, IndexOutOfRange, InvalidInput
 from .metric import DiameterGraph, diameter_graph, set_diameter
 
 DEFAULT_NODE_BUDGET = 10_000_000
@@ -32,15 +34,15 @@ class Partition:
         seen: set[int] = set()
         for cls in self.classes:
             if not cls:
-                raise ValueError("empty partition class")
+                raise InvalidInput("empty partition class")
             for i in cls:
                 if not 0 <= i < self.n_points:
                     raise IndexOutOfRange(f"index {i} outside 0..{self.n_points - 1}")
                 if i in seen:
-                    raise ValueError(f"index {i} appears in two classes")
+                    raise InvalidInput(f"index {i} appears in two classes")
                 seen.add(i)
         if len(seen) != self.n_points:
-            raise ValueError("classes do not cover all indices")
+            raise InvalidInput("classes do not cover all indices")
 
 
 def partition(n_points: int, classes) -> Partition:
@@ -81,31 +83,96 @@ def _greedy_clique(n, adj) -> list[int]:
     return clique
 
 
+class _Saturation:
+    """A partial coloring with DSATUR state kept up to date.
+
+    ``counts[v][c]`` is how many neighbours of v hold color c and
+    ``sat[v]`` how many of those counts are nonzero, the saturation of v;
+    coloring or uncoloring v touches only v's neighbours. The tables
+    hold one column per color in use, ``n_colors`` of them.
+    Uncolored vertices sit in a doubly linked list in (-degree, index)
+    order; colorings are undone last-in first-out, so an uncolored vertex
+    relinks where it was unlinked.
+    """
+
+    def __init__(self, adj, n_colors):
+        n = len(adj)
+        self.adj = adj
+        self.degree = [len(a) for a in adj]
+        order = sorted(range(n), key=lambda v: (-self.degree[v], v))
+        # links over vertices; n is the list head, ahead of order[0]
+        self.next = [n] * (n + 1)
+        self.prev = [n] * (n + 1)
+        for a, b in zip([n] + order, order + [n]):
+            self.next[a] = b
+            self.prev[b] = a
+        self.colors = [-1] * n
+        self.n_colors = n_colors
+        self.counts = [[0] * n_colors for _ in range(n)]
+        self.sat = [0] * n
+
+    def add_color(self):
+        self.n_colors += 1
+        for row in self.counts:
+            row.append(0)
+
+    def assign(self, v, c):
+        self.colors[v] = c
+        nxt, prv = self.next, self.prev
+        nxt[prv[v]] = nxt[v]
+        prv[nxt[v]] = prv[v]
+        counts, sat = self.counts, self.sat
+        for u in self.adj[v]:
+            row = counts[u]
+            if not row[c]:
+                sat[u] += 1
+            row[c] += 1
+
+    def clear(self, v):
+        c = self.colors[v]
+        self.colors[v] = -1
+        nxt, prv = self.next, self.prev
+        nxt[prv[v]] = v
+        prv[nxt[v]] = v
+        counts, sat = self.counts, self.sat
+        for u in self.adj[v]:
+            row = counts[u]
+            row[c] -= 1
+            if not row[c]:
+                sat[u] -= 1
+
+    def pick(self):
+        """The uncolored vertex of highest (saturation, degree, -index).
+
+        Walks the uncolored list, so on equal saturation the first vertex
+        found wins; a saturation never exceeds the degree, so the walk
+        stops at the first degree no higher than the best saturation.
+        """
+        nxt, degree, sat = self.next, self.degree, self.sat
+        end = len(self.colors)
+        best, best_sat = None, -1
+        v = nxt[end]
+        while v != end and degree[v] > best_sat:
+            if sat[v] > best_sat:
+                best, best_sat = v, sat[v]
+            v = nxt[v]
+        return best
+
+    def first_free(self, v):
+        """Smallest color no neighbour of v holds; n_colors if none."""
+        row = self.counts[v]
+        return row.index(0) if 0 in row else self.n_colors
+
+
 def _dsatur_greedy(n, adj) -> list[int]:
-    colors = [-1] * n
+    state = _Saturation(adj, 0)
     for _ in range(n):
-        v = _pick_uncolored(n, adj, colors)
-        used = {colors[u] for u in adj[v] if colors[u] >= 0}
-        c = 0
-        while c in used:
-            c += 1
-        colors[v] = c
-    return colors
-
-
-def _pick_uncolored(n, adj, colors):
-    # saturation first, then degree, then smallest index: deterministic
-    best = None
-    best_key = None
-    for v in range(n):
-        if colors[v] >= 0:
-            continue
-        sat = len({colors[u] for u in adj[v] if colors[u] >= 0})
-        key = (sat, len(adj[v]), -v)
-        if best is None or key > best_key:
-            best = v
-            best_key = key
-    return best
+        v = state.pick()
+        c = state.first_free(v)
+        if c == state.n_colors:
+            state.add_color()
+        state.assign(v, c)
+    return state.colors
 
 
 def _exact_chromatic(n, edges, budget):
@@ -116,51 +183,70 @@ def _exact_chromatic(n, edges, budget):
         adj[j].add(i)
 
     clique = _greedy_clique(n, adj)
-    greedy = _dsatur_greedy(n, adj)
-    best_k = max(greedy) + 1
-    best = list(greedy)
+    best = _dsatur_greedy(n, adj)
+    best_k = max(best) + 1
     lb = len(clique)
     if lb == best_k:
         return best_k, best, clique, True, 0
 
     # Fixing the clique's colors breaks color-permutation symmetry and
     # is sound: any proper coloring can be relabeled to match.
-    colors = [-1] * n
+    state = _Saturation(adj, best_k)
     for rank, v in enumerate(clique):
-        colors[v] = rank
+        state.assign(v, rank)
+    colors, counts = state.colors, state.counts
 
-    state = {"nodes": 0, "best_k": best_k, "best": best, "exhausted": True}
-
-    def descend(num_colored, used):
-        if state["nodes"] >= budget:
-            state["exhausted"] = False
-            return
-        state["nodes"] += 1
-        if used >= state["best_k"]:
-            return
-        if num_colored == n:
-            state["best_k"] = used
-            state["best"] = colors.copy()
-            return
-        v = _pick_uncolored(n, adj, colors)
-        forbidden = {colors[u] for u in adj[v] if colors[u] >= 0}
-        for c in range(used):
-            if c in forbidden:
+    # Depth-first search on an explicit stack of frames [v, next color,
+    # colors in use], one per colored vertex outside the clique. A node
+    # is entered with `used` colors in use; it tries each free color below
+    # `used`, then one new color if that could still beat the best. The
+    # budget is checked on entering a node and after each child that
+    # reused a color.
+    nodes = 0
+    exhausted = True
+    stack: list[list[int]] = []
+    used = lb
+    entering = True
+    while True:
+        if entering:
+            entering = False
+            if nodes >= budget:
+                exhausted = False
+            else:
+                nodes += 1
+                if used < best_k:
+                    if lb + len(stack) == n:
+                        best_k, best = used, colors.copy()
+                    else:
+                        stack.append([state.pick(), 0, used])
+        if not stack:
+            break
+        frame = stack[-1]
+        v, c, frame_used = frame
+        if colors[v] >= 0:  # a child of this frame has returned
+            reused = colors[v] < frame_used
+            state.clear(v)
+            if not reused:
+                stack.pop()
                 continue
-            colors[v] = c
-            descend(num_colored + 1, used)
-            colors[v] = -1
-            if state["nodes"] >= budget:
-                state["exhausted"] = False
-                return
-        if used + 1 < state["best_k"]:
-            colors[v] = used
-            descend(num_colored + 1, used + 1)
-            colors[v] = -1
-
-    descend(len(clique), len(clique))
-    optimal = state["exhausted"] or state["best_k"] == lb
-    return state["best_k"], state["best"], clique, optimal, state["nodes"]
+            if nodes >= budget:
+                exhausted = False
+                stack.pop()
+                continue
+        held = counts[v]
+        while c < frame_used and held[c]:
+            c += 1
+        if c < frame_used:
+            frame[1], used = c + 1, frame_used
+        elif frame_used + 1 < best_k:  # c == frame_used: open a new color
+            frame[1], used = c + 1, frame_used + 1
+        else:
+            stack.pop()
+            continue
+        state.assign(v, c)
+        entering = True
+    optimal = exhausted or best_k == lb
+    return best_k, best, clique, optimal, nodes
 
 
 def chromatic_number(G: DiameterGraph, node_budget: int | None = None) -> BorsukCertificate:

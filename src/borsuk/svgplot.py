@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import cmp_to_key
 
 from .bodies import PointSet, SymmetricBody
-from .errors import DimensionUnsupported
+from .errors import DimensionUnsupported, InvalidInput
 from .metric import diameter_graph
 from .partition import Partition
 
@@ -91,7 +91,7 @@ def render_svg(C: SymmetricBody, S: PointSet, P: Partition) -> str:
     if C.dim != 2 or S.dim != 2:
         raise DimensionUnsupported("plotting is implemented for dimension 2 only")
     if P.n_points != len(S.points):
-        raise ValueError("partition does not match the point set")
+        raise InvalidInput("partition does not match the point set")
 
     outline = _outline_vertices(C)
     xs = [float(v[0]) for v in outline] + [float(p[0]) for p in S.points]

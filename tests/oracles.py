@@ -8,7 +8,9 @@ simplex is tested against: the same two-phase Bland's-rule simplex
 with every tableau entry a ``Fraction``. :func:`verify_partition_by_class`
 is likewise the reference for ``verify_partition``: it measures every
 class with its own ``set_diameter`` instead of reading the diameter
-graph's edges.
+graph's edges. :func:`recursive_exact_chromatic` is the reference for
+the package's branch and bound: the recursive DSATUR search that
+recomputes every saturation at every node.
 """
 
 from fractions import Fraction
@@ -290,3 +292,98 @@ def _fraction_pivot(tab, red, basis, i, j, pivots):
         red[:] = [u - f * v for u, v in zip(red, row)]
     basis[i] = j
     pivots[0] += 1
+
+
+def _recursive_greedy_clique(n, adj):
+    clique = []
+    cand = set(range(n))
+    while cand:
+        v = min(cand, key=lambda u: (-len(adj[u] & cand), u))
+        clique.append(v)
+        cand &= adj[v]
+    return clique
+
+
+def _recursive_pick_uncolored(n, adj, colors):
+    # saturation first, then degree, then smallest index: deterministic
+    best = None
+    best_key = None
+    for v in range(n):
+        if colors[v] >= 0:
+            continue
+        sat = len({colors[u] for u in adj[v] if colors[u] >= 0})
+        key = (sat, len(adj[v]), -v)
+        if best is None or key > best_key:
+            best = v
+            best_key = key
+    return best
+
+
+def _recursive_dsatur_greedy(n, adj):
+    colors = [-1] * n
+    for _ in range(n):
+        v = _recursive_pick_uncolored(n, adj, colors)
+        used = {colors[u] for u in adj[v] if colors[u] >= 0}
+        c = 0
+        while c in used:
+            c += 1
+        colors[v] = c
+    return colors
+
+
+def recursive_exact_chromatic(n, edges, budget):
+    """(k, colors, clique, optimal, nodes) by recursive DSATUR branch and
+    bound, recomputing saturations from scratch at every node.
+
+    Recursion depth grows with n: keep n well below the interpreter's
+    recursion limit.
+    """
+    adj = [set() for _ in range(n)]
+    for i, j in edges:
+        adj[i].add(j)
+        adj[j].add(i)
+
+    clique = _recursive_greedy_clique(n, adj)
+    greedy = _recursive_dsatur_greedy(n, adj)
+    best_k = max(greedy) + 1
+    best = list(greedy)
+    lb = len(clique)
+    if lb == best_k:
+        return best_k, best, clique, True, 0
+
+    colors = [-1] * n
+    for rank, v in enumerate(clique):
+        colors[v] = rank
+
+    state = {"nodes": 0, "best_k": best_k, "best": best, "exhausted": True}
+
+    def descend(num_colored, used):
+        if state["nodes"] >= budget:
+            state["exhausted"] = False
+            return
+        state["nodes"] += 1
+        if used >= state["best_k"]:
+            return
+        if num_colored == n:
+            state["best_k"] = used
+            state["best"] = colors.copy()
+            return
+        v = _recursive_pick_uncolored(n, adj, colors)
+        forbidden = {colors[u] for u in adj[v] if colors[u] >= 0}
+        for c in range(used):
+            if c in forbidden:
+                continue
+            colors[v] = c
+            descend(num_colored + 1, used)
+            colors[v] = -1
+            if state["nodes"] >= budget:
+                state["exhausted"] = False
+                return
+        if used + 1 < state["best_k"]:
+            colors[v] = used
+            descend(num_colored + 1, used + 1)
+            colors[v] = -1
+
+    descend(len(clique), len(clique))
+    optimal = state["exhausted"] or state["best_k"] == lb
+    return state["best_k"], state["best"], clique, optimal, state["nodes"]

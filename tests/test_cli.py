@@ -174,3 +174,58 @@ def test_bad_node_budget_env_exits_one(cube2, monkeypatch, capsys):
     monkeypatch.setenv("BORSUK_NODE_BUDGET", "abc")
     assert cli_dispatch(["borsuk", "--body", str(body), "--points", str(points)]) == 1
     assert "BORSUK_NODE_BUDGET" in capsys.readouterr().err
+
+
+SQUARE = {"dim": 2, "vertices": [["0", "0"], ["1", "0"], ["0", "1"], ["1", "1"]]}
+CUBE2_BODY = {"dim": 2, "facets": [{"a": ["1", "0"], "b": "1"}, {"a": ["0", "1"], "b": "1"}]}
+
+
+def _bad_input_argv(case, tmp_path):
+    body = tmp_path / "body.json"
+    body.write_text(json.dumps(CUBE2_BODY))
+    square = tmp_path / "square.json"
+    square.write_text(json.dumps(SQUARE))
+    bad = tmp_path / "bad.json"
+    points = ["--body", body, "--points", bad]
+    if case == "malformed json":
+        bad.write_text('{"dim": 2, "points": [["1", "1"],')
+        return ["borsuk", *points]
+    if case == "json nested too deep":
+        bad.write_text("[" * 100000 + "]" * 100000)
+        return ["borsuk", *points]
+    if case == "infinite dim":
+        bad.write_text('{"dim": 1e400, "points": [["1", "1"]]}')
+        return ["borsuk", *points]
+    if case == "missing dim":
+        bad.write_text(json.dumps({"points": [["1", "1"], ["0", "0"]]}))
+        return ["borsuk", *points]
+    if case == "bad rational":
+        bad.write_text(json.dumps({"dim": 2, "points": [["1", "x"], ["0", "0"]]}))
+        return ["borsuk", *points]
+    if case == "duplicate points":
+        bad.write_text(json.dumps({"dim": 2, "points": [["1", "1"], ["0", "0"], ["1", "1"]]}))
+        return ["borsuk", *points]
+    if case == "bad inline point":
+        return ["gauge", "--body", body, "--point", '["1", "x"]']
+    if case == "ratio abc":
+        return ["cover", "--polytope", square, "--ratio", "abc", "--grid-step", "1/4"]
+    if case == "ratio 2":
+        return ["cover", "--polytope", square, "--ratio", "2", "--grid-step", "1/4"]
+    if case == "grid step 0":
+        return ["cover", "--polytope", square, "--ratio", "3/5", "--grid-step", "0"]
+    if case == "bounds past double range":
+        return ["bounds", "--n-max", "2000"]
+    raise AssertionError(case)
+
+
+@pytest.mark.parametrize("case", [
+    "malformed json", "json nested too deep", "infinite dim", "missing dim", "bad rational", "duplicate points", "bad inline point",
+    "ratio abc", "ratio 2", "grid step 0", "bounds past double range",
+])
+def test_bad_input_is_an_error_line_not_a_traceback(case, tmp_path, capsys):
+    # an uncaught exception would escape cli_dispatch and fail the test
+    code = cli_dispatch([str(a) for a in _bad_input_argv(case, tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

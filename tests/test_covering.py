@@ -7,6 +7,9 @@ import pytest
 
 from borsuk.bodies import body_from_vertices, point_set, vpolytope
 from borsuk.covering import (
+    BINOMIAL_BOUND_MAX_N,
+    COVERING_BOUND_MAX_N,
+    PARTITION_BOUND_MAX_N,
     SAMPLE_CERTIFIED,
     binomial_bound,
     bounds_table,
@@ -148,3 +151,37 @@ def test_bounds_table_matches_golden(golden_path):
     produced = "\n".join(lines) + "\n"
     golden = (golden_path / "bounds_table.csv").read_text()
     assert produced == golden
+
+
+def _raw_value(formula, n):
+    # the formula in plain float arithmetic, inf where it overflows
+    inner = lambda m: m * math.log(m) + m * math.log(math.log(m)) + 5.0 * m
+    try:
+        if formula == "covering":
+            return math.ldexp(inner(n), n)
+        if formula == "partition":
+            return math.ldexp(inner(n + 1), n)
+        return math.comb(2 * n, n) * inner(n)
+    except OverflowError:
+        return math.inf
+
+
+@pytest.mark.parametrize("formula, bound, max_n", [
+    ("covering", covering_bound, COVERING_BOUND_MAX_N),
+    ("partition", partition_bound, PARTITION_BOUND_MAX_N),
+    ("binomial", binomial_bound, BINOMIAL_BOUND_MAX_N),
+])
+def test_bounds_past_double_range_raise_domain_error(formula, bound, max_n):
+    # max_n is exactly the last finite value of the formula
+    assert math.isfinite(_raw_value(formula, max_n))
+    assert _raw_value(formula, max_n + 1) == math.inf
+    assert bound(max_n).value == _raw_value(formula, max_n)
+    for n in (max_n + 1, 2000, 10**6):
+        with pytest.raises(DomainError, match=f"past n = {max_n}"):
+            bound(n)
+
+
+def test_bounds_table_stops_at_the_first_overflow():
+    assert bounds_table(2, BINOMIAL_BOUND_MAX_N)[-1][0] == BINOMIAL_BOUND_MAX_N
+    with pytest.raises(DomainError, match=f"past n = {BINOMIAL_BOUND_MAX_N}"):
+        bounds_table(2, 2000)

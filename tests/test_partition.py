@@ -28,6 +28,7 @@ from borsuk.generators import (
 from borsuk.metric import DiameterGraph, diameter_graph, set_diameter
 from borsuk.partition import (
     Partition,
+    _exact_chromatic,
     borsuk_number,
     chromatic_number,
     doubling_check,
@@ -35,7 +36,12 @@ from borsuk.partition import (
     partition,
     verify_partition,
 )
-from oracles import chromatic_by_bruteforce, verify_partition_by_class
+from oracles import (
+    _recursive_dsatur_greedy,
+    chromatic_by_bruteforce,
+    recursive_exact_chromatic,
+    verify_partition_by_class,
+)
 
 F = Fraction
 
@@ -387,3 +393,77 @@ def test_verify_partition_matches_per_class_diameters(monkeypatch):
                     outcomes[expected] += 1
     assert sum(outcomes.values()) >= 2000
     assert min(outcomes.values()) >= 200, outcomes
+
+
+# 8 vertices, chromatic number 3, on which the DSATUR greedy coloring uses
+# 4 colors, so the branch and bound has to run
+DSATUR_TRAP = ((0, 2), (0, 3), (0, 4), (0, 7), (1, 3), (1, 5), (1, 6), (2, 3),
+               (2, 7), (4, 5), (4, 6), (5, 6))
+
+
+def _mycielski(k):
+    """Mycielski graph M_k (M_2 = K_2): triangle-free, chromatic number k."""
+    n, edges = 2, {(0, 1)}
+    for _ in range(k - 2):
+        grown = set(edges)
+        for i, j in edges:
+            grown.add((i, n + j))
+            grown.add((j, n + i))
+        grown.update((n + i, 2 * n) for i in range(n))
+        n, edges = 2 * n + 1, {(min(e), max(e)) for e in grown}
+    return n, sorted(edges)
+
+
+def _relabel(n, edges, rng):
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return sorted((min(perm[i], perm[j]), max(perm[i], perm[j])) for i, j in edges)
+
+
+def test_dsatur_trap_needs_the_search():
+    adj = [set() for _ in range(8)]
+    for i, j in DSATUR_TRAP:
+        adj[i].add(j)
+        adj[j].add(i)
+    assert max(_recursive_dsatur_greedy(8, adj)) + 1 == 4
+    assert chromatic_by_bruteforce(8, DSATUR_TRAP) == 3
+
+
+@pytest.mark.parametrize("isolated", [1124, 2000])
+def test_trap_padded_with_isolated_vertices_has_no_depth_limit(isolated):
+    # each vertex is one level of the search, far past the recursion limit
+    n = 8 + isolated
+    cert = chromatic_number(_graph(n, DSATUR_TRAP))
+    assert cert.optimal
+    assert cert.number == len(cert.partition.classes) == 3
+    label = {v: k for k, cls in enumerate(cert.partition.classes) for v in cls}
+    assert sorted(label) == list(range(n))
+    assert all(label[i] != label[j] for i, j in DSATUR_TRAP)
+    assert cert.nodes > n - 8
+
+
+def test_branch_and_bound_matches_recursive_reference():
+    # same (k, colors, clique, optimal, nodes) as the recursive search that
+    # recomputes saturations at every node, budgets cut anywhere included
+    cases = []
+    rng = random.Random(2024)
+    for _ in range(400):
+        n = rng.randint(1, 30)
+        p = rng.choice((0.05, 0.15, 0.3, 0.5, 0.7, 0.9, rng.random()))
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+        cases.append((n, edges, (1, 2, rng.randint(3, 40), 10**7)))
+    for k, count in ((4, 20), (5, 6)):
+        n, edges = _mycielski(k)
+        for _ in range(count):
+            cases.append((n, _relabel(n, edges, rng), (1, 2, rng.randint(3, 300), 10**7)))
+    for _ in range(3):
+        n = 8 + 480 + rng.randint(0, 20)
+        cases.append((n, _relabel(n, DSATUR_TRAP, rng), (rng.randint(1, 400), 10**7)))
+    searched = cut = 0
+    for n, edges, budgets in cases:
+        for budget in budgets:
+            got = _exact_chromatic(n, edges, budget)
+            assert got == recursive_exact_chromatic(n, edges, budget), (n, edges, budget)
+            searched += got[4] > 1
+            cut += not got[3]
+    assert searched >= 350 and cut >= 250, (searched, cut)
