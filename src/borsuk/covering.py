@@ -6,6 +6,11 @@ body), and says so in its certificate level. Turning a covering into a
 partition assigns each point to the first translate containing it,
 which is the constructive reading of "few homothets force few parts".
 
+Whether w lies in c + lam*K depends only on the difference w - c, and
+grid witnesses and grid centers repeat the same few differences many
+times, so both steps solve one exact membership LP per distinct
+difference, keyed on integers over one common denominator.
+
 The closed-form bound evaluators are the only deliberately inexact
 computation in the package: they report double-precision values of
 asymptotic formulas (with natural logarithms) and are not certificates.
@@ -19,11 +24,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from operator import sub
 
-from . import lp
 from .bodies import PointSet, SymmetricBody, VPolytope, contains_point
 from .errors import DomainError, GridTooCoarse, InvalidInput, PointUncovered
-from .linalg import Vec, vsub
+from .linalg import Vec, integer_coords, vsub
 from .partition import Partition
 
 SAMPLE_CERTIFIED = "sample_certified"
@@ -71,18 +76,30 @@ def _bounding_box(vertices):
     return lo, hi
 
 
-def _translate_meets_body(K: VPolytope, lam: Fraction, center: Vec) -> bool:
-    # feasibility: z in K and (z - center)/lam in K, i.e.
-    # sum(a_i v_i) - lam * sum(b_i v_i) = center with both combos convex
-    n = len(K.vertices)
-    shrunk = tuple(tuple(-lam * c for c in v) for v in K.vertices)
-    res = lp.solve_combination((*K.vertices, *shrunk), center, groups=[range(n), range(n, 2 * n)])
-    return res.status == lp.OPTIMAL
-
-
 def _in_translate(K: VPolytope, lam: Fraction, center: Vec, point: Vec) -> bool:
     scaled = tuple(c / lam for c in vsub(point, center))
     return contains_point(K.vertices, scaled)
+
+
+def _translate_membership(K: VPolytope, lam: Fraction, points, centers):
+    """``inside(i, j)``: whether points[i] lies in centers[j] + lam*K.
+
+    Memoized on the integer difference of the two, scaled by the common
+    denominator of both families, so :func:`_in_translate` runs once per
+    distinct difference. The memo lives as long as the returned function.
+    """
+    _, scaled = integer_coords((*points, *centers))
+    int_points, int_centers = scaled[: len(points)], scaled[len(points) :]
+    memo: dict[tuple[int, ...], bool] = {}
+
+    def inside(i: int, j: int) -> bool:
+        key = tuple(map(sub, int_points[i], int_centers[j]))
+        hit = memo.get(key)
+        if hit is None:
+            hit = memo[key] = _in_translate(K, lam, centers[j], points[i])
+        return hit
+
+    return inside
 
 
 def greedy_cover(K: VPolytope, lam: Fraction, grid_step: Fraction) -> Covering:
@@ -90,9 +107,10 @@ def greedy_cover(K: VPolytope, lam: Fraction, grid_step: Fraction) -> Covering:
 
     Witnesses are K's vertices plus all grid points (spacing
     ``grid_step``, absolute lattice) inside K. Candidate centers are the
-    grid points whose translate meets K at all. Each round picks the
-    candidate covering the most still-uncovered witnesses, breaking
-    ties by lexicographically smallest center. Raises
+    points of the same lattice in the box K - lam*K; a candidate whose
+    translate misses K covers no witness and is never picked. Each round
+    picks the candidate covering the most still-uncovered witnesses,
+    breaking ties by lexicographically smallest center. Raises
     :class:`GridTooCoarse` when no candidate can cover a remaining
     witness.
     """
@@ -115,11 +133,11 @@ def greedy_cover(K: VPolytope, lam: Fraction, grid_step: Fraction) -> Covering:
         _lattice_axis(lo[i] - lam * hi[i], hi[i] - lam * lo[i], grid_step)
         for i in range(K.dim)
     ]
-    candidates = [c for c in product(*outer_axes) if _translate_meets_body(K, lam, c)]
-
+    candidates = list(product(*outer_axes))
+    inside = _translate_membership(K, lam, witnesses, candidates)
     coverage = {
-        c: frozenset(i for i, w in enumerate(witnesses) if _in_translate(K, lam, c, w))
-        for c in candidates
+        c: frozenset(i for i in range(len(witnesses)) if inside(i, j))
+        for j, c in enumerate(candidates)
     }
 
     uncovered = set(range(len(witnesses)))
@@ -151,10 +169,11 @@ def cover_to_partition(S: PointSet, cov: Covering, C: SymmetricBody) -> Partitio
     if some point of S escapes every translate (the covering is only
     witness-certified, so this can genuinely happen).
     """
+    inside = _translate_membership(cov.body, cov.ratio, S.points, cov.centers)
     buckets: dict[int, list[int]] = {}
     for idx, p in enumerate(S.points):
-        for c_idx, center in enumerate(cov.centers):
-            if _in_translate(cov.body, cov.ratio, center, p):
+        for c_idx in range(len(cov.centers)):
+            if inside(idx, c_idx):
                 buckets.setdefault(c_idx, []).append(idx)
                 break
         else:

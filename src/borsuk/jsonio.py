@@ -4,14 +4,16 @@ All coordinates travel as strings in lowest terms ("p/q", or "p" for
 integers), so parse -> serialize -> parse is the identity. Emission is
 deterministic: sorted keys, fixed indentation, trailing newline.
 Parsing raises :class:`InvalidInput` on any malformed object: bad JSON
-text, a missing field, a value of the wrong type or an unparsable
-rational.
+text, a missing field, a value of the wrong type, an unparsable
+rational or a decimal exponent too large to print back.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import re
+import sys
 from fractions import Fraction
 
 from .bodies import LiftedBody, PointSet, SymmetricBody, VPolytope
@@ -19,6 +21,11 @@ from .covering import Covering
 from .errors import BorsukError, InvalidInput
 from .metric import DiameterGraph
 from .partition import BorsukCertificate, Partition
+
+
+# the exponent of a decimal as Fraction reads it: E, a sign, digits; a
+# pattern string, compiled on first use rather than at import
+_EXPONENT = r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z"
 
 
 def dumps(obj) -> str:
@@ -29,12 +36,28 @@ def _vec_to_obj(v):
     return [str(c) for c in v]
 
 
+def _exponent_too_large(text: str, limit: int) -> bool:
+    exponent = re.search(_EXPONENT, text)
+    if exponent is None:
+        return False
+    try:
+        return abs(int(exponent[1])) >= limit
+    except ValueError:  # more digits than the interpreter reads as an int
+        return True
+
+
 def parse_rational(text) -> Fraction:
     """Exact value of "p/q", "p" or a decimal; JSON numbers go through
     ``str()`` first, so a JSON float 0.1 parses as 1/10, not as its
-    binary value."""
+    binary value. A decimal exponent whose power of ten has more digits
+    than the interpreter converts to text (4300 by default) is rejected
+    before ``Fraction`` builds it, so the value can still be printed."""
+    text = str(text)
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    if _exponent_too_large(text, limit):
+        raise InvalidInput(f"decimal exponent not below {limit} in magnitude: {text!r}")
     try:
-        return Fraction(str(text))
+        return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise InvalidInput(f"not a rational number: {text!r}") from None
 

@@ -10,16 +10,26 @@ is likewise the reference for ``verify_partition``: it measures every
 class with its own ``set_diameter`` instead of reading the diameter
 graph's edges. :func:`recursive_exact_chromatic` is the reference for
 the package's branch and bound: the recursive DSATUR search that
-recomputes every saturation at every node.
+recomputes every saturation at every node. :func:`per_pair_greedy_cover`
+and :func:`per_pair_cover_to_partition` are the references for the
+covering layer: one membership LP per (witness, center) pair, and only
+centers whose translate meets the body, as an LP of its own.
+:func:`pairwise_max_by_fractions` is the reference for the diameter
+pass: every pair's gauge of its ``Fraction`` difference, no memo.
 """
 
+import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
-from borsuk.bodies import PointSet
-from borsuk.errors import IndexOutOfRange
+from borsuk import lp
+from borsuk.bodies import PointSet, contains_point
+from borsuk.covering import SAMPLE_CERTIFIED, Covering
+from borsuk.errors import GridTooCoarse, IndexOutOfRange, PointUncovered
+from borsuk.linalg import vsub
 from borsuk.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult
-from borsuk.metric import set_diameter
+from borsuk.metric import gauge, set_diameter
+from borsuk.partition import Partition
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -387,3 +397,78 @@ def recursive_exact_chromatic(n, edges, budget):
     descend(len(clique), len(clique))
     optimal = state["exhausted"] or state["best_k"] == lb
     return state["best_k"], state["best"], clique, optimal, state["nodes"]
+
+
+def _lattice_axis(lo, hi, step):
+    return [k * step for k in range(math.ceil(lo / step), math.floor(hi / step) + 1)]
+
+
+def _translate_meets_body(K, lam, center):
+    # z in K and (z - center)/lam in K: sum(a_i v_i) - lam * sum(b_i v_i)
+    # = center with both combinations convex
+    n = len(K.vertices)
+    shrunk = tuple(tuple(-lam * c for c in v) for v in K.vertices)
+    res = lp.solve_combination((*K.vertices, *shrunk), center, groups=[range(n), range(n, 2 * n)])
+    return res.status == OPTIMAL
+
+
+def _in_translate(K, lam, center, point):
+    return contains_point(K.vertices, tuple(c / lam for c in vsub(point, center)))
+
+
+def per_pair_greedy_cover(K, lam, grid_step) -> Covering:
+    """Greedy cover with one membership LP per (witness, center) pair,
+    over the centers whose translate meets K (valid lam and grid_step)."""
+    dim = K.dim
+    lo = [min(v[i] for v in K.vertices) for i in range(dim)]
+    hi = [max(v[i] for v in K.vertices) for i in range(dim)]
+    witnesses = set(K.vertices)
+    for p in product(*(_lattice_axis(lo[i], hi[i], grid_step) for i in range(dim))):
+        if contains_point(K.vertices, p):
+            witnesses.add(p)
+    witnesses = sorted(witnesses)
+    outer = [_lattice_axis(lo[i] - lam * hi[i], hi[i] - lam * lo[i], grid_step) for i in range(dim)]
+    candidates = [c for c in product(*outer) if _translate_meets_body(K, lam, c)]
+    coverage = {
+        c: frozenset(i for i, w in enumerate(witnesses) if _in_translate(K, lam, c, w))
+        for c in candidates
+    }
+    uncovered = set(range(len(witnesses)))
+    centers = []
+    while uncovered:
+        best_center, best_gain = None, 0
+        for c in candidates:
+            gain = len(coverage[c] & uncovered)
+            if gain > best_gain or (gain == best_gain and gain > 0 and c < best_center):
+                best_center, best_gain = c, gain
+        if best_center is None:
+            raise GridTooCoarse(f"{len(uncovered)} witnesses cannot be covered from this grid")
+        centers.append(best_center)
+        uncovered -= coverage[best_center]
+    return Covering(lam, tuple(centers), K, SAMPLE_CERTIFIED, tuple(witnesses))
+
+
+def per_pair_cover_to_partition(S, cov) -> Partition:
+    """Each point to the first translate containing it, one LP per test."""
+    buckets = {}
+    for idx, p in enumerate(S.points):
+        for c_idx, center in enumerate(cov.centers):
+            if _in_translate(cov.body, cov.ratio, center, p):
+                buckets.setdefault(c_idx, []).append(idx)
+                break
+        else:
+            raise PointUncovered(f"point {p} lies in no covering translate")
+    return Partition(len(S.points), tuple(tuple(buckets[k]) for k in sorted(buckets)))
+
+
+def pairwise_max_by_fractions(C, points):
+    """Largest gauge of p_i - p_j over pairs i < j, and every pair
+    attaining a positive maximum, in (i, j) order; no memo."""
+    best, witnesses = ZERO, []
+    for i, j in combinations(range(len(points)), 2):
+        d = gauge(C, vsub(points[i], points[j]))
+        if d > best:
+            best, witnesses = d, [(i, j)]
+        elif d == best and d > 0:
+            witnesses.append((i, j))
+    return best, witnesses

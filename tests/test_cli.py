@@ -229,3 +229,24 @@ def test_bad_input_is_an_error_line_not_a_traceback(case, tmp_path, capsys):
     assert code == 1
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("exponent", ["1e999999999", "1e-999999999"])
+def test_huge_decimal_exponent_is_an_error_line(exponent, tmp_path, capsys):
+    # parsing must refuse these at once, not build 10**999999999
+    body = tmp_path / "body.json"
+    body.write_text(json.dumps(CUBE2_BODY))
+    points = tmp_path / "points.json"
+    points.write_text(json.dumps({"dim": 2, "points": [[exponent, "1"], ["0", "0"]]}))
+    square = tmp_path / "square.json"
+    square.write_text(json.dumps(SQUARE))
+    for argv in (
+        ["borsuk", "--body", body, "--points", points],
+        ["cover", "--polytope", square, "--ratio", exponent, "--grid-step", "1/4"],
+        ["cover", "--polytope", square, "--ratio", "3/5", "--grid-step", exponent],
+    ):
+        code = cli_dispatch([str(a) for a in argv])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

@@ -1,16 +1,20 @@
 """Greedy homothet covers, cover-to-partition, and the bound formulas."""
 
 import math
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from borsuk import covering
 from borsuk.bodies import body_from_vertices, point_set, vpolytope
 from borsuk.covering import (
     BINOMIAL_BOUND_MAX_N,
     COVERING_BOUND_MAX_N,
     PARTITION_BOUND_MAX_N,
     SAMPLE_CERTIFIED,
+    Covering,
     binomial_bound,
     bounds_table,
     cover_to_partition,
@@ -20,7 +24,9 @@ from borsuk.covering import (
     _in_translate,
 )
 from borsuk.errors import DomainError, GridTooCoarse, PointUncovered
+from borsuk.linalg import vsub
 from borsuk.partition import borsuk_number, verify_partition
+from oracles import per_pair_cover_to_partition, per_pair_greedy_cover
 
 F = Fraction
 
@@ -185,3 +191,80 @@ def test_bounds_table_stops_at_the_first_overflow():
     assert bounds_table(2, BINOMIAL_BOUND_MAX_N)[-1][0] == BINOMIAL_BOUND_MAX_N
     with pytest.raises(DomainError, match=f"past n = {BINOMIAL_BOUND_MAX_N}"):
         bounds_table(2, 2000)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (GridTooCoarse, PointUncovered) as exc:
+        return type(exc)
+
+
+def _cover_cases():
+    """(K, ratio, grid step) on seeded inputs: segments, lattice and random
+    polygons (vertices in thirds against steps of quarters, triangles that
+    are not symmetric, a collinear one), the 3-simplex and the 3-cube."""
+    rng = random.Random(5)
+    cases = [
+        (vpolytope([(0,), (1,)]), F(1, 2), F(1, 8)),
+        (vpolytope([(F(-1, 3),), (F(5, 7),)]), F(3, 5), F(1, 4)),
+        (vpolytope([(0, 0), (1, 0), (0, 1), (1, 1)]), F(3, 5), F(1, 4)),
+        (vpolytope([(0, 0), (1, 0), (0, 1), (1, 1)]), F(1, 16), F(2, 5)),
+        (vpolytope([(0, 0), (2, 1), (1, 2)]), F(1, 2), F(1, 2)),
+        (vpolytope([(0, 0), (F(1, 3), F(2, 3)), (1, 1)]), F(2, 3), F(1, 4)),
+        (vpolytope([(0, 0), (F(1, 2), F(1, 2)), (1, 1)]), F(1, 2), F(1, 4)),
+        (vpolytope([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]), F(3, 5), F(1, 3)),
+        (vpolytope(list(product((0, 1), repeat=3))), F(3, 5), F(1, 2)),
+    ]
+    ratios = (F(1, 3), F(1, 2), F(3, 5), F(2, 3), F(4, 5))
+    steps = (F(1, 4), F(1, 5), F(1, 6), F(1, 3))
+
+    def coord():
+        den = rng.choice((2, 3, 5))
+        return F(rng.randint(0, den), den)
+
+    for _ in range(10):
+        lo, hi = sorted(F(rng.randint(-6, 6), rng.choice((3, 7, 10))) for _ in range(2))
+        cases.append((vpolytope([(lo,), (hi + F(1, 5),)]), rng.choice(ratios), F(1, rng.randint(2, 6))))
+    for dim, count in ((2, 30), (3, 4)):
+        for _ in range(count):
+            verts = {tuple(coord() for _ in range(dim)) for _ in range(rng.randint(dim + 1, dim + 3))}
+            cases.append((vpolytope(sorted(verts)), rng.choice(ratios), rng.choice(steps)))
+    return cases
+
+
+def test_greedy_cover_and_partition_match_per_pair_reference():
+    # the memo on w - c must give the same centers, witnesses, partitions
+    # and failures as one LP per pair over the centers meeting K
+    rng = random.Random(11)
+    raised = {GridTooCoarse: 0, PointUncovered: 0}
+    for K, lam, step in _cover_cases():
+        cov = _outcome(greedy_cover, K, lam, step)
+        assert cov == _outcome(per_pair_greedy_cover, K, lam, step)
+        if not isinstance(cov, Covering):
+            raised[cov] += 1
+            continue
+        # points of K's bounding box in sixths: some off the witness grid
+        # yet covered, some outside every translate
+        box = [(min(v[i] for v in K.vertices), max(v[i] for v in K.vertices)) for i in range(K.dim)]
+        extra = {tuple(a + (b - a) * F(rng.randint(0, 6), 6) for a, b in box) for _ in range(3)}
+        for points in (cov.witnesses, sorted(set(cov.witnesses) | extra)):
+            S = point_set(points)
+            P = _outcome(cover_to_partition, S, cov, None)
+            assert P == _outcome(per_pair_cover_to_partition, S, cov)
+            raised[PointUncovered] += P is PointUncovered
+    assert min(raised.values()) >= 5
+
+
+def test_greedy_cover_solves_one_lp_per_distinct_difference(unit_square_poly, monkeypatch):
+    calls = []
+    real = covering._in_translate
+
+    def counted(K, lam, center, point):
+        calls.append(vsub(point, center))
+        return real(K, lam, center, point)
+
+    monkeypatch.setattr(covering, "_in_translate", counted)
+    cov = greedy_cover(unit_square_poly, F(3, 5), F(1, 4))
+    assert len(calls) == len(set(calls)) == 121
+    assert cov.centers == ((F(0), F(0)), (F(1, 2), F(1, 2)), (F(-1, 4), F(1, 2)), (F(1, 2), F(-1, 4)))

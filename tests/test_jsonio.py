@@ -3,9 +3,12 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from borsuk import jsonio
 from borsuk.bodies import lift_body, lift_set, point_set, vpolytope
 from borsuk.covering import greedy_cover
+from borsuk.errors import InvalidInput
 from borsuk.metric import diameter_graph
 from borsuk.partition import borsuk_number
 
@@ -97,3 +100,20 @@ def test_dumps_is_deterministic(square_v):
     obj = jsonio.body_to_obj(square_v)
     assert jsonio.dumps(obj) == jsonio.dumps(json.loads(jsonio.dumps(obj)))
     assert jsonio.dumps(obj).endswith("\n")
+
+
+@pytest.mark.parametrize("text", ["1e999999999", "1e-999999999", "1E+4300", "-2.5e-4300", "1e" + "9" * 5000])
+def test_huge_decimal_exponent_is_invalid_input(text):
+    # Fraction would build 10 to this power before returning
+    with pytest.raises(InvalidInput, match="decimal exponent"):
+        jsonio.parse_rational(text)
+    with pytest.raises(InvalidInput):
+        jsonio.pointset_from_obj({"dim": 1, "points": [[text]]})
+
+
+def test_decimal_exponents_parse_exactly():
+    assert jsonio.parse_rational("2.5e-2") == F(1, 40)
+    assert jsonio.parse_rational("1e3") == 1000
+    assert jsonio.parse_rational("3E-1") == F(3, 10)
+    assert jsonio.parse_rational("1e4299") == 10**4299
+    assert jsonio.parse_rational("-1e-4299") == F(-1, 10**4299)

@@ -7,9 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from borsuk.bodies import VPolytope, difference_body, point_set, vpolytope
+from borsuk.bodies import (
+    VPolytope,
+    body_from_facets,
+    body_from_vertices,
+    difference_body,
+    point_set,
+    vpolytope,
+)
 from borsuk.errors import DegenerateBody, DimensionMismatch, ZeroDiameter
-from borsuk.generators import cube_body, cube_vertices, gen_random_body
+from borsuk.generators import cross_polytope_body, cube_body, cube_vertices, gen_random_body
 from borsuk.metric import (
     body_contains,
     diameter_graph,
@@ -19,7 +26,7 @@ from borsuk.metric import (
     polytope_diameter,
     set_diameter,
 )
-from oracles import gauge_by_support_enumeration
+from oracles import gauge_by_support_enumeration, pairwise_max_by_fractions
 
 F = Fraction
 
@@ -240,3 +247,40 @@ def test_gauge_monotone_under_inclusion():
             assert gauge(D, x) >= gauge(C, x)
         checked += 1
     assert checked >= 4
+
+
+def _mixed_points(rng, dim, n):
+    # few distinct coordinates, so many pairs share a difference; the
+    # denominators mix thirds, sevenths and tenths, signs mixed
+    coords = [F(rng.randint(-9, 9), rng.choice((1, 3, 7, 10))) for _ in range(4)]
+    points = {tuple(rng.choice(coords) for _ in range(dim)) for _ in range(n)}
+    return sorted(points)
+
+
+def test_set_diameter_matches_fraction_reference(hexagon_v, hexagon_h):
+    # the memo keyed on integer differences over one common denominator
+    # must give every pair the gauge of its Fraction difference
+    rng = random.Random(17)
+    bodies = [
+        body_from_vertices([(F(3, 7),), (F(-3, 7),)]),
+        body_from_facets([((F(2, 3),), F(5))]),
+        hexagon_v,
+        hexagon_h,
+        body_from_facets([((F(1, 3), F(-2, 7)), F(1, 10)), ((0, 1), 2)]),
+        cube_body(3),
+        cube_body(3, facet_form=False),
+        cross_polytope_body(3),
+        *(gen_random_body(seed, 2, 4, max_numerator=5, max_denominator=7) for seed in range(3)),
+        *(gen_random_body(seed, 3, 5, max_numerator=4, max_denominator=3) for seed in range(2)),
+    ]
+    compared = 0
+    for C in bodies:
+        for _ in range(6):
+            S = point_set(_mixed_points(rng, C.dim, rng.randint(2, 12)))
+            if len(S.points) < 2:
+                continue
+            reference = pairwise_max_by_fractions(C, S.points)
+            assert set_diameter(C, S) == reference
+            assert polytope_diameter(C, VPolytope(C.dim, S.points)) == reference[0]
+            compared += 1
+    assert compared >= 70
