@@ -6,10 +6,9 @@ body), and says so in its certificate level. Turning a covering into a
 partition assigns each point to the first translate containing it,
 which is the constructive reading of "few homothets force few parts".
 
-Whether w lies in c + lam*K depends only on the difference w - c, and
-grid witnesses and grid centers repeat the same few differences many
-times, so both steps solve one exact membership LP per distinct
-difference, keyed on integers over one common denominator.
+Whether w lies in c + lam*K depends only on w - c, which grid witnesses
+and grid centers repeat many times, so both steps solve one exact
+membership LP per distinct difference.
 
 The closed-form bound evaluators are the only deliberately inexact
 computation in the package: they report double-precision values of
@@ -24,11 +23,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from operator import sub
+from operator import getitem
 
 from .bodies import PointSet, SymmetricBody, VPolytope, contains_point
 from .errors import DomainError, GridTooCoarse, InvalidInput, PointUncovered
-from .linalg import Vec, integer_coords, vsub
+from .linalg import Vec, vsub
 from .partition import Partition
 
 SAMPLE_CERTIFIED = "sample_certified"
@@ -82,18 +81,25 @@ def _in_translate(K: VPolytope, lam: Fraction, center: Vec, point: Vec) -> bool:
 
 
 def _translate_membership(K: VPolytope, lam: Fraction, points, centers):
-    """``inside(i, j)``: whether points[i] lies in centers[j] + lam*K.
-
-    Memoized on the integer difference of the two, scaled by the common
-    denominator of both families, so :func:`_in_translate` runs once per
-    distinct difference. The memo lives as long as the returned function.
-    """
-    _, scaled = integer_coords((*points, *centers))
-    int_points, int_centers = scaled[: len(points)], scaled[len(points) :]
+    """``inside(i, j)``: whether points[i] lies in centers[j] + lam*K,
+    memoized on their difference. Each distinct coordinate difference
+    is numbered once per axis, so keys are small ints whatever the
+    denominators; the memo lives as long as the returned function."""
+    rows: list[list[list[int]]] = [[] for _ in points]
+    cols: list[list[int]] = [[] for _ in centers]
+    for k in range(K.dim):
+        xs = {x: n for n, x in enumerate({p[k] for p in points})}
+        ys = {y: n for n, y in enumerate({c[k] for c in centers})}
+        numbers: dict[Fraction, int] = {}
+        table = [[numbers.setdefault(x - y, len(numbers)) for y in ys] for x in xs]
+        for p, row in zip(points, rows):
+            row.append(table[xs[p[k]]])
+        for c, col in zip(centers, cols):
+            col.append(ys[c[k]])
     memo: dict[tuple[int, ...], bool] = {}
 
     def inside(i: int, j: int) -> bool:
-        key = tuple(map(sub, int_points[i], int_centers[j]))
+        key = tuple(map(getitem, rows[i], cols[j]))
         hit = memo.get(key)
         if hit is None:
             hit = memo[key] = _in_translate(K, lam, centers[j], points[i])
@@ -107,12 +113,11 @@ def greedy_cover(K: VPolytope, lam: Fraction, grid_step: Fraction) -> Covering:
 
     Witnesses are K's vertices plus all grid points (spacing
     ``grid_step``, absolute lattice) inside K. Candidate centers are the
-    points of the same lattice in the box K - lam*K; a candidate whose
-    translate misses K covers no witness and is never picked. Each round
-    picks the candidate covering the most still-uncovered witnesses,
-    breaking ties by lexicographically smallest center. Raises
-    :class:`GridTooCoarse` when no candidate can cover a remaining
-    witness.
+    lattice points of the box K - lam*K (one whose translate misses K
+    covers nothing). Each round picks the candidate covering the most
+    still-uncovered witnesses, breaking ties by lexicographically
+    smallest center. Raises :class:`GridTooCoarse` when no candidate can
+    cover a remaining witness.
     """
     lam = Fraction(lam)
     grid_step = Fraction(grid_step)

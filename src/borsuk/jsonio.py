@@ -5,7 +5,7 @@ integers), so parse -> serialize -> parse is the identity. Emission is
 deterministic: sorted keys, fixed indentation, trailing newline.
 Parsing raises :class:`InvalidInput` on any malformed object: bad JSON
 text, a missing field, a value of the wrong type, an unparsable
-rational or a decimal exponent too large to print back.
+rational or a decimal too long to print back.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 import json
 import re
-import sys
 from fractions import Fraction
 
 from .bodies import LiftedBody, PointSet, SymmetricBody, VPolytope
@@ -23,9 +22,14 @@ from .metric import DiameterGraph
 from .partition import BorsukCertificate, Partition
 
 
-# the exponent of a decimal as Fraction reads it: E, a sign, digits; a
-# pattern string, compiled on first use rather than at import
-_EXPONENT = r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z"
+# The most digits a numerator or denominator written as a decimal may
+# have: Python's default limit for converting an int to text.
+MAX_DECIMAL_DIGITS = 4300
+
+# a decimal as Fraction reads it, loosely: integer digits, decimal
+# digits, exponent; a pattern string, compiled on first use rather than
+# at import
+_DECIMAL = r"\s*[-+]?([\d_]*)(?:\.([\d_]*))?(?:[eE]([-+]?\d[\d_]*))?\s*\Z"
 
 
 def dumps(obj) -> str:
@@ -36,26 +40,33 @@ def _vec_to_obj(v):
     return [str(c) for c in v]
 
 
-def _exponent_too_large(text: str, limit: int) -> bool:
-    exponent = re.search(_EXPONENT, text)
-    if exponent is None:
+def _decimal_too_long(text: str) -> bool:
+    # m.d times 10**e is int("md") * 10**shift, shift = e - len(d): in
+    # lowest terms its numerator divides int("md") * 10**max(shift, 0)
+    # and its denominator 10**max(-shift, 0)
+    decimal = re.match(_DECIMAL, text)
+    if decimal is None:
         return False
-    try:
-        return abs(int(exponent[1])) >= limit
-    except ValueError:  # more digits than the interpreter reads as an int
-        return True
+    whole, part, exponent = (g.replace("_", "") if g else "" for g in decimal.groups())
+    if len(exponent.lstrip("+-").lstrip("0")) > len(str(MAX_DECIMAL_DIGITS)):
+        return True  # |e| >= 10**4 puts 10**4 digits in one of the two
+    shift = int(exponent or 0) - len(part)
+    numerator = len(whole + part) + max(shift, 0)
+    denominator = 1 + max(-shift, 0)
+    return max(numerator, denominator) > MAX_DECIMAL_DIGITS
 
 
 def parse_rational(text) -> Fraction:
     """Exact value of "p/q", "p" or a decimal; JSON numbers go through
     ``str()`` first, so a JSON float 0.1 parses as 1/10, not as its
-    binary value. A decimal exponent whose power of ten has more digits
-    than the interpreter converts to text (4300 by default) is rejected
-    before ``Fraction`` builds it, so the value can still be printed."""
+    binary value. A decimal whose numerator or denominator, counting the
+    zeros its exponent stands for and before reducing, would have more
+    than :data:`MAX_DECIMAL_DIGITS` digits (such as "1e999999999" or
+    "0.1e-4299") is rejected before ``Fraction`` builds it, so every
+    parsed value can be printed back."""
     text = str(text)
-    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
-    if _exponent_too_large(text, limit):
-        raise InvalidInput(f"decimal exponent not below {limit} in magnitude: {text!r}")
+    if _decimal_too_long(text):
+        raise InvalidInput(f"decimal with more than {MAX_DECIMAL_DIGITS} digits: {text!r}")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):

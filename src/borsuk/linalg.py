@@ -7,7 +7,6 @@ functions.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 Vec = tuple[Fraction, ...]
@@ -53,18 +52,6 @@ def canonical_sign(a: Vec) -> Vec:
         if x < 0:
             return vneg(a)
     return a
-
-
-def integer_coords(vectors) -> tuple[int, list[tuple[int, ...]]]:
-    """The least common denominator of all coordinates, and every vector
-    times it as a tuple of ints.
-
-    Differences of the scaled vectors are exact integers, and two
-    rational differences are equal exactly when the scaled ones are, so
-    they make cheap memo keys.
-    """
-    scale = math.lcm(*(c.denominator for v in vectors for c in v))
-    return scale, [tuple(c.numerator * (scale // c.denominator) for c in v) for v in vectors]
 
 
 def matrix_rank(rows: list[Vec]) -> int:

@@ -16,12 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import sub
 
 from . import lp
 from .bodies import PointSet, SymmetricBody, VPolytope, contains_point
 from .errors import DimensionMismatch, InvalidInput, ZeroDiameter
-from .linalg import ONE, ZERO, Vec, canonical_sign, integer_coords, vdot, vsub
+from .linalg import ONE, ZERO, Vec, canonical_sign, vdot, vsub
 
 
 @dataclass(frozen=True)
@@ -56,20 +55,18 @@ def distance(C: SymmetricBody, x: Vec, y: Vec) -> Fraction:
 
 def _pairwise_max(C: SymmetricBody, points) -> tuple[Fraction, list[tuple[int, int]]]:
     # Many index pairs share a difference, and g(-z) = g(z), so the
-    # gauges are memoized on the sign-canonical difference vector, taken
-    # over the integers the points become times their common denominator.
-    scale, ints = integer_coords(points)
-    memo: dict[tuple[int, ...], Fraction] = {}
+    # gauges are memoized on the sign-canonical difference vector.
+    memo: dict[Vec, Fraction] = {}
     best = ZERO
     witnesses: list[tuple[int, int]] = []
     n = len(points)
     for i in range(n):
-        row = ints[i]
         for j in range(i + 1, n):
-            key = canonical_sign(tuple(map(sub, row, ints[j])))
+            key = canonical_sign(vsub(points[i], points[j]))
             d = memo.get(key)
             if d is None:
-                d = memo[key] = gauge(C, tuple(Fraction(k, scale) for k in key))
+                d = gauge(C, key)
+                memo[key] = d
             if d > best:
                 best = d
                 witnesses = [(i, j)]

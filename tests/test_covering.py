@@ -268,3 +268,29 @@ def test_greedy_cover_solves_one_lp_per_distinct_difference(unit_square_poly, mo
     cov = greedy_cover(unit_square_poly, F(3, 5), F(1, 4))
     assert len(calls) == len(set(calls)) == 121
     assert cov.centers == ((F(0), F(0)), (F(1, 2), F(1, 2)), (F(-1, 4), F(1, 2)), (F(1, 2), F(-1, 4)))
+
+
+def test_partition_memo_with_coprime_denominators(square_cover, monkeypatch):
+    # coordinates over distinct primes have no small common denominator;
+    # q and q + (1/2, 1/2) meet the same difference at the centers (0, 0)
+    # and (1/2, 1/2), which must share one key, and no other pair may
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53]
+    rng = random.Random(3)
+    base = {(F(1, rng.choice(primes)), F(1, rng.choice(primes))) for _ in range(60)}
+    S = point_set(sorted(base | {(x + F(1, 2), y + F(1, 2)) for x, y in base}))
+    calls = []
+    real = covering._in_translate
+
+    def counted(K, lam, center, point):
+        calls.append(vsub(point, center))
+        return real(K, lam, center, point)
+
+    monkeypatch.setattr(covering, "_in_translate", counted)
+    P = cover_to_partition(S, square_cover, None)
+    monkeypatch.undo()
+    assert P == per_pair_cover_to_partition(S, square_cover)
+    first_hits = sum(
+        1 + next(j for j, c in enumerate(square_cover.centers) if real(square_cover.body, square_cover.ratio, c, p))
+        for p in S.points
+    )
+    assert len(calls) == len(set(calls)) < first_hits

@@ -102,10 +102,26 @@ def test_dumps_is_deterministic(square_v):
     assert jsonio.dumps(obj).endswith("\n")
 
 
-@pytest.mark.parametrize("text", ["1e999999999", "1e-999999999", "1E+4300", "-2.5e-4300", "1e" + "9" * 5000])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1e999999999",
+        "1e-999999999",
+        "1E+4300",
+        "-2.5e-4300",
+        "1e" + "9" * 5000,
+        "0e99999999",
+        # the decimal digits add to the exponent's: 1/10**4300 and a
+        # numerator of 4303 digits could not be printed back
+        "0.1e-4299",
+        "1234.5678e4299",
+        "9" * 4301,
+    ],
+)
 def test_huge_decimal_exponent_is_invalid_input(text):
-    # Fraction would build 10 to this power before returning
-    with pytest.raises(InvalidInput, match="decimal exponent"):
+    # Fraction would build 10 to this power before returning, or a value
+    # whose numerator or denominator has too many digits to print
+    with pytest.raises(InvalidInput, match=f"more than {jsonio.MAX_DECIMAL_DIGITS} digits"):
         jsonio.parse_rational(text)
     with pytest.raises(InvalidInput):
         jsonio.pointset_from_obj({"dim": 1, "points": [[text]]})
@@ -117,3 +133,7 @@ def test_decimal_exponents_parse_exactly():
     assert jsonio.parse_rational("3E-1") == F(3, 10)
     assert jsonio.parse_rational("1e4299") == 10**4299
     assert jsonio.parse_rational("-1e-4299") == F(-1, 10**4299)
+    assert jsonio.parse_rational("12.5e4298") == 125 * 10**4297
+    assert jsonio.parse_rational("9" * 4300) == 10**4300 - 1
+    for text in ("1e4299", "-1e-4299", "12.5e4298", "0.25e-4297"):
+        str(jsonio.parse_rational(text))  # printable

@@ -258,8 +258,8 @@ def _mixed_points(rng, dim, n):
 
 
 def test_set_diameter_matches_fraction_reference(hexagon_v, hexagon_h):
-    # the memo keyed on integer differences over one common denominator
-    # must give every pair the gauge of its Fraction difference
+    # the memo keyed on sign-canonical differences must give every pair
+    # the gauge of its own difference
     rng = random.Random(17)
     bodies = [
         body_from_vertices([(F(3, 7),), (F(-3, 7),)]),
