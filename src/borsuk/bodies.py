@@ -2,20 +2,36 @@
 
 Everything is immutable and carried in rational arithmetic: vertices
 are tuples of ``Fraction``. Convexity work (redundancy removal, hull
-membership, interior certification) is delegated to the exact simplex
-in :mod:`borsuk.lp`, never to floating point.
+membership, interior certification) is exact and never floating point.
+In the plane it is answered by one exact convex hull per body
+(:func:`planar_hull`, held by the body's ``hull``); in other dimensions,
+where facet counts can be exponential in the vertex count, by the exact
+simplex in :mod:`borsuk.lp`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from typing import NamedTuple
 
 from . import lp
 from .errors import DegenerateBody, DimensionMismatch, InvalidInput, NotSymmetric
-from .linalg import ONE, ZERO, Vec, affine_rank, as_vec, matrix_rank, vadd, vneg
+from .linalg import (
+    ONE,
+    ZERO,
+    Vec,
+    affine_rank,
+    as_vec,
+    matrix_rank,
+    over_common_denominator,
+    vadd,
+    vneg,
+)
 
 Facet = tuple[Vec, Fraction]  # normal a and offset b, encoding |<a, x>| <= b
+HalfPlane = tuple[tuple[int, int], int]  # integer normal n and offset c, encoding n . X <= c
 
 
 @dataclass(frozen=True)
@@ -34,6 +50,12 @@ class VPolytope:
         for v in self.vertices:
             if len(v) != self.dim:
                 raise DimensionMismatch(f"vertex {v} does not have dim {self.dim}")
+
+    @cached_property
+    def hull(self) -> PlanarHull | None:
+        """The exact hull of the vertices in the plane, which answers
+        pruning and membership with no LP; None in other dimensions."""
+        return planar_hull(self.vertices) if self.dim == 2 else None
 
 
 @dataclass(frozen=True)
@@ -62,6 +84,43 @@ class SymmetricBody:
             for a, _ in self.facets:
                 if len(a) != self.dim:
                     raise DimensionMismatch(f"facet normal {a} does not have dim {self.dim}")
+
+    @cached_property
+    def hull(self) -> PlanarHull | None:
+        """The exact hull of a planar vertex body, which answers
+        certification, gauges and membership with no LP; None for a facet
+        body or outside the plane."""
+        if self.dim != 2 or self.vertices is None:
+            return None
+        return planar_hull(self.vertices)
+
+    @cached_property
+    def edge_normals(self) -> tuple[int, tuple[tuple[int, int], ...]]:
+        """``(L, N)`` for a planar vertex body: edge i of the hull is where
+        ``a_i . v = 1`` for the outer normal ``a_i = N_i / L``, integers over
+        one common denominator, so the gauge at x is ``max_i a_i . x``.
+
+        Each normal is certified as it is made: ``a_i . v <= 1`` for every
+        vertex, with equality at both ends of its edge.
+        """
+        hull = self.hull
+        if not hull.surrounds_origin():
+            raise DegenerateBody("origin is not interior (body not full-dimensional)")
+        s = hull.scale
+        # edge i joins scaled ends P, Q with n_i . P = n_i . Q = c_i, so
+        # a_i = n_i * s / c_i gives a_i . v = 1 at v = P / s and v = Q / s
+        L, flat = over_common_denominator([Fraction(k * s, c) for n, c in hull.planes for k in n])
+        normals = tuple(zip(flat[::2], flat[1::2]))
+        _, flat = over_common_denominator([x for v in self.vertices for x in v])
+        points = tuple(zip(flat[::2], flat[1::2]))  # the vertices times s
+        one = L * s
+        corners = hull.corners
+        for i, (a, b) in enumerate(normals):
+            ends = (corners[i], corners[(i + 1) % len(corners)])
+            on_edge = all(a * x + b * y == one for x, y in ends)
+            if not on_edge or any(a * x + b * y > one for x, y in points):
+                raise ArithmeticError(f"edge normal ({a}, {b})/{L} fails its certificate")
+        return L, normals
 
 
 @dataclass(frozen=True)
@@ -103,6 +162,92 @@ class LiftedBody:
 
     def as_polytope(self) -> VPolytope:
         return VPolytope(self.body.dim, self.body.vertices, pruned=True)
+
+
+class PlanarHull(NamedTuple):
+    """Exact convex hull of a finite planar point set.
+
+    ``vertices`` are its strict extreme points, counter-clockwise from the
+    least. ``corners`` are the same points times ``scale``, the least
+    common denominator of the set's coordinates, and the hull is the
+    intersection of the integer half-planes ``n . X <= c`` in ``planes``
+    over such scaled points. The half-plane of edge (P, Q) has
+    ``c = P x Q``, the orientation of the origin against that edge. A hull
+    that is one point or a segment gets the half-planes that pin it down.
+
+    A named tuple rather than a frozen dataclass: it is as immutable and
+    costs a sixth of the time to define when the package is imported.
+    """
+
+    vertices: tuple[Vec, ...]
+    scale: int
+    corners: tuple[tuple[int, int], ...]
+    planes: tuple[HalfPlane, ...]
+
+    def contains(self, x: Vec) -> bool:
+        """Whether x lies in the hull, boundary included, by one exact
+        orientation test per half-plane."""
+        m, (X, Y) = over_common_denominator(x)
+        s = self.scale
+        return all(s * (a * X + b * Y) <= m * c for (a, b), c in self.planes)
+
+    def surrounds_origin(self) -> bool:
+        """Whether the origin is interior: strictly inside every
+        half-plane, which only a hull of three or more vertices allows."""
+        return all(c > 0 for _, c in self.planes)
+
+
+def _turn(o, a, b) -> int:
+    """Twice the signed area of the triangle (o, a, b): positive when
+    o -> a -> b turns left."""
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _chain(points) -> list:
+    """Half of the monotone chain: the strict left turns along the points."""
+    chain = []
+    for p in points:
+        while len(chain) >= 2 and _turn(chain[-2], chain[-1], p) <= 0:
+            chain.pop()
+        chain.append(p)
+    return chain
+
+
+def _half_planes(corners) -> tuple[HalfPlane, ...]:
+    """The half-planes whose intersection is the hull of the corners,
+    given counter-clockwise."""
+    if len(corners) == 1:
+        ((x, y),) = corners
+        return ((1, 0), x), ((-1, 0), -x), ((0, 1), y), ((0, -1), -y)
+    # X is left of P -> Q (or on it) when n . X <= P x Q
+    planes = [
+        ((qy - py, px - qx), px * qy - py * qx)
+        for (px, py), (qx, qy) in zip(corners, corners[1:] + corners[:1])
+    ]
+    if len(corners) == 2:
+        # a segment: its line from both sides, and a cap at each end
+        (px, py), (qx, qy) = corners
+        planes.append(((px - qx, py - qy), (px - qx) * px + (py - qy) * py))
+        planes.append(((qx - px, qy - py), (qx - px) * qx + (qy - py) * qy))
+    return tuple(planes)
+
+
+def planar_hull(points) -> PlanarHull:
+    """Exact convex hull of planar points, by Andrew's monotone chain
+    (1979) on the points scaled to integers.
+
+    Only strict left turns are kept, so collinear boundary points are
+    dropped: the hull's vertices are the strict extreme points,
+    counter-clockwise from the least.
+    """
+    scale, flat = over_common_denominator([c for p in points for c in p])
+    by_corner = dict(zip(zip(flat[::2], flat[1::2]), points))
+    corners = sorted(by_corner)
+    if len(corners) > 2:
+        corners = _chain(corners)[:-1] + _chain(reversed(corners))[:-1]
+    return PlanarHull(
+        tuple(by_corner[p] for p in corners), scale, tuple(corners), _half_planes(corners)
+    )
 
 
 def vpolytope(points, pruned=False) -> VPolytope:
@@ -156,7 +301,9 @@ def validate_body(candidate: SymmetricBody) -> SymmetricBody:
     """Certify central symmetry and interiority of the origin.
 
     Vertex form: the vertex set must be closed under negation, and the
-    origin must be interior (checked by one exact LP per axis). Facet
+    origin must be interior: strictly left of every edge of the exact
+    hull in the plane, and checked by one exact LP per axis in other
+    dimensions. Facet
     form: offsets must be strictly positive and the normals must span
     the space, otherwise the "body" is unbounded.
     """
@@ -165,9 +312,12 @@ def validate_body(candidate: SymmetricBody) -> SymmetricBody:
         for v in candidate.vertices:
             if vneg(v) not in vset:
                 raise NotSymmetric(f"vertex {v} has no mirror {vneg(v)}")
-        for axis in range(candidate.dim):
-            if _axis_extent(candidate.vertices, axis) <= 0:
-                raise DegenerateBody("origin is not interior (body not full-dimensional)")
+        if candidate.hull is not None:
+            interior = candidate.hull.surrounds_origin()
+        else:
+            interior = all(_axis_extent(candidate.vertices, k) > 0 for k in range(candidate.dim))
+        if not interior:
+            raise DegenerateBody("origin is not interior (body not full-dimensional)")
     else:
         for a, b in candidate.facets:
             if b <= 0:
@@ -185,13 +335,16 @@ def negate(K: VPolytope) -> VPolytope:
 
 
 def prune_redundant(P: VPolytope) -> VPolytope:
-    """Remove every point expressible from the others, via exact LPs.
+    """Remove every point expressible from the others.
 
-    Candidates are scanned in sorted order; a point found inside the
-    hull of the current survivors is dropped immediately, which never
-    changes the hull and shrinks the later LPs. The survivors are
-    exactly the extreme points of the hull.
+    The survivors are exactly the extreme points of the hull, in sorted
+    order. In the plane they are the vertices of the exact hull. In other
+    dimensions, candidates are scanned in sorted order by exact LPs; a
+    point found inside the hull of the current survivors is dropped
+    immediately, which never changes the hull and shrinks the later LPs.
     """
+    if P.hull is not None:
+        return VPolytope(P.dim, tuple(sorted(P.hull.vertices)), pruned=True)
     unique = sorted(set(P.vertices))
     if len(unique) == 1:
         return VPolytope(P.dim, tuple(unique), pruned=True)

@@ -53,7 +53,7 @@ def _cmd_gauge(args) -> int:
         points.append(jsonio.parse_rational_point(text))
     if not points:
         raise BorsukError("give at least one --point or a --points file")
-    values = [str(gauge(C, p)) for p in points]
+    values = [jsonio.format_rational(gauge(C, p)) for p in points]
     _write_text(jsonio.dumps({"values": values}), args.out)
     return 0
 

@@ -7,8 +7,9 @@ partition assigns each point to the first translate containing it,
 which is the constructive reading of "few homothets force few parts".
 
 Whether w lies in c + lam*K depends only on w - c, which grid witnesses
-and grid centers repeat many times, so both steps solve one exact
-membership LP per distinct difference.
+and grid centers repeat many times, so both steps decide membership once
+per distinct difference: by orientation tests against K's exact hull in
+the plane, and by one exact LP in other dimensions.
 
 The closed-form bound evaluators are the only deliberately inexact
 computation in the package: they report double-precision values of
@@ -75,9 +76,14 @@ def _bounding_box(vertices):
     return lo, hi
 
 
+def _in_body(K: VPolytope, x: Vec) -> bool:
+    if K.hull is not None:
+        return K.hull.contains(x)
+    return contains_point(K.vertices, x)
+
+
 def _in_translate(K: VPolytope, lam: Fraction, center: Vec, point: Vec) -> bool:
-    scaled = tuple(c / lam for c in vsub(point, center))
-    return contains_point(K.vertices, scaled)
+    return _in_body(K, tuple(c / lam for c in vsub(point, center)))
 
 
 def _translate_membership(K: VPolytope, lam: Fraction, points, centers):
@@ -130,7 +136,7 @@ def greedy_cover(K: VPolytope, lam: Fraction, grid_step: Fraction) -> Covering:
     inner_axes = [_lattice_axis(lo[i], hi[i], grid_step) for i in range(K.dim)]
     witnesses = set(K.vertices)
     for p in product(*inner_axes):
-        if contains_point(K.vertices, p):
+        if _in_body(K, p):
             witnesses.add(p)
     witnesses = sorted(witnesses)
 

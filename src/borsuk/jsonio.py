@@ -2,10 +2,12 @@
 
 All coordinates travel as strings in lowest terms ("p/q", or "p" for
 integers), so parse -> serialize -> parse is the identity. Emission is
-deterministic: sorted keys, fixed indentation, trailing newline.
-Parsing raises :class:`InvalidInput` on any malformed object: bad JSON
-text, a missing field, a value of the wrong type, an unparsable
-rational or a decimal too long to print back.
+deterministic: sorted keys, fixed indentation, trailing newline. Every
+rational written goes through :func:`format_rational`, which raises
+:class:`DomainError` for a value too long to write. Parsing raises
+:class:`InvalidInput` on any malformed object: bad JSON text, a missing
+field, a value of the wrong type, an unparsable rational or a decimal
+too long to print back.
 """
 
 from __future__ import annotations
@@ -17,14 +19,16 @@ from fractions import Fraction
 
 from .bodies import LiftedBody, PointSet, SymmetricBody, VPolytope
 from .covering import Covering
-from .errors import BorsukError, InvalidInput
+from .errors import BorsukError, DomainError, InvalidInput
 from .metric import DiameterGraph
 from .partition import BorsukCertificate, Partition
 
 
 # The most digits a numerator or denominator written as a decimal may
-# have: Python's default limit for converting an int to text.
+# have: Python's default limit for converting an int to text. Both
+# parse_rational and format_rational hold to it.
 MAX_DECIMAL_DIGITS = 4300
+_LOG10_2 = 0.30102999566398120
 
 # a decimal as Fraction reads it, loosely: integer digits, decimal
 # digits, exponent; a pattern string, compiled on first use rather than
@@ -36,8 +40,31 @@ def dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def _decimal_digits(n: int) -> int:
+    """Decimal digits of n >= 0, counted without converting n to text.
+
+    With b bits, n has floor(b log10 2) or one more digits."""
+    floor = int(n.bit_length() * _LOG10_2)
+    return max(1, floor + (n >= 10**floor))
+
+
+def format_rational(value: Fraction) -> str:
+    """Lowest-terms text of an exact rational: "p/q", or "p" for an
+    integer. A numerator or denominator of more than
+    :data:`MAX_DECIMAL_DIGITS` digits, which Python will not convert to
+    text and :func:`parse_rational` would not read back, raises
+    :class:`DomainError` naming its digit count."""
+    digits = _decimal_digits(max(abs(value.numerator), value.denominator))
+    if digits <= MAX_DECIMAL_DIGITS:
+        try:
+            return str(value)
+        except ValueError:  # PYTHONINTMAXSTRDIGITS lowered the interpreter's limit
+            pass
+    raise DomainError(f"result has {digits} digits, too many to write")
+
+
 def _vec_to_obj(v):
-    return [str(c) for c in v]
+    return [format_rational(c) for c in v]
 
 
 def _decimal_too_long(text: str) -> bool:
@@ -119,7 +146,7 @@ def body_to_obj(C: SymmetricBody) -> dict:
         return {"dim": C.dim, "vertices": [_vec_to_obj(v) for v in C.vertices]}
     return {
         "dim": C.dim,
-        "facets": [{"a": _vec_to_obj(a), "b": str(b)} for a, b in C.facets],
+        "facets": [{"a": _vec_to_obj(a), "b": format_rational(b)} for a, b in C.facets],
     }
 
 
@@ -161,7 +188,7 @@ def lifted_body_to_obj(L: LiftedBody) -> dict:
 def graph_to_obj(G: DiameterGraph) -> dict:
     return {
         "n_points": G.n_points,
-        "diameter": str(G.diameter),
+        "diameter": format_rational(G.diameter),
         "edges": [list(e) for e in G.edges],
     }
 
@@ -196,7 +223,7 @@ def partition_from_obj(obj, n_points: int | None = None) -> Partition:
 
 def covering_to_obj(cov: Covering) -> dict:
     return {
-        "ratio": str(cov.ratio),
+        "ratio": format_rational(cov.ratio),
         "centers": [_vec_to_obj(c) for c in cov.centers],
         "certificate_level": cov.certificate_level,
         "witness_count": len(cov.witnesses),

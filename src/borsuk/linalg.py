@@ -8,6 +8,7 @@ functions.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 Vec = tuple[Fraction, ...]
 
@@ -36,8 +37,11 @@ def vdot(a: Vec, b: Vec) -> Fraction:
     return sum((x * y for x, y in zip(a, b)), ZERO)
 
 
-def is_zero(a: Vec) -> bool:
-    return all(x == 0 for x in a)
+def over_common_denominator(values) -> tuple[int, list[int]]:
+    """The least common denominator m of a sequence of rationals, and
+    each of them times m."""
+    m = lcm(*{v.denominator for v in values})
+    return m, [v.numerator * (m // v.denominator) for v in values]
 
 
 def canonical_sign(a: Vec) -> Vec:

@@ -16,9 +16,11 @@ Problems are stated in equality standard form::
     minimize    c . x
     subject to  A x = b,  x >= 0
 
-which is all the geometry in this package needs: convex-hull
-membership, gauge evaluation and interior-point certification are each
-a single small instance of this form, built by :func:`solve_combination`.
+which is all the geometry in this package needs outside the plane:
+convex-hull membership, gauge evaluation and interior-point
+certification are each a single small instance of this form, built by
+:func:`solve_combination`. Planar bodies answer these from their exact
+hull instead (:func:`borsuk.bodies.planar_hull`).
 """
 
 from __future__ import annotations

@@ -1,15 +1,22 @@
 """Gauge norms of symmetric bodies, distances, diameters, diameter graphs.
 
 The gauge of a body C at x is the least r >= 0 with x in r*C. For a
-facet body it is a maximum of exact ratios; for a vertex body it is the
-optimum of the exact LP
+facet body it is a maximum of exact ratios. For a planar vertex body it
+is ``max_i a_i . x`` over the outer normals of the edges of C's exact
+hull, scaled so that ``a_i . v = 1`` on edge i; the normals are integers
+over one common denominator, so the maximum is taken over integer dot
+products. For a vertex body in any other dimension it is the optimum of
+the exact LP
 
     minimize sum(mu)  subject to  sum(mu_i * v_i) = x,  mu >= 0,
 
 which is valid because C is symmetric with the origin interior (so the
 positive hull of the vertices is the whole space and the LP is always
-feasible). Diameter-graph edges are decided by exact rational equality;
-there is no tolerance anywhere.
+feasible). Membership in C is decided directly: against the facets, by
+orientation tests against the exact hull in the plane, or by one exact
+LP in other dimensions.
+Diameter-graph edges are decided by exact rational equality; there is no
+tolerance anywhere.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from fractions import Fraction
 from . import lp
 from .bodies import PointSet, SymmetricBody, VPolytope, contains_point
 from .errors import DimensionMismatch, InvalidInput, ZeroDiameter
-from .linalg import ONE, ZERO, Vec, canonical_sign, vdot, vsub
+from .linalg import ONE, ZERO, Vec, canonical_sign, over_common_denominator, vdot, vsub
 
 
 @dataclass(frozen=True)
@@ -37,6 +44,11 @@ def gauge(C: SymmetricBody, x: Vec) -> Fraction:
         raise DimensionMismatch(f"point of dim {len(x)} against body of dim {C.dim}")
     if C.facets is not None:
         return max(abs(vdot(a, x)) / b for a, b in C.facets)
+    if C.hull is not None:
+        # edge normals N_i / L and x = X / m: the gauge is max_i N_i . X / (L * m)
+        L, normals = C.edge_normals
+        m, (X, Y) = over_common_denominator(x)
+        return Fraction(max(a * X + b * Y for a, b in normals), L * m)
     if all(v == 0 for v in x):
         return ZERO
     res = lp.solve_combination(C.vertices, x, cost=[ONE] * len(C.vertices))
@@ -127,4 +139,6 @@ def body_contains(C: SymmetricBody, x: Vec) -> bool:
         raise DimensionMismatch(f"point of dim {len(x)} against body of dim {C.dim}")
     if C.facets is not None:
         return all(abs(vdot(a, x)) <= b for a, b in C.facets)
+    if C.hull is not None:
+        return C.hull.contains(x)
     return contains_point(C.vertices, x)

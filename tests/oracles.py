@@ -16,6 +16,8 @@ covering layer: one membership LP per (witness, center) pair, and only
 centers whose translate meets the body, as an LP of its own.
 :func:`pairwise_max_by_fractions` is the reference for the diameter
 pass: every pair's gauge of its ``Fraction`` difference, no memo.
+:func:`lp_path` sends planar bodies down the package's exact LP path,
+the reference its planar hulls are tested against.
 """
 
 import math
@@ -23,7 +25,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from borsuk import lp
-from borsuk.bodies import PointSet, contains_point
+from borsuk.bodies import PointSet, SymmetricBody, VPolytope, contains_point
 from borsuk.covering import SAMPLE_CERTIFIED, Covering
 from borsuk.errors import GridTooCoarse, IndexOutOfRange, PointUncovered
 from borsuk.linalg import vsub
@@ -472,3 +474,11 @@ def pairwise_max_by_fractions(C, points):
         elif d == best and d > 0:
             witnesses.append((i, j))
     return best, witnesses
+
+
+def lp_path(patch):
+    """While ``patch`` (a pytest monkeypatch) is active no body has a
+    planar hull, so pruning, certification, gauges and membership of
+    planar bodies are all answered by exact LPs."""
+    for kind in (VPolytope, SymmetricBody):
+        patch.setattr(kind, "hull", property(lambda body: None))

@@ -16,6 +16,7 @@ from borsuk.bodies import (
     lift_set,
     minkowski_sum,
     negate,
+    planar_hull,
     point_set,
     prune_redundant,
     validate_body,
@@ -23,7 +24,9 @@ from borsuk.bodies import (
 )
 from borsuk.errors import DegenerateBody, DimensionMismatch, NotSymmetric
 from borsuk.generators import gen_random_body, gen_random_polytope
+from borsuk.linalg import vneg
 from borsuk.metric import gauge
+from oracles import lp_path
 
 F = Fraction
 
@@ -289,3 +292,95 @@ def test_difference_body_of_symmetric_polytope_matches_minkowski_sum():
     for P in _symmetric_inputs():
         expected = minkowski_sum(P, negate(P)).vertices
         assert difference_body(P).vertices == expected
+
+
+def _planar_clouds():
+    """Seeded planar point clouds for the hull: lattice clouds (with
+    duplicate points and collinear triples), rational clouds, clouds on
+    one line (vertical, horizontal, slanted) and single points."""
+    rng = random.Random(20261018)
+    clouds = [
+        [(0, 0)],
+        [(F(1, 3), F(-2, 7))] * 3,
+        [(0, 0), (1, 1), (2, 2), (3, 3), (1, 1)],
+        [(0, 0), (1, 0), (2, 0), (0, 1), (0, 2), (1, 1)],
+        [(-1, -1), (1, -1), (1, 1), (-1, 1), (0, -1), (1, 0), (0, 1), (-1, 0), (0, 0)],
+    ]
+    for _ in range(40):
+        clouds.append([(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(rng.randint(1, 12))])
+    for _ in range(20):
+        clouds.append([
+            (F(rng.randint(-6, 6), rng.randint(1, 4)), F(rng.randint(-6, 6), rng.randint(1, 4)))
+            for _ in range(rng.randint(2, 10))
+        ])
+    for direction in ((0, 1), (1, 0), (2, -3), (F(1, 3), F(1, 2))):
+        base = (F(rng.randint(-3, 3), 2), F(rng.randint(-3, 3), 5))
+        ts = [F(rng.randint(-6, 6), 3) for _ in range(5)]
+        clouds.append([tuple(b + t * d for b, d in zip(base, direction)) for t in ts])
+    return [vpolytope(cloud) for cloud in clouds]
+
+
+def test_hull_prune_matches_lp_prune(monkeypatch):
+    clouds = _planar_clouds()
+    by_hull = [prune_redundant(P) for P in clouds]
+    with monkeypatch.context() as patch:
+        lp_path(patch)
+        by_lp = [prune_redundant(P) for P in clouds]
+    assert by_hull == by_lp
+    sizes = {len(P.vertices) for P in by_hull}
+    assert {1, 2} <= sizes and max(sizes) >= 5
+    for P, pruned in zip(clouds, by_hull):
+        hull = planar_hull(P.vertices).vertices
+        # counter-clockwise from the least point, every turn strictly left
+        assert sorted(hull) == list(pruned.vertices) and hull[0] == min(hull)
+        if len(hull) >= 3:
+            assert all(
+                (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]) > 0
+                for a, b, c in zip(hull, hull[1:] + hull[:1], hull[2:] + hull[:2])
+            )
+
+
+def _symmetric_candidates():
+    """Negation-closed planar vertex sets: degenerate ones (the origin
+    alone, segments through it, with and without inner points and the
+    origin) and full-dimensional ones (thin, with boundary midpoints,
+    random)."""
+    rng = random.Random(6)
+    sets = [
+        [(0, 0)],
+        [(1, 2)],
+        [(1, 2), (0, 0)],
+        [(1, 2), (F(1, 2), 1)],
+        [(1, 2), (F(1, 2), 1), (0, 0)],
+        [(3, 0), (1, 0)],
+        [(0, F(1, 7))],
+        [(1, 0), (0, F(1, 1000))],
+        [(1, 1), (1, -1), (1, 0), (0, 1)],
+        [(2, 1), (1, 0), (0, 0)],
+    ]
+    for _ in range(15):
+        d = (F(rng.randint(-5, 5), rng.randint(1, 3)), F(rng.randint(-5, 5), rng.randint(1, 3)))
+        sets.append([tuple(F(rng.randint(1, 4), 2) * c for c in d) for _ in range(rng.randint(1, 4))])
+    for _ in range(15):
+        sets.append([(F(rng.randint(-4, 4), 2), F(rng.randint(-4, 4), 3)) for _ in range(rng.randint(2, 5))])
+    for pts in sets:
+        closed = {tuple(F(c) for c in p) for p in pts}
+        closed |= {vneg(p) for p in closed}
+        yield SymmetricBody(2, vertices=tuple(sorted(closed)))
+
+
+def _verdict(C):
+    try:
+        return validate_body(C) is C
+    except DegenerateBody:
+        return DegenerateBody
+
+
+def test_hull_certification_matches_axis_extent_lps(monkeypatch):
+    candidates = list(_symmetric_candidates())
+    by_hull = [_verdict(C) for C in candidates]
+    with monkeypatch.context() as patch:
+        lp_path(patch)
+        by_lp = [_verdict(C) for C in candidates]
+    assert by_hull == by_lp
+    assert by_hull.count(DegenerateBody) >= 12 and by_hull.count(True) >= 12

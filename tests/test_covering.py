@@ -8,7 +8,7 @@ from itertools import product
 import pytest
 
 from borsuk import covering
-from borsuk.bodies import body_from_vertices, point_set, vpolytope
+from borsuk.bodies import body_from_vertices, contains_point, planar_hull, point_set, vpolytope
 from borsuk.covering import (
     BINOMIAL_BOUND_MAX_N,
     COVERING_BOUND_MAX_N,
@@ -294,3 +294,58 @@ def test_partition_memo_with_coprime_denominators(square_cover, monkeypatch):
         for p in S.points
     )
     assert len(calls) == len(set(calls)) < first_hits
+
+
+def _membership_probes(K, rng):
+    """(x, whether x is in K) for K's hull: each vertex, points exactly on
+    an edge, inner points, and points just outside (past each vertex, off
+    the line of a segment, beside a single point)."""
+    hull = planar_hull(K.vertices).vertices
+    middle = tuple(sum(c) / len(hull) for c in zip(*hull))
+    probes = [(v, True) for v in hull] + [(middle, True)]
+    if len(hull) == 1:
+        (x, y), = hull
+        return probes + [((x + F(1, 97), y), False), ((x, y - F(1, 97)), False)]
+    for p, q in zip(hull, hull[1:] + hull[:1]):
+        for t in (F(1, 2), F(rng.randint(1, 6), 7)):
+            probes.append((tuple(a + t * (b - a) for a, b in zip(p, q)), True))
+    for v in hull:
+        probes.append((tuple(c + (c - m) / rng.randint(3, 9) for c, m in zip(v, middle)), False))
+    if len(hull) == 2:
+        (px, py), (qx, qy) = hull
+        probes.append(((middle[0] + (py - qy) / 97, middle[1] + (qx - px) / 97), False))
+    for _ in range(4):
+        weights = [F(rng.randint(1, 5)) for _ in hull]
+        inner = tuple(sum(w * v[i] for w, v in zip(weights, hull)) / sum(weights) for i in range(2))
+        probes.append((inner, True))
+    return probes
+
+
+def test_hull_membership_matches_lp_membership():
+    # K a polygon (with inner and collinear boundary points), a segment
+    # given by collinear points, or one point given once or repeated
+    rng = random.Random(20261018)
+    shapes = [
+        [(0, 0), (1, 0), (0, 1), (1, 1), (F(1, 2), 0), (F(1, 2), F(1, 2))],
+        [(0, 0), (2, 1), (1, 2)],
+        [(0, 0), (1, 1), (2, 2), (F(1, 3), F(1, 3))],
+        [(F(-1, 3), 2), (F(-1, 3), F(5, 7)), (F(-1, 3), -1)],
+        [(0, 0), (F(3, 4), 0), (F(1, 4), 0)],
+        [(F(2, 5), F(-1, 3))],
+        [(1, 1), (1, 1), (1, 1)],
+    ]
+    for _ in range(12):
+        shapes.append([(F(rng.randint(0, 6), 3), F(rng.randint(0, 6), 2)) for _ in range(rng.randint(3, 7))])
+    for _ in range(6):
+        d = (F(rng.randint(-4, 4), 3), F(rng.randint(1, 4), 5))
+        shapes.append([tuple(F(rng.randint(-3, 3), 2) * c + 1 for c in d) for _ in range(4)])
+    tally = {True: 0, False: 0}
+    for vertices in shapes:
+        K = vpolytope(vertices)
+        for x, expected in _membership_probes(K, rng):
+            lam = F(rng.randint(1, 9), 10)
+            center = (F(rng.randint(-5, 5), 4), F(rng.randint(-5, 5), 3))
+            point = tuple(c + lam * v for c, v in zip(center, x))
+            assert _in_translate(K, lam, center, point) == contains_point(K.vertices, x) == expected
+            tally[expected] += 1
+    assert tally[True] >= 300 and tally[False] >= 80

@@ -6,10 +6,10 @@ from fractions import Fraction
 import pytest
 
 from borsuk import jsonio
-from borsuk.bodies import lift_body, lift_set, point_set, vpolytope
+from borsuk.bodies import SymmetricBody, lift_body, lift_set, point_set, vpolytope
 from borsuk.covering import greedy_cover
-from borsuk.errors import InvalidInput
-from borsuk.metric import diameter_graph
+from borsuk.errors import DomainError, InvalidInput
+from borsuk.metric import DiameterGraph, diameter_graph
 from borsuk.partition import borsuk_number
 
 F = Fraction
@@ -137,3 +137,25 @@ def test_decimal_exponents_parse_exactly():
     assert jsonio.parse_rational("9" * 4300) == 10**4300 - 1
     for text in ("1e4299", "-1e-4299", "12.5e4298", "0.25e-4297"):
         str(jsonio.parse_rational(text))  # printable
+
+
+def test_format_rational_writes_what_parse_rational_reads():
+    for value in (F(0), F(-3, 7), 10**4300 - 1, F(1, 10**4300 - 1), F(-(10**4299), 10**4300 - 1)):
+        assert jsonio.parse_rational(jsonio.format_rational(F(value))) == value
+
+
+@pytest.mark.parametrize("value, digits", [
+    (F(10**4300), 4301),
+    (F(-1, 10**4300), 4301),
+    (F(7, 10**8000 + 1), 8001),
+])
+def test_result_too_long_to_write_is_a_domain_error(value, digits):
+    with pytest.raises(DomainError, match=f"^result has {digits} digits"):
+        jsonio.format_rational(value)
+    # every writer goes through the same check
+    with pytest.raises(DomainError, match=f"^result has {digits} digits"):
+        jsonio.polytope_to_obj(vpolytope([(value, 0), (0, 1)]))
+    with pytest.raises(DomainError):
+        jsonio.body_to_obj(SymmetricBody(1, facets=(((F(1),), abs(value)),)))
+    with pytest.raises(DomainError):
+        jsonio.graph_to_obj(DiameterGraph(2, abs(value), ((0, 1),)))

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from borsuk import lp
-from oracles import fraction_simplex, lp_min_by_enumeration
+from oracles import fraction_simplex, lp_min_by_enumeration, lp_path
 
 F = Fraction
 
@@ -179,7 +179,9 @@ def _fixed_lps():
 
 
 def _recorded_lps(monkeypatch, suite, count, seed):
-    """Every LP a seeded verify suite solves, in call order."""
+    """Every LP a seeded verify suite solves, in call order, with planar
+    bodies sent down the LP path too, so the suites keep exercising the
+    simplex on the LPs they solved before planar hulls answered them."""
     from borsuk.verify import run_verify_suite
 
     recorded = []
@@ -191,6 +193,7 @@ def _recorded_lps(monkeypatch, suite, count, seed):
 
     with monkeypatch.context() as patch:
         patch.setattr(lp, "solve_min", record)
+        lp_path(patch)
         run_verify_suite(suite, count, seed)
     return recorded
 

@@ -7,10 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from borsuk import lp
 from borsuk.bodies import (
+    SymmetricBody,
     VPolytope,
     body_from_facets,
     body_from_vertices,
+    contains_point,
     difference_body,
     point_set,
     vpolytope,
@@ -284,3 +287,54 @@ def test_set_diameter_matches_fraction_reference(hexagon_v, hexagon_h):
             assert polytope_diameter(C, VPolytope(C.dim, S.points)) == reference[0]
             compared += 1
     assert compared >= 70
+
+
+def _lp_gauge(C, x):
+    return lp.solve_combination(C.vertices, x, cost=[F(1)] * len(C.vertices)).value
+
+
+def test_hull_gauge_and_membership_match_lps():
+    # random symmetric polygons, and vertex lists that keep inner points
+    # and boundary midpoints the hull drops
+    rng = random.Random(20261018)
+    bodies = [
+        gen_random_body(seed, 2, 3 + seed % 4, max_numerator=9, max_denominator=5)
+        for seed in range(12)
+    ]
+    bodies.append(body_from_vertices(
+        [(1, 1), (1, 0), (1, -1), (0, -1), (-1, -1), (-1, 0), (-1, 1), (0, 1), (0, 0)]
+    ))
+    bodies.append(body_from_vertices([
+        (F(1, 3), F(2, 7)), (F(-1, 3), F(-2, 7)), (0, F(1, 5)), (0, F(-1, 5)),
+        (F(1, 6), F(1, 7)), (F(-1, 6), F(-1, 7)),
+    ]))
+    compared = {"vertex": 0, "edge": 0, "random": 0}
+    for C in bodies:
+        hull = C.hull.vertices
+        probes = [("vertex", v, F(1)) for v in hull]
+        for p, q in zip(hull, hull[1:] + hull[:1]):
+            for t in (F(1, 3), F(1, 2), F(rng.randint(1, 9), 10)):
+                edge_point = tuple(a + t * (b - a) for a, b in zip(p, q))
+                r = F(rng.randint(1, 9), rng.randint(1, 5))
+                probes.append(("edge", edge_point, F(1)))
+                probes.append(("edge", tuple(r * c for c in edge_point), r))
+        for _ in range(12):
+            x = (F(rng.randint(-12, 12), rng.randint(1, 6)), F(rng.randint(-12, 12), rng.randint(1, 6)))
+            probes.append(("random", x, None))
+        probes.append(("random", (F(0), F(0)), F(0)))
+        for kind, x, expected in probes:
+            g = _lp_gauge(C, x)
+            assert gauge(C, x) == g and expected in (None, g)
+            assert body_contains(C, x) == contains_point(C.vertices, x) == (g <= 1)
+            compared[kind] += 1
+    assert min(compared.values()) >= 60
+
+
+def test_body_contains_answers_for_an_unvalidated_planar_body():
+    # a segment is no body, but membership in it still has an answer,
+    # the same one the LP gives
+    segment = SymmetricBody(2, vertices=((F(-1), F(0)), (F(1), F(0))))
+    for x, inside in [((0, 0), True), ((F(1, 2), 0), True), ((1, 0), True),
+                      ((F(3, 2), 0), False), ((0, F(1, 9)), False)]:
+        x = tuple(F(c) for c in x)
+        assert body_contains(segment, x) == contains_point(segment.vertices, x) == inside
