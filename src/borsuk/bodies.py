@@ -95,15 +95,27 @@ class SymmetricBody:
         return planar_hull(self.vertices)
 
     @cached_property
-    def edge_normals(self) -> tuple[int, tuple[tuple[int, int], ...]]:
-        """``(L, N)`` for a planar vertex body: edge i of the hull is where
-        ``a_i . v = 1`` for the outer normal ``a_i = N_i / L``, integers over
-        one common denominator, so the gauge at x is ``max_i a_i . x``.
+    def normals(self) -> tuple[int, tuple[tuple[int, ...], ...]] | None:
+        """``(L, N)``, integers with ``gauge(x) = max_k N_k . x / L``, or
+        None for a vertex body outside the plane, whose gauge takes an LP.
 
-        Each normal is certified as it is made: ``a_i . v <= 1`` for every
-        vertex, with equality at both ends of its edge.
+        A facet body gives ``a / b`` and ``-a / b`` for each facet; each
+        offset ``b`` is checked positive. A planar vertex body gives the
+        outer normals of its hull's edges, ``a . v = 1`` on each edge, and
+        certifies each as it is made: ``a . v <= 1`` at every vertex, with
+        equality at both ends of its edge.
         """
+        if self.facets is not None:
+            for _, b in self.facets:
+                if b <= 0:
+                    raise DegenerateBody(f"facet offset {b} is not strictly positive")
+            L, flat = over_common_denominator([c / b for a, b in self.facets for c in a])
+            d = self.dim
+            rows = [tuple(flat[k : k + d]) for k in range(0, len(flat), d)]
+            return L, tuple(rows + [tuple(-c for c in n) for n in rows])
         hull = self.hull
+        if hull is None:
+            return None
         if not hull.surrounds_origin():
             raise DegenerateBody("origin is not interior (body not full-dimensional)")
         s = hull.scale

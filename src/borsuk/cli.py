@@ -8,6 +8,7 @@ or failed verification, 2 usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -70,7 +71,7 @@ def _cmd_borsuk(args) -> int:
     C = _load_body(args.body)
     S = jsonio.pointset_from_obj(_read_json(args.points))
     t0 = time.perf_counter()
-    cert = borsuk_number(C, S)
+    cert = borsuk_number(C, S, args.node_budget)
     elapsed = time.perf_counter() - t0 if args.timings else None
     _write_text(jsonio.dumps(jsonio.certificate_to_obj(cert, elapsed)), args.out)
     return 0
@@ -119,7 +120,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    report = run_verify_suite(args.suite, args.count, args.seed)
+    report = run_verify_suite(args.suite, args.count, args.seed, args.node_budget)
     _write_text(jsonio.dumps(report.to_obj()), args.out)
     return 0 if report.passed else 1
 
@@ -142,7 +143,11 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process and shared
+    by every call, so callers must not change it. Each parse fills a new
+    namespace, so nothing carries over from one call to the next."""
     parser = argparse.ArgumentParser(
         prog="borsuk",
         description="Exact partition numbers, gauge norms and coverings of polytopes.",
@@ -154,6 +159,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         p.add_argument("--out", help="output file (default stdout)")
         return p
+
+    def add_node_budget(p):
+        p.add_argument(
+            "--node-budget",
+            type=_positive_int,
+            help="branch-and-bound node budget (default: $BORSUK_NODE_BUDGET, else 10^7)",
+        )
 
     p = add("gauge", _cmd_gauge, "evaluate a body's norm at points")
     p.add_argument("--body", required=True, help="symmetric body JSON")
@@ -168,6 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--body", required=True)
     p.add_argument("--points", required=True)
     p.add_argument("--timings", action="store_true", help="include wall time in stats")
+    add_node_budget(p)
 
     p = add("diffbody", _cmd_diffbody, "difference body of a polytope")
     p.add_argument("--polytope", required=True)
@@ -190,6 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", required=True, choices=SUITES)
     p.add_argument("--count", type=_positive_int, default=10)
     p.add_argument("--seed", type=int, default=0)
+    add_node_budget(p)
 
     p = add("plot2d", _cmd_plot2d, "SVG figure of a planar instance")
     p.add_argument("--body", required=True)

@@ -1,28 +1,38 @@
 """Gauge norms of symmetric bodies, distances, diameters, diameter graphs.
 
-The gauge of a body C at x is the least r >= 0 with x in r*C. For a
-facet body it is a maximum of exact ratios. For a planar vertex body it
-is ``max_i a_i . x`` over the outer normals of the edges of C's exact
-hull, scaled so that ``a_i . v = 1`` on edge i; the normals are integers
-over one common denominator, so the maximum is taken over integer dot
-products. For a vertex body in any other dimension it is the optimum of
-the exact LP
+The gauge of a body C at x is the least r >= 0 with x in r*C. Most
+bodies carry it in one integer normal form, ``C.normals = (L, N)``:
+the gauge is ``max_k N_k . x / L``. A facet body contributes ``a / b``
+and ``-a / b`` for each facet |<a, x>| <= b; a planar vertex body the
+outer normals of the edges of its exact hull, scaled so that
+``a . v = 1`` on each edge. For a vertex body in any other dimension
+the gauge is the optimum of the exact LP
 
     minimize sum(mu)  subject to  sum(mu_i * v_i) = x,  mu >= 0,
 
 which is valid because C is symmetric with the origin interior (so the
 positive hull of the vertices is the whole space and the LP is always
-feasible). Membership in C is decided directly: against the facets, by
-orientation tests against the exact hull in the plane, or by one exact
-LP in other dimensions.
-Diameter-graph edges are decided by exact rational equality; there is no
-tolerance anywhere.
+feasible).
+
+The diameter pass, which every diameter graph and every partition check
+goes through, takes the same two paths. With normals it scales the
+points to integers over their common denominator m, projects each point
+onto every normal once, and compares the integers
+``max_k (N_k . P_i - N_k . P_j)`` pair by pair; the diameter is one
+``Fraction`` of the largest over ``L * m``. On the LP path it takes one
+gauge LP per distinct difference up to sign.
+
+Membership in C is decided directly: against the facets, by orientation
+tests against the exact hull in the plane, or by one exact LP in other
+dimensions. Diameter-graph edges are decided by exact rational
+equality; there is no tolerance anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul, sub
 
 from . import lp
 from .bodies import PointSet, SymmetricBody, VPolytope, contains_point
@@ -42,13 +52,11 @@ class DiameterGraph:
 def gauge(C: SymmetricBody, x: Vec) -> Fraction:
     if len(x) != C.dim:
         raise DimensionMismatch(f"point of dim {len(x)} against body of dim {C.dim}")
-    if C.facets is not None:
-        return max(abs(vdot(a, x)) / b for a, b in C.facets)
-    if C.hull is not None:
-        # edge normals N_i / L and x = X / m: the gauge is max_i N_i . X / (L * m)
-        L, normals = C.edge_normals
-        m, (X, Y) = over_common_denominator(x)
-        return Fraction(max(a * X + b * Y for a, b in normals), L * m)
+    if C.normals is not None:
+        # normals N_k / L and x = X / m: the gauge is max_k N_k . X / (L * m)
+        L, normals = C.normals
+        m, X = over_common_denominator(x)
+        return Fraction(max(sum(map(mul, n, X)) for n in normals), L * m)
     if all(v == 0 for v in x):
         return ZERO
     res = lp.solve_combination(C.vertices, x, cost=[ONE] * len(C.vertices))
@@ -66,8 +74,35 @@ def distance(C: SymmetricBody, x: Vec, y: Vec) -> Fraction:
 
 
 def _pairwise_max(C: SymmetricBody, points) -> tuple[Fraction, list[tuple[int, int]]]:
+    """The largest gauge of p_i - p_j over pairs i < j, and every pair
+    attaining it when it is positive, in (i, j) order."""
+    if C.normals is None:
+        return _pairwise_max_by_lp(C, points)
+    # points p_i = P_i / m and normals N_k / L: the gauge of p_i - p_j is
+    # max_k (N_k . P_i - N_k . P_j) / (L * m), so each point is projected
+    # onto the normals once and each pair compares integers
+    L, normals = C.normals
+    d = C.dim
+    m, flat = over_common_denominator([c for p in points for c in p])
+    projected = [
+        [sum(map(mul, n, flat[k : k + d])) for n in normals] for k in range(0, len(flat), d)
+    ]
+    best = 0
+    witnesses: list[tuple[int, int]] = []
+    for i, P in enumerate(projected):
+        for j in range(i + 1, len(projected)):
+            g = max(map(sub, P, projected[j]))
+            if g > best:
+                best = g
+                witnesses = [(i, j)]
+            elif g == best and g > 0:
+                witnesses.append((i, j))
+    return Fraction(best, L * m), witnesses
+
+
+def _pairwise_max_by_lp(C: SymmetricBody, points) -> tuple[Fraction, list[tuple[int, int]]]:
     # Many index pairs share a difference, and g(-z) = g(z), so the
-    # gauges are memoized on the sign-canonical difference vector.
+    # gauge LPs are memoized on the sign-canonical difference vector.
     memo: dict[Vec, Fraction] = {}
     best = ZERO
     witnesses: list[tuple[int, int]] = []

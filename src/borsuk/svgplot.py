@@ -44,22 +44,19 @@ def _angular_sort(vectors):
         ha, hb = _half(a), _half(b)
         if ha != hb:
             return -1 if ha < hb else 1
+        # outline points lie on the boundary of a body with the origin
+        # interior, so no two share a ray
         cross = a[0] * b[1] - a[1] * b[0]
-        if cross > 0:
-            return -1
-        if cross < 0:
-            return 1
-        # same ray (possible for unpruned vertex lists): radial order
-        ra = a[0] * a[0] + a[1] * a[1]
-        rb = b[0] * b[0] + b[1] * b[1]
-        return -1 if ra < rb else (1 if ra > rb else 0)
+        return (cross < 0) - (cross > 0)
 
     return sorted(vectors, key=cmp_to_key(compare))
 
 
 def _outline_vertices(C: SymmetricBody):
     if C.vertices is not None:
-        return _angular_sort(C.vertices)
+        # the hull drops inner points and collinear boundary points, which
+        # would dent the outline or add corners that are none
+        return _angular_sort(C.hull.vertices)
     # planar facet body: intersect facet lines pairwise and keep the
     # feasible intersection points (2D only; this is not a general
     # representation converter)

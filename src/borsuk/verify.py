@@ -75,7 +75,7 @@ def _child_seed(seed: int, index: int) -> int:
     return seed * 1_000_003 + index
 
 
-def _suite_difference_norm(report, count, seed):
+def _suite_difference_norm(report, count, seed, node_budget):
     """Containment and the three exact diameter identities of the
     difference norm, on random (K, C) pairs normalized to d_C(K) = 1."""
     for i in range(count):
@@ -102,7 +102,7 @@ def _suite_difference_norm(report, count, seed):
         report.instances_run += 1
 
 
-def _suite_lifted_cross(report, count, seed):
+def _suite_lifted_cross(report, count, seed, node_budget):
     """Within-copy diameters of the two lifted copies equal 1 and every
     cross-copy distance equals 1 exactly, under the lifted difference
     norm."""
@@ -135,7 +135,7 @@ def _doubling_sizes(i):
     return dim, n_points
 
 
-def _suite_doubling(report, count, seed):
+def _suite_doubling(report, count, seed, node_budget):
     """Lifting doubles the exact partition number on every instance."""
     for i in range(count):
         s = _child_seed(seed, i)
@@ -147,7 +147,7 @@ def _suite_doubling(report, count, seed):
             if mid not in pts:
                 pts.append(mid)  # interior points keep the span
         S = point_set(pts)
-        b1, b2, ok = doubling_check(K, S)
+        b1, b2, ok = doubling_check(K, S, node_budget)
         payload = {
             "instance_seed": s,
             "dim": dim,
@@ -176,12 +176,12 @@ def _planar_instance(s: int, i: int):
     return C, point_set(pts)
 
 
-def _suite_grunbaum_plane(report, count, seed):
+def _suite_grunbaum_plane(report, count, seed, node_budget):
     """Planar partition numbers never exceed four."""
     for i in range(count):
         s = _child_seed(seed, i)
         C, S = _planar_instance(s, i)
-        cert = borsuk_number(C, S)
+        cert = borsuk_number(C, S, node_budget)
         payload = {
             "instance_seed": s,
             "body": jsonio.body_to_obj(C),
@@ -193,16 +193,16 @@ def _suite_grunbaum_plane(report, count, seed):
         report.instances_run += 1
 
 
-def _suite_cube_exact(report, count, seed):
+def _suite_cube_exact(report, count, seed, node_budget):
     """The cube needs exactly 2^n parts, realized on its vertex set."""
     for n in (2, 3, 4):
-        cert = borsuk_number(cube_body(n), cube_vertices(n))
+        cert = borsuk_number(cube_body(n), cube_vertices(n), node_budget)
         payload = {"dim": n, "number": cert.number, "expected": 2**n}
         report.record(cert.number == 2**n and cert.optimal, payload, "cube_number_is_2_pow_n")
         report.instances_run += 1
 
 
-def _suite_norm_domination(report, count, seed):
+def _suite_norm_domination(report, count, seed, node_budget):
     """With d_C(S) = 1 the partition number under C is at most the one
     under the difference norm of the hull."""
     for i in range(count):
@@ -214,8 +214,8 @@ def _suite_norm_domination(report, count, seed):
         K = scale_polytope(K, Fraction(1) / diam)
         D = difference_body(K)
         S = point_set(K.vertices)
-        b_ambient = borsuk_number(C, S).number
-        b_difference = borsuk_number(D, S).number
+        b_ambient = borsuk_number(C, S, node_budget).number
+        b_difference = borsuk_number(D, S, node_budget).number
         payload = {
             "instance_seed": s,
             "dim": dim,
@@ -228,7 +228,7 @@ def _suite_norm_domination(report, count, seed):
         report.instances_run += 1
 
 
-def _suite_bounds_table(report, count, seed):
+def _suite_bounds_table(report, count, seed, node_budget):
     """Floating-point identities between the closed-form bounds."""
     for n in range(2, 65):
         payload = {"n": n}
@@ -268,8 +268,13 @@ _SUITE_FUNCS = {
 }
 
 
-def run_verify_suite(name: str, count: int = 10, seed: int = 0) -> VerificationReport:
+def run_verify_suite(
+    name: str, count: int = 10, seed: int = 0, node_budget: int | None = None
+) -> VerificationReport:
     """Run the named suite on ``count`` seeded instances.
+
+    ``node_budget`` bounds each branch-and-bound search, as in
+    :func:`borsuk.partition.chromatic_number`; None reads the default.
 
     ``cube_exact`` and ``bounds_table`` have fixed instance ranges and
     otherwise ignore ``count``. Unknown names raise :class:`UnknownSuite`;
@@ -281,5 +286,5 @@ def run_verify_suite(name: str, count: int = 10, seed: int = 0) -> VerificationR
     if count < 1:
         raise BorsukError(f"count must be at least 1, got {count}")
     report = VerificationReport(name, count, seed)
-    _SUITE_FUNCS[name](report, count, seed)
+    _SUITE_FUNCS[name](report, count, seed, node_budget)
     return report

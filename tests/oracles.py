@@ -14,8 +14,10 @@ recomputes every saturation at every node. :func:`per_pair_greedy_cover`
 and :func:`per_pair_cover_to_partition` are the references for the
 covering layer: one membership LP per (witness, center) pair, and only
 centers whose translate meets the body, as an LP of its own.
-:func:`pairwise_max_by_fractions` is the reference for the diameter
-pass: every pair's gauge of its ``Fraction`` difference, no memo.
+:func:`pairwise_max_by_fractions` and :func:`memo_pairwise_max` are
+the references for the diameter pass, which projects integer points onto
+integer normals: every pair's gauge of its ``Fraction`` difference, with
+no memo and with one memo on the sign-canonical difference.
 :func:`lp_path` sends planar bodies down the package's exact LP path,
 the reference its planar hulls are tested against.
 """
@@ -28,7 +30,7 @@ from borsuk import lp
 from borsuk.bodies import PointSet, SymmetricBody, VPolytope, contains_point
 from borsuk.covering import SAMPLE_CERTIFIED, Covering
 from borsuk.errors import GridTooCoarse, IndexOutOfRange, PointUncovered
-from borsuk.linalg import vsub
+from borsuk.linalg import canonical_sign, vsub
 from borsuk.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult
 from borsuk.metric import gauge, set_diameter
 from borsuk.partition import Partition
@@ -476,9 +478,29 @@ def pairwise_max_by_fractions(C, points):
     return best, witnesses
 
 
+def memo_pairwise_max(C, points):
+    """Largest gauge of p_i - p_j over pairs i < j, and every pair
+    attaining a positive maximum, in (i, j) order; one gauge per distinct
+    difference up to sign, since g(-z) = g(z)."""
+    memo = {}
+    best, witnesses = ZERO, []
+    for i, j in combinations(range(len(points)), 2):
+        key = canonical_sign(vsub(points[i], points[j]))
+        d = memo.get(key)
+        if d is None:
+            d = memo[key] = gauge(C, key)
+        if d > best:
+            best, witnesses = d, [(i, j)]
+        elif d == best and d > 0:
+            witnesses.append((i, j))
+    return best, witnesses
+
+
 def lp_path(patch):
     """While ``patch`` (a pytest monkeypatch) is active no body has a
     planar hull, so pruning, certification, gauges and membership of
     planar bodies are all answered by exact LPs."""
     for kind in (VPolytope, SymmetricBody):
         patch.setattr(kind, "hull", property(lambda body: None))
+    # read afresh, so normals a body kept from before do not outlive its hull
+    patch.setattr(SymmetricBody, "normals", property(SymmetricBody.normals.func))

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from borsuk import lp
+from borsuk.linalg import vdot
 from borsuk.bodies import (
     SymmetricBody,
     VPolytope,
@@ -21,6 +22,7 @@ from borsuk.bodies import (
 from borsuk.errors import DegenerateBody, DimensionMismatch, ZeroDiameter
 from borsuk.generators import cross_polytope_body, cube_body, cube_vertices, gen_random_body
 from borsuk.metric import (
+    _pairwise_max,
     body_contains,
     diameter_graph,
     distance,
@@ -29,7 +31,7 @@ from borsuk.metric import (
     polytope_diameter,
     set_diameter,
 )
-from oracles import gauge_by_support_enumeration, pairwise_max_by_fractions
+from oracles import gauge_by_support_enumeration, memo_pairwise_max, pairwise_max_by_fractions
 
 F = Fraction
 
@@ -338,3 +340,118 @@ def test_body_contains_answers_for_an_unvalidated_planar_body():
                       ((F(3, 2), 0), False), ((0, F(1, 9)), False)]:
         x = tuple(F(c) for c in x)
         assert body_contains(segment, x) == contains_point(segment.vertices, x) == inside
+
+
+PRIMES = [p for p in range(2, 400) if all(p % q for q in range(2, p))]
+
+
+def _rational(rng, top=9):
+    return F(rng.randint(-top, top), rng.randint(1, 6))
+
+
+def _facet_bodies(rng):
+    """Facet bodies in 1D-4D: an axis facet per coordinate, so the normals
+    span, and random facets whose coefficients and offsets have mixed
+    denominators."""
+    def offset():
+        return F(rng.randint(1, 9), rng.randint(1, 7))
+
+    bodies = [body_from_facets([((F(2, 3),), F(5, 7))]), cube_body(3), cube_body(4)]
+    for dim in (1, 2, 3, 4):
+        for _ in range(2):
+            facets = [(tuple(F(int(j == k)) for j in range(dim)), offset()) for k in range(dim)]
+            for _ in range(rng.randint(0, 3)):
+                facets.append((tuple(_rational(rng) for _ in range(dim)), offset()))
+            bodies.append(body_from_facets(facets))
+    return bodies
+
+
+def _boundary_points(C, rng, n):
+    """n random rays scaled onto the boundary of C, with their negations:
+    every such pair is at distance 2, the diameter of C, so they tie."""
+    points = []
+    for _ in range(n):
+        x = tuple(_rational(rng) or F(1) for _ in range(C.dim))
+        b = tuple(c / gauge(C, x) for c in x)
+        points += [b, tuple(-c for c in b)]
+    return points
+
+
+def _point_sets(C, rng):
+    """Lattice sets, sets whose coordinates have distinct prime
+    denominators, sets holding the body's vertices or antipodal boundary
+    points (many tied witnesses), two-point sets and collinear sets."""
+    d = C.dim
+    lattice = {tuple(F(rng.randint(-3, 3)) for _ in range(d)) for _ in range(rng.randint(2, 12))}
+    primes = iter(rng.sample(PRIMES, 12 * d))
+    coprime = [tuple(F(rng.randint(-30, 30), next(primes)) for _ in range(d)) for _ in range(12)]
+    tied = list(C.vertices) if C.vertices is not None else _boundary_points(C, rng, 4)
+    tied += [tuple(_rational(rng, 2) for _ in range(d)) for _ in range(3)]
+    two = [tuple(_rational(rng) for _ in range(d)) for _ in range(2)]
+    base, step = two[0], tuple(_rational(rng) or F(1) for _ in range(d))
+    ts = {_rational(rng) for _ in range(7)}
+    collinear = [tuple(b + t * s for b, s in zip(base, step)) for t in ts]
+    for points in (lattice, coprime, tied, two, collinear):
+        points = sorted(set(points))
+        if len(points) >= 2:
+            yield point_set(points)
+
+
+def test_integer_pass_matches_memo_reference(hexagon_v, hexagon_h):
+    # the same diameter and the same witnesses, in the same order, as one
+    # memoized gauge per pair; planar vertex bodies and facet bodies take
+    # the integer pass, the other vertex bodies the LP path
+    rng = random.Random(20261019)
+    bodies = [
+        hexagon_v,
+        hexagon_h,
+        body_from_vertices([(1, 1), (1, -1), (-1, 1), (-1, -1), ("1/2", "0"), ("-1/2", "0"), (1, 0), (-1, 0)]),
+        *(gen_random_body(seed, 2, 3 + seed % 4, max_numerator=9, max_denominator=7) for seed in range(6)),
+        *_facet_bodies(rng),
+        body_from_vertices([(F(3, 7),), (F(-3, 7),)]),
+        cube_body(3, facet_form=False),
+        cross_polytope_body(3),
+    ]
+    assert sum(C.normals is not None for C in bodies) >= len(bodies) - 3
+    most_ties = compared = 0
+    for C in bodies:
+        for S in _point_sets(C, rng):
+            reference = memo_pairwise_max(C, S.points)
+            assert set_diameter(C, S) == reference
+            assert polytope_diameter(C, VPolytope(C.dim, S.points)) == reference[0]
+            most_ties = max(most_ties, len(reference[1]))
+            compared += 1
+    assert compared >= 100 and most_ties >= 6
+
+
+def test_integer_pass_gives_no_witness_at_zero_distance(hexagon_h):
+    # a point listed twice is at distance 0 from itself, which attains no
+    # diameter
+    bodies = [hexagon_h, gen_random_body(3, 2, 4, max_numerator=5, max_denominator=3), cube_body(3)]
+    for C in bodies:
+        p = tuple(F(k, 3) for k in range(C.dim))
+        q = tuple(F(1, 2) for _ in range(C.dim))
+        assert _pairwise_max(C, [p, p]) == memo_pairwise_max(C, [p, p]) == (0, [])
+        assert _pairwise_max(C, [p, p, q]) == memo_pairwise_max(C, [p, p, q])
+
+
+def test_facet_gauge_through_normals_matches_ratios():
+    rng = random.Random(20261020)
+    for C in _facet_bodies(rng):
+        L, normals = C.normals
+        assert len(normals) == 2 * len(C.facets) and L > 0
+        for _ in range(20):
+            x = tuple(_rational(rng, 12) for _ in range(C.dim))
+            assert gauge(C, x) == max(abs(vdot(a, x)) / b for a, b in C.facets)
+        assert gauge(C, (F(0),) * C.dim) == 0
+
+
+def test_normals_of_each_body_kind(hexagon_v):
+    assert cube_body(3, facet_form=False).normals is None
+    assert body_from_vertices([(2,), (-2,)]).normals is None
+    L, normals = hexagon_v.normals
+    assert sorted(normals) == sorted((-a, -b) for a, b in normals) and len(normals) == 6
+    for b in (F(0), F(-1)):
+        unchecked = SymmetricBody(2, facets=(((F(1), F(0)), F(1)), ((F(0), F(1)), b)))
+        with pytest.raises(DegenerateBody):
+            unchecked.normals

@@ -5,7 +5,7 @@ import pytest
 from borsuk.bodies import body_from_facets, body_from_vertices, point_set, vpolytope
 from borsuk.errors import DimensionUnsupported
 from borsuk.partition import borsuk_number, partition
-from borsuk.svgplot import plot2d_svg, render_svg
+from borsuk.svgplot import _outline_vertices, plot2d_svg, render_svg
 
 
 def _square_instance():
@@ -46,6 +46,15 @@ def test_facet_body_outline(square_h):
     assert '<polygon points="' in svg
     ring = svg.split('<polygon points="')[1].split('"')[0]
     assert len(ring.split(" ")) == 4
+
+
+def test_unpruned_vertex_body_draws_its_hull():
+    # inner points of the vertex list are no corners of the unit ball, and
+    # the outline is the one of the pruned square
+    C = body_from_vertices([(1, 1), (1, -1), (-1, 1), (-1, -1), ("1/2", "0"), ("-1/2", "0")])
+    square, S, P = _square_instance()
+    assert _outline_vertices(C) == [(1, 1), (-1, 1), (-1, -1), (1, -1)]
+    assert render_svg(C, S, P) == render_svg(square, S, P)
 
 
 def test_rejects_non_planar():
