@@ -112,6 +112,8 @@ class SymmetricBody:
             L, flat = over_common_denominator([c / b for a, b in self.facets for c in a])
             d = self.dim
             rows = [tuple(flat[k : k + d]) for k in range(0, len(flat), d)]
+            # both signs, though |a . x| would need only one: the pairwise
+            # pass then takes a plain max for facet and vertex bodies alike
             return L, tuple(rows + [tuple(-c for c in n) for n in rows])
         hull = self.hull
         if hull is None:

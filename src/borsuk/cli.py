@@ -71,7 +71,7 @@ def _cmd_borsuk(args) -> int:
     C = _load_body(args.body)
     S = jsonio.pointset_from_obj(_read_json(args.points))
     t0 = time.perf_counter()
-    cert = borsuk_number(C, S, args.node_budget)
+    cert = borsuk_number(C, S)
     elapsed = time.perf_counter() - t0 if args.timings else None
     _write_text(jsonio.dumps(jsonio.certificate_to_obj(cert, elapsed)), args.out)
     return 0
@@ -120,7 +120,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    report = run_verify_suite(args.suite, args.count, args.seed, args.node_budget)
+    report = run_verify_suite(args.suite, args.count, args.seed)
     _write_text(jsonio.dumps(report.to_obj()), args.out)
     return 0 if report.passed else 1
 
@@ -160,13 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output file (default stdout)")
         return p
 
-    def add_node_budget(p):
-        p.add_argument(
-            "--node-budget",
-            type=_positive_int,
-            help="branch-and-bound node budget (default: $BORSUK_NODE_BUDGET, else 10^7)",
-        )
-
     p = add("gauge", _cmd_gauge, "evaluate a body's norm at points")
     p.add_argument("--body", required=True, help="symmetric body JSON")
     p.add_argument("--points", help="point set JSON file")
@@ -180,7 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--body", required=True)
     p.add_argument("--points", required=True)
     p.add_argument("--timings", action="store_true", help="include wall time in stats")
-    add_node_budget(p)
 
     p = add("diffbody", _cmd_diffbody, "difference body of a polytope")
     p.add_argument("--polytope", required=True)
@@ -203,7 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", required=True, choices=SUITES)
     p.add_argument("--count", type=_positive_int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    add_node_budget(p)
 
     p = add("plot2d", _cmd_plot2d, "SVG figure of a planar instance")
     p.add_argument("--body", required=True)

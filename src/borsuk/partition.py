@@ -306,7 +306,9 @@ def doubling_check(K: VPolytope, S: PointSet, node_budget: int | None = None):
 
     Computes b1 for S under the difference body of K, and b2 for the
     lifted set under the difference body of the lifted body; returns
-    (b1, b2, b2 == 2*b1). S must contain every vertex of K so that the
+    (b1, b2, ok) where ok says b2 == 2*b1 and both searches finished: a
+    number from a search cut short by ``node_budget`` is only an upper
+    bound and shows nothing. S must contain every vertex of K so that the
     finite diameters agree with the body diameters.
     """
     missing = set(K.vertices) - set(S.points)
@@ -315,4 +317,4 @@ def doubling_check(K: VPolytope, S: PointSet, node_budget: int | None = None):
     b1 = borsuk_number(difference_body(K), S, node_budget)
     lifted = lift_body(K)
     b2 = borsuk_number(difference_body(lifted.as_polytope()), lift_set(S), node_budget)
-    return b1.number, b2.number, b2.number == 2 * b1.number
+    return b1.number, b2.number, b1.optimal and b2.optimal and b2.number == 2 * b1.number

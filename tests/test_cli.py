@@ -271,66 +271,3 @@ def test_repeated_dispatch_keeps_no_state(cube2, capsys):
     outputs = [run(gauge_argv, capsys) for _ in range(2)]
     assert outputs[0] == outputs[1] == (0, jsonio.dumps({"values": ["2", "1/2"]}))
     assert run(["borsuk", "--body", body, "--points", points], capsys) == first
-
-
-# the vertices of a lattice pentagon under its own difference body: the
-# diameter graph is a 5-cycle, so clique 2 and greedy 3 leave a search
-PENTAGON = [["0", "0"], ["2", "0"], ["3", "2"], ["1", "3"], ["-1", "2"]]
-PENTAGON_DIFFERENCE_BODY = [
-    ["-4", "0"], ["-3", "-2"], ["-3", "2"], ["-1", "-3"], ["-1", "3"],
-    ["1", "-3"], ["1", "3"], ["3", "-2"], ["3", "2"], ["4", "0"],
-]
-
-
-@pytest.fixture
-def pentagon(tmp_path):
-    body = tmp_path / "pentagon-difference-body.json"
-    body.write_text(json.dumps({"dim": 2, "vertices": PENTAGON_DIFFERENCE_BODY}))
-    points = tmp_path / "pentagon.json"
-    points.write_text(json.dumps({"dim": 2, "points": PENTAGON}))
-    return ["--body", body, "--points", points]
-
-
-@pytest.mark.parametrize("command", [["borsuk", "--body", "b.json", "--points", "p.json"],
-                                     ["verify", "--suite", "grunbaum_plane"]])
-@pytest.mark.parametrize("budget", ["0", "-1", "x"])
-def test_node_budget_below_one_is_usage_error(command, budget, capsys):
-    assert cli_dispatch([*command, "--node-budget", budget]) == 2
-    assert capsys.readouterr().out == ""
-
-
-def test_node_budget_flag_bounds_the_search(pentagon, capsys):
-    code, out = run(["borsuk", *pentagon], capsys)
-    full = json.loads(out)
-    assert code == 0 and full["number"] == 3 and full["optimal"] is True and full["stats"]["nodes"] > 1
-    code, out = run(["borsuk", *pentagon, "--node-budget", "1"], capsys)
-    cut = json.loads(out)
-    assert code == 0 and cut["number"] == 3 and cut["optimal"] is False and cut["stats"]["nodes"] == 1
-
-
-def test_node_budget_flag_wins_over_the_environment(pentagon, monkeypatch, capsys):
-    monkeypatch.setenv("BORSUK_NODE_BUDGET", "1")
-    assert json.loads(run(["borsuk", *pentagon], capsys)[1])["optimal"] is False
-    assert json.loads(run(["borsuk", *pentagon, "--node-budget", "100"], capsys)[1])["optimal"] is True
-    monkeypatch.setenv("BORSUK_NODE_BUDGET", "abc")  # never read when the flag is given
-    assert run(["borsuk", *pentagon, "--node-budget", "100"], capsys)[0] == 0
-    assert run(["verify", "--suite", "cube_exact", "--node-budget", "100"], capsys)[0] == 0
-
-
-@pytest.mark.parametrize("suite, searches", [
-    ("grunbaum_plane", "borsuk_number"), ("cube_exact", "borsuk_number"),
-    ("norm_domination", "borsuk_number"), ("doubling", "doubling_check"),
-])
-def test_verify_node_budget_reaches_every_search(suite, searches, monkeypatch, capsys):
-    from borsuk import verify
-
-    search = getattr(verify, searches)
-    budgets = []
-
-    def recording(*args):
-        budgets.append(args[-1])
-        return search(*args)
-
-    monkeypatch.setattr(verify, searches, recording)
-    code, _ = run(["verify", "--suite", suite, "--count", "2", "--node-budget", "7"], capsys)
-    assert code == 0 and budgets and set(budgets) == {7}

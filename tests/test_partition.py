@@ -205,6 +205,14 @@ def test_doubling_square(square_v):
     assert doubling_check(K, point_set(K.vertices)) == (4, 8, True)
 
 
+def test_doubling_needs_finished_searches():
+    # the pentagon's diameter graph is a 5-cycle: clique 2 and greedy 3
+    # leave a search, which one node cannot finish
+    K = vpolytope([(0, 0), (2, 0), (3, 2), (1, 3), (-1, 2)])
+    assert doubling_check(K, point_set(K.vertices)) == (3, 6, True)
+    assert doubling_check(K, point_set(K.vertices), node_budget=1) == (3, 6, False)
+
+
 def test_doubling_requires_vertices_in_set(triangle):
     with pytest.raises(ValueError):
         doubling_check(triangle, point_set([(0, 0), (1, 0)]))

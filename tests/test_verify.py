@@ -55,3 +55,16 @@ def test_failure_payload_replays():
     seed = 123 * 1_000_003 + 0
     body = gen_random_body(seed, 2, 3, max_numerator=16, max_denominator=16)
     assert jsonio.body_to_obj(body) is not None
+
+
+@pytest.mark.parametrize("suite, count, seed, failing_seed", [
+    ("doubling", 2, 2, 2 * 1_000_003 + 1),
+    ("norm_domination", 6, 0, 5),
+])
+def test_search_cut_short_fails_its_check(suite, count, seed, failing_seed, monkeypatch):
+    # under a budget of one node, one search of this instance ends without
+    # proving its number, so the check compares an upper bound and must fail
+    assert run_verify_suite(suite, count, seed).passed
+    monkeypatch.setenv("BORSUK_NODE_BUDGET", "1")
+    report = run_verify_suite(suite, count, seed)
+    assert [f["instance_seed"] for f in report.failures] == [failing_seed]
