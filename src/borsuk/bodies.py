@@ -3,10 +3,10 @@
 Everything is immutable and carried in rational arithmetic: vertices
 are tuples of ``Fraction``. Convexity work (redundancy removal, hull
 membership, interior certification) is exact and never floating point.
-In the plane it is answered by one exact convex hull per body
-(:func:`planar_hull`, held by the body's ``hull``); in other dimensions,
-where facet counts can be exponential in the vertex count, by the exact
-simplex in :mod:`borsuk.lp`.
+In dimensions 1 to 3 it is answered by one exact convex hull per body
+(:func:`convex_hull`, held by the body's ``hull``); from dimension 4,
+where facet counts can be exponential in the vertex count, and for
+coplanar points in space, by the exact simplex in :mod:`borsuk.lp`.
 """
 
 from __future__ import annotations
@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
+from operator import mul
 from typing import NamedTuple
 
 from . import lp
@@ -31,7 +33,7 @@ from .linalg import (
 )
 
 Facet = tuple[Vec, Fraction]  # normal a and offset b, encoding |<a, x>| <= b
-HalfPlane = tuple[tuple[int, int], int]  # integer normal n and offset c, encoding n . X <= c
+HalfSpace = tuple[tuple[int, ...], int]  # integer normal n and offset c, encoding n . X <= c
 
 
 @dataclass(frozen=True)
@@ -52,10 +54,10 @@ class VPolytope:
                 raise DimensionMismatch(f"vertex {v} does not have dim {self.dim}")
 
     @cached_property
-    def hull(self) -> PlanarHull | None:
-        """The exact hull of the vertices in the plane, which answers
-        pruning and membership with no LP; None in other dimensions."""
-        return planar_hull(self.vertices) if self.dim == 2 else None
+    def hull(self) -> Hull | None:
+        """The exact hull of the vertices, which answers pruning and
+        membership with no LP; None where :func:`convex_hull` gives none."""
+        return convex_hull(self.vertices)
 
 
 @dataclass(frozen=True)
@@ -86,31 +88,29 @@ class SymmetricBody:
                     raise DimensionMismatch(f"facet normal {a} does not have dim {self.dim}")
 
     @cached_property
-    def hull(self) -> PlanarHull | None:
-        """The exact hull of a planar vertex body, which answers
-        certification, gauges and membership with no LP; None for a facet
-        body or outside the plane."""
-        if self.dim != 2 or self.vertices is None:
-            return None
-        return planar_hull(self.vertices)
+    def hull(self) -> Hull | None:
+        """The exact hull of a vertex body, which answers certification,
+        gauges and membership with no LP; None for a facet body and where
+        :func:`convex_hull` gives none."""
+        return None if self.vertices is None else convex_hull(self.vertices)
 
     @cached_property
     def normals(self) -> tuple[int, tuple[tuple[int, ...], ...]] | None:
         """``(L, N)``, integers with ``gauge(x) = max_k N_k . x / L``, or
-        None for a vertex body outside the plane, whose gauge takes an LP.
+        None for a vertex body without a hull, whose gauge takes an LP.
 
         A facet body gives ``a / b`` and ``-a / b`` for each facet; each
-        offset ``b`` is checked positive. A planar vertex body gives the
-        outer normals of its hull's edges, ``a . v = 1`` on each edge, and
+        offset ``b`` is checked positive. A vertex body gives the outer
+        normals of its hull's facets, ``a . v = 1`` on each facet, and
         certifies each as it is made: ``a . v <= 1`` at every vertex, with
-        equality at both ends of its edge.
+        equality on ``dim`` vertices of rank ``dim``.
         """
+        d = self.dim
         if self.facets is not None:
             for _, b in self.facets:
                 if b <= 0:
                     raise DegenerateBody(f"facet offset {b} is not strictly positive")
             L, flat = over_common_denominator([c / b for a, b in self.facets for c in a])
-            d = self.dim
             rows = [tuple(flat[k : k + d]) for k in range(0, len(flat), d)]
             # both signs, though |a . x| would need only one: the pairwise
             # pass then takes a plain max for facet and vertex bodies alike
@@ -121,19 +121,24 @@ class SymmetricBody:
         if not hull.surrounds_origin():
             raise DegenerateBody("origin is not interior (body not full-dimensional)")
         s = hull.scale
-        # edge i joins scaled ends P, Q with n_i . P = n_i . Q = c_i, so
-        # a_i = n_i * s / c_i gives a_i . v = 1 at v = P / s and v = Q / s
-        L, flat = over_common_denominator([Fraction(k * s, c) for n, c in hull.planes for k in n])
-        normals = tuple(zip(flat[::2], flat[1::2]))
+        # facet n . X = c over points X = v * s, so a = n * s / c gives
+        # a . v = 1 on the facet; the least common denominator of the
+        # entries k * s / c of a is c / gcd(s * gcd(n), c)
+        L = lcm(*(c // gcd(s * gcd(*n), c) for n, c in hull.planes))
+        normals = tuple(tuple(k * s * L // c for k in n) for n, c in hull.planes)
         _, flat = over_common_denominator([x for v in self.vertices for x in v])
-        points = tuple(zip(flat[::2], flat[1::2]))  # the vertices times s
+        points = [flat[k : k + d] for k in range(0, len(flat), d)]  # the vertices times s
         one = L * s
-        corners = hull.corners
-        for i, (a, b) in enumerate(normals):
-            ends = (corners[i], corners[(i + 1) % len(corners)])
-            on_edge = all(a * x + b * y == one for x, y in ends)
-            if not on_edge or any(a * x + b * y > one for x, y in points):
-                raise ArithmeticError(f"edge normal ({a}, {b})/{L} fails its certificate")
+        for a in normals:
+            tight = []
+            for X in points:
+                t = sum(map(mul, a, X))
+                if t >= one:
+                    if t > one:
+                        raise ArithmeticError(f"vertex {X}/{s} is outside facet normal {a}/{L}")
+                    tight.append(X)
+            if matrix_rank(tight) < d:
+                raise ArithmeticError(f"facet normal {a}/{L} holds fewer than {d} independent vertices")
         return L, normals
 
 
@@ -178,16 +183,26 @@ class LiftedBody:
         return VPolytope(self.body.dim, self.body.vertices, pruned=True)
 
 
-class PlanarHull(NamedTuple):
-    """Exact convex hull of a finite planar point set.
+# Up to dimension 3 a polytope has few facets (at most 2n - 4 for n
+# vertices in space, by Euler's formula), so one exact hull per body pays
+# for itself; from dimension 4 the facet count can be exponential in the
+# vertex count (the cross-polytope has 2^d facets), and LPs answer instead.
+MAX_HULL_DIM = 3
 
-    ``vertices`` are its strict extreme points, counter-clockwise from the
-    least. ``corners`` are the same points times ``scale``, the least
+
+class Hull(NamedTuple):
+    """Exact convex hull of a finite point set on the line, in the plane
+    or in space.
+
+    ``vertices`` are its strict extreme points: the least and the greatest
+    on the line, counter-clockwise from the least in the plane, sorted in
+    space. ``corners`` are the same points times ``scale``, the least
     common denominator of the set's coordinates, and the hull is the
-    intersection of the integer half-planes ``n . X <= c`` in ``planes``
-    over such scaled points. The half-plane of edge (P, Q) has
-    ``c = P x Q``, the orientation of the origin against that edge. A hull
-    that is one point or a segment gets the half-planes that pin it down.
+    intersection of the integer half-spaces ``n . X <= c`` in ``planes``
+    over such scaled points, one per facet. In the plane the half-plane of
+    edge (P, Q) has ``c = P x Q``, the orientation of the origin against
+    that edge. A hull that is one point, or a segment in the plane, gets
+    the half-spaces that pin it down.
 
     A named tuple rather than a frozen dataclass: it is as immutable and
     costs a sixth of the time to define when the package is imported.
@@ -195,20 +210,44 @@ class PlanarHull(NamedTuple):
 
     vertices: tuple[Vec, ...]
     scale: int
-    corners: tuple[tuple[int, int], ...]
-    planes: tuple[HalfPlane, ...]
+    corners: tuple[tuple[int, ...], ...]
+    planes: tuple[HalfSpace, ...]
 
     def contains(self, x: Vec) -> bool:
         """Whether x lies in the hull, boundary included, by one exact
-        orientation test per half-plane."""
-        m, (X, Y) = over_common_denominator(x)
+        orientation test per half-space."""
+        m, X = over_common_denominator(x)
         s = self.scale
-        return all(s * (a * X + b * Y) <= m * c for (a, b), c in self.planes)
+        for n, c in self.planes:
+            if s * sum(map(mul, n, X)) > m * c:
+                return False
+        return True
 
     def surrounds_origin(self) -> bool:
         """Whether the origin is interior: strictly inside every
-        half-plane, which only a hull of three or more vertices allows."""
+        half-space, which only a full-dimensional hull allows."""
         return all(c > 0 for _, c in self.planes)
+
+
+def convex_hull(points) -> Hull | None:
+    """Exact convex hull of points of dimension at most MAX_HULL_DIM;
+    None in higher dimensions, and for coplanar points in space."""
+    dim = len(points[0])
+    if dim > MAX_HULL_DIM:
+        return None
+    return (_segment_hull, planar_hull, _spatial_hull)[dim - 1](points)
+
+
+def _segment_hull(points) -> Hull:
+    """The hull on the line: the least and the greatest point, one
+    half-line at each."""
+    scale, flat = over_common_denominator([x for (x,) in points])
+    by_corner = dict(zip(flat, points))
+    lo, hi = min(by_corner), max(by_corner)
+    ends = (lo, hi) if lo < hi else (lo,)
+    return Hull(
+        tuple(by_corner[e] for e in ends), scale, tuple((e,) for e in ends), (((1,), hi), ((-1,), -lo))
+    )
 
 
 def _turn(o, a, b) -> int:
@@ -227,7 +266,7 @@ def _chain(points) -> list:
     return chain
 
 
-def _half_planes(corners) -> tuple[HalfPlane, ...]:
+def _half_planes(corners) -> tuple[HalfSpace, ...]:
     """The half-planes whose intersection is the hull of the corners,
     given counter-clockwise."""
     if len(corners) == 1:
@@ -246,7 +285,7 @@ def _half_planes(corners) -> tuple[HalfPlane, ...]:
     return tuple(planes)
 
 
-def planar_hull(points) -> PlanarHull:
+def planar_hull(points) -> Hull:
     """Exact convex hull of planar points, by Andrew's monotone chain
     (1979) on the points scaled to integers.
 
@@ -259,9 +298,100 @@ def planar_hull(points) -> PlanarHull:
     corners = sorted(by_corner)
     if len(corners) > 2:
         corners = _chain(corners)[:-1] + _chain(reversed(corners))[:-1]
-    return PlanarHull(
+    return Hull(
         tuple(by_corner[p] for p in corners), scale, tuple(corners), _half_planes(corners)
     )
+
+
+def _triangle(P, i, j, k):
+    """Triangle (i, j, k) of the points P with its plane ``n . X = c``,
+    ``n = (P_j - P_i) x (P_k - P_i)``: counter-clockwise seen from the
+    side n points to."""
+    (ax, ay, az), (bx, by, bz), (qx, qy, qz) = P[i], P[j], P[k]
+    ux, uy, uz, vx, vy, vz = bx - ax, by - ay, bz - az, qx - ax, qy - ay, qz - az
+    n = (uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx)
+    return i, j, k, n, n[0] * ax + n[1] * ay + n[2] * az
+
+
+def _first_tetrahedron(P) -> list | None:
+    """The triangles of a tetrahedron on four of the points P, each
+    facing outwards; None when P is coplanar."""
+    i, j = 0, 1
+    k = next((k for k in range(2, len(P)) if any(_triangle(P, i, j, k)[3])), None)
+    if k is None:
+        return None
+    _, _, _, n, c = _triangle(P, i, j, k)
+    q = next((q for q in range(k + 1, len(P)) if sum(map(mul, n, P[q])) != c), None)
+    if q is None:
+        return None
+    triangles = []
+    for a, b, e, opposite in ((i, j, k, q), (i, j, q, k), (i, k, q, j), (j, k, q, i)):
+        t = _triangle(P, a, b, e)
+        if sum(map(mul, t[3], P[opposite])) > t[4]:
+            t = _triangle(P, a, e, b)
+        triangles.append(t)
+    return triangles
+
+
+def _spatial_hull(points) -> Hull | None:
+    """Exact convex hull of points in space, by the incremental
+    beneath-beyond method (Preparata and Hong, 1977) on the points scaled
+    to integers; None when the points are coplanar.
+
+    The surface is kept as outward triangles. Each further point replaces
+    the triangles that see it strictly (``n . X > c``) by the cone from it
+    over their horizon, the edges they share with the triangles that stay.
+    The points are taken in sorted order, so a point lies outside the hull
+    of those before it, and sees a triangle, unless it was passed over
+    while the first tetrahedron was sought; one that sees none is in the
+    hull already. Coplanar triangles then merge into one facet by dividing
+    each ``(n, c)`` by its gcd, and the vertices are the points whose
+    tight facets have normals of rank 3, so a point inside a facet or an
+    edge is none.
+
+    Certified as it is made: every point satisfies ``n . X <= c`` for
+    every facet, and each facet holds points of rank 3 lifted to ``(X, 1)``,
+    that is three not on a line.
+    """
+    scale, flat = over_common_denominator([c for p in points for c in p])
+    by_corner = dict(zip(zip(flat[::3], flat[1::3], flat[2::3]), points))
+    P = sorted(by_corner)
+    triangles = _first_tetrahedron(P)
+    if triangles is None:
+        return None
+    done = {i for t in triangles for i in t[:3]}
+    for p, X in enumerate(P):
+        if p in done:
+            continue
+        seen, kept = [], []
+        for t in triangles:
+            (seen if sum(map(mul, t[3], X)) > t[4] else kept).append(t)
+        if seen:
+            edges = {e for i, j, k, _, _ in seen for e in ((i, j), (j, k), (k, i))}
+            kept += [_triangle(P, i, j, p) for i, j in edges if (j, i) not in edges]
+            triangles = kept
+    planes = []
+    for *_, n, c in triangles:
+        g = gcd(*n, c)
+        planes.append((tuple(x // g for x in n), c // g))
+    planes = sorted(set(planes))
+    tight = [[_slack(n, c, X) == 0 for X in P] for n, c in planes]
+    for on in tight:
+        if matrix_rank([X + (1,) for X, t in zip(P, on) if t]) < 3:
+            raise ArithmeticError("a facet of the spatial hull holds no three points off a line")
+    corners = tuple(
+        X for x, X in enumerate(P) if matrix_rank([n for (n, _), on in zip(planes, tight) if on[x]]) == 3
+    )
+    return Hull(tuple(by_corner[X] for X in corners), scale, corners, tuple(planes))
+
+
+def _slack(n, c, X) -> int:
+    """c - n . X, checked not negative: every point of a hull lies in
+    each of its half-spaces."""
+    slack = c - sum(map(mul, n, X))
+    if slack < 0:
+        raise ArithmeticError(f"point {X} is outside the hull's half-space {n} . X <= {c}")
+    return slack
 
 
 def vpolytope(points, pruned=False) -> VPolytope:
@@ -315,11 +445,11 @@ def validate_body(candidate: SymmetricBody) -> SymmetricBody:
     """Certify central symmetry and interiority of the origin.
 
     Vertex form: the vertex set must be closed under negation, and the
-    origin must be interior: strictly left of every edge of the exact
-    hull in the plane, and checked by one exact LP per axis in other
-    dimensions. Facet
-    form: offsets must be strictly positive and the normals must span
-    the space, otherwise the "body" is unbounded.
+    origin must be interior: strictly inside every facet of the exact
+    hull in dimensions 1 to 3, and checked by one exact LP per axis from
+    dimension 4 or for a flat set in space. Facet form: offsets must be
+    strictly positive and the normals must span the space, otherwise the
+    "body" is unbounded.
     """
     if candidate.vertices is not None:
         vset = set(candidate.vertices)
@@ -352,10 +482,11 @@ def prune_redundant(P: VPolytope) -> VPolytope:
     """Remove every point expressible from the others.
 
     The survivors are exactly the extreme points of the hull, in sorted
-    order. In the plane they are the vertices of the exact hull. In other
-    dimensions, candidates are scanned in sorted order by exact LPs; a
-    point found inside the hull of the current survivors is dropped
-    immediately, which never changes the hull and shrinks the later LPs.
+    order. In dimensions 1 to 3 they are the vertices of the exact hull.
+    From dimension 4, and for a flat set in space, candidates are scanned
+    in sorted order by exact LPs; a point found inside the hull of the
+    current survivors is dropped immediately, which never changes the hull
+    and shrinks the later LPs.
     """
     if P.hull is not None:
         return VPolytope(P.dim, tuple(sorted(P.hull.vertices)), pruned=True)

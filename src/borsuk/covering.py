@@ -9,7 +9,8 @@ which is the constructive reading of "few homothets force few parts".
 Whether w lies in c + lam*K depends only on w - c, which grid witnesses
 and grid centers repeat many times, so both steps decide membership once
 per distinct difference: by orientation tests against K's exact hull in
-the plane, and by one exact LP in other dimensions.
+dimensions 1 to 3, and by one exact LP from dimension 4 or when K is a
+flat set in space.
 
 The closed-form bound evaluators are the only deliberately inexact
 computation in the package: they report double-precision values of
@@ -44,6 +45,13 @@ COVERING_BOUND_MAX_N = 1010
 PARTITION_BOUND_MAX_N = 1010
 BINOMIAL_BOUND_MAX_N = 508
 
+# Most lattice points the witness grid or the candidate grid of one cover
+# may have; a finer grid is refused before any point of it is built. This
+# bounds what a cover lists, not its time: it tests every witness against
+# every candidate, so grids near the bound are slow but finite. The largest
+# grid of the tests, the demos and the benchmark has 1089 points.
+MAX_GRID_POINTS = 10**5
+
 
 @dataclass(frozen=True)
 class Covering:
@@ -63,10 +71,17 @@ class BoundValue:
     formula: str
 
 
-def _lattice_axis(lo: Fraction, hi: Fraction, step: Fraction):
-    k = math.ceil(lo / step)
-    top = math.floor(hi / step)
-    return [k0 * step for k0 in range(k, top + 1)]
+def _lattice_axes(lo, hi, step: Fraction) -> list[range]:
+    """Per axis, the k with k * step in [lo_i, hi_i]; checked to number at
+    most MAX_GRID_POINTS points in all."""
+    axes = [range(math.ceil(a / step), math.floor(b / step) + 1) for a, b in zip(lo, hi)]
+    # stop - start, since len() of a range overflows past sys.maxsize
+    count = math.prod(max(0, r.stop - r.start) for r in axes)
+    if count > MAX_GRID_POINTS:
+        raise InvalidInput(
+            f"grid step too fine: {count} lattice points, more than {MAX_GRID_POINTS} per grid"
+        )
+    return axes
 
 
 def _bounding_box(vertices):
@@ -133,18 +148,17 @@ def greedy_cover(K: VPolytope, lam: Fraction, grid_step: Fraction) -> Covering:
         raise InvalidInput(f"grid step must be positive, got {grid_step}")
 
     lo, hi = _bounding_box(K.vertices)
-    inner_axes = [_lattice_axis(lo[i], hi[i], grid_step) for i in range(K.dim)]
+    inner_axes = _lattice_axes(lo, hi, grid_step)
+    outer_axes = _lattice_axes(
+        [a - lam * b for a, b in zip(lo, hi)], [b - lam * a for a, b in zip(lo, hi)], grid_step
+    )
     witnesses = set(K.vertices)
-    for p in product(*inner_axes):
+    for p in product(*([k * grid_step for k in r] for r in inner_axes)):
         if _in_body(K, p):
             witnesses.add(p)
     witnesses = sorted(witnesses)
 
-    outer_axes = [
-        _lattice_axis(lo[i] - lam * hi[i], hi[i] - lam * lo[i], grid_step)
-        for i in range(K.dim)
-    ]
-    candidates = list(product(*outer_axes))
+    candidates = list(product(*([k * grid_step for k in r] for r in outer_axes)))
     inside = _translate_membership(K, lam, witnesses, candidates)
     coverage = {
         c: frozenset(i for i in range(len(witnesses)) if inside(i, j))

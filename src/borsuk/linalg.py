@@ -58,41 +58,29 @@ def canonical_sign(a: Vec) -> Vec:
     return a
 
 
-def matrix_rank(rows: list[Vec]) -> int:
-    """Rank of a rational matrix by Gaussian elimination (exact)."""
-    work = [list(r) for r in rows if any(x != 0 for x in r)]
-    if not work:
-        return 0
-    ncols = len(work[0])
-    rank = 0
-    col = 0
-    while rank < len(work) and col < ncols:
-        pivot_row = None
-        for i in range(rank, len(work)):
-            if work[i][col] != 0:
-                pivot_row = i
+def matrix_rank(rows) -> int:
+    """Rank of a matrix of ints or rationals, exact: each row is reduced,
+    fraction-free, against the independent rows before it, and counts
+    when something is left. Fastest on ints."""
+    basis: list = []  # (pivot column, row), each row zero at the pivots before it
+    for row in rows:
+        for p, b in basis:
+            f = row[p]
+            if f:
+                row = [b[p] * x - f * y for x, y in zip(row, b)]
+        for p, x in enumerate(row):
+            if x:
+                basis.append((p, row))
                 break
-        if pivot_row is None:
-            col += 1
-            continue
-        work[rank], work[pivot_row] = work[pivot_row], work[rank]
-        piv = work[rank][col]
-        for i in range(rank + 1, len(work)):
-            f = work[i][col]
-            if f != 0:
-                ratio = f / piv
-                row_i = work[i]
-                row_p = work[rank]
-                for j in range(col, ncols):
-                    row_i[j] -= ratio * row_p[j]
-        rank += 1
-        col += 1
-    return rank
+    return len(basis)
 
 
 def affine_rank(points: list[Vec]) -> int:
-    """Dimension of the affine hull of the given points."""
+    """Dimension of the affine hull of the given points, taken over the
+    points scaled to integers."""
     if len(points) <= 1:
         return 0
-    base = points[0]
-    return matrix_rank([vsub(p, base) for p in points[1:]])
+    d = len(points[0])
+    _, flat = over_common_denominator([x for p in points for x in p])
+    base = flat[:d]
+    return matrix_rank([[x - y for x, y in zip(flat[k : k + d], base)] for k in range(d, len(flat), d)])

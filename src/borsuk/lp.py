@@ -16,11 +16,12 @@ Problems are stated in equality standard form::
     minimize    c . x
     subject to  A x = b,  x >= 0
 
-which is all the geometry in this package needs outside the plane:
+which is all the geometry in this package needs from dimension 4:
 convex-hull membership, gauge evaluation and interior-point
 certification are each a single small instance of this form, built by
-:func:`solve_combination`. Planar bodies answer these from their exact
-hull instead (:func:`borsuk.bodies.planar_hull`).
+:func:`solve_combination`. Bodies in dimensions 1 to 3 answer these
+from their exact hull instead (:func:`borsuk.bodies.convex_hull`), except
+for flat point sets in space.
 """
 
 from __future__ import annotations

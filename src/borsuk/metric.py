@@ -3,10 +3,10 @@
 The gauge of a body C at x is the least r >= 0 with x in r*C. Most
 bodies carry it in one integer normal form, ``C.normals = (L, N)``:
 the gauge is ``max_k N_k . x / L``. A facet body contributes ``a / b``
-and ``-a / b`` for each facet |<a, x>| <= b; a planar vertex body the
-outer normals of the edges of its exact hull, scaled so that
-``a . v = 1`` on each edge. For a vertex body in any other dimension
-the gauge is the optimum of the exact LP
+and ``-a / b`` for each facet |<a, x>| <= b; a vertex body in dimension
+1, 2 or 3 the outer normals of the facets of its exact hull, scaled so
+that ``a . v = 1`` on each facet. For a vertex body in dimension 4 and
+up the gauge is the optimum of the exact LP
 
     minimize sum(mu)  subject to  sum(mu_i * v_i) = x,  mu >= 0,
 
@@ -23,8 +23,8 @@ onto every normal once, and compares the integers
 gauge LP per distinct difference up to sign.
 
 Membership in C is decided directly: against the facets, by orientation
-tests against the exact hull in the plane, or by one exact LP in other
-dimensions. Diameter-graph edges are decided by exact rational
+tests against the exact hull in dimensions 1 to 3, or by one exact LP
+from dimension 4. Diameter-graph edges are decided by exact rational
 equality; there is no tolerance anywhere.
 """
 

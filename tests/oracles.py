@@ -18,8 +18,11 @@ centers whose translate meets the body, as an LP of its own.
 the references for the diameter pass, which projects integer points onto
 integer normals: every pair's gauge of its ``Fraction`` difference, with
 no memo and with one memo on the sign-canonical difference.
-:func:`lp_path` sends planar bodies down the package's exact LP path,
-the reference its planar hulls are tested against.
+:func:`lp_path` sends every body down the package's exact LP path, the
+reference its exact hulls are tested against, and
+:func:`facets_by_triples` is the reference for the facets of a hull in
+space: every plane through three of the points with all points on one
+side.
 """
 
 import math
@@ -497,10 +500,33 @@ def memo_pairwise_max(C, points):
 
 
 def lp_path(patch):
-    """While ``patch`` (a pytest monkeypatch) is active no body has a
-    planar hull, so pruning, certification, gauges and membership of
-    planar bodies are all answered by exact LPs."""
+    """While ``patch`` (a pytest monkeypatch) is active no body has an
+    exact hull, so pruning, certification, gauges and membership of
+    vertex bodies in every dimension are all answered by exact LPs."""
     for kind in (VPolytope, SymmetricBody):
         patch.setattr(kind, "hull", property(lambda body: None))
     # read afresh, so normals a body kept from before do not outlive its hull
     patch.setattr(SymmetricBody, "normals", property(SymmetricBody.normals.func))
+
+
+def facets_by_triples(points):
+    """The facets ``n . X <= c`` of the hull of full-dimensional points in
+    space, over the points times the least common denominator of their
+    coordinates, with ``n`` and ``c`` integers free of a common factor: by
+    brute force, every plane through three of the points that has all of
+    them on one side."""
+    m = math.lcm(*(c.denominator for p in points for c in p))
+    P = sorted({tuple(int(c * m) for c in p) for p in points})
+    facets = set()
+    for a, b, q in combinations(P, 3):
+        u, v = vsub(b, a), vsub(q, a)
+        n = (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+        if n == (0, 0, 0):
+            continue
+        c = sum(x * y for x, y in zip(n, a))
+        dots = [sum(x * y for x, y in zip(n, X)) for X in P]
+        for sign in (1, -1):
+            if all(sign * t <= sign * c for t in dots):
+                g = math.gcd(*n, c)
+                facets.add((tuple(sign * x // g for x in n), sign * c // g))
+    return facets

@@ -214,6 +214,10 @@ def _bad_input_argv(case, tmp_path):
         return ["cover", "--polytope", square, "--ratio", "2", "--grid-step", "1/4"]
     if case == "grid step 0":
         return ["cover", "--polytope", square, "--ratio", "3/5", "--grid-step", "0"]
+    if case == "grid step too fine":
+        segment = tmp_path / "segment.json"
+        segment.write_text(json.dumps({"dim": 1, "vertices": [["0"], ["1"]]}))
+        return ["cover", "--polytope", segment, "--ratio", "1/2", "--grid-step", "1e-30"]
     if case == "bounds past double range":
         return ["bounds", "--n-max", "2000"]
     if case == "result too long to write":
@@ -226,7 +230,7 @@ def _bad_input_argv(case, tmp_path):
 
 @pytest.mark.parametrize("case", [
     "malformed json", "json nested too deep", "infinite dim", "missing dim", "bad rational", "duplicate points", "bad inline point",
-    "ratio abc", "ratio 2", "grid step 0", "bounds past double range",
+    "ratio abc", "ratio 2", "grid step 0", "grid step too fine", "bounds past double range",
     "result too long to write",
 ])
 def test_bad_input_is_an_error_line_not_a_traceback(case, tmp_path, capsys):

@@ -447,8 +447,13 @@ def test_facet_gauge_through_normals_matches_ratios():
 
 
 def test_normals_of_each_body_kind(hexagon_v):
-    assert cube_body(3, facet_form=False).normals is None
-    assert body_from_vertices([(2,), (-2,)]).normals is None
+    assert cube_body(4, facet_form=False).normals is None
+    L, normals = cube_body(3, facet_form=False).normals
+    assert L == 1 and sorted(normals) == sorted(
+        tuple(s * (k == i) for k in range(3)) for i in range(3) for s in (1, -1)
+    )
+    L, normals = body_from_vertices([(2,), (-2,)]).normals
+    assert sorted(F(n, L) for (n,) in normals) == [F(-1, 2), F(1, 2)]
     L, normals = hexagon_v.normals
     assert sorted(normals) == sorted((-a, -b) for a, b in normals) and len(normals) == 6
     for b in (F(0), F(-1)):

@@ -17,11 +17,13 @@ import spans  # noqa: E402
 
 
 def test_self_time_subtracts_child_gauge_spans():
-    # a vertex body outside the plane has no integer normals, so each of
-    # the three pairs takes its own gauge LP, traced as a child span
+    # a vertex body in dimension 4 has no integer normals, so each of the
+    # three pairs takes its own gauge LP, traced as a child span
     tracer = spans.Tracer()
     with tracer, tracer.request(0):
-        metric.set_diameter(cube_body(3, facet_form=False), point_set([(0, 0, 0), (1, 1, 0), (2, 0, 1)]))
+        metric.set_diameter(
+            cube_body(4, facet_form=False), point_set([(0, 0, 0, 0), (1, 1, 0, 0), (2, 0, 1, 1)])
+        )
     ix = spans.SpanIndex(tracer.spans)
     assert ix.calls("metric.gauge") == 3 and ix.under("metric.gauge", "metric.set_diameter") == 3
     assert ix.self_time("metric.set_diameter") == pytest.approx(
