@@ -28,6 +28,7 @@ from .linalg import (
     as_vec,
     matrix_rank,
     over_common_denominator,
+    project,
     vadd,
     vneg,
 )
@@ -103,7 +104,8 @@ class SymmetricBody:
         offset ``b`` is checked positive. A vertex body gives the outer
         normals of its hull's facets, ``a . v = 1`` on each facet, and
         certifies each as it is made: ``a . v <= 1`` at every vertex, with
-        equality on ``dim`` vertices of rank ``dim``.
+        equality on ``dim`` vertices of rank ``dim``; and that the facets
+        close up around the hull's corners.
         """
         d = self.dim
         if self.facets is not None:
@@ -127,8 +129,10 @@ class SymmetricBody:
         L = lcm(*(c // gcd(s * gcd(*n), c) for n, c in hull.planes))
         normals = tuple(tuple(k * s * L // c for k in n) for n, c in hull.planes)
         _, flat = over_common_denominator([x for v in self.vertices for x in v])
-        points = [flat[k : k + d] for k in range(0, len(flat), d)]  # the vertices times s
+        points = [tuple(flat[k : k + d]) for k in range(0, len(flat), d)]  # the vertices times s
         one = L * s
+        corners = set(hull.corners)
+        incidences = 0  # (corner, facet) pairs with the corner on the facet
         for a in normals:
             tight = []
             for X in points:
@@ -139,6 +143,12 @@ class SymmetricBody:
                     tight.append(X)
             if matrix_rank(tight) < d:
                 raise ArithmeticError(f"facet normal {a}/{L} holds fewer than {d} independent vertices")
+            incidences += len(corners.intersection(tight))
+        # a polygon has as many edges as corners; a polytope in space has
+        # V - E + F = 2, and each edge lies on two facets, so 2E = incidences
+        V, F = len(corners), len(normals)
+        if (F != V) if d < 3 else (2 * V - incidences + 2 * F != 4):
+            raise ArithmeticError(f"the {F} facets of the hull do not close up around its {V} corners")
         return L, normals
 
 
@@ -216,12 +226,9 @@ class Hull(NamedTuple):
     def contains(self, x: Vec) -> bool:
         """Whether x lies in the hull, boundary included, by one exact
         orientation test per half-space."""
-        m, X = over_common_denominator(x)
+        m, (row,) = project((x,), [n for n, _ in self.planes])
         s = self.scale
-        for n, c in self.planes:
-            if s * sum(map(mul, n, X)) > m * c:
-                return False
-        return True
+        return all(s * t <= m * c for t, (_, c) in zip(row, self.planes))
 
     def surrounds_origin(self) -> bool:
         """Whether the origin is interior: strictly inside every

@@ -6,11 +6,12 @@ body), and says so in its certificate level. Turning a covering into a
 partition assigns each point to the first translate containing it,
 which is the constructive reading of "few homothets force few parts".
 
-Whether w lies in c + lam*K depends only on w - c, which grid witnesses
-and grid centers repeat many times, so both steps decide membership once
-per distinct difference: by orientation tests against K's exact hull in
-dimensions 1 to 3, and by one exact LP from dimension 4 or when K is a
-flat set in space.
+Membership of w in c + lam*K takes the two paths of the diameter pass in
+:mod:`borsuk.metric`. Where K has an exact hull (dimensions 1 to 3, and
+K not a flat set in space), every witness and center is projected once
+onto the hull's integer planes, and each pair compares ints. Otherwise
+one exact LP decides each distinct difference w - c, which grid
+witnesses and grid centers repeat many times.
 
 The closed-form bound evaluators are the only deliberately inexact
 computation in the package: they report double-precision values of
@@ -25,15 +26,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from operator import getitem
+from operator import add, le
 
 from .bodies import PointSet, SymmetricBody, VPolytope, contains_point
 from .errors import DomainError, GridTooCoarse, InvalidInput, PointUncovered
-from .linalg import Vec, vsub
+from .linalg import ONE, ZERO, Vec, project, vsub
 from .partition import Partition
 
 SAMPLE_CERTIFIED = "sample_certified"
-VERTEX_CERTIFIED = "vertex_certified"
 
 FORMULA_COVERING = "rogers_zong"
 FORMULA_PARTITION = "partition"
@@ -45,12 +45,13 @@ COVERING_BOUND_MAX_N = 1010
 PARTITION_BOUND_MAX_N = 1010
 BINOMIAL_BOUND_MAX_N = 508
 
-# Most lattice points the witness grid or the candidate grid of one cover
-# may have; a finer grid is refused before any point of it is built. This
-# bounds what a cover lists, not its time: it tests every witness against
-# every candidate, so grids near the bound are slow but finite. The largest
-# grid of the tests, the demos and the benchmark has 1089 points.
+# Most lattice points in the witness grid or the candidate grid of one
+# cover, which bounds what it lists, and most pairs of the two, which
+# bounds its time, since it tests every witness against every candidate.
+# A finer grid is refused before any point is built. The tests, the demos
+# and the benchmark use at most 1089 points and 245 x 1089 pairs.
 MAX_GRID_POINTS = 10**5
+MAX_COVER_PAIRS = 10**7
 
 
 @dataclass(frozen=True)
@@ -71,9 +72,9 @@ class BoundValue:
     formula: str
 
 
-def _lattice_axes(lo, hi, step: Fraction) -> list[range]:
-    """Per axis, the k with k * step in [lo_i, hi_i]; checked to number at
-    most MAX_GRID_POINTS points in all."""
+def _lattice_axes(lo, hi, step: Fraction) -> tuple[list[range], int]:
+    """Per axis, the k with k * step in [lo_i, hi_i], and the number of
+    points of that lattice box, checked to be at most MAX_GRID_POINTS."""
     axes = [range(math.ceil(a / step), math.floor(b / step) + 1) for a, b in zip(lo, hi)]
     # stop - start, since len() of a range overflows past sys.maxsize
     count = math.prod(max(0, r.stop - r.start) for r in axes)
@@ -81,52 +82,37 @@ def _lattice_axes(lo, hi, step: Fraction) -> list[range]:
         raise InvalidInput(
             f"grid step too fine: {count} lattice points, more than {MAX_GRID_POINTS} per grid"
         )
-    return axes
-
-
-def _bounding_box(vertices):
-    dim = len(vertices[0])
-    lo = [min(v[i] for v in vertices) for i in range(dim)]
-    hi = [max(v[i] for v in vertices) for i in range(dim)]
-    return lo, hi
-
-
-def _in_body(K: VPolytope, x: Vec) -> bool:
-    if K.hull is not None:
-        return K.hull.contains(x)
-    return contains_point(K.vertices, x)
-
-
-def _in_translate(K: VPolytope, lam: Fraction, center: Vec, point: Vec) -> bool:
-    return _in_body(K, tuple(c / lam for c in vsub(point, center)))
+    return axes, count
 
 
 def _translate_membership(K: VPolytope, lam: Fraction, points, centers):
-    """``inside(i, j)``: whether points[i] lies in centers[j] + lam*K,
-    memoized on their difference. Each distinct coordinate difference
-    is numbered once per axis, so keys are small ints whatever the
-    denominators; the memo lives as long as the returned function."""
-    rows: list[list[list[int]]] = [[] for _ in points]
-    cols: list[list[int]] = [[] for _ in centers]
-    for k in range(K.dim):
-        xs = {x: n for n, x in enumerate({p[k] for p in points})}
-        ys = {y: n for n, y in enumerate({c[k] for c in centers})}
-        numbers: dict[Fraction, int] = {}
-        table = [[numbers.setdefault(x - y, len(numbers)) for y in ys] for x in xs]
-        for p, row in zip(points, rows):
-            row.append(table[xs[p[k]]])
-        for c, col in zip(centers, cols):
-            col.append(ys[c[k]])
-    memo: dict[tuple[int, ...], bool] = {}
+    """``inside(i, j)``: whether points[i] lies in centers[j] + lam*K.
 
-    def inside(i: int, j: int) -> bool:
-        key = tuple(map(getitem, rows[i], cols[j]))
-        hit = memo.get(key)
-        if hit is None:
-            hit = memo[key] = _in_translate(K, lam, centers[j], points[i])
-        return hit
+    With K's exact hull, points and centers are projected once onto the
+    hull's planes ``n . X <= c`` over one common denominator m. For
+    ``lam = p/q`` and K's scale s, w lies in c + lam*K exactly when
+    ``s*q*(n . W - n . C) <= p*m*c`` on every plane, W and C being w and c
+    times m; the factor s*q is folded into the normals, so each pair
+    compares ints. Without a hull, one exact LP decides each distinct
+    difference w - c, memoized for as long as the returned function lives.
+    """
+    hull = K.hull
+    if hull is None:
+        memo: dict[Vec, bool] = {}
 
-    return inside
+        def inside(i: int, j: int) -> bool:
+            z = vsub(points[i], centers[j])
+            if z not in memo:
+                memo[z] = contains_point(K.vertices, tuple(x / lam for x in z))
+            return memo[z]
+
+        return inside
+    f = hull.scale * lam.denominator
+    m, rows = project([*points, *centers], [tuple(f * x for x in n) for n, _ in hull.planes])
+    offsets = [lam.numerator * m * c for _, c in hull.planes]
+    # w is inside when s*q*(n . W) <= s*q*(n . C) + p*m*c, plane by plane
+    bounds = [list(map(add, row, offsets)) for row in rows[len(points) :]]
+    return lambda i, j: all(map(le, rows[i], bounds[j]))
 
 
 def greedy_cover(K: VPolytope, lam: Fraction, grid_step: Fraction) -> Covering:
@@ -138,49 +124,45 @@ def greedy_cover(K: VPolytope, lam: Fraction, grid_step: Fraction) -> Covering:
     covers nothing). Each round picks the candidate covering the most
     still-uncovered witnesses, breaking ties by lexicographically
     smallest center. Raises :class:`GridTooCoarse` when no candidate can
-    cover a remaining witness.
+    cover a remaining witness, and :class:`InvalidInput` when the two
+    grids would make more than MAX_COVER_PAIRS witness-center pairs.
     """
-    lam = Fraction(lam)
-    grid_step = Fraction(grid_step)
+    lam, grid_step = Fraction(lam), Fraction(grid_step)
     if not 0 < lam < 1:
         raise InvalidInput(f"shrink ratio must satisfy 0 < ratio < 1, got {lam}")
     if grid_step <= 0:
         raise InvalidInput(f"grid step must be positive, got {grid_step}")
 
-    lo, hi = _bounding_box(K.vertices)
-    inner_axes = _lattice_axes(lo, hi, grid_step)
-    outer_axes = _lattice_axes(
+    lo, hi = [min(x) for x in zip(*K.vertices)], [max(x) for x in zip(*K.vertices)]
+    inner_axes, inner = _lattice_axes(lo, hi, grid_step)
+    outer_axes, outer = _lattice_axes(
         [a - lam * b for a, b in zip(lo, hi)], [b - lam * a for a, b in zip(lo, hi)], grid_step
     )
-    witnesses = set(K.vertices)
-    for p in product(*([k * grid_step for k in r] for r in inner_axes)):
-        if _in_body(K, p):
-            witnesses.add(p)
-    witnesses = sorted(witnesses)
+    if inner * outer > MAX_COVER_PAIRS:
+        raise InvalidInput(
+            f"grid step too fine: {inner} x {outer} witness-center pairs, more than {MAX_COVER_PAIRS}"
+        )
+    # the grid points in K are those in the translate 0 + 1*K
+    grid = list(product(*([k * grid_step for k in r] for r in inner_axes)))
+    in_K = _translate_membership(K, ONE, grid, [(ZERO,) * K.dim])
+    witnesses = sorted(set(K.vertices).union(p for i, p in enumerate(grid) if in_K(i, 0)))
 
+    # candidates come in lexicographic order, so the first best is the least
     candidates = list(product(*([k * grid_step for k in r] for r in outer_axes)))
     inside = _translate_membership(K, lam, witnesses, candidates)
-    coverage = {
-        c: frozenset(i for i in range(len(witnesses)) if inside(i, j))
-        for j, c in enumerate(candidates)
-    }
-
-    uncovered = set(range(len(witnesses)))
+    coverage = [
+        sum(1 << i for i in range(len(witnesses)) if inside(i, j)) for j in range(len(candidates))
+    ]
+    uncovered = (1 << len(witnesses)) - 1
     centers: list[Vec] = []
     while uncovered:
-        best_center = None
-        best_gain = 0
-        for c in candidates:
-            gain = len(coverage[c] & uncovered)
-            if gain > best_gain or (gain == best_gain and gain > 0 and c < best_center):
-                best_gain = gain
-                best_center = c
-        if best_center is None:
-            raise GridTooCoarse(
-                f"{len(uncovered)} witnesses cannot be covered from this grid"
-            )
-        centers.append(best_center)
-        uncovered -= coverage[best_center]
+        best = max(
+            range(len(candidates)), key=lambda j: (coverage[j] & uncovered).bit_count(), default=None
+        )
+        if best is None or not coverage[best] & uncovered:
+            raise GridTooCoarse(f"{uncovered.bit_count()} witnesses cannot be covered from this grid")
+        centers.append(candidates[best])
+        uncovered &= ~coverage[best]
 
     return Covering(lam, tuple(centers), K, SAMPLE_CERTIFIED, tuple(witnesses))
 
@@ -196,15 +178,12 @@ def cover_to_partition(S: PointSet, cov: Covering, C: SymmetricBody) -> Partitio
     """
     inside = _translate_membership(cov.body, cov.ratio, S.points, cov.centers)
     buckets: dict[int, list[int]] = {}
-    for idx, p in enumerate(S.points):
-        for c_idx in range(len(cov.centers)):
-            if inside(idx, c_idx):
-                buckets.setdefault(c_idx, []).append(idx)
-                break
-        else:
+    for i, p in enumerate(S.points):
+        j = next((j for j in range(len(cov.centers)) if inside(i, j)), None)
+        if j is None:
             raise PointUncovered(f"point {p} lies in no covering translate")
-    classes = tuple(tuple(buckets[k]) for k in sorted(buckets))
-    return Partition(len(S.points), classes)
+        buckets.setdefault(j, []).append(i)
+    return Partition(len(S.points), tuple(tuple(buckets[j]) for j in sorted(buckets)))
 
 
 def _inner_term(m: int) -> float:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 Vec = tuple[Fraction, ...]
 
@@ -42,6 +43,20 @@ def over_common_denominator(values) -> tuple[int, list[int]]:
     each of them times m."""
     m = lcm(*{v.denominator for v in values})
     return m, [v.numerator * (m // v.denominator) for v in values]
+
+
+def project(points, normals) -> tuple[int, list[list[int]]]:
+    """The least common denominator m of the points' coordinates, and for
+    each point p the integers ``n . (p * m)``, one per integer normal n.
+
+    Each point is scaled to integers once, so every later comparison
+    against the normals is between plain ints."""
+    m = lcm(*{c.denominator for p in points for c in p})
+    rows = []
+    for p in points:
+        P = [c.numerator * (m // c.denominator) for c in p]
+        rows.append([sum(map(mul, n, P)) for n in normals])
+    return m, rows
 
 
 def canonical_sign(a: Vec) -> Vec:

@@ -32,12 +32,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul, sub
+from operator import sub
 
 from . import lp
 from .bodies import PointSet, SymmetricBody, VPolytope, contains_point
 from .errors import DimensionMismatch, InvalidInput, ZeroDiameter
-from .linalg import ONE, ZERO, Vec, canonical_sign, over_common_denominator, vdot, vsub
+from .linalg import ONE, ZERO, Vec, canonical_sign, project, vdot, vsub
 
 
 @dataclass(frozen=True)
@@ -55,8 +55,8 @@ def gauge(C: SymmetricBody, x: Vec) -> Fraction:
     if C.normals is not None:
         # normals N_k / L and x = X / m: the gauge is max_k N_k . X / (L * m)
         L, normals = C.normals
-        m, X = over_common_denominator(x)
-        return Fraction(max(sum(map(mul, n, X)) for n in normals), L * m)
+        m, (row,) = project((x,), normals)
+        return Fraction(max(row), L * m)
     if all(v == 0 for v in x):
         return ZERO
     res = lp.solve_combination(C.vertices, x, cost=[ONE] * len(C.vertices))
@@ -82,11 +82,7 @@ def _pairwise_max(C: SymmetricBody, points) -> tuple[Fraction, list[tuple[int, i
     # max_k (N_k . P_i - N_k . P_j) / (L * m), so each point is projected
     # onto the normals once and each pair compares integers
     L, normals = C.normals
-    d = C.dim
-    m, flat = over_common_denominator([c for p in points for c in p])
-    projected = [
-        [sum(map(mul, n, flat[k : k + d])) for n in normals] for k in range(0, len(flat), d)
-    ]
+    m, projected = project(points, normals)
     best = 0
     witnesses: list[tuple[int, int]] = []
     for i, P in enumerate(projected):

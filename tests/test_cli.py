@@ -218,6 +218,9 @@ def _bad_input_argv(case, tmp_path):
         segment = tmp_path / "segment.json"
         segment.write_text(json.dumps({"dim": 1, "vertices": [["0"], ["1"]]}))
         return ["cover", "--polytope", segment, "--ratio", "1/2", "--grid-step", "1e-30"]
+    if case == "grid pairs too many":
+        # each grid is under MAX_GRID_POINTS, but their 1.3e9 pairs are not
+        return ["cover", "--polytope", square, "--ratio", "3/5", "--grid-step", "1/150"]
     if case == "bounds past double range":
         return ["bounds", "--n-max", "2000"]
     if case == "result too long to write":
@@ -230,7 +233,7 @@ def _bad_input_argv(case, tmp_path):
 
 @pytest.mark.parametrize("case", [
     "malformed json", "json nested too deep", "infinite dim", "missing dim", "bad rational", "duplicate points", "bad inline point",
-    "ratio abc", "ratio 2", "grid step 0", "grid step too fine", "bounds past double range",
+    "ratio abc", "ratio 2", "grid step 0", "grid step too fine", "grid pairs too many", "bounds past double range",
     "result too long to write",
 ])
 def test_bad_input_is_an_error_line_not_a_traceback(case, tmp_path, capsys):

@@ -21,12 +21,11 @@ from borsuk.covering import (
     covering_bound,
     greedy_cover,
     partition_bound,
-    _in_translate,
+    _translate_membership,
 )
 from borsuk.errors import DomainError, GridTooCoarse, PointUncovered
-from borsuk.linalg import vsub
 from borsuk.partition import borsuk_number, verify_partition
-from oracles import per_pair_cover_to_partition, per_pair_greedy_cover
+from oracles import _in_translate, lp_path, per_pair_cover_to_partition, per_pair_greedy_cover
 
 F = Fraction
 
@@ -49,11 +48,11 @@ def test_square_cover_uses_four_centers(square_cover):
 
 def test_square_cover_witnesses_rechecked(square_cover, unit_square_poly):
     # every witness lies in at least one translate (exact membership)
-    for w in square_cover.witnesses:
-        assert any(
-            _in_translate(unit_square_poly, square_cover.ratio, c, w)
-            for c in square_cover.centers
-        )
+    inside = _translate_membership(
+        unit_square_poly, square_cover.ratio, square_cover.witnesses, square_cover.centers
+    )
+    for i in range(len(square_cover.witnesses)):
+        assert any(inside(i, j) for j in range(len(square_cover.centers)))
 
 
 def test_segment_cover_two_centers():
@@ -203,7 +202,9 @@ def _outcome(fn, *args):
 def _cover_cases():
     """(K, ratio, grid step) on seeded inputs: segments, lattice and random
     polygons (vertices in thirds against steps of quarters, triangles that
-    are not symmetric, a collinear one), the 3-simplex and the 3-cube."""
+    are not symmetric, a collinear one), the 3-simplex, the 3-cube, and
+    two bodies without a hull: a parallelogram on a slanted plane in space
+    and the 4-simplex."""
     rng = random.Random(5)
     cases = [
         (vpolytope([(0,), (1,)]), F(1, 2), F(1, 8)),
@@ -215,6 +216,8 @@ def _cover_cases():
         (vpolytope([(0, 0), (F(1, 2), F(1, 2)), (1, 1)]), F(1, 2), F(1, 4)),
         (vpolytope([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]), F(3, 5), F(1, 3)),
         (vpolytope(list(product((0, 1), repeat=3))), F(3, 5), F(1, 2)),
+        (vpolytope([(0, 0, 0), (1, 0, 1), (0, 1, 1), (1, 1, 2)]), F(1, 2), F(1, 2)),
+        (vpolytope([(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]), F(2, 3), F(1, 2)),
     ]
     ratios = (F(1, 3), F(1, 2), F(3, 5), F(2, 3), F(4, 5))
     steps = (F(1, 4), F(1, 5), F(1, 6), F(1, 3))
@@ -234,8 +237,9 @@ def _cover_cases():
 
 
 def test_greedy_cover_and_partition_match_per_pair_reference():
-    # the memo on w - c must give the same centers, witnesses, partitions
-    # and failures as one LP per pair over the centers meeting K
+    # the hull's integer planes, and the memo on w - c where K has no hull,
+    # must give the same centers, witnesses, partitions and failures as one
+    # LP per pair over the centers meeting K
     rng = random.Random(11)
     raised = {GridTooCoarse: 0, PointUncovered: 0}
     for K, lam, step in _cover_cases():
@@ -256,41 +260,51 @@ def test_greedy_cover_and_partition_match_per_pair_reference():
     assert min(raised.values()) >= 5
 
 
-def test_greedy_cover_solves_one_lp_per_distinct_difference(unit_square_poly, monkeypatch):
+def _count_membership_lps(monkeypatch):
+    """The points x of every membership LP covering makes, as a list that
+    grows while monkeypatch is active."""
     calls = []
-    real = covering._in_translate
+    real = covering.contains_point
 
-    def counted(K, lam, center, point):
-        calls.append(vsub(point, center))
-        return real(K, lam, center, point)
+    def counted(generators, x):
+        calls.append(x)
+        return real(generators, x)
 
-    monkeypatch.setattr(covering, "_in_translate", counted)
+    monkeypatch.setattr(covering, "contains_point", counted)
+    return calls
+
+
+def test_greedy_cover_solves_one_lp_per_distinct_difference(unit_square_poly, monkeypatch):
+    # the hull path takes no LP; the LP path takes one per grid point to
+    # find the witnesses, then one per distinct w - c
+    centers = ((F(0), F(0)), (F(1, 2), F(1, 2)), (F(-1, 4), F(1, 2)), (F(1, 2), F(-1, 4)))
+    calls = _count_membership_lps(monkeypatch)
+    assert greedy_cover(unit_square_poly, F(3, 5), F(1, 4)).centers == centers
+    assert calls == []
+    lp_path(monkeypatch)
     cov = greedy_cover(unit_square_poly, F(3, 5), F(1, 4))
-    assert len(calls) == len(set(calls)) == 121
-    assert cov.centers == ((F(0), F(0)), (F(1, 2), F(1, 2)), (F(-1, 4), F(1, 2)), (F(1, 2), F(-1, 4)))
+    assert cov.centers == centers
+    grid, differences = calls[:25], calls[25:]
+    assert len(set(grid)) == 25
+    assert len(differences) == len(set(differences)) == 121
 
 
 def test_partition_memo_with_coprime_denominators(square_cover, monkeypatch):
     # coordinates over distinct primes have no small common denominator;
     # q and q + (1/2, 1/2) meet the same difference at the centers (0, 0)
-    # and (1/2, 1/2), which must share one key, and no other pair may
+    # and (1/2, 1/2), which must share one LP, and no other pair may
     primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53]
     rng = random.Random(3)
     base = {(F(1, rng.choice(primes)), F(1, rng.choice(primes))) for _ in range(60)}
     S = point_set(sorted(base | {(x + F(1, 2), y + F(1, 2)) for x, y in base}))
-    calls = []
-    real = covering._in_translate
-
-    def counted(K, lam, center, point):
-        calls.append(vsub(point, center))
-        return real(K, lam, center, point)
-
-    monkeypatch.setattr(covering, "_in_translate", counted)
-    P = cover_to_partition(S, square_cover, None)
-    monkeypatch.undo()
-    assert P == per_pair_cover_to_partition(S, square_cover)
+    expected = per_pair_cover_to_partition(S, square_cover)
+    calls = _count_membership_lps(monkeypatch)
+    assert cover_to_partition(S, square_cover, None) == expected
+    assert calls == []
+    lp_path(monkeypatch)
+    assert cover_to_partition(S, square_cover, None) == expected
     first_hits = sum(
-        1 + next(j for j, c in enumerate(square_cover.centers) if real(square_cover.body, square_cover.ratio, c, p))
+        1 + next(j for j, c in enumerate(square_cover.centers) if _in_translate(square_cover.body, square_cover.ratio, c, p))
         for p in S.points
     )
     assert len(calls) == len(set(calls)) < first_hits
@@ -346,6 +360,7 @@ def test_hull_membership_matches_lp_membership():
             lam = F(rng.randint(1, 9), 10)
             center = (F(rng.randint(-5, 5), 4), F(rng.randint(-5, 5), 3))
             point = tuple(c + lam * v for c, v in zip(center, x))
-            assert _in_translate(K, lam, center, point) == contains_point(K.vertices, x) == expected
+            inside = _translate_membership(K, lam, [point], [center])
+            assert inside(0, 0) == contains_point(K.vertices, x) == expected
             tally[expected] += 1
     assert tally[True] >= 300 and tally[False] >= 80

@@ -31,7 +31,7 @@ from borsuk.bodies import (
     validate_body,
     vpolytope,
 )
-from borsuk.covering import _in_translate
+from borsuk.covering import _translate_membership
 from borsuk.errors import DegenerateBody
 from borsuk.generators import cross_polytope_body, cube_body, gen_random_body, gen_random_polytope
 from borsuk.linalg import affine_rank, matrix_rank, vneg
@@ -236,7 +236,7 @@ def test_hull_translate_membership_matches_lp_membership():
             center = tuple(_rational(rng, 5, 4) for _ in range(K.dim))
             point = tuple(c + lam * v for c, v in zip(center, x))
             inside = contains_point(K.vertices, x)
-            assert _in_translate(K, lam, center, point) == inside
+            assert _translate_membership(K, lam, [point], [center])(0, 0) == inside
             tally[kind, inside] += 1
     assert tally["vertex", True] >= 150 and tally["outside", False] >= 150 and tally["pair", True] >= 300
 
@@ -248,6 +248,17 @@ def test_a_wrong_facet_fails_the_normals_certificate(move):
     wrong = (n, 2 * c) if move == "loosened" else (tuple(2 * x for x in n), c)
     C.__dict__["hull"] = C.hull._replace(planes=(wrong, *rest))
     with pytest.raises(ArithmeticError):
+        C.normals
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_a_hull_missing_a_facet_fails_the_normals_certificate(dim):
+    # every facet left is valid, but they no longer close up: without the
+    # facet on x = -1 the gauge of (-2, 0, ...) would read 0, not 2
+    C = SymmetricBody(dim, vertices=cube_body(dim, facet_form=False).vertices)
+    missing = next(p for p in C.hull.planes if p[0][0] < 0 and not any(p[0][1:]))
+    C.__dict__["hull"] = C.hull._replace(planes=tuple(p for p in C.hull.planes if p != missing))
+    with pytest.raises(ArithmeticError, match="do not close up"):
         C.normals
 
 
