@@ -4,9 +4,13 @@ Everything is immutable and carried in rational arithmetic: vertices
 are tuples of ``Fraction``. Convexity work (redundancy removal, hull
 membership, interior certification) is exact and never floating point.
 In dimensions 1 to 3 it is answered by one exact convex hull per body
-(:func:`convex_hull`, held by the body's ``hull``); from dimension 4,
-where facet counts can be exponential in the vertex count, and for
-coplanar points in space, by the exact simplex in :mod:`borsuk.lp`.
+(:func:`convex_hull`, held by the body's ``hull``). A symmetric lift,
+the hull of ``(A, h)`` and ``(-A, -h)``, takes its facets from the hull
+of its middle slice ``A - A`` one dimension down, so the lifts of
+polytopes in space are answered without an LP in dimension 4 too.
+Other bodies from dimension 4, where facet counts can be exponential in
+the vertex count, and coplanar points in space are answered by the
+exact simplex in :mod:`borsuk.lp`.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from .linalg import (
     project,
     vadd,
     vneg,
+    vsub,
 )
 
 Facet = tuple[Vec, Fraction]  # normal a and offset b, encoding |<a, x>| <= b
@@ -98,14 +103,17 @@ class SymmetricBody:
     @cached_property
     def normals(self) -> tuple[int, tuple[tuple[int, ...], ...]] | None:
         """``(L, N)``, integers with ``gauge(x) = max_k N_k . x / L``, or
-        None for a vertex body without a hull, whose gauge takes an LP.
+        None for a vertex body with neither a hull nor a slice that has
+        one, whose gauge takes an LP.
 
         A facet body gives ``a / b`` and ``-a / b`` for each facet; each
         offset ``b`` is checked positive. A vertex body gives the outer
-        normals of its hull's facets, ``a . v = 1`` on each facet, and
-        certifies each as it is made: ``a . v <= 1`` at every vertex, with
-        equality on ``dim`` vertices of rank ``dim``; and that the facets
-        close up around the hull's corners.
+        normals of its facets, ``a . v = 1`` on each facet: those of its
+        hull in dimensions 1 to 3, and those of :meth:`_lift_normals` for
+        a symmetric lift without a hull. Each is certified as it is made:
+        ``a . v <= 1`` at every vertex, with equality on ``dim`` vertices
+        of rank ``dim``; and a hull's facets are checked to close up
+        around its corners.
         """
         d = self.dim
         if self.facets is not None:
@@ -119,19 +127,23 @@ class SymmetricBody:
             return L, tuple(rows + [tuple(-c for c in n) for n in rows])
         hull = self.hull
         if hull is None:
-            return None
-        if not hull.surrounds_origin():
-            raise DegenerateBody("origin is not interior (body not full-dimensional)")
-        s = hull.scale
-        # facet n . X = c over points X = v * s, so a = n * s / c gives
-        # a . v = 1 on the facet; the least common denominator of the
-        # entries k * s / c of a is c / gcd(s * gcd(n), c)
-        L = lcm(*(c // gcd(s * gcd(*n), c) for n, c in hull.planes))
-        normals = tuple(tuple(k * s * L // c for k in n) for n, c in hull.planes)
-        _, flat = over_common_denominator([x for v in self.vertices for x in v])
+            lifted = self._lift_normals()
+            if lifted is None:
+                return None
+            L, normals = lifted
+        else:
+            if not hull.surrounds_origin():
+                raise DegenerateBody("origin is not interior (body not full-dimensional)")
+            s = hull.scale
+            # facet n . X = c over points X = v * s, so a = n * s / c gives
+            # a . v = 1 on the facet; the least common denominator of the
+            # entries k * s / c of a is c / gcd(s * gcd(n), c)
+            L = lcm(*(c // gcd(s * gcd(*n), c) for n, c in hull.planes))
+            normals = tuple(tuple(k * s * L // c for k in n) for n, c in hull.planes)
+        s, flat = over_common_denominator([x for v in self.vertices for x in v])
         points = [tuple(flat[k : k + d]) for k in range(0, len(flat), d)]  # the vertices times s
         one = L * s
-        corners = set(hull.corners)
+        corners = set(hull.corners) if hull is not None else set()
         incidences = 0  # (corner, facet) pairs with the corner on the facet
         for a in normals:
             tight = []
@@ -147,9 +159,62 @@ class SymmetricBody:
         # a polygon has as many edges as corners; a polytope in space has
         # V - E + F = 2, and each edge lies on two facets, so 2E = incidences
         V, F = len(corners), len(normals)
-        if (F != V) if d < 3 else (2 * V - incidences + 2 * F != 4):
+        if hull is not None and ((F != V) if d < 3 else (2 * V - incidences + 2 * F != 4)):
             raise ArithmeticError(f"the {F} facets of the hull do not close up around its {V} corners")
         return L, normals
+
+    def _lift_normals(self) -> tuple[int, tuple[tuple[int, ...], ...]] | None:
+        """The facet normals of a symmetric lift, from its middle slice, as
+        ``(L, N)`` before certification; None for any other body, or when
+        the slice has no normals.
+
+        A lift here is a vertex body on the two levels ``t = h`` and
+        ``t = -h`` (h > 0) of the last coordinate, the lower level the
+        negated upper one, A: the hull of ``(A, h)`` and ``(-A, -h)``. By
+        the Cayley trick (Huber, Rambau and Santos, 2000) each facet other
+        than ``t = +-h`` meets the middle slice ``t = 0`` in a facet of
+        ``(A - A) / 2``, and each facet of it comes from one such facet.
+        So the slice is taken as the body ``D = A - A`` one dimension
+        down. A facet normal ``n`` of D has ``h_A(n) + h_A(-n) = 1``,
+        where ``h_A(n) = max_a n . a``, and the lift's facet normal from
+        it is ``(2n, (h_A(-n) - h_A(n)) / h)``: it takes the value 1 on
+        the face of A that ``n`` picks out, at ``t = h``, and on the face
+        of -A that it picks out, at ``t = -h``. The levels add
+        ``(0, +-1 / h)``.
+        """
+        # the slice holds the origin, so it is no lift itself, and it has
+        # normals only from a hull
+        if not 2 <= self.dim <= MAX_HULL_DIM + 1:
+            return None
+        levels = {v[-1] for v in self.vertices}
+        h = max(levels)
+        if h <= 0 or levels != {h, -h}:
+            return None
+        top = {v[:-1] for v in self.vertices if v[-1] == h}
+        if {vneg(v[:-1]) for v in self.vertices if v[-1] == -h} != top:
+            return None
+        A = sorted(top)
+        # the slice keeps a SymmetricBody's hull, so that a body sent down
+        # the LP path sends its slice, and so itself, down it too
+        D = SymmetricBody(self.dim - 1, vertices=tuple(sorted({vsub(a, b) for a in A for b in A})))
+        if D.normals is None:
+            return None
+        LD, slice_normals = D.normals
+        # a slice normal N / LD has a column of N . (a * m) over a in A: its
+        # largest is m * h_A(N) and its least -m * h_A(-N). With h = p / q,
+        # the lifted normal times L = m * LD * p is (2 * m * p * N,
+        # -(largest + least) * q), and the level t = h gives (0, q * m * LD)
+        m, rows = project(A, slice_normals)
+        p, q = h.numerator, h.denominator
+        normals = [
+            tuple(2 * m * p * c for c in N) + (-(max(col) + min(col)) * q,)
+            for N, col in zip(slice_normals, zip(*rows))
+        ]
+        level = (0,) * (self.dim - 1) + (q * m * LD,)
+        normals += [level, tuple(-c for c in level)]
+        L = m * LD * p
+        g = gcd(L, *(c for n in normals for c in n))
+        return L // g, tuple(tuple(c // g for c in n) for n in normals)
 
 
 @dataclass(frozen=True)
@@ -197,6 +262,8 @@ class LiftedBody:
 # vertices in space, by Euler's formula), so one exact hull per body pays
 # for itself; from dimension 4 the facet count can be exponential in the
 # vertex count (the cross-polytope has 2^d facets), and LPs answer instead.
+# A symmetric lift is the exception: its facets are those of its slice,
+# of dimension one less, and two more (SymmetricBody._lift_normals).
 MAX_HULL_DIM = 3
 
 
@@ -453,8 +520,9 @@ def validate_body(candidate: SymmetricBody) -> SymmetricBody:
 
     Vertex form: the vertex set must be closed under negation, and the
     origin must be interior: strictly inside every facet of the exact
-    hull in dimensions 1 to 3, and checked by one exact LP per axis from
-    dimension 4 or for a flat set in space. Facet form: offsets must be
+    hull in dimensions 1 to 3, or of a symmetric lift's certified
+    normals, which a lift that is not full-dimensional does not get;
+    otherwise checked by one exact LP per axis. Facet form: offsets must be
     strictly positive and the normals must span the space, otherwise the
     "body" is unbounded.
     """
@@ -465,6 +533,8 @@ def validate_body(candidate: SymmetricBody) -> SymmetricBody:
                 raise NotSymmetric(f"vertex {v} has no mirror {vneg(v)}")
         if candidate.hull is not None:
             interior = candidate.hull.surrounds_origin()
+        elif candidate.normals is not None:
+            interior = True  # each normal is a . x <= 1, certified a facet
         else:
             interior = all(_axis_extent(candidate.vertices, k) > 0 for k in range(candidate.dim))
         if not interior:

@@ -21,7 +21,8 @@ convex-hull membership, gauge evaluation and interior-point
 certification are each a single small instance of this form, built by
 :func:`solve_combination`. Bodies in dimensions 1 to 3 answer these
 from their exact hull instead (:func:`borsuk.bodies.convex_hull`), except
-for flat point sets in space.
+for flat point sets in space, and symmetric lifts in dimension 4 answer
+gauges and certification from the hull of their slice.
 """
 
 from __future__ import annotations

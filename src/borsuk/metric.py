@@ -5,8 +5,10 @@ bodies carry it in one integer normal form, ``C.normals = (L, N)``:
 the gauge is ``max_k N_k . x / L``. A facet body contributes ``a / b``
 and ``-a / b`` for each facet |<a, x>| <= b; a vertex body in dimension
 1, 2 or 3 the outer normals of the facets of its exact hull, scaled so
-that ``a . v = 1`` on each facet. For a vertex body in dimension 4 and
-up the gauge is the optimum of the exact LP
+that ``a . v = 1`` on each facet, and a symmetric lift in dimension 4
+those of the hull of its middle slice, one dimension down, and of its
+two levels. For any other vertex body in dimension 4 and up the gauge is
+the optimum of the exact LP
 
     minimize sum(mu)  subject to  sum(mu_i * v_i) = x,  mu >= 0,
 

@@ -1,0 +1,180 @@
+"""Symmetric lifts without a hull against the exact LP path.
+
+A vertex body with no hull whose vertices lie on two levels ``t = +-h`` of
+the last coordinate, the lower the negated upper A, takes its facet
+normals from the hull of its middle slice ``A - A``
+(``SymmetricBody._lift_normals``). Gauges, the diameter pass and
+certification are compared with the LP path (``lp_path`` and
+``lp.solve_combination``) on seeded lifts of polytopes in 1D-3D and on
+their difference bodies, on lifts rescaled to a rational level with
+inner points on it, and on the 4-cube against its facet form. Flat and
+degenerate tops end on the LP path or in ``DegenerateBody``.
+"""
+
+import random
+from collections import Counter
+from fractions import Fraction
+from itertools import combinations, product
+
+import pytest
+
+from borsuk import lp
+from borsuk.bodies import (
+    SymmetricBody,
+    difference_body,
+    lift_body,
+    lift_set,
+    point_set,
+    validate_body,
+)
+from borsuk.errors import DegenerateBody, NotSymmetric
+from borsuk.generators import cube_body, gen_random_polytope
+from borsuk.metric import _pairwise_max, body_contains, gauge
+from oracles import lp_path, memo_pairwise_max
+
+F = Fraction
+
+
+def _rational(rng, top=6, den=4):
+    return F(rng.randint(-top, top), rng.randint(1, den))
+
+
+def _bases():
+    """Seeded polytopes in 1D-3D, the 3D ones listed most often, since
+    only their lifts lack a hull."""
+    bases = []
+    for seed in range(12):
+        dim = (1, 2, 3, 3)[seed % 4]
+        bases.append(gen_random_polytope(900 + seed, dim, dim + 2 + seed % 3, max_numerator=8, max_denominator=4))
+    return bases
+
+
+def _bodies():
+    """Lifts, their difference bodies, lifts at a rational level with
+    inner points on both levels, and the 4-cube in vertex form."""
+    bodies = []
+    for K in _bases():
+        lifted = lift_body(K)
+        bodies += [lifted.body, difference_body(lifted.as_polytope())]
+        if K.dim == 3:
+            r = F(3, 2)
+            inner = tuple(sum(c) / len(K.vertices) for c in zip(*K.vertices)) + (F(1),)
+            vertices = {tuple(r * c for c in v) for v in (*lifted.body.vertices, inner, tuple(-c for c in inner))}
+            bodies.append(validate_body(SymmetricBody(4, vertices=tuple(sorted(vertices)))))
+    bodies.append(cube_body(4, facet_form=False))
+    return bodies
+
+
+def _lp_gauge(C, x):
+    return lp.solve_combination(C.vertices, x, cost=[F(1)] * len(C.vertices)).value
+
+
+def _probes(C, rng):
+    """Vertices, midpoints of vertex pairs (on an edge or a facet, or
+    inside), the same past the boundary, random points and the origin."""
+    probes = list(C.vertices)
+    probes += [tuple((a + b) / 2 for a, b in zip(u, v)) for u, v in combinations(C.vertices, 2)]
+    probes += [tuple(F(98, 97) * c for c in x) for x in probes[:: 3]]
+    probes += [tuple(_rational(rng, 12, 6) for _ in range(C.dim)) for _ in range(20)]
+    return probes + [(F(0),) * C.dim]
+
+
+def test_lifts_have_slice_normals():
+    tally = Counter()
+    for C in _bodies():
+        tally[C.dim, C.hull is None, C.normals is not None] += 1
+    # every body in 4D is a lift with no hull, and each has normals
+    assert tally[4, True, True] >= 10 and not tally[4, True, False]
+
+
+def test_lift_gauges_and_membership_match_lps():
+    rng = random.Random(20261018)
+    count = 0
+    for C in _bodies():
+        for x in _probes(C, rng):
+            g = _lp_gauge(C, x) if any(x) else F(0)
+            assert gauge(C, x) == g, (C, x)
+            assert body_contains(C, x) == (g <= 1)
+            count += C.hull is None
+    assert count >= 2000
+
+
+def test_lift_diameter_pass_matches_memoized_lp_gauges(monkeypatch):
+    rng = random.Random(5)
+    cases = []
+    for C in _bodies():
+        base = [v[:-1] for v in C.vertices if v[-1] > 0]
+        base += [tuple(_rational(rng, 4, 3) for _ in range(C.dim - 1)) for _ in range(4)]
+        cases.append((C, lift_set(point_set(sorted(set(base)))).points))
+        cases.append((C, C.vertices))
+    by_normals = [_pairwise_max(C, points) for C, points in cases]
+    with monkeypatch.context() as patch:
+        lp_path(patch)
+        by_lp = [memo_pairwise_max(C, points) for C, points in cases]
+    assert by_normals == by_lp
+    assert sum(len(w) >= 2 for _, w in by_normals) >= 10
+
+
+def test_the_4_cube_in_vertex_form_has_the_normals_of_its_facet_form():
+    rng = random.Random(3)
+    V, Fc = cube_body(4, facet_form=False), cube_body(4)
+    assert V.hull is None and sorted(V.normals[1]) == sorted(Fc.normals[1]) and V.normals[0] == Fc.normals[0]
+    for x in _probes(V, rng):
+        assert gauge(V, x) == gauge(Fc, x)
+
+
+def _two_levels(top, h=F(1)):
+    """Vertices (a, h) for a in top and their negations."""
+    up = {tuple(F(c) for c in a) + (h,) for a in top}
+    return tuple(sorted(up | {tuple(-c for c in v) for v in up}))
+
+
+FLAT_TOPS = [
+    [(1, 2, 3)],  # one point: the lift is a segment
+    [(0, 0, 0), (1, 2, 0), (3, 1, 1)],  # a triangle in space
+    [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (F(1, 2), F(1, 3), 0)],  # coplanar
+    [(0, 0, 1), (1, 1, 1), (2, 2, 1), (5, 5, 1)],  # collinear
+    [(0, 0), (1, 1), (3, 3)],  # collinear in the plane: a flat body in space
+    [(1, 0), (2, 0)],
+]
+
+
+def _verdict(C):
+    try:
+        return validate_body(C) is C
+    except (DegenerateBody, NotSymmetric) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("top", FLAT_TOPS)
+@pytest.mark.parametrize("h", [F(1), F(2, 3)])
+def test_a_flat_top_ends_on_the_lp_path_or_degenerate(monkeypatch, top, h):
+    C = SymmetricBody(len(top[0]) + 1, vertices=_two_levels(top, h))
+    try:
+        assert C.normals is None
+    except DegenerateBody:
+        pass
+    with monkeypatch.context() as patch:
+        lp_path(patch)
+        by_lp = _verdict(SymmetricBody(C.dim, vertices=C.vertices))
+    assert _verdict(SymmetricBody(C.dim, vertices=C.vertices)) == by_lp == DegenerateBody
+
+
+def test_two_levels_that_are_not_mirrors_keep_the_lp_path():
+    top = list(product((0, 1), repeat=3))
+    up = [tuple(F(c) for c in a) + (F(1),) for a in top]
+    down = [tuple(F(c) - 2 for c in a) + (F(-1),) for a in top]
+    C = SymmetricBody(4, vertices=tuple(up + down))
+    assert C.normals is None
+    assert _verdict(C) == NotSymmetric
+
+
+def test_certification_matches_axis_extent_lps(monkeypatch):
+    candidates = [SymmetricBody(C.dim, vertices=C.vertices) for C in _bodies()]
+    candidates += [SymmetricBody(len(t[0]) + 1, vertices=_two_levels(t)) for t in FLAT_TOPS]
+    by_normals = [_verdict(C) for C in candidates]
+    with monkeypatch.context() as patch:
+        lp_path(patch)
+        by_lp = [_verdict(SymmetricBody(C.dim, vertices=C.vertices)) for C in candidates]
+    assert by_normals == by_lp
+    assert by_normals.count(True) >= 20 and by_normals.count(DegenerateBody) == len(FLAT_TOPS)

@@ -23,6 +23,7 @@ from borsuk.generators import (
     cube_vertices,
     gen_random_body,
     gen_random_points,
+    gen_random_polytope,
     parallelogram_body,
 )
 from borsuk.metric import DiameterGraph, diameter_graph, set_diameter
@@ -211,6 +212,23 @@ def test_doubling_needs_finished_searches():
     K = vpolytope([(0, 0), (2, 0), (3, 2), (1, 3), (-1, 2)])
     assert doubling_check(K, point_set(K.vertices)) == (3, 6, True)
     assert doubling_check(K, point_set(K.vertices), node_budget=1) == (3, 6, False)
+
+
+def test_lifted_body_and_its_difference_body_colour_alike():
+    # L is symmetric, so L - L = 2L: every distance halves, and the same
+    # pairs attain the diameter, which doubling_check relies on to colour
+    # the lifted set under L itself
+    for seed in range(9):
+        dim = 1 + seed % 3
+        K = gen_random_polytope(700 + seed, dim, dim + 3, max_numerator=8, max_denominator=4)
+        pts = list(K.vertices) + [tuple((a + b) / 2 for a, b in zip(*K.vertices[:2]))]
+        T = lift_set(point_set(sorted(set(pts))))
+        lifted = lift_body(K)
+        twice = difference_body(lifted.as_polytope())
+        assert twice.vertices == tuple(sorted(tuple(2 * c for c in v) for v in lifted.body.vertices))
+        G, G2 = diameter_graph(lifted.body, T), diameter_graph(twice, T)
+        assert G.edges == G2.edges and G.diameter == 2 * G2.diameter
+        assert borsuk_number(lifted.body, T) == borsuk_number(twice, T)
 
 
 def test_doubling_requires_vertices_in_set(triangle):
