@@ -25,7 +25,8 @@ onto every normal once, and compares the integers
 gauge LP per distinct difference up to sign.
 
 Membership in C is decided directly: against the facets, by orientation
-tests against the exact hull in dimensions 1 to 3, or by one exact LP
+tests against the exact hull in dimensions 1 to 3, against the normals of
+a symmetric lift in dimension 4, or by one exact LP for any other body
 from dimension 4. Diameter-graph edges are decided by exact rational
 equality; there is no tolerance anywhere.
 """
@@ -38,7 +39,7 @@ from operator import sub
 
 from . import lp
 from .bodies import PointSet, SymmetricBody, VPolytope, contains_point
-from .errors import DimensionMismatch, InvalidInput, ZeroDiameter
+from .errors import DimensionMismatch, IndexOutOfRange, InvalidInput, ZeroDiameter
 from .linalg import ONE, ZERO, Vec, canonical_sign, project, vdot, vsub
 
 
@@ -49,6 +50,18 @@ class DiameterGraph:
     n_points: int
     diameter: Fraction
     edges: tuple[tuple[int, int], ...]  # pairs (i, j) with i < j
+
+    def __post_init__(self):
+        # the colouring indexes per-vertex tables by these, so a negative
+        # index would alias another vertex and a self-loop never colours
+        if self.n_points < 1:
+            raise InvalidInput(f"a diameter graph needs at least one point, got {self.n_points}")
+        n = self.n_points
+        for i, j in self.edges:
+            if not (0 <= i < n and 0 <= j < n):
+                raise IndexOutOfRange(f"edge ({i}, {j}) outside 0..{n - 1}")
+            if i == j:
+                raise InvalidInput(f"self-loop at vertex {i}")
 
 
 def gauge(C: SymmetricBody, x: Vec) -> Fraction:
@@ -174,4 +187,9 @@ def body_contains(C: SymmetricBody, x: Vec) -> bool:
         return all(abs(vdot(a, x)) <= b for a, b in C.facets)
     if C.hull is not None:
         return C.hull.contains(x)
+    if C.normals is not None:
+        # a symmetric lift: max_k N_k . X <= L * m, as in gauge
+        L, normals = C.normals
+        m, (row,) = project((x,), normals)
+        return max(row) <= L * m
     return contains_point(C.vertices, x)

@@ -3,11 +3,15 @@
 A finite set splits into parts of strictly smaller diameter exactly
 when no part spans an edge of the diameter graph, so the partition
 number is the chromatic number of that graph. The search below is a
-deterministic DSATUR-style branch and bound with a greedy clique lower
-bound, run on an explicit stack (no depth limit) with every vertex's
-saturation kept up to date as colors are assigned and undone; outcomes
-are certified by the returned coloring and, when the search finished,
-by exhaustion.
+deterministic DSATUR branch and bound (Brelaz, 1979) with a greedy
+clique lower bound, run on an explicit stack (no depth limit). It
+colors next the uncolored vertex of highest saturation, the first in
+(-degree, index) order on a tie, and tries colors in increasing order.
+Its state is held in int bitmasks over the vertices in that order, in
+the style of San Segundo (2012): per color, the vertices next to it;
+per saturation, the vertices at it. Coloring a vertex is then a few
+ANDs and ORs. Outcomes are certified by the returned coloring and,
+when the search finished, by exhaustion.
 """
 
 from __future__ import annotations
@@ -84,95 +88,132 @@ def _greedy_clique(n, adj) -> list[int]:
 
 
 class _Saturation:
-    """A partial coloring with DSATUR state kept up to date.
+    """A partial coloring with its DSATUR state held in int bitmasks.
 
-    ``counts[v][c]`` is how many neighbours of v hold color c and
-    ``sat[v]`` how many of those counts are nonzero, the saturation of v;
-    coloring or uncoloring v touches only v's neighbours. The tables
-    hold one column per color in use, ``n_colors`` of them.
-    Uncolored vertices sit in a doubly linked list in (-degree, index)
-    order; colorings are undone last-in first-out, so an uncolored vertex
-    relinks where it was unlinked.
+    The vertices are ranked once in (-degree, index) order, and bit r of
+    every mask stands for the vertex of rank r: ``bit[v]`` is v's own bit,
+    ``nbr[v]`` the mask of its neighbours and ``uncolored`` that of the
+    vertices not yet colored. ``near[c]`` is the mask of vertices with a
+    neighbour of color c, and ``lev[s]`` the mask of vertices, colored or
+    not, of saturation s (s distinct colors among their neighbours).
+    Coloring v with c ORs ``nbr[v]`` into ``near[c]`` and moves the
+    vertices that adds up one level, one AND per level. Colorings are
+    undone last-in first-out, each popping the ``near[c]`` it pushed on
+    ``undo`` and moving the vertices it had added back down.
+
+    :meth:`pick` takes the uncolored vertex of highest saturation, ties
+    going to the lowest rank: the highest degree, then the smallest
+    index. Vertices of degree 0 rank last and stay out of the masks, with
+    ``bit[v] == 0``: their saturation is always 0, so they are picked
+    only once every other vertex is colored, and then in rank order,
+    which a count of those colored keeps.
     """
 
     def __init__(self, adj, n_colors):
         n = len(adj)
-        self.adj = adj
-        self.degree = [len(a) for a in adj]
-        order = sorted(range(n), key=lambda v: (-self.degree[v], v))
-        # links over vertices; n is the list head, ahead of order[0]
-        self.next = [n] * (n + 1)
-        self.prev = [n] * (n + 1)
-        for a, b in zip([n] + order, order + [n]):
-            self.next[a] = b
-            self.prev[b] = a
+        degree = [len(a) for a in adj]
+        # a stable sort, so equal degrees stay in index order
+        order = sorted(range(n), key=degree.__getitem__, reverse=True)
+        ranked = n - degree.count(0)
+        self.order = order
+        self.isolated = order[ranked:]
+        self.isolated_colored = 0
+        self.bit = bit = [0] * n
+        for r in range(ranked):
+            bit[order[r]] = 1 << r
+        self.nbr = nbr = [0] * n
+        for v in order[:ranked]:
+            nbr[v] = sum(bit[u] for u in adj[v])
         self.colors = [-1] * n
-        self.n_colors = n_colors
-        self.counts = [[0] * n_colors for _ in range(n)]
-        self.sat = [0] * n
+        self.uncolored = (1 << ranked) - 1
+        self.near = [0] * n_colors
+        self.lev = [self.uncolored] + [0] * n_colors
+        self.undo: list[int] = []
 
     def add_color(self):
-        self.n_colors += 1
-        for row in self.counts:
-            row.append(0)
+        self.near.append(0)
+        self.lev.append(0)
 
     def assign(self, v, c):
         self.colors[v] = c
-        nxt, prv = self.next, self.prev
-        nxt[prv[v]] = nxt[v]
-        prv[nxt[v]] = prv[v]
-        counts, sat = self.counts, self.sat
-        for u in self.adj[v]:
-            row = counts[u]
-            if not row[c]:
-                sat[u] += 1
-            row[c] += 1
+        b = self.bit[v]
+        if not b:
+            self.isolated_colored += 1
+            return
+        self.uncolored ^= b
+        near = self.near
+        old = near[c]
+        self.undo.append(old)
+        x = self.nbr[v] & ~old
+        if x:
+            near[c] = old | x
+            lev = self.lev
+            for s, m in enumerate(lev):  # a vertex moved up leaves x
+                y = m & x
+                if y:
+                    lev[s] = m ^ y
+                    lev[s + 1] |= y
+                    x ^= y
+                    if not x:
+                        break
 
     def clear(self, v):
         c = self.colors[v]
         self.colors[v] = -1
-        nxt, prv = self.next, self.prev
-        nxt[prv[v]] = v
-        prv[nxt[v]] = v
-        counts, sat = self.counts, self.sat
-        for u in self.adj[v]:
-            row = counts[u]
-            row[c] -= 1
-            if not row[c]:
-                sat[u] -= 1
+        b = self.bit[v]
+        if not b:
+            self.isolated_colored -= 1
+            return
+        self.uncolored |= b
+        near = self.near
+        old = self.undo.pop()
+        x = near[c] ^ old
+        if x:
+            near[c] = old
+            lev = self.lev
+            for s, m in enumerate(lev):  # x holds no vertex of level 0
+                y = m & x
+                if y:
+                    lev[s] = m ^ y
+                    lev[s - 1] |= y
+                    x ^= y
+                    if not x:
+                        break
 
     def pick(self):
-        """The uncolored vertex of highest (saturation, degree, -index).
-
-        Walks the uncolored list, so on equal saturation the first vertex
-        found wins; a saturation never exceeds the degree, so the walk
-        stops at the first degree no higher than the best saturation.
-        """
-        nxt, degree, sat = self.next, self.degree, self.sat
-        end = len(self.colors)
-        best, best_sat = None, -1
-        v = nxt[end]
-        while v != end and degree[v] > best_sat:
-            if sat[v] > best_sat:
-                best, best_sat = v, sat[v]
-            v = nxt[v]
-        return best
+        """The uncolored vertex of highest saturation, the first in rank
+        order on a tie."""
+        unc = self.uncolored
+        if not unc:
+            return self.isolated[self.isolated_colored]
+        for m in reversed(self.lev):
+            m &= unc
+            if m:
+                return self.order[(m & -m).bit_length() - 1]
 
     def first_free(self, v):
-        """Smallest color no neighbour of v holds; n_colors if none."""
-        row = self.counts[v]
-        return row.index(0) if 0 in row else self.n_colors
+        """Smallest color no neighbour of v holds; len(near) if none."""
+        near, b = self.near, self.bit[v]
+        c = 0
+        while c < len(near) and near[c] & b:
+            c += 1
+        return c
 
 
 def _dsatur_greedy(n, adj) -> list[int]:
+    """DSATUR's own coloring: each picked vertex takes its first free
+    color. Vertices of degree 0 come last and all take color 0."""
     state = _Saturation(adj, 0)
-    for _ in range(n):
+    for _ in range(n - len(state.isolated)):
         v = state.pick()
         c = state.first_free(v)
-        if c == state.n_colors:
+        if c == len(state.near):
             state.add_color()
         state.assign(v, c)
-    return state.colors
+    colors = state.colors
+    for v in state.isolated:
+        colors[v] = 0
+    return colors
 
 
 def _exact_chromatic(n, edges, budget):
@@ -194,7 +235,7 @@ def _exact_chromatic(n, edges, budget):
     state = _Saturation(adj, best_k)
     for rank, v in enumerate(clique):
         state.assign(v, rank)
-    colors, counts = state.colors, state.counts
+    colors, near, bit = state.colors, state.near, state.bit
 
     # Depth-first search on an explicit stack of frames [v, next color,
     # colors in use], one per colored vertex outside the clique. A node
@@ -233,8 +274,8 @@ def _exact_chromatic(n, edges, budget):
                 exhausted = False
                 stack.pop()
                 continue
-        held = counts[v]
-        while c < frame_used and held[c]:
+        b = bit[v]
+        while c < frame_used and near[c] & b:
             c += 1
         if c < frame_used:
             frame[1], used = c + 1, frame_used

@@ -10,7 +10,11 @@ is likewise the reference for ``verify_partition``: it measures every
 class with its own ``set_diameter`` instead of reading the diameter
 graph's edges. :func:`recursive_exact_chromatic` is the reference for
 the package's branch and bound: the recursive DSATUR search that
-recomputes every saturation at every node. :func:`per_pair_greedy_cover`
+recomputes every saturation at every node, for small graphs, and
+:func:`linked_list_exact_chromatic`, the same iterative search with
+saturations counted per vertex and per color and the uncolored vertices
+in a linked list, for graphs and searches at benchmark scale.
+:func:`per_pair_greedy_cover`
 and :func:`per_pair_cover_to_partition` are the references for the
 covering layer: one membership LP per (witness, center) pair, and only
 centers whose translate meets the body, as an LP of its own.
@@ -404,6 +408,170 @@ def recursive_exact_chromatic(n, edges, budget):
     descend(len(clique), len(clique))
     optimal = state["exhausted"] or state["best_k"] == lb
     return state["best_k"], state["best"], clique, optimal, state["nodes"]
+
+
+class LinkedListSaturation:
+    """A partial coloring with DSATUR state kept up to date in tables.
+
+    ``counts[v][c]`` is how many neighbours of v hold color c and
+    ``sat[v]`` how many of those counts are nonzero, the saturation of v;
+    coloring or uncoloring v touches only v's neighbours. The tables
+    hold one column per color in use, ``n_colors`` of them.
+    Uncolored vertices sit in a doubly linked list in (-degree, index)
+    order; colorings are undone last-in first-out, so an uncolored vertex
+    relinks where it was unlinked.
+    """
+
+    def __init__(self, adj, n_colors):
+        n = len(adj)
+        self.adj = adj
+        self.degree = [len(a) for a in adj]
+        order = sorted(range(n), key=lambda v: (-self.degree[v], v))
+        # links over vertices; n is the list head, ahead of order[0]
+        self.next = [n] * (n + 1)
+        self.prev = [n] * (n + 1)
+        for a, b in zip([n] + order, order + [n]):
+            self.next[a] = b
+            self.prev[b] = a
+        self.colors = [-1] * n
+        self.n_colors = n_colors
+        self.counts = [[0] * n_colors for _ in range(n)]
+        self.sat = [0] * n
+
+    def add_color(self):
+        self.n_colors += 1
+        for row in self.counts:
+            row.append(0)
+
+    def assign(self, v, c):
+        self.colors[v] = c
+        nxt, prv = self.next, self.prev
+        nxt[prv[v]] = nxt[v]
+        prv[nxt[v]] = prv[v]
+        counts, sat = self.counts, self.sat
+        for u in self.adj[v]:
+            row = counts[u]
+            if not row[c]:
+                sat[u] += 1
+            row[c] += 1
+
+    def clear(self, v):
+        c = self.colors[v]
+        self.colors[v] = -1
+        nxt, prv = self.next, self.prev
+        nxt[prv[v]] = v
+        prv[nxt[v]] = v
+        counts, sat = self.counts, self.sat
+        for u in self.adj[v]:
+            row = counts[u]
+            row[c] -= 1
+            if not row[c]:
+                sat[u] -= 1
+
+    def pick(self):
+        """The uncolored vertex of highest (saturation, degree, -index).
+
+        Walks the uncolored list, so on equal saturation the first vertex
+        found wins; a saturation never exceeds the degree, so the walk
+        stops at the first degree no higher than the best saturation.
+        """
+        nxt, degree, sat = self.next, self.degree, self.sat
+        end = len(self.colors)
+        best, best_sat = None, -1
+        v = nxt[end]
+        while v != end and degree[v] > best_sat:
+            if sat[v] > best_sat:
+                best, best_sat = v, sat[v]
+            v = nxt[v]
+        return best
+
+    def first_free(self, v):
+        """Smallest color no neighbour of v holds; n_colors if none."""
+        row = self.counts[v]
+        return row.index(0) if 0 in row else self.n_colors
+
+
+def linked_list_dsatur_greedy(n, adj):
+    state = LinkedListSaturation(adj, 0)
+    for _ in range(n):
+        v = state.pick()
+        c = state.first_free(v)
+        if c == state.n_colors:
+            state.add_color()
+        state.assign(v, c)
+    return state.colors
+
+
+def linked_list_exact_chromatic(n, edges, budget):
+    """(k, colors, clique, optimal, nodes) by the iterative DSATUR branch
+    and bound on an explicit stack, with saturations kept in
+    :class:`LinkedListSaturation`: fast enough for graphs of a thousand
+    vertices and for searches of tens of thousands of nodes."""
+    adj = [set() for _ in range(n)]
+    for i, j in edges:
+        adj[i].add(j)
+        adj[j].add(i)
+
+    clique = _recursive_greedy_clique(n, adj)
+    best = linked_list_dsatur_greedy(n, adj)
+    best_k = max(best) + 1
+    lb = len(clique)
+    if lb == best_k:
+        return best_k, best, clique, True, 0
+
+    state = LinkedListSaturation(adj, best_k)
+    for rank, v in enumerate(clique):
+        state.assign(v, rank)
+    colors, counts = state.colors, state.counts
+
+    # frames [v, next color, colors in use], one per colored vertex
+    # outside the clique; the budget is checked on entering a node and
+    # after each child that reused a color
+    nodes = 0
+    exhausted = True
+    stack = []
+    used = lb
+    entering = True
+    while True:
+        if entering:
+            entering = False
+            if nodes >= budget:
+                exhausted = False
+            else:
+                nodes += 1
+                if used < best_k:
+                    if lb + len(stack) == n:
+                        best_k, best = used, colors.copy()
+                    else:
+                        stack.append([state.pick(), 0, used])
+        if not stack:
+            break
+        frame = stack[-1]
+        v, c, frame_used = frame
+        if colors[v] >= 0:  # a child of this frame has returned
+            reused = colors[v] < frame_used
+            state.clear(v)
+            if not reused:
+                stack.pop()
+                continue
+            if nodes >= budget:
+                exhausted = False
+                stack.pop()
+                continue
+        held = counts[v]
+        while c < frame_used and held[c]:
+            c += 1
+        if c < frame_used:
+            frame[1], used = c + 1, frame_used
+        elif frame_used + 1 < best_k:  # c == frame_used: open a new color
+            frame[1], used = c + 1, frame_used + 1
+        else:
+            stack.pop()
+            continue
+        state.assign(v, c)
+        entering = True
+    optimal = exhausted or best_k == lb
+    return best_k, best, clique, optimal, nodes
 
 
 def _lattice_axis(lo, hi, step):

@@ -178,3 +178,34 @@ def test_certification_matches_axis_extent_lps(monkeypatch):
         by_lp = [_verdict(SymmetricBody(C.dim, vertices=C.vertices)) for C in candidates]
     assert by_normals == by_lp
     assert by_normals.count(True) >= 20 and by_normals.count(DegenerateBody) == len(FLAT_TOPS)
+
+
+def test_lift_membership_through_normals_matches_the_lp_path(monkeypatch):
+    # body_contains on lifts of seeded 1D-3D polytopes, with points inside,
+    # on and outside each: no LP with normals, the same verdicts on the LP
+    # path, where every lift's membership is one LP
+    rng = random.Random(77)
+    cases = []
+    for seed in range(12):
+        dim = (1, 2, 3, 3)[seed % 4]
+        K = gen_random_polytope(300 + seed, dim, dim + 2 + seed % 2, max_numerator=6, max_denominator=3)
+        C = lift_body(K).body
+        probes = list(C.vertices)  # on the boundary
+        probes += [tuple(c / 2 for c in v) for v in C.vertices]  # inside
+        probes += [tuple(F(101, 100) * c for c in v) for v in C.vertices]  # outside
+        probes += [tuple((a + b) / 2 for a, b in zip(u, v)) for u, v in combinations(C.vertices, 2)][::2]
+        probes += [tuple(_rational(rng, 6, 4) for _ in range(C.dim)) for _ in range(8)]
+        cases += [(C, x) for x in probes]
+    solves = []
+    solve_min = lp.solve_min
+    monkeypatch.setattr(lp, "solve_min", lambda *args: solves.append(args) or solve_min(*args))
+    by_normals = [body_contains(C, x) for C, x in cases]
+    assert solves == []
+    with monkeypatch.context() as patch:
+        lp_path(patch)
+        by_lp = [body_contains(SymmetricBody(C.dim, vertices=C.vertices), x) for C, x in cases]
+    lifted = sum(C.dim == 4 for C, _ in cases)
+    assert len(solves) >= lifted >= 300
+    assert by_normals == by_lp
+    verdicts = Counter(v for (C, _), v in zip(cases, by_normals) if C.dim == 4)
+    assert min(verdicts[True], verdicts[False]) >= 100, verdicts

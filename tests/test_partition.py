@@ -16,8 +16,8 @@ from borsuk.bodies import (
     validate_body,
     vpolytope,
 )
-from borsuk import metric
-from borsuk.errors import DegenerateBody, IndexOutOfRange
+from borsuk import jsonio, metric
+from borsuk.errors import DegenerateBody, IndexOutOfRange, InvalidInput
 from borsuk.generators import (
     cube_body,
     cube_vertices,
@@ -29,6 +29,7 @@ from borsuk.generators import (
 from borsuk.metric import DiameterGraph, diameter_graph, set_diameter
 from borsuk.partition import (
     Partition,
+    _dsatur_greedy,
     _exact_chromatic,
     borsuk_number,
     chromatic_number,
@@ -40,6 +41,8 @@ from borsuk.partition import (
 from oracles import (
     _recursive_dsatur_greedy,
     chromatic_by_bruteforce,
+    linked_list_dsatur_greedy,
+    linked_list_exact_chromatic,
     recursive_exact_chromatic,
     verify_partition_by_class,
 )
@@ -95,6 +98,29 @@ def test_clique_equality_on_perfect_fixtures():
     # complement of the 4-cycle: two disjoint edges
     cert = chromatic_number(_graph(4, [(0, 2), (1, 3)]))
     assert len(cert.lower_bound_clique) == cert.number == 2
+
+
+@pytest.mark.parametrize(
+    "n, edges, error",
+    [
+        (3, ((0, 0),), InvalidInput),  # a self-loop: no colour is ever free
+        (3, ((0, 5),), IndexOutOfRange),
+        (3, ((-1, 0),), IndexOutOfRange),  # would alias vertex 2
+        (0, (), InvalidInput),
+    ],
+    ids=["self-loop", "past-the-end", "negative", "no-points"],
+)
+def test_malformed_graphs_are_refused(n, edges, error):
+    with pytest.raises(error):
+        DiameterGraph(n, F(1), edges)
+    obj = {"n_points": n, "diameter": "1", "edges": [list(e) for e in edges]}
+    with pytest.raises(error):
+        jsonio.graph_from_obj(obj)
+
+
+def test_reversed_and_repeated_edges_are_accepted():
+    cert = chromatic_number(DiameterGraph(3, F(1), ((1, 0), (0, 1), (2, 1), (1, 2))))
+    assert cert.number == 2 and cert.partition.classes == ((0, 2), (1,))
 
 
 def test_budget_exhaustion_flags_nonoptimal():
@@ -493,3 +519,63 @@ def test_branch_and_bound_matches_recursive_reference():
             searched += got[4] > 1
             cut += not got[3]
     assert searched >= 350 and cut >= 250, (searched, cut)
+
+
+def _padded(n, edges, rng):
+    """The graph on n vertices, n at least its own, with its vertices
+    sent to random places and every other vertex isolated."""
+    spots = rng.sample(range(n), max(max(e) for e in edges) + 1)
+    return sorted((min(spots[i], spots[j]), max(spots[i], spots[j])) for i, j in edges)
+
+
+def _adjacency(n, edges):
+    adj = [set() for _ in range(n)]
+    for i, j in edges:
+        adj[i].add(j)
+        adj[j].add(i)
+    return adj
+
+
+def test_branch_and_bound_matches_linked_list_reference_at_benchmark_scale():
+    # the bitmask search against the per-vertex, per-colour tables it
+    # replaced, on the coloring benchmark's graphs: M6 under node budgets,
+    # G(80, 0.1) under the benchmark's cap, the trap padded to 800-1200
+    # vertices with isolated vertices on both sides of its own, and random
+    # graphs with isolated vertices mixed in
+    rng = random.Random(1105)
+    n6, m6 = _mycielski(6)
+    cases = [(n6, _relabel(n6, m6, rng), budget) for budget in (1, rng.randint(2, 13000), 13000)]
+    for _ in range(4):
+        cases.append((80, [(i, j) for i in range(80) for j in range(i + 1, 80) if rng.random() < 0.1], 2000))
+    for _ in range(3):
+        n = rng.randint(800, 1200)
+        cases.append((n, _padded(n, DSATUR_TRAP, rng), rng.choice((rng.randint(1, 2000), 10**7))))
+    for _ in range(100):
+        k = rng.randint(8, 40)
+        p = rng.choice((0.15, 0.3, 0.5, 0.7, rng.random()))
+        edges = [(i, j) for i in range(k) for j in range(i + 1, k) if rng.random() < p] or [(0, 1)]
+        n = k + rng.randint(1, 60)
+        cases.append((n, _padded(n, edges, rng), rng.choice((1, rng.randint(2, 500), 10**7))))
+    searched = cut = isolated = 0
+    for n, edges, budget in cases:
+        got = _exact_chromatic(n, edges, budget)
+        assert got == linked_list_exact_chromatic(n, edges, budget), (n, edges, budget)
+        searched += got[4] > 1
+        cut += not got[3]
+        isolated += not all(_adjacency(n, edges))
+    assert searched >= 40 and cut >= 20 and isolated >= 103, (searched, cut, isolated)
+
+
+def test_dsatur_greedy_matches_both_references():
+    rng = random.Random(606)
+    for _ in range(120):
+        k = rng.randint(1, 60)
+        edges = [(i, j) for i in range(k) for j in range(i + 1, k) if rng.random() < rng.random()]
+        n = k + rng.choice((0, 0, rng.randint(1, 40)))
+        if edges:
+            edges = _padded(n, edges, rng)
+        adj = _adjacency(n, edges)
+        assert _dsatur_greedy(n, adj) == _recursive_dsatur_greedy(n, adj) == linked_list_dsatur_greedy(n, adj)
+    for n in (808, 1200):
+        adj = _adjacency(n, _padded(n, DSATUR_TRAP, rng))
+        assert _dsatur_greedy(n, adj) == linked_list_dsatur_greedy(n, adj)
