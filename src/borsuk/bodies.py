@@ -1,9 +1,11 @@
 """Exact polytope types and constructions.
 
 Everything is immutable and carried in rational arithmetic: vertices
-are tuples of ``Fraction``. Convexity work (redundancy removal, hull
-membership, interior certification) is exact and never floating point.
-In dimensions 1 to 3 it is answered by one exact convex hull per body
+are tuples of ``Fraction``. Convexity work is exact and never floating
+point. A symmetric vertex body is certified by linear algebra alone: its
+vertices are closed under negation and span the space
+(:func:`validate_body`). Redundancy removal, membership and gauges are
+answered in dimensions 1 to 3 by one exact convex hull per body
 (:func:`convex_hull`, held by the body's ``hull``). A symmetric lift,
 the hull of ``(A, h)`` and ``(-A, -h)``, takes its facets from the hull
 of its middle slice ``A - A`` one dimension down, so the lifts of
@@ -26,7 +28,6 @@ from . import lp
 from .errors import DegenerateBody, DimensionMismatch, InvalidInput, NotSymmetric
 from .linalg import (
     ONE,
-    ZERO,
     Vec,
     affine_rank,
     as_vec,
@@ -85,6 +86,8 @@ class SymmetricBody:
         if self.dim < 1:
             raise InvalidInput("dimension must be >= 1")
         if self.vertices is not None:
+            if not self.vertices:
+                raise InvalidInput("a body needs at least one vertex")
             for v in self.vertices:
                 if len(v) != self.dim:
                     raise DimensionMismatch(f"vertex {v} does not have dim {self.dim}")
@@ -95,8 +98,8 @@ class SymmetricBody:
 
     @cached_property
     def hull(self) -> Hull | None:
-        """The exact hull of a vertex body, which answers certification,
-        gauges and membership with no LP; None for a facet body and where
+        """The exact hull of a vertex body, which answers gauges and
+        membership with no LP; None for a facet body and where
         :func:`convex_hull` gives none."""
         return None if self.vertices is None else convex_hull(self.vertices)
 
@@ -497,47 +500,22 @@ def contains_point(generators: tuple[Vec, ...], x: Vec) -> bool:
     return res.status == lp.OPTIMAL
 
 
-def _axis_extent(vertices: tuple[Vec, ...], axis: int) -> Fraction:
-    """Largest t with t*e_axis in conv(vertices), by exact LP.
-
-    For a negation-closed vertex set the origin is interior exactly when
-    this extent is positive along every axis (the hull then contains a
-    small cross-polytope around the origin).
-    """
-    dim = len(vertices[0])
-    n = len(vertices)
-    step = tuple(-ONE if k == axis else ZERO for k in range(dim))
-    res = lp.solve_combination(
-        (*vertices, step), (ZERO,) * dim, cost=[ZERO] * n + [-ONE], groups=[range(n)]
-    )
-    if res.status != lp.OPTIMAL:
-        return ZERO
-    return -res.value
-
-
 def validate_body(candidate: SymmetricBody) -> SymmetricBody:
     """Certify central symmetry and interiority of the origin.
 
-    Vertex form: the vertex set must be closed under negation, and the
-    origin must be interior: strictly inside every facet of the exact
-    hull in dimensions 1 to 3, or of a symmetric lift's certified
-    normals, which a lift that is not full-dimensional does not get;
-    otherwise checked by one exact LP per axis. Facet form: offsets must be
-    strictly positive and the normals must span the space, otherwise the
-    "body" is unbounded.
+    Vertex form: the vertex set must be closed under negation and span
+    the space, which is exactly an interior origin: a basis ``b`` and
+    ``-b`` hold a cross-polytope around it. One exact rank over the
+    vertices scaled to integers decides it, with no hull and no LP.
+    Facet form: offsets must be strictly positive and the normals must
+    span the space, otherwise the "body" is unbounded.
     """
     if candidate.vertices is not None:
         vset = set(candidate.vertices)
         for v in candidate.vertices:
             if vneg(v) not in vset:
                 raise NotSymmetric(f"vertex {v} has no mirror {vneg(v)}")
-        if candidate.hull is not None:
-            interior = candidate.hull.surrounds_origin()
-        elif candidate.normals is not None:
-            interior = True  # each normal is a . x <= 1, certified a facet
-        else:
-            interior = all(_axis_extent(candidate.vertices, k) > 0 for k in range(candidate.dim))
-        if not interior:
+        if matrix_rank(over_common_denominator(v)[1] for v in candidate.vertices) < candidate.dim:
             raise DegenerateBody("origin is not interior (body not full-dimensional)")
     else:
         for a, b in candidate.facets:

@@ -237,9 +237,11 @@ def bounds_table(n_min: int = 2, n_max: int = 64):
     """Rows (n, partition_bound, covering_bound, binomial_bound).
 
     Raises DomainError for n_max past BINOMIAL_BOUND_MAX_N, where the
-    first of the three formulas overflows."""
+    first of the three formulas overflows, and for an empty range."""
     if n_min < 2:
         raise DomainError("table starts at n = 2")
+    if n_max < n_min:
+        raise DomainError(f"n_max {n_max} is below n_min {n_min}")
     return [
         (n, partition_bound(n).value, covering_bound(n).value, binomial_bound(n).value)
         for n in range(n_min, n_max + 1)

@@ -76,7 +76,8 @@ def canonical_sign(a: Vec) -> Vec:
 def matrix_rank(rows) -> int:
     """Rank of a matrix of ints or rationals, exact: each row is reduced,
     fraction-free, against the independent rows before it, and counts
-    when something is left. Fastest on ints."""
+    when something is left. Fastest on ints. No row is read once the
+    rank is the number of columns."""
     basis: list = []  # (pivot column, row), each row zero at the pivots before it
     for row in rows:
         for p, b in basis:
@@ -86,6 +87,8 @@ def matrix_rank(rows) -> int:
         for p, x in enumerate(row):
             if x:
                 basis.append((p, row))
+                if len(basis) == len(row):
+                    return len(basis)  # full column rank: no row can add to it
                 break
     return len(basis)
 

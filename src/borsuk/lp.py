@@ -17,12 +17,13 @@ Problems are stated in equality standard form::
     subject to  A x = b,  x >= 0
 
 which is all the geometry in this package needs from dimension 4:
-convex-hull membership, gauge evaluation and interior-point
-certification are each a single small instance of this form, built by
-:func:`solve_combination`. Bodies in dimensions 1 to 3 answer these
-from their exact hull instead (:func:`borsuk.bodies.convex_hull`), except
-for flat point sets in space, and symmetric lifts in dimension 4 answer
-gauges and certification from the hull of their slice.
+convex-hull membership and gauge evaluation are each a single small
+instance of this form, built by :func:`solve_combination`. Bodies in
+dimensions 1 to 3 answer these from their exact hull instead
+(:func:`borsuk.bodies.convex_hull`), except for flat point sets in
+space, and symmetric lifts in dimension 4 answer gauges from the hull
+of their slice. Certifying a body needs no LP in any dimension: it is
+a rank check (:func:`borsuk.bodies.validate_body`).
 """
 
 from __future__ import annotations

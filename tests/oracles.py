@@ -24,6 +24,8 @@ integer normals: every pair's gauge of its ``Fraction`` difference, with
 no memo and with one memo on the sign-canonical difference.
 :func:`lp_path` sends every body down the package's exact LP path, the
 reference its exact hulls are tested against, and
+:func:`axis_extent_verdict` is the reference for certifying a body: one
+exact LP per axis for the origin's extent along it.
 :func:`facets_by_triples` is the reference for the facets of a hull in
 space: every plane through three of the points with all points on one
 side.
@@ -36,8 +38,8 @@ from itertools import combinations, product
 from borsuk import lp
 from borsuk.bodies import PointSet, SymmetricBody, VPolytope, contains_point
 from borsuk.covering import SAMPLE_CERTIFIED, Covering
-from borsuk.errors import GridTooCoarse, IndexOutOfRange, PointUncovered
-from borsuk.linalg import canonical_sign, vsub
+from borsuk.errors import DegenerateBody, GridTooCoarse, IndexOutOfRange, PointUncovered
+from borsuk.linalg import Vec, canonical_sign, vsub
 from borsuk.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult
 from borsuk.metric import gauge, set_diameter
 from borsuk.partition import Partition
@@ -669,12 +671,39 @@ def memo_pairwise_max(C, points):
 
 def lp_path(patch):
     """While ``patch`` (a pytest monkeypatch) is active no body has an
-    exact hull, so pruning, certification, gauges and membership of
-    vertex bodies in every dimension are all answered by exact LPs."""
+    exact hull, so pruning, gauges and membership of vertex bodies in
+    every dimension are all answered by exact LPs. Certification is a
+    rank check on either path; :func:`axis_extent_verdict` is its LP
+    reference."""
     for kind in (VPolytope, SymmetricBody):
         patch.setattr(kind, "hull", property(lambda body: None))
     # read afresh, so normals a body kept from before do not outlive its hull
     patch.setattr(SymmetricBody, "normals", property(SymmetricBody.normals.func))
+
+
+def _axis_extent(vertices: tuple[Vec, ...], axis: int) -> Fraction:
+    """Largest t with t*e_axis in conv(vertices), by exact LP.
+
+    For a negation-closed vertex set the origin is interior exactly when
+    this extent is positive along every axis (the hull then contains a
+    small cross-polytope around the origin).
+    """
+    dim = len(vertices[0])
+    n = len(vertices)
+    step = tuple(-ONE if k == axis else ZERO for k in range(dim))
+    res = lp.solve_combination(
+        (*vertices, step), (ZERO,) * dim, cost=[ZERO] * n + [-ONE], groups=[range(n)]
+    )
+    if res.status != lp.OPTIMAL:
+        return ZERO
+    return -res.value
+
+
+def axis_extent_verdict(C: SymmetricBody):
+    """True when the origin is interior to the negation-closed vertex
+    body C, ``DegenerateBody`` when it is not: by one exact LP per axis,
+    the reference for the rank check of ``validate_body``."""
+    return True if all(_axis_extent(C.vertices, k) > 0 for k in range(C.dim)) else DegenerateBody
 
 
 def facets_by_triples(points):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from borsuk import lp
 from borsuk.bodies import (
     PointSet,
     SymmetricBody,
@@ -22,11 +23,11 @@ from borsuk.bodies import (
     validate_body,
     vpolytope,
 )
-from borsuk.errors import DegenerateBody, DimensionMismatch, NotSymmetric
-from borsuk.generators import gen_random_body, gen_random_polytope
+from borsuk.errors import DegenerateBody, DimensionMismatch, InvalidInput, NotSymmetric
+from borsuk.generators import cross_polytope_body, gen_random_body, gen_random_polytope
 from borsuk.linalg import vneg
 from borsuk.metric import gauge
-from oracles import lp_path
+from oracles import axis_extent_verdict, lp_path
 
 F = Fraction
 
@@ -54,6 +55,12 @@ def test_validate_rejects_flat_segment_in_plane():
     cand = SymmetricBody(2, vertices=((F(-1), F(0)), (F(1), F(0))))
     with pytest.raises(DegenerateBody):
         validate_body(cand)
+
+
+def test_a_body_without_vertices_is_invalid_input():
+    # refused as input, not reported as a flat body by the rank check
+    with pytest.raises(InvalidInput, match="at least one vertex"):
+        SymmetricBody(2, vertices=())
 
 
 def test_validate_facet_offsets_must_be_positive():
@@ -369,6 +376,31 @@ def _symmetric_candidates():
         yield SymmetricBody(2, vertices=tuple(sorted(closed)))
 
 
+def _rational(rng, top=6, den=4):
+    return F(rng.randint(-top, top), rng.randint(1, den))
+
+
+def _high_candidates():
+    """Negation-closed vertex sets in 4D and 5D that are no symmetric
+    lift: the cross-polytopes, random full-dimensional sets, and flat
+    sets drawn from the span of fewer than ``d`` random directions."""
+    rng = random.Random(45)
+    sets = [cross_polytope_body(d).vertices for d in (4, 5)]
+    for d in (4, 5):
+        for _ in range(8):
+            sets.append([tuple(_rational(rng) for _ in range(d)) for _ in range(rng.randint(d - 2, d + 2))])
+        for _ in range(8):
+            directions = [tuple(_rational(rng) for _ in range(d)) for _ in range(rng.randint(1, d - 1))]
+            sets.append([
+                tuple(sum(_rational(rng, 3, 2) * u[k] for u in directions) for k in range(d))
+                for _ in range(rng.randint(1, 2 * d))
+            ])
+    for pts in sets:
+        closed = set(pts) | {vneg(p) for p in pts}
+        if len({abs(v[-1]) for v in closed}) > 1:  # not on two levels t = +-h, as a lift is
+            yield SymmetricBody(len(pts[0]), vertices=tuple(sorted(closed)))
+
+
 def _verdict(C):
     try:
         return validate_body(C) is C
@@ -376,11 +408,23 @@ def _verdict(C):
         return DegenerateBody
 
 
-def test_hull_certification_matches_axis_extent_lps(monkeypatch):
-    candidates = list(_symmetric_candidates())
-    by_hull = [_verdict(C) for C in candidates]
-    with monkeypatch.context() as patch:
-        lp_path(patch)
-        by_lp = [_verdict(C) for C in candidates]
-    assert by_hull == by_lp
-    assert by_hull.count(DegenerateBody) >= 12 and by_hull.count(True) >= 12
+def test_hull_certification_matches_axis_extent_lps():
+    planar, high = list(_symmetric_candidates()), list(_high_candidates())
+    candidates = planar + high
+    by_rank = [_verdict(C) for C in candidates]
+    assert by_rank == [axis_extent_verdict(C) for C in candidates]
+    assert by_rank[: len(planar)].count(DegenerateBody) >= 12 and by_rank[: len(planar)].count(True) >= 12
+    assert by_rank[len(planar) :].count(DegenerateBody) >= 12 and by_rank[len(planar) :].count(True) >= 12
+
+
+def test_validate_body_solves_no_lp(monkeypatch):
+    bodies = list(_symmetric_candidates()) + list(_high_candidates())
+    bodies += [gen_random_body(50 + d, d, d + 2, max_numerator=6, max_denominator=3) for d in range(1, 6)]
+    bodies += [lift_body(gen_random_polytope(60 + d, d, d + 3, max_numerator=6, max_denominator=3)).body for d in (1, 2, 3)]
+    assert {C.dim for C in bodies} == {1, 2, 3, 4, 5}
+    solves = []
+    solve_min = lp.solve_min
+    monkeypatch.setattr(lp, "solve_min", lambda *args: solves.append(args) or solve_min(*args))
+    verdicts = [_verdict(SymmetricBody(C.dim, vertices=C.vertices)) for C in bodies]
+    assert solves == []
+    assert verdicts.count(True) >= 30 and verdicts.count(DegenerateBody) >= 24

@@ -223,6 +223,11 @@ def _bad_input_argv(case, tmp_path):
         return ["cover", "--polytope", square, "--ratio", "3/5", "--grid-step", "1/150"]
     if case == "bounds past double range":
         return ["bounds", "--n-max", "2000"]
+    if case == "bounds range empty":
+        return ["bounds", "--n-min", "5", "--n-max", "3"]
+    if case == "body without vertices":
+        body.write_text(json.dumps({"dim": 2, "vertices": []}))
+        return ["gauge", "--body", body, "--point", '["1","1"]']
     if case == "result too long to write":
         # each input is printable, the gauge 10**8000 is not
         thin = {"dim": 2, "facets": [{"a": ["1", "0"], "b": "1e-4000"}, {"a": ["0", "1"], "b": "1"}]}
@@ -234,7 +239,7 @@ def _bad_input_argv(case, tmp_path):
 @pytest.mark.parametrize("case", [
     "malformed json", "json nested too deep", "infinite dim", "missing dim", "bad rational", "duplicate points", "bad inline point",
     "ratio abc", "ratio 2", "grid step 0", "grid step too fine", "grid pairs too many", "bounds past double range",
-    "result too long to write",
+    "bounds range empty", "body without vertices", "result too long to write",
 ])
 def test_bad_input_is_an_error_line_not_a_traceback(case, tmp_path, capsys):
     # an uncaught exception would escape cli_dispatch and fail the test

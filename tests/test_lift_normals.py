@@ -3,9 +3,10 @@
 A vertex body with no hull whose vertices lie on two levels ``t = +-h`` of
 the last coordinate, the lower the negated upper A, takes its facet
 normals from the hull of its middle slice ``A - A``
-(``SymmetricBody._lift_normals``). Gauges, the diameter pass and
-certification are compared with the LP path (``lp_path`` and
-``lp.solve_combination``) on seeded lifts of polytopes in 1D-3D and on
+(``SymmetricBody._lift_normals``). Gauges and the diameter pass are
+compared with the LP path (``lp_path`` and ``lp.solve_combination``),
+and certification with the axis-extent LPs (``axis_extent_verdict``),
+on seeded lifts of polytopes in 1D-3D and on
 their difference bodies, on lifts rescaled to a rational level with
 inner points on it, and on the 4-cube against its facet form. Flat and
 degenerate tops end on the LP path or in ``DegenerateBody``.
@@ -30,7 +31,7 @@ from borsuk.bodies import (
 from borsuk.errors import DegenerateBody, NotSymmetric
 from borsuk.generators import cube_body, gen_random_polytope
 from borsuk.metric import _pairwise_max, body_contains, gauge
-from oracles import lp_path, memo_pairwise_max
+from oracles import axis_extent_verdict, lp_path, memo_pairwise_max
 
 F = Fraction
 
@@ -148,16 +149,13 @@ def _verdict(C):
 
 @pytest.mark.parametrize("top", FLAT_TOPS)
 @pytest.mark.parametrize("h", [F(1), F(2, 3)])
-def test_a_flat_top_ends_on_the_lp_path_or_degenerate(monkeypatch, top, h):
+def test_a_flat_top_ends_on_the_lp_path_or_degenerate(top, h):
     C = SymmetricBody(len(top[0]) + 1, vertices=_two_levels(top, h))
     try:
         assert C.normals is None
     except DegenerateBody:
         pass
-    with monkeypatch.context() as patch:
-        lp_path(patch)
-        by_lp = _verdict(SymmetricBody(C.dim, vertices=C.vertices))
-    assert _verdict(SymmetricBody(C.dim, vertices=C.vertices)) == by_lp == DegenerateBody
+    assert _verdict(SymmetricBody(C.dim, vertices=C.vertices)) == axis_extent_verdict(C) == DegenerateBody
 
 
 def test_two_levels_that_are_not_mirrors_keep_the_lp_path():
@@ -169,15 +167,12 @@ def test_two_levels_that_are_not_mirrors_keep_the_lp_path():
     assert _verdict(C) == NotSymmetric
 
 
-def test_certification_matches_axis_extent_lps(monkeypatch):
+def test_certification_matches_axis_extent_lps():
     candidates = [SymmetricBody(C.dim, vertices=C.vertices) for C in _bodies()]
     candidates += [SymmetricBody(len(t[0]) + 1, vertices=_two_levels(t)) for t in FLAT_TOPS]
-    by_normals = [_verdict(C) for C in candidates]
-    with monkeypatch.context() as patch:
-        lp_path(patch)
-        by_lp = [_verdict(SymmetricBody(C.dim, vertices=C.vertices)) for C in candidates]
-    assert by_normals == by_lp
-    assert by_normals.count(True) >= 20 and by_normals.count(DegenerateBody) == len(FLAT_TOPS)
+    by_rank = [_verdict(C) for C in candidates]
+    assert by_rank == [axis_extent_verdict(C) for C in candidates]
+    assert by_rank.count(True) >= 20 and by_rank.count(DegenerateBody) == len(FLAT_TOPS)
 
 
 def test_lift_membership_through_normals_matches_the_lp_path(monkeypatch):
