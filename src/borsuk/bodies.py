@@ -10,6 +10,11 @@ answered in dimensions 1 to 3 by one exact convex hull per body
 the hull of ``(A, h)`` and ``(-A, -h)``, takes its facets from the hull
 of its middle slice ``A - A`` one dimension down, so the lifts of
 polytopes in space are answered without an LP in dimension 4 too.
+Constructions hand on what they build: a pruned polytope keeps the hull
+it was pruned with, the difference body is built on the hull of its
+pruned sums and kept on its polytope, and a lift's slice is that same
+difference body of the lift's base, so ``K - K`` is hulled and its
+normals certified once however many of these ask for it.
 Other bodies from dimension 4, where facet counts can be exponential in
 the vertex count, and coplanar points in space are answered by the
 exact simplex in :mod:`borsuk.lp`.
@@ -17,7 +22,7 @@ exact simplex in :mod:`borsuk.lp`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -36,7 +41,6 @@ from .linalg import (
     project,
     vadd,
     vneg,
-    vsub,
 )
 
 Facet = tuple[Vec, Fraction]  # normal a and offset b, encoding |<a, x>| <= b
@@ -50,6 +54,8 @@ class VPolytope:
     dim: int
     vertices: tuple[Vec, ...]
     pruned: bool = False
+    # the hull this polytope was pruned with, read only through ``hull``
+    seed_hull: Hull | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.dim < 1:
@@ -63,8 +69,25 @@ class VPolytope:
     @cached_property
     def hull(self) -> Hull | None:
         """The exact hull of the vertices, which answers pruning and
-        membership with no LP; None where :func:`convex_hull` gives none."""
-        return convex_hull(self.vertices)
+        membership with no LP: the seed hull when one was handed on, else
+        :func:`convex_hull`'s, which is None from dimension 4 and for
+        coplanar points in space."""
+        return self.seed_hull if self.seed_hull is not None else convex_hull(self.vertices)
+
+    @cached_property
+    def difference(self) -> SymmetricBody:
+        """The difference body ``K - K``, built once: see
+        :func:`difference_body`."""
+        if not is_full_dimensional(self):
+            raise DegenerateBody("difference body requires a full-dimensional polytope")
+        vset = set(self.vertices)
+        if all(vneg(v) in vset for v in vset):
+            base = self if self.pruned else prune_redundant(self)
+            verts, hull = tuple(sorted({tuple(2 * c for c in v) for v in base.vertices})), None
+        else:
+            sums = minkowski_sum(self, negate(self))
+            verts, hull = sums.vertices, sums.hull
+        return validate_body(SymmetricBody(self.dim, vertices=verts, seed_hull=hull))
 
 
 @dataclass(frozen=True)
@@ -79,6 +102,10 @@ class SymmetricBody:
     dim: int
     vertices: tuple[Vec, ...] | None = None
     facets: tuple[Facet, ...] | None = None
+    # a hull handed on by the construction, read only through ``hull``,
+    # and a symmetric lift's base, whose difference body is its slice
+    seed_hull: Hull | None = field(default=None, compare=False, repr=False)
+    lift_base: VPolytope | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if (self.vertices is None) == (self.facets is None):
@@ -99,9 +126,11 @@ class SymmetricBody:
     @cached_property
     def hull(self) -> Hull | None:
         """The exact hull of a vertex body, which answers gauges and
-        membership with no LP; None for a facet body and where
-        :func:`convex_hull` gives none."""
-        return None if self.vertices is None else convex_hull(self.vertices)
+        membership with no LP: the seed hull when one was handed on; None
+        for a facet body and where :func:`convex_hull` gives none."""
+        if self.vertices is None:
+            return None
+        return self.seed_hull if self.seed_hull is not None else convex_hull(self.vertices)
 
     @cached_property
     def normals(self) -> tuple[int, tuple[tuple[int, ...], ...]] | None:
@@ -144,6 +173,11 @@ class SymmetricBody:
             L = lcm(*(c // gcd(s * gcd(*n), c) for n, c in hull.planes))
             normals = tuple(tuple(k * s * L // c for k in n) for n, c in hull.planes)
         s, flat = over_common_denominator([x for v in self.vertices for x in v])
+        if hull is not None and hull.scale != s:
+            # a hull handed on from a superset of the vertices holds them
+            # at its own, finer scale: certify there, where its corners are
+            flat = [hull.scale // s * x for x in flat]
+            s = hull.scale
         points = [tuple(flat[k : k + d]) for k in range(0, len(flat), d)]  # the vertices times s
         one = L * s
         corners = set(hull.corners) if hull is not None else set()
@@ -166,27 +200,15 @@ class SymmetricBody:
             raise ArithmeticError(f"the {F} facets of the hull do not close up around its {V} corners")
         return L, normals
 
-    def _lift_normals(self) -> tuple[int, tuple[tuple[int, ...], ...]] | None:
-        """The facet normals of a symmetric lift, from its middle slice, as
-        ``(L, N)`` before certification; None for any other body, or when
-        the slice has no normals.
-
-        A lift here is a vertex body on the two levels ``t = h`` and
-        ``t = -h`` (h > 0) of the last coordinate, the lower level the
-        negated upper one, A: the hull of ``(A, h)`` and ``(-A, -h)``. By
-        the Cayley trick (Huber, Rambau and Santos, 2000) each facet other
-        than ``t = +-h`` meets the middle slice ``t = 0`` in a facet of
-        ``(A - A) / 2``, and each facet of it comes from one such facet.
-        So the slice is taken as the body ``D = A - A`` one dimension
-        down. A facet normal ``n`` of D has ``h_A(n) + h_A(-n) = 1``,
-        where ``h_A(n) = max_a n . a``, and the lift's facet normal from
-        it is ``(2n, (h_A(-n) - h_A(n)) / h)``: it takes the value 1 on
-        the face of A that ``n`` picks out, at ``t = h``, and on the face
-        of -A that it picks out, at ``t = -h``. The levels add
-        ``(0, +-1 / h)``.
-        """
-        # the slice holds the origin, so it is no lift itself, and it has
-        # normals only from a hull
+    @cached_property
+    def _levels(self) -> tuple[Fraction, VPolytope] | None:
+        """``(h, A)`` for a symmetric lift, a vertex body on the two levels
+        ``t = h`` and ``t = -h`` (h > 0) of the last coordinate, the lower
+        level the negated upper one, A: the hull of ``(A, h)`` and
+        ``(-A, -h)``. A is the base the lift was built from
+        (``lift_base``), or else a polytope of the top level, made once per
+        body. None for any other body, and from dimension 5, where the
+        slice has no hull."""
         if not 2 <= self.dim <= MAX_HULL_DIM + 1:
             return None
         levels = {v[-1] for v in self.vertices}
@@ -196,10 +218,33 @@ class SymmetricBody:
         top = {v[:-1] for v in self.vertices if v[-1] == h}
         if {vneg(v[:-1]) for v in self.vertices if v[-1] == -h} != top:
             return None
-        A = sorted(top)
-        # the slice keeps a SymmetricBody's hull, so that a body sent down
+        base = self.lift_base
+        return h, base if base is not None else VPolytope(self.dim - 1, tuple(sorted(top)))
+
+    def _lift_normals(self) -> tuple[int, tuple[tuple[int, ...], ...]] | None:
+        """The facet normals of a symmetric lift (:attr:`_levels`), from its
+        middle slice, as ``(L, N)`` before certification; None for any
+        other body, or when the slice has no normals.
+
+        By the Cayley trick (Huber, Rambau and Santos, 2000) each facet
+        of the hull of ``(A, h)`` and ``(-A, -h)`` other than ``t = +-h``
+        meets the middle slice ``t = 0`` in a facet of ``(A - A) / 2``,
+        and each facet of it comes from one such facet. So the slice is
+        the difference body ``D = A - A`` one dimension down, the one
+        :func:`difference_body` builds and keeps on A: the lift of K and
+        ``K - K`` share one hull and one certificate. A facet normal
+        ``n`` of D has ``h_A(n) + h_A(-n) = 1``, where
+        ``h_A(n) = max_a n . a``, and the lift's facet normal from it is
+        ``(2n, (h_A(-n) - h_A(n)) / h)``: it takes the value 1 on the face
+        of A that ``n`` picks out, at ``t = h``, and on the face of -A that
+        it picks out, at ``t = -h``. The levels add ``(0, +-1 / h)``.
+        """
+        if self._levels is None:
+            return None
+        h, base = self._levels
+        # D reads its hull through the property, so that a body sent down
         # the LP path sends its slice, and so itself, down it too
-        D = SymmetricBody(self.dim - 1, vertices=tuple(sorted({vsub(a, b) for a in A for b in A})))
+        D = base.difference
         if D.normals is None:
             return None
         LD, slice_normals = D.normals
@@ -207,7 +252,7 @@ class SymmetricBody:
         # largest is m * h_A(N) and its least -m * h_A(-N). With h = p / q,
         # the lifted normal times L = m * LD * p is (2 * m * p * N,
         # -(largest + least) * q), and the level t = h gives (0, q * m * LD)
-        m, rows = project(A, slice_normals)
+        m, rows = project(base.vertices, slice_normals)
         p, q = h.numerator, h.denominator
         normals = [
             tuple(2 * m * p * c for c in N) + (-(max(col) + min(col)) * q,)
@@ -537,14 +582,16 @@ def prune_redundant(P: VPolytope) -> VPolytope:
     """Remove every point expressible from the others.
 
     The survivors are exactly the extreme points of the hull, in sorted
-    order. In dimensions 1 to 3 they are the vertices of the exact hull.
+    order. In dimensions 1 to 3 they are the vertices of the exact hull,
+    which the pruned polytope keeps as its own.
     From dimension 4, and for a flat set in space, candidates are scanned
     in sorted order by exact LPs; a point found inside the hull of the
     current survivors is dropped immediately, which never changes the hull
     and shrinks the later LPs.
     """
-    if P.hull is not None:
-        return VPolytope(P.dim, tuple(sorted(P.hull.vertices)), pruned=True)
+    hull = P.hull
+    if hull is not None:
+        return VPolytope(P.dim, tuple(sorted(hull.vertices)), pruned=True, seed_hull=hull)
     unique = sorted(set(P.vertices))
     if len(unique) == 1:
         return VPolytope(P.dim, tuple(unique), pruned=True)
@@ -575,18 +622,14 @@ def is_full_dimensional(K: VPolytope) -> bool:
 def difference_body(K: VPolytope) -> SymmetricBody:
     """The centrally symmetric body K - K, as a certified vertex body.
 
-    When K = -K, K - K = 2K, whose vertices are twice those of K: the
-    quadratic set of pairwise sums is then neither built nor pruned.
+    Built once per polytope and kept on it (``K.difference``), so a
+    later request, such as the slice of K's symmetric lift, gets the same
+    body with the hull, normals and certificate it already holds. The
+    body keeps the hull its pruned sums were taken from. When K = -K,
+    K - K = 2K, whose vertices are twice those of K: the quadratic set of
+    pairwise sums is then neither built nor pruned.
     """
-    if not is_full_dimensional(K):
-        raise DegenerateBody("difference body requires a full-dimensional polytope")
-    vset = set(K.vertices)
-    if all(vneg(v) in vset for v in vset):
-        base = K if K.pruned else prune_redundant(K)
-        verts = tuple(sorted({tuple(2 * c for c in v) for v in base.vertices}))
-    else:
-        verts = minkowski_sum(K, negate(K)).vertices
-    return validate_body(SymmetricBody(K.dim, vertices=verts))
+    return K.difference
 
 
 def lift_body(K: VPolytope) -> LiftedBody:
@@ -601,7 +644,7 @@ def lift_body(K: VPolytope) -> LiftedBody:
     base = K if K.pruned else prune_redundant(K)
     up = [v + (ONE,) for v in base.vertices]
     down = [vneg(v) + (-ONE,) for v in base.vertices]
-    body = validate_body(SymmetricBody(K.dim + 1, vertices=tuple(sorted(up + down))))
+    body = validate_body(SymmetricBody(K.dim + 1, vertices=tuple(sorted(up + down)), lift_base=base))
     return LiftedBody(base_dim=K.dim, body=body, provenance=K)
 
 

@@ -45,7 +45,8 @@ def gen_random_body(
 ) -> SymmetricBody:
     """Random symmetric polytope: sampled points plus their negations.
 
-    Retries with fresh samples until the pruned hull is full-dimensional;
+    The body keeps the hull its points were pruned with. Retries with
+    fresh samples until the pruned hull is full-dimensional;
     raises :class:`GenerationFailed` when the retry budget runs out
     (e.g. a single vertex pair in the plane is always a segment).
     """
@@ -55,7 +56,7 @@ def gen_random_body(
         sym = set(pts) | {tuple(-c for c in p) for p in pts}
         pruned = prune_redundant(VPolytope(dim, tuple(sorted(sym))))
         try:
-            return validate_body(SymmetricBody(dim, vertices=pruned.vertices))
+            return validate_body(SymmetricBody(dim, vertices=pruned.vertices, seed_hull=pruned.hull))
         except DegenerateBody:
             continue
     raise GenerationFailed(f"no full-dimensional symmetric body after {RETRY_BUDGET} tries")

@@ -19,7 +19,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .bodies import PointSet, SymmetricBody, VPolytope, difference_body, lift_body, lift_set
+from .bodies import PointSet, SymmetricBody, VPolytope, difference_body, lift_body, lift_set, prune_redundant
 from .errors import BorsukError, IndexOutOfRange, InvalidInput
 from .metric import DiameterGraph, diameter_graph, set_diameter
 
@@ -356,11 +356,14 @@ def doubling_check(K: VPolytope, S: PointSet, node_budget: int | None = None):
     half that of L: every distance halves, the same pairs attain the
     diameter, and the diameter graph, hence b2, is the same under L
     itself. So the set is coloured under L, and no second 4D body is
-    built and certified.
+    built and certified. Both bodies are built from K pruned once, so the
+    slice of L is the very difference body of the first search, with its
+    hull and normals.
     """
     missing = set(K.vertices) - set(S.points)
     if missing:
         raise ValueError(f"S must contain all vertices of K; missing {sorted(missing)[:3]}")
-    b1 = borsuk_number(difference_body(K), S, node_budget)
-    b2 = borsuk_number(lift_body(K).body, lift_set(S), node_budget)
+    base = K if K.pruned else prune_redundant(K)
+    b1 = borsuk_number(difference_body(base), S, node_budget)
+    b2 = borsuk_number(lift_body(base).body, lift_set(S), node_budget)
     return b1.number, b2.number, b1.optimal and b2.optimal and b2.number == 2 * b1.number

@@ -10,6 +10,13 @@ on seeded lifts of polytopes in 1D-3D and on
 their difference bodies, on lifts rescaled to a rational level with
 inner points on it, and on the 4-cube against its facet form. Flat and
 degenerate tops end on the LP path or in ``DegenerateBody``.
+
+A lift's slice is the difference body of its base, shared with
+``difference_body``, and the difference body keeps the hull of its
+pruned sums. Shared bodies are compared with bodies built afresh from
+their vertex tuple on seeded polytopes, pruned, unpruned with inner
+points and negation-closed; one doubling check is counted to hull
+``K - K`` once, and still to make LPs on the LP path.
 """
 
 import random
@@ -19,7 +26,7 @@ from itertools import combinations, product
 
 import pytest
 
-from borsuk import lp
+from borsuk import bodies, lp
 from borsuk.bodies import (
     SymmetricBody,
     difference_body,
@@ -27,10 +34,12 @@ from borsuk.bodies import (
     lift_set,
     point_set,
     validate_body,
+    vpolytope,
 )
 from borsuk.errors import DegenerateBody, NotSymmetric
-from borsuk.generators import cube_body, gen_random_polytope
+from borsuk.generators import cube_body, gen_random_body, gen_random_polytope
 from borsuk.metric import _pairwise_max, body_contains, gauge
+from borsuk.partition import borsuk_number, doubling_check
 from oracles import axis_extent_verdict, lp_path, memo_pairwise_max
 
 F = Fraction
@@ -196,11 +205,122 @@ def test_lift_membership_through_normals_matches_the_lp_path(monkeypatch):
     monkeypatch.setattr(lp, "solve_min", lambda *args: solves.append(args) or solve_min(*args))
     by_normals = [body_contains(C, x) for C, x in cases]
     assert solves == []
+    # one fresh body per lift, whose slice the LP path prunes by LPs
+    fresh = {id(C): SymmetricBody(C.dim, vertices=C.vertices) for C, _ in cases}
     with monkeypatch.context() as patch:
         lp_path(patch)
-        by_lp = [body_contains(SymmetricBody(C.dim, vertices=C.vertices), x) for C, x in cases]
+        by_lp = [body_contains(fresh[id(C)], x) for C, x in cases]
     lifted = sum(C.dim == 4 for C, _ in cases)
     assert len(solves) >= lifted >= 300
     assert by_normals == by_lp
     verdicts = Counter(v for (C, _), v in zip(cases, by_normals) if C.dim == 4)
     assert min(verdicts[True], verdicts[False]) >= 100, verdicts
+
+
+def _fresh(C):
+    """C built again from its vertex tuple alone: no hull handed on, no
+    lift base, so its hull, slice and normals are all its own."""
+    return validate_body(SymmetricBody(C.dim, vertices=C.vertices))
+
+
+# conv{0, 2e1, 2e2, 2e3, (1/2, 1/2, 1/2)}: the sums of K - K have scale 2,
+# the vertices of K - K scale 1
+FINE_K = vpolytope([(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2), (F(1, 2), F(1, 2), F(1, 2))])
+
+
+def _shared_cases():
+    """About 150 seeded K in 1D-3D: pruned, unpruned with inner points of
+    finer denominators (the centroid, a midpoint), and negation-closed."""
+    cases = []
+    for seed in range(150):
+        dim = 1 + seed % 3
+        P = gen_random_polytope(7000 + seed, dim, dim + 2 + seed % 4, max_numerator=8, max_denominator=4)
+        kind = seed // 3 % 3
+        if kind == 0:
+            cases.append(P)
+            continue
+        points = list(P.vertices)
+        if kind == 1:
+            points.append(tuple(sum(c) / len(points) for c in zip(*points)))
+            points.append(tuple((a + b) / 2 for a, b in zip(points[0], points[1])))
+        else:
+            points += [tuple(-c for c in v) for v in points]
+        cases.append(vpolytope(points))
+    return cases + [FINE_K]
+
+
+def _assert_agree(C, fresh, rng):
+    assert (C.hull is None) == (fresh.hull is None)
+    if C.hull is not None:
+        assert C.hull.vertices == fresh.hull.vertices
+    L, N = C.normals
+    assert (L, set(N)) == (fresh.normals[0], set(fresh.normals[1]))
+    probes = list(C.vertices) + [tuple(F(101, 100) * c for c in v) for v in C.vertices[::2]]
+    probes += [tuple(_rational(rng, 8, 5) for _ in range(C.dim)) for _ in range(6)]
+    for x in probes:
+        assert gauge(C, x) == gauge(fresh, x), (C, x)
+        assert body_contains(C, x) == body_contains(fresh, x), (C, x)
+
+
+def test_shared_bodies_match_bodies_built_fresh_from_their_vertices():
+    rng = random.Random(13)
+    kinds = Counter()
+    for K in _shared_cases():
+        D, lifted = difference_body(K), lift_body(K).body
+        for C in (D, lifted):
+            _assert_agree(C, _fresh(C), rng)
+        kinds[K.dim, lifted.hull is None, K.pruned] += 1
+        S = point_set(sorted(set(K.vertices)))
+        b1 = borsuk_number(_fresh(D), S).number
+        b2 = borsuk_number(_fresh(lifted), lift_set(S)).number
+        assert doubling_check(K, S) == (b1, b2, b2 == 2 * b1)
+    for seed in range(30):
+        C = gen_random_body(seed, 2 + seed % 2, 3 + seed % 4)
+        _assert_agree(C, _fresh(C), rng)
+    # every dimension pruned and unpruned, and the 4D lifts among them
+    assert min(kinds.values()) >= 15 and len(kinds) == 6
+
+
+def test_a_hull_handed_on_at_a_finer_scale_certifies():
+    D = difference_body(FINE_K)
+    assert D.hull.scale == 2 and all(c.denominator == 1 for v in D.vertices for c in v)
+    fresh = _fresh(D)
+    assert fresh.hull.scale == 1
+    assert (D.normals[0], set(D.normals[1])) == (fresh.normals[0], set(fresh.normals[1]))
+    assert lift_body(FINE_K).body.normals is not None
+
+
+def _count_hulls(monkeypatch):
+    calls = []
+    spatial = bodies._spatial_hull
+    monkeypatch.setattr(bodies, "_spatial_hull", lambda points: calls.append(len(points)) or spatial(points))
+    return calls
+
+
+def test_one_doubling_check_hulls_k_minus_k_once(monkeypatch):
+    K = gen_random_polytope(31, 3, 6, max_numerator=8, max_denominator=4)
+    S = point_set(K.vertices)
+    calls = _count_hulls(monkeypatch)
+    b1, b2, ok = doubling_check(K, S)
+    assert ok
+    sums = {tuple(a - b for a, b in zip(u, v)) for u in K.vertices for v in K.vertices}
+    assert calls == [len(sums)]
+    # the lift's slice is the difference body, certified once
+    assert lift_body(K).body._levels[1].difference is difference_body(K)
+    assert calls == [len(sums)]
+
+
+def test_shared_bodies_on_the_lp_path_make_lps(monkeypatch):
+    K = gen_random_polytope(31, 3, 6, max_numerator=8, max_denominator=4)
+    S = point_set(K.vertices)
+    expected = doubling_check(K, S)  # K now keeps its difference body and hull
+    calls = _count_hulls(monkeypatch)
+    solves = []
+    solve_min = lp.solve_min
+    monkeypatch.setattr(lp, "solve_min", lambda *args: solves.append(args) or solve_min(*args))
+    lp_path(monkeypatch)
+    D, lifted = difference_body(K), lift_body(K).body
+    assert D.hull is None and D.normals is None
+    assert lifted.hull is None and lifted.normals is None
+    assert doubling_check(K, S) == expected
+    assert calls == [] and len(solves) >= 20
