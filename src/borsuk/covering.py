@@ -6,12 +6,17 @@ body), and says so in its certificate level. Turning a covering into a
 partition assigns each point to the first translate containing it,
 which is the constructive reading of "few homothets force few parts".
 
-Membership of w in c + lam*K takes the two paths of the diameter pass in
-:mod:`borsuk.metric`. Where K has an exact hull (dimensions 1 to 3, and
-K not a flat set in space), every witness and center is projected once
-onto the hull's integer planes, and each pair compares ints. Otherwise
-one exact LP decides each distinct difference w - c, which grid
-witnesses and grid centers repeat many times.
+Every witness and center is an integer vector over one common
+denominator m: the grid point ``k * step`` is ``k`` times the integer
+spacing ``step * m``, and ``Fraction``s are built only for the witnesses
+and centers returned. Membership of w in c + lam*K is decided per center
+as one bitmask over the witnesses, on the two paths of the diameter pass
+in :mod:`borsuk.metric`. Where K has an exact hull (dimensions 1 to 3,
+and K not a flat set in space), the witnesses are sorted once along each
+of the hull's integer planes, and a center's mask is the AND over the
+planes of the prefix of that order its translate's plane bounds, found
+by bisection. Otherwise one exact LP decides each distinct difference
+w - c, which grid witnesses and grid centers repeat many times.
 
 The closed-form bound evaluators are the only deliberately inexact
 computation in the package: they report double-precision values of
@@ -23,14 +28,15 @@ Past the largest n whose value is a finite double they raise
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from operator import add, le
+from itertools import accumulate, product
+from operator import mul, or_, sub
 
 from .bodies import PointSet, SymmetricBody, VPolytope, contains_point
 from .errors import DomainError, GridTooCoarse, InvalidInput, PointUncovered
-from .linalg import ONE, ZERO, Vec, project, vsub
+from .linalg import ONE, Vec, over_common_denominator
 from .partition import Partition
 
 SAMPLE_CERTIFIED = "sample_certified"
@@ -47,9 +53,10 @@ BINOMIAL_BOUND_MAX_N = 508
 
 # Most lattice points in the witness grid or the candidate grid of one
 # cover, which bounds what it lists, and most pairs of the two, which
-# bounds its time, since it tests every witness against every candidate.
-# A finer grid is refused before any point is built. The tests, the demos
-# and the benchmark use at most 1089 points and 245 x 1089 pairs.
+# bounds its time, since the LP path tests every witness against every
+# candidate. A finer grid is refused before any point is built. The
+# tests, the demos and the benchmark use at most 1089 points and
+# 245 x 1089 pairs.
 MAX_GRID_POINTS = 10**5
 MAX_COVER_PAIRS = 10**7
 
@@ -85,34 +92,71 @@ def _lattice_axes(lo, hi, step: Fraction) -> tuple[list[range], int]:
     return axes, count
 
 
-def _translate_membership(K: VPolytope, lam: Fraction, points, centers):
-    """``inside(i, j)``: whether points[i] lies in centers[j] + lam*K.
+def _lattice_membership(
+    K: VPolytope, lam: Fraction, m: int, points, centers, first: bool = False
+) -> list[int]:
+    """Per center C, the bitmask of the points W (bit i for points[i]) in
+    the translate C + lam*K, points and centers being integer vectors
+    over the common denominator m. With ``first``, a center's mask keeps
+    only the points in no earlier translate.
 
-    With K's exact hull, points and centers are projected once onto the
-    hull's planes ``n . X <= c`` over one common denominator m. For
-    ``lam = p/q`` and K's scale s, w lies in c + lam*K exactly when
-    ``s*q*(n . W - n . C) <= p*m*c`` on every plane, W and C being w and c
-    times m; the factor s*q is folded into the normals, so each pair
-    compares ints. Without a hull, one exact LP decides each distinct
-    difference w - c, memoized for as long as the returned function lives.
+    With K's exact hull ``n . X <= c`` at K's scale s, for ``lam = p/q``,
+    W lies in C + lam*K exactly when ``s*q*(n . W - n . C) <= p*m*c`` on
+    every plane; the factor s*q is folded into the normals. Per plane the
+    points are sorted by ``n . W`` once, and the points under a bound are
+    a prefix of that order, found by bisection, so a center costs one
+    bisection and one AND per plane. Without a hull, one exact LP decides
+    each distinct difference W - C, and with ``first`` no point is tested
+    past its first translate.
     """
     hull = K.hull
     if hull is None:
-        memo: dict[Vec, bool] = {}
-
-        def inside(i: int, j: int) -> bool:
-            z = vsub(points[i], centers[j])
-            if z not in memo:
-                memo[z] = contains_point(K.vertices, tuple(x / lam for x in z))
-            return memo[z]
-
-        return inside
+        memo: dict[tuple[int, ...], bool] = {}
+        masks = []
+        wanted = (1 << len(points)) - 1
+        for C in centers:
+            mask = 0
+            for i, W in enumerate(points):
+                if wanted >> i & 1:
+                    z = tuple(map(sub, W, C))
+                    if z not in memo:
+                        memo[z] = contains_point(K.vertices, tuple(Fraction(x, m) / lam for x in z))
+                    mask |= memo[z] << i
+            masks.append(mask)
+            if first:
+                wanted &= ~mask
+        return masks
     f = hull.scale * lam.denominator
-    m, rows = project([*points, *centers], [tuple(f * x for x in n) for n, _ in hull.planes])
-    offsets = [lam.numerator * m * c for _, c in hull.planes]
-    # w is inside when s*q*(n . W) <= s*q*(n . C) + p*m*c, plane by plane
-    bounds = [list(map(add, row, offsets)) for row in rows[len(points) :]]
-    return lambda i, j: all(map(le, rows[i], bounds[j]))
+    masks = [(1 << len(points)) - 1] * len(centers)
+    for n, c in hull.planes:
+        N = [f * x for x in n]
+        column = [sum(map(mul, N, W)) for W in points]
+        order = sorted(range(len(points)), key=column.__getitem__)
+        values = [column[i] for i in order]
+        prefix = [0, *accumulate((1 << i for i in order), or_)]
+        offset = lam.numerator * m * c
+        # a center whose mask is empty already skips the plane
+        masks = [
+            mask and mask & prefix[bisect_right(values, sum(map(mul, N, C)) + offset)]
+            for mask, C in zip(masks, centers)
+        ]
+    if first:
+        seen = 0
+        for j, mask in enumerate(masks):
+            masks[j], seen = mask & ~seen, seen | mask
+    return masks
+
+
+def _translate_membership(
+    K: VPolytope, lam: Fraction, points, centers, first: bool = False
+) -> list[int]:
+    """Per center c, the bitmask of the points (bit i for points[i]) in
+    the translate c + lam*K, after scaling points and centers to integers
+    over their common denominator; see :func:`_lattice_membership`."""
+    m, flat = over_common_denominator([x for p in (*points, *centers) for x in p])
+    d = K.dim
+    vecs = [tuple(flat[k : k + d]) for k in range(0, len(flat), d)]
+    return _lattice_membership(K, lam, m, vecs[: len(points)], vecs[len(points) :], first)
 
 
 def greedy_cover(K: VPolytope, lam: Fraction, grid_step: Fraction) -> Covering:
@@ -120,8 +164,8 @@ def greedy_cover(K: VPolytope, lam: Fraction, grid_step: Fraction) -> Covering:
 
     Witnesses are K's vertices plus all grid points (spacing
     ``grid_step``, absolute lattice) inside K. Candidate centers are the
-    lattice points of the box K - lam*K (one whose translate misses K
-    covers nothing). Each round picks the candidate covering the most
+    lattice points of the box K - lam*K; one that covers no witness is
+    never picked. Each round picks the candidate covering the most
     still-uncovered witnesses, breaking ties by lexicographically
     smallest center. Raises :class:`GridTooCoarse` when no candidate can
     cover a remaining witness, and :class:`InvalidInput` when the two
@@ -142,29 +186,40 @@ def greedy_cover(K: VPolytope, lam: Fraction, grid_step: Fraction) -> Covering:
         raise InvalidInput(
             f"grid step too fine: {inner} x {outer} witness-center pairs, more than {MAX_COVER_PAIRS}"
         )
+    # vertices and lattice points as integer vectors over one denominator
+    # m; positive scaling keeps their lexicographic order
+    m = math.lcm(grid_step.denominator, *{x.denominator for v in K.vertices for x in v})
+    u = grid_step.numerator * (m // grid_step.denominator)
+    vertices = {tuple(x.numerator * (m // x.denominator) for x in v) for v in K.vertices}
     # the grid points in K are those in the translate 0 + 1*K
-    grid = list(product(*([k * grid_step for k in r] for r in inner_axes)))
-    in_K = _translate_membership(K, ONE, grid, [(ZERO,) * K.dim])
-    witnesses = sorted(set(K.vertices).union(p for i, p in enumerate(grid) if in_K(i, 0)))
+    grid = list(product(*([k * u for k in r] for r in inner_axes)))
+    [in_K] = _lattice_membership(K, ONE, m, grid, [(0,) * K.dim])
+    witnesses = sorted(vertices.union(X for i, X in enumerate(grid) if in_K >> i & 1))
 
     # candidates come in lexicographic order, so the first best is the least
-    candidates = list(product(*([k * grid_step for k in r] for r in outer_axes)))
-    inside = _translate_membership(K, lam, witnesses, candidates)
-    coverage = [
-        sum(1 << i for i in range(len(witnesses)) if inside(i, j)) for j in range(len(candidates))
-    ]
+    candidates = list(product(*([k * u for k in r] for r in outer_axes)))
+    coverage = _lattice_membership(K, lam, m, witnesses, candidates)
+    live = [(mask, c) for mask, c in zip(coverage, candidates) if mask]
     uncovered = (1 << len(witnesses)) - 1
-    centers: list[Vec] = []
+    centers = []
     while uncovered:
-        best = max(
-            range(len(candidates)), key=lambda j: (coverage[j] & uncovered).bit_count(), default=None
-        )
-        if best is None or not coverage[best] & uncovered:
+        gains = [(mask & uncovered).bit_count() for mask, _ in live]
+        best = max(gains, default=0)
+        if not best:
             raise GridTooCoarse(f"{uncovered.bit_count()} witnesses cannot be covered from this grid")
-        centers.append(candidates[best])
-        uncovered &= ~coverage[best]
+        mask, center = live[gains.index(best)]
+        centers.append(center)
+        uncovered &= ~mask
 
-    return Covering(lam, tuple(centers), K, SAMPLE_CERTIFIED, tuple(witnesses))
+    # one Fraction per distinct coordinate of what is returned
+    frac = {x: Fraction(x, m) for x in {x for X in (*centers, *witnesses) for x in X}}
+
+    def rational(X) -> Vec:
+        return tuple(map(frac.__getitem__, X))
+
+    return Covering(
+        lam, tuple(map(rational, centers)), K, SAMPLE_CERTIFIED, tuple(map(rational, witnesses))
+    )
 
 
 def cover_to_partition(S: PointSet, cov: Covering, C: SymmetricBody) -> Partition:
@@ -176,14 +231,14 @@ def cover_to_partition(S: PointSet, cov: Covering, C: SymmetricBody) -> Partitio
     if some point of S escapes every translate (the covering is only
     witness-certified, so this can genuinely happen).
     """
-    inside = _translate_membership(cov.body, cov.ratio, S.points, cov.centers)
-    buckets: dict[int, list[int]] = {}
-    for i, p in enumerate(S.points):
-        j = next((j for j in range(len(cov.centers)) if inside(i, j)), None)
-        if j is None:
-            raise PointUncovered(f"point {p} lies in no covering translate")
-        buckets.setdefault(j, []).append(i)
-    return Partition(len(S.points), tuple(tuple(buckets[j]) for j in sorted(buckets)))
+    n = len(S.points)
+    masks = _translate_membership(cov.body, cov.ratio, S.points, cov.centers, first=True)
+    missed = ((1 << n) - 1) & ~sum(masks)  # the masks are disjoint
+    if missed:
+        p = S.points[(missed & -missed).bit_length() - 1]
+        raise PointUncovered(f"point {p} lies in no covering translate")
+    classes = (tuple(i for i in range(n) if mask >> i & 1) for mask in masks if mask)
+    return Partition(n, tuple(classes))
 
 
 def _inner_term(m: int) -> float:

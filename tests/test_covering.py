@@ -48,11 +48,11 @@ def test_square_cover_uses_four_centers(square_cover):
 
 def test_square_cover_witnesses_rechecked(square_cover, unit_square_poly):
     # every witness lies in at least one translate (exact membership)
-    inside = _translate_membership(
+    masks = _translate_membership(
         unit_square_poly, square_cover.ratio, square_cover.witnesses, square_cover.centers
     )
     for i in range(len(square_cover.witnesses)):
-        assert any(inside(i, j) for j in range(len(square_cover.centers)))
+        assert any(masks[j] >> i & 1 for j in range(len(square_cover.centers)))
 
 
 def test_segment_cover_two_centers():
@@ -204,7 +204,11 @@ def _cover_cases():
     polygons (vertices in thirds against steps of quarters, triangles that
     are not symmetric, a collinear one), the 3-simplex, the 3-cube, and
     two bodies without a hull: a parallelogram on a slanted plane in space
-    and the 4-simplex."""
+    and the 4-simplex. Then inputs the integer lattice could get wrong:
+    steps whose numerator is not 1; negative vertices over denominators
+    coprime to the step's, so that the common denominator is finer than
+    K's own; and lattice witnesses exactly on a facet of a candidate's
+    translate, which only an inclusive bound counts as covered."""
     rng = random.Random(5)
     cases = [
         (vpolytope([(0,), (1,)]), F(1, 2), F(1, 8)),
@@ -233,6 +237,27 @@ def _cover_cases():
         for _ in range(count):
             verts = {tuple(coord() for _ in range(dim)) for _ in range(rng.randint(dim + 1, dim + 3))}
             cases.append((vpolytope(sorted(verts)), rng.choice(ratios), rng.choice(steps)))
+
+    cases += [
+        (vpolytope([(0, 0), (2, 0), (0, 2), (2, 2)]), F(3, 5), F(2, 3)),
+        (vpolytope([(F(-7, 3),), (F(5, 2),)]), F(2, 3), F(5, 4)),
+        (vpolytope([(-3, -2), (F(5, 3), F(-7, 3)), (2, F(5, 2))]), F(3, 5), F(5, 4)),
+        (vpolytope([(F(-5, 7), F(-1, 3)), (F(4, 5), F(-2, 7)), (F(3, 4), F(6, 5)), (F(-2, 9), F(5, 3))]),
+         F(3, 5), F(2, 3)),
+        (vpolytope([(F(-5, 9), F(-1, 3)), (F(4, 5), F(-2, 9)), (F(3, 4), F(6, 5)), (F(-2, 9), F(5, 3))]),
+         F(1, 2), F(3, 7)),
+        (vpolytope([(F(-1, 2), 0, 0), (1, 0, 0), (0, F(4, 5), 0), (0, 0, -1)]), F(3, 5), F(2, 3)),
+        # w - c = lam * v for a witness w, a candidate c and a point v on
+        # the boundary of K: w lies on a facet of the translate c + lam*K
+        (vpolytope([(-1, -1), (1, -1), (-1, 1)]), F(1, 2), F(1, 2)),
+        (vpolytope([(-2, 0), (0, -2), (2, 0), (0, 2)]), F(1, 2), F(1, 2)),
+        (vpolytope([(-1, -1, -1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)]), F(1, 2), F(1, 2)),
+    ]
+    for _ in range(8):
+        step = rng.choice((F(2, 3), F(3, 7), F(5, 4)))
+        den = rng.choice((2, 5, 11) if step.denominator != 4 else (3, 5, 7))
+        verts = {(F(rng.randint(-9, 9), den), F(rng.randint(-9, 9), den)) for _ in range(rng.randint(3, 5))}
+        cases.append((vpolytope(sorted(verts)), rng.choice(ratios), step))
     return cases
 
 
@@ -360,7 +385,7 @@ def test_hull_membership_matches_lp_membership():
             lam = F(rng.randint(1, 9), 10)
             center = (F(rng.randint(-5, 5), 4), F(rng.randint(-5, 5), 3))
             point = tuple(c + lam * v for c, v in zip(center, x))
-            inside = _translate_membership(K, lam, [point], [center])
-            assert inside(0, 0) == contains_point(K.vertices, x) == expected
+            masks = _translate_membership(K, lam, [point], [center])
+            assert masks[0] >> 0 & 1 == contains_point(K.vertices, x) == expected
             tally[expected] += 1
     assert tally[True] >= 300 and tally[False] >= 80
