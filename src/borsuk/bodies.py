@@ -4,9 +4,11 @@ Everything is immutable and carried in rational arithmetic: vertices
 are tuples of ``Fraction``. Convexity work is exact and never floating
 point. A symmetric vertex body is certified by linear algebra alone: its
 vertices are closed under negation and span the space
-(:func:`validate_body`). Redundancy removal, membership and gauges are
-answered in dimensions 1 to 3 by one exact convex hull per body
-(:func:`convex_hull`, held by the body's ``hull``). A symmetric lift,
+(:func:`validate_body`). Redundancy removal is answered in dimensions 1
+to 3 by one exact convex hull per body (:func:`convex_hull`, held by the
+body's ``hull``); gauges, membership and planar outlines all read one
+integer form, the certified facet normals ``SymmetricBody.normals``
+made from that hull or from a facet body's facets. A symmetric lift,
 the hull of ``(A, h)`` and ``(-A, -h)``, takes its facets from the hull
 of its middle slice ``A - A`` one dimension down, so the lifts of
 polytopes in space are answered without an LP in dimension 4 too.
@@ -125,9 +127,9 @@ class SymmetricBody:
 
     @cached_property
     def hull(self) -> Hull | None:
-        """The exact hull of a vertex body, which answers gauges and
-        membership with no LP: the seed hull when one was handed on; None
-        for a facet body and where :func:`convex_hull` gives none."""
+        """The exact hull of a vertex body, from which its normals are
+        made: the seed hull when one was handed on; None for a facet body
+        and where :func:`convex_hull` gives none."""
         if self.vertices is None:
             return None
         return self.seed_hull if self.seed_hull is not None else convex_hull(self.vertices)
@@ -164,7 +166,9 @@ class SymmetricBody:
                 return None
             L, normals = lifted
         else:
-            if not hull.surrounds_origin():
+            # the origin is interior when it is strictly inside every
+            # half-space, which only a full-dimensional hull allows
+            if not all(c > 0 for _, c in hull.planes):
                 raise DegenerateBody("origin is not interior (body not full-dimensional)")
             s = hull.scale
             # facet n . X = c over points X = v * s, so a = n * s / c gives
@@ -329,26 +333,16 @@ class Hull(NamedTuple):
     that edge. A hull that is one point, or a segment in the plane, gets
     the half-spaces that pin it down.
 
-    A named tuple rather than a frozen dataclass: it is as immutable and
-    costs a sixth of the time to define when the package is imported.
+    A hull holds data only: a body certifies its planes and reads them as
+    its normals. A named tuple rather than a frozen dataclass: it is as
+    immutable and costs a sixth of the time to define when the package is
+    imported.
     """
 
     vertices: tuple[Vec, ...]
     scale: int
     corners: tuple[tuple[int, ...], ...]
     planes: tuple[HalfSpace, ...]
-
-    def contains(self, x: Vec) -> bool:
-        """Whether x lies in the hull, boundary included, by one exact
-        orientation test per half-space."""
-        m, (row,) = project((x,), [n for n, _ in self.planes])
-        s = self.scale
-        return all(s * t <= m * c for t, (_, c) in zip(row, self.planes))
-
-    def surrounds_origin(self) -> bool:
-        """Whether the origin is interior: strictly inside every
-        half-space, which only a full-dimensional hull allows."""
-        return all(c > 0 for _, c in self.planes)
 
 
 def convex_hull(points) -> Hull | None:

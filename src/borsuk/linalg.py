@@ -18,8 +18,9 @@ ONE = Fraction(1)
 
 
 def as_vec(coords) -> Vec:
-    """Coerce a coordinate sequence (ints/strings/Fractions) to a vector."""
-    return tuple(Fraction(c) for c in coords)
+    """Coerce a coordinate sequence (ints/strings/Fractions) to a vector;
+    a coordinate that is a ``Fraction`` already is kept as it is."""
+    return tuple(c if type(c) is Fraction else Fraction(c) for c in coords)
 
 
 def vadd(a: Vec, b: Vec) -> Vec:

@@ -24,11 +24,9 @@ onto every normal once, and compares the integers
 ``Fraction`` of the largest over ``L * m``. On the LP path it takes one
 gauge LP per distinct difference up to sign.
 
-Membership in C is decided directly: against the facets, by orientation
-tests against the exact hull in dimensions 1 to 3, against the normals of
-a symmetric lift in dimension 4, or by one exact LP for any other body
-from dimension 4. Diameter-graph edges are decided by exact rational
-equality; there is no tolerance anywhere.
+Membership in C is ``gauge(C, x) <= 1`` read from the same normals, or
+one exact LP for a body without them. Diameter-graph edges are decided
+by exact rational equality; there is no tolerance anywhere.
 """
 
 from __future__ import annotations
@@ -40,7 +38,7 @@ from operator import sub
 from . import lp
 from .bodies import PointSet, SymmetricBody, VPolytope, contains_point
 from .errors import DimensionMismatch, IndexOutOfRange, InvalidInput, ZeroDiameter
-from .linalg import ONE, ZERO, Vec, canonical_sign, project, vdot, vsub
+from .linalg import ONE, ZERO, Vec, canonical_sign, project, vsub
 
 
 @dataclass(frozen=True)
@@ -180,16 +178,10 @@ def normalize_to_unit_diameter(C: SymmetricBody, S: PointSet) -> tuple[PointSet,
 
 
 def body_contains(C: SymmetricBody, x: Vec) -> bool:
-    """Membership x in C checked directly (not via the gauge LP)."""
+    """Whether x lies in C: ``gauge(C, x) <= 1`` when C has normals, else
+    one exact LP for x in the hull of the vertices."""
     if len(x) != C.dim:
         raise DimensionMismatch(f"point of dim {len(x)} against body of dim {C.dim}")
-    if C.facets is not None:
-        return all(abs(vdot(a, x)) <= b for a, b in C.facets)
-    if C.hull is not None:
-        return C.hull.contains(x)
     if C.normals is not None:
-        # a symmetric lift: max_k N_k . X <= L * m, as in gauge
-        L, normals = C.normals
-        m, (row,) = project((x,), normals)
-        return max(row) <= L * m
+        return gauge(C, x) <= 1
     return contains_point(C.vertices, x)

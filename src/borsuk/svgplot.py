@@ -3,15 +3,17 @@
 Floating point is confined to coordinate emission; the geometry that
 decides what gets drawn (outline vertices, diameter edges, class
 membership) is exact. Byte output is reproducible: fixed palette,
-fixed decimal formatting, no timestamps.
+fixed decimal formatting, no timestamps. The outline of the unit ball
+is read from the body's certified normals, whichever form it was given
+in.
 """
 
 from __future__ import annotations
 
-from functools import cmp_to_key
+from fractions import Fraction
 
-from .bodies import PointSet, SymmetricBody
-from .errors import DimensionUnsupported, InvalidInput
+from .bodies import PointSet, SymmetricBody, planar_hull
+from .errors import DegenerateBody, DimensionUnsupported, InvalidInput
 from .metric import diameter_graph
 from .partition import Partition
 
@@ -33,50 +35,25 @@ _CANVAS_H = 420
 _PLOT = (10.0, 10.0, 400.0, 400.0)  # x, y, w, h
 
 
-def _half(v) -> int:
-    return 0 if (v[1] > 0 or (v[1] == 0 and v[0] > 0)) else 1
-
-
-def _angular_sort(vectors):
-    """Counterclockwise order around the origin, exact comparisons only."""
-
-    def compare(a, b):
-        ha, hb = _half(a), _half(b)
-        if ha != hb:
-            return -1 if ha < hb else 1
-        # outline points lie on the boundary of a body with the origin
-        # interior, so no two share a ray
-        cross = a[0] * b[1] - a[1] * b[0]
-        return (cross < 0) - (cross > 0)
-
-    return sorted(vectors, key=cmp_to_key(compare))
-
-
 def _outline_vertices(C: SymmetricBody):
-    if C.vertices is not None:
-        # the hull drops inner points and collinear boundary points, which
-        # would dent the outline or add corners that are none
-        return _angular_sort(C.hull.vertices)
-    # planar facet body: intersect facet lines pairwise and keep the
-    # feasible intersection points (2D only; this is not a general
-    # representation converter)
-    lines = []
-    for a, b in C.facets:
-        lines.append((a, b))
-        lines.append((a, -b))
-    pts = set()
-    for i in range(len(lines)):
-        for j in range(i + 1, len(lines)):
-            (a1, b1), (a2, b2) = lines[i], lines[j]
-            det = a1[0] * a2[1] - a1[1] * a2[0]
-            if det == 0:
-                continue
-            x = (b1 * a2[1] - b2 * a1[1]) / det
-            y = (a1[0] * b2 - a2[0] * b1) / det
-            p = (x, y)
-            if all(abs(a[0] * x + a[1] * y) <= b for a, b in C.facets):
-                pts.add(p)
-    return _angular_sort(pts)
+    """The corners of the planar unit ball, by increasing angle in
+    [0, 2 pi).
+
+    By polar duality (Ziegler, *Lectures on Polytopes*, 1995, ch. 2)
+    C = {x : N_k . x <= L} has one corner ``L * n / c`` for each edge
+    ``n . Y <= c`` of the hull of its normals N_k; the normals of
+    redundant facets fall inside that hull or on an edge, and give none.
+    The edges run counter-clockwise from the least normal, so the first
+    corner lies below the x-axis, and the first one after it not below
+    has an angle in [0, pi): the ring is rotated to start there.
+    """
+    L, normals = C.normals
+    planes = planar_hull(normals).planes
+    if any(c == 0 for _, c in planes):  # normals on a line through the origin
+        raise DegenerateBody("facet normals do not span the plane (unbounded)")
+    ring = [(Fraction(L * a, c), Fraction(L * b, c)) for (a, b), c in planes]
+    start = next(i for i, (_, y) in enumerate(ring) if y >= 0)
+    return ring[start:] + ring[:start]
 
 
 def _fmt(x: float) -> str:

@@ -29,10 +29,14 @@ exact LP per axis for the origin's extent along it.
 :func:`facets_by_triples` is the reference for the facets of a hull in
 space: every plane through three of the points with all points on one
 side.
+:func:`outline_by_facet_crossings` is the reference for the planar
+outline drawn from a body's normals: a vertex body's hull vertices, or
+every feasible crossing of two facet lines, sorted by angle.
 """
 
 import math
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import combinations, product
 
 from borsuk import lp
@@ -727,3 +731,52 @@ def facets_by_triples(points):
                 g = math.gcd(*n, c)
                 facets.add((tuple(sign * x // g for x in n), sign * c // g))
     return facets
+
+
+def _half(v) -> int:
+    return 0 if (v[1] > 0 or (v[1] == 0 and v[0] > 0)) else 1
+
+
+def _angular_sort(vectors):
+    """Counterclockwise order around the origin, exact comparisons only."""
+
+    def compare(a, b):
+        ha, hb = _half(a), _half(b)
+        if ha != hb:
+            return -1 if ha < hb else 1
+        # outline points lie on the boundary of a body with the origin
+        # interior, so no two share a ray
+        cross = a[0] * b[1] - a[1] * b[0]
+        return (cross < 0) - (cross > 0)
+
+    return sorted(vectors, key=cmp_to_key(compare))
+
+
+def outline_by_facet_crossings(C: SymmetricBody):
+    """The corners of a planar unit ball by increasing angle in [0, 2 pi):
+    a vertex body's hull vertices sorted by angle, and for a facet body
+    every crossing of two facet lines that satisfies all the facets."""
+    if C.vertices is not None:
+        # the hull drops inner points and collinear boundary points, which
+        # would dent the outline or add corners that are none
+        return _angular_sort(C.hull.vertices)
+    # planar facet body: intersect facet lines pairwise and keep the
+    # feasible intersection points (2D only; this is not a general
+    # representation converter)
+    lines = []
+    for a, b in C.facets:
+        lines.append((a, b))
+        lines.append((a, -b))
+    pts = set()
+    for i in range(len(lines)):
+        for j in range(i + 1, len(lines)):
+            (a1, b1), (a2, b2) = lines[i], lines[j]
+            det = a1[0] * a2[1] - a1[1] * a2[0]
+            if det == 0:
+                continue
+            x = (b1 * a2[1] - b2 * a1[1]) / det
+            y = (a1[0] * b2 - a2[0] * b1) / det
+            p = (x, y)
+            if all(abs(a[0] * x + a[1] * y) <= b for a, b in C.facets):
+                pts.add(p)
+    return _angular_sort(pts)

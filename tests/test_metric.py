@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from borsuk import lp
-from borsuk.linalg import vdot
+from borsuk.linalg import matrix_rank, vdot
 from borsuk.bodies import (
     SymmetricBody,
     VPolytope,
@@ -16,6 +16,7 @@ from borsuk.bodies import (
     body_from_vertices,
     contains_point,
     difference_body,
+    lift_body,
     point_set,
     vpolytope,
 )
@@ -222,12 +223,53 @@ def test_rep_agreement(square_v, square_h, cross_v, cross_h, hexagon_v, hexagon_
             assert gauge(v_form, x) == gauge(h_form, x)
 
 
+def _by_facets(C, x):
+    return all(abs(vdot(a, x)) <= b for a, b in C.facets)
+
+
+def _by_lp(C, x):
+    return contains_point(C.vertices, x)
+
+
+def _random_facet_body(rng, dim):
+    # dim random facets that span, and three redundant ones: the sum of two
+    # facets (tight where both are), a looser copy of one, and one facet
+    # again at twice the scale
+    while True:
+        facets = [(tuple(_rational(rng, 5) for _ in range(dim)), F(rng.randint(1, 9), rng.randint(1, 4)))
+                  for _ in range(dim)]
+        if matrix_rank([a for a, _ in facets]) == dim:
+            break
+    (a1, b1), (a2, b2) = facets[0], facets[-1]
+    facets += [
+        (tuple(x + y for x, y in zip(a1, a2)), b1 + b2),
+        (a2, b2 + F(1, 3)),
+        (tuple(2 * x for x in a1), 2 * b1),
+    ]
+    return body_from_facets(rng.sample(facets, len(facets)))
+
+
 def test_gauge_vs_direct_membership(hexagon_v, hexagon_h):
+    # every body form: facet bodies in 1D-4D against the facets
+    # themselves, and vertex bodies, lifts and a body with no normals
+    # against the membership LP; each probe is on the boundary, just
+    # inside or just outside it, or anywhere
     rng = random.Random(19)
-    for _ in range(60):
-        x = (F(rng.randint(-4, 4), rng.randint(1, 4)), F(rng.randint(-4, 4), rng.randint(1, 4)))
-        for C in (hexagon_v, hexagon_h):
-            assert (gauge(C, x) <= 1) == body_contains(C, x)
+    by_facets = [hexagon_h, *(cube_body(d) for d in range(1, 5)),
+                 *(_random_facet_body(rng, d) for d in (1, 2, 2, 3, 3, 4, 4))]
+    lifted = lift_body(vpolytope([(0, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, F(3, 2)), (1, 1, 1)])).body
+    by_lp = [hexagon_v, cube_body(4, facet_form=False), lifted, cross_polytope_body(4)]
+    assert lifted.normals is not None and cross_polytope_body(4).normals is None
+    compared = 0
+    for C, reference in [(C, _by_facets) for C in by_facets] + [(C, _by_lp) for C in by_lp]:
+        for _ in range(8):
+            x = tuple(_rational(rng, 4) for _ in range(C.dim))
+            g = gauge(C, x)
+            probes = [x] if g == 0 else [x, *(tuple(c * t / g for c in x) for t in (1, F(7, 8), F(8, 7)))]
+            for y in probes:
+                assert body_contains(C, y) == (gauge(C, y) <= 1) == reference(C, y)
+                compared += 1
+    assert compared >= 400
 
 
 def test_gauge_monotone_under_inclusion():
@@ -332,14 +374,15 @@ def test_hull_gauge_and_membership_match_lps():
     assert min(compared.values()) >= 60
 
 
-def test_body_contains_answers_for_an_unvalidated_planar_body():
-    # a segment is no body, but membership in it still has an answer,
-    # the same one the LP gives
+def test_body_contains_rejects_an_unvalidated_planar_body():
+    # a segment is no body: membership reads the certified normals, as
+    # the gauge does, and both refuse it
     segment = SymmetricBody(2, vertices=((F(-1), F(0)), (F(1), F(0))))
-    for x, inside in [((0, 0), True), ((F(1, 2), 0), True), ((1, 0), True),
-                      ((F(3, 2), 0), False), ((0, F(1, 9)), False)]:
-        x = tuple(F(c) for c in x)
-        assert body_contains(segment, x) == contains_point(segment.vertices, x) == inside
+    for x in [(F(0), F(0)), (F(1, 2), F(0)), (F(3, 2), F(0)), (F(0), F(1, 9))]:
+        with pytest.raises(DegenerateBody):
+            body_contains(segment, x)
+        with pytest.raises(DegenerateBody):
+            gauge(segment, x)
 
 
 PRIMES = [p for p in range(2, 400) if all(p % q for q in range(2, p))]
