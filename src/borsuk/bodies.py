@@ -1,13 +1,17 @@
 """Exact polytope types and constructions.
 
-Everything is immutable and carried in rational arithmetic: vertices
-are tuples of ``Fraction``. Convexity work is exact and never floating
-point. A symmetric vertex body is certified by linear algebra alone: its
-vertices are closed under negation and span the space
-(:func:`validate_body`). Redundancy removal is answered in dimensions 1
-to 3 by one exact convex hull per body (:func:`convex_hull`, held by the
-body's ``hull``); gauges, membership and planar outlines all read one
-integer form, the certified facet normals ``SymmetricBody.normals``
+Everything is immutable and exact, never floating point: vertices are
+tuples of ``Fraction``, and each polytope and vertex body also carries
+one scaled form ``scaled = (m, rows)``, its vertices times a common
+denominator m as rows of ints, made once. The convexity work reads that
+form and builds ``Fraction``s only for what it returns. A symmetric
+vertex body is certified by linear algebra alone: its integer rows are
+closed under negation and span the space (:func:`validate_body`).
+Redundancy removal is answered in dimensions 1 to 3 by one exact convex
+hull per body (:func:`integer_hull` of the scaled form, held by the
+body's ``hull``); Minkowski sums and difference bodies add integer rows
+and hull them directly. Gauges, membership and planar outlines all read
+one integer form, the certified facet normals ``SymmetricBody.normals``
 made from that hull or from a facet body's facets. A symmetric lift,
 the hull of ``(A, h)`` and ``(-A, -h)``, takes its facets from the hull
 of its middle slice ``A - A`` one dimension down, so the lifts of
@@ -28,29 +32,48 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from operator import mul
+from operator import mul, sub
 from typing import NamedTuple
 
 from . import lp
 from .errors import DegenerateBody, DimensionMismatch, InvalidInput, NotSymmetric
-from .linalg import (
-    ONE,
-    Vec,
-    affine_rank,
-    as_vec,
-    matrix_rank,
-    over_common_denominator,
-    project,
-    vadd,
-    vneg,
-)
+from .linalg import ONE, Vec, affine_rank, as_vec, matrix_rank, over_common_denominator, vneg
 
 Facet = tuple[Vec, Fraction]  # normal a and offset b, encoding |<a, x>| <= b
 HalfSpace = tuple[tuple[int, ...], int]  # integer normal n and offset c, encoding n . X <= c
+Scaled = tuple[int, tuple[tuple[int, ...], ...]]  # a common denominator m and each point times m
+
+
+class _VertexForm:
+    """The integer form of a vertex set, shared by polytopes and vertex
+    bodies: one scaled form, and the hull made from it."""
+
+    @cached_property
+    def scaled(self) -> Scaled:
+        """``(m, X)``, each vertex times a common denominator m, in the
+        vertices' order, made once: the least common denominator, or a seed
+        hull's scale and sorted corners when one was handed on (its
+        vertices are the hull's, sorted, so its corners are the vertices at
+        that scale, which may be finer than theirs)."""
+        hull = self.seed_hull
+        if hull is not None:
+            return hull.scale, tuple(sorted(hull.corners))
+        return over_common_denominator(self.vertices)
+
+    @cached_property
+    def hull(self) -> Hull | None:
+        """The exact hull of the vertices, which answers pruning with no LP
+        and from which a body's normals are made: the seed hull when one
+        was handed on, else :func:`integer_hull`'s of the scaled form,
+        which is None from dimension 4 and for coplanar points in space;
+        None for a facet body."""
+        if self.vertices is None:
+            return None
+        return self.seed_hull if self.seed_hull is not None else integer_hull(*self.scaled)
 
 
 @dataclass(frozen=True)
-class VPolytope:
+class VPolytope(_VertexForm):
     """Convex polytope given by (a superset of) its vertices."""
 
     dim: int
@@ -69,31 +92,25 @@ class VPolytope:
                 raise DimensionMismatch(f"vertex {v} does not have dim {self.dim}")
 
     @cached_property
-    def hull(self) -> Hull | None:
-        """The exact hull of the vertices, which answers pruning and
-        membership with no LP: the seed hull when one was handed on, else
-        :func:`convex_hull`'s, which is None from dimension 4 and for
-        coplanar points in space."""
-        return self.seed_hull if self.seed_hull is not None else convex_hull(self.vertices)
-
-    @cached_property
     def difference(self) -> SymmetricBody:
         """The difference body ``K - K``, built once: see
         :func:`difference_body`."""
         if not is_full_dimensional(self):
             raise DegenerateBody("difference body requires a full-dimensional polytope")
-        vset = set(self.vertices)
-        if all(vneg(v) in vset for v in vset):
-            base = self if self.pruned else prune_redundant(self)
-            verts, hull = tuple(sorted({tuple(2 * c for c in v) for v in base.vertices})), None
+        m, rows = self.scaled
+        distinct = set(rows)
+        if all(tuple([-x for x in X]) in distinct for X in distinct):
+            m, rows = (self if self.pruned else prune_redundant(self)).scaled
+            verts = tuple(tuple([Fraction(2 * x, m) for x in X]) for X in sorted(set(rows)))
+            hull = None
         else:
-            sums = minkowski_sum(self, negate(self))
+            sums = _pruned_sums(self.dim, m, {tuple(map(sub, a, b)) for a in rows for b in rows})
             verts, hull = sums.vertices, sums.hull
         return validate_body(SymmetricBody(self.dim, vertices=verts, seed_hull=hull))
 
 
 @dataclass(frozen=True)
-class SymmetricBody:
+class SymmetricBody(_VertexForm):
     """Centrally symmetric convex body with the origin interior.
 
     Exactly one representation is present: ``vertices`` (closed under
@@ -126,22 +143,14 @@ class SymmetricBody:
                     raise DimensionMismatch(f"facet normal {a} does not have dim {self.dim}")
 
     @cached_property
-    def hull(self) -> Hull | None:
-        """The exact hull of a vertex body, from which its normals are
-        made: the seed hull when one was handed on; None for a facet body
-        and where :func:`convex_hull` gives none."""
-        if self.vertices is None:
-            return None
-        return self.seed_hull if self.seed_hull is not None else convex_hull(self.vertices)
-
-    @cached_property
     def normals(self) -> tuple[int, tuple[tuple[int, ...], ...]] | None:
         """``(L, N)``, integers with ``gauge(x) = max_k N_k . x / L``, or
         None for a vertex body with neither a hull nor a slice that has
         one, whose gauge takes an LP.
 
         A facet body gives ``a / b`` and ``-a / b`` for each facet; each
-        offset ``b`` is checked positive. A vertex body gives the outer
+        offset ``b`` is checked positive and the normals checked to span
+        the space, else the body is unbounded. A vertex body gives the outer
         normals of its facets, ``a . v = 1`` on each facet: those of its
         hull in dimensions 1 to 3, and those of :meth:`_lift_normals` for
         a symmetric lift without a hull. Each is certified as it is made:
@@ -154,11 +163,12 @@ class SymmetricBody:
             for _, b in self.facets:
                 if b <= 0:
                     raise DegenerateBody(f"facet offset {b} is not strictly positive")
-            L, flat = over_common_denominator([c / b for a, b in self.facets for c in a])
-            rows = [tuple(flat[k : k + d]) for k in range(0, len(flat), d)]
+            L, rows = over_common_denominator([tuple(Fraction(c, b) for c in a) for a, b in self.facets])
+            if matrix_rank(rows) < d:
+                raise DegenerateBody("facet normals do not span the space (unbounded)")
             # both signs, though |a . x| would need only one: the pairwise
             # pass then takes a plain max for facet and vertex bodies alike
-            return L, tuple(rows + [tuple(-c for c in n) for n in rows])
+            return L, rows + tuple(tuple(-c for c in n) for n in rows)
         hull = self.hull
         if hull is None:
             lifted = self._lift_normals()
@@ -176,13 +186,9 @@ class SymmetricBody:
             # entries k * s / c of a is c / gcd(s * gcd(n), c)
             L = lcm(*(c // gcd(s * gcd(*n), c) for n, c in hull.planes))
             normals = tuple(tuple(k * s * L // c for k in n) for n, c in hull.planes)
-        s, flat = over_common_denominator([x for v in self.vertices for x in v])
-        if hull is not None and hull.scale != s:
-            # a hull handed on from a superset of the vertices holds them
-            # at its own, finer scale: certify there, where its corners are
-            flat = [hull.scale // s * x for x in flat]
-            s = hull.scale
-        points = [tuple(flat[k : k + d]) for k in range(0, len(flat), d)]  # the vertices times s
+        # the vertices times s: a hull handed on from a superset of the
+        # vertices holds them at its own scale, and they are certified there
+        s, points = self.scaled
         one = L * s
         corners = set(hull.corners) if hull is not None else set()
         incidences = 0  # (corner, facet) pairs with the corner on the facet
@@ -215,15 +221,18 @@ class SymmetricBody:
         slice has no hull."""
         if not 2 <= self.dim <= MAX_HULL_DIM + 1:
             return None
-        levels = {v[-1] for v in self.vertices}
-        h = max(levels)
-        if h <= 0 or levels != {h, -h}:
+        m, rows = self.scaled
+        levels = {X[-1] for X in rows}
+        H = max(levels)
+        if H <= 0 or levels != {H, -H}:
             return None
-        top = {v[:-1] for v in self.vertices if v[-1] == h}
-        if {vneg(v[:-1]) for v in self.vertices if v[-1] == -h} != top:
+        top = {X[:-1]: v[:-1] for X, v in zip(rows, self.vertices) if X[-1] == H}
+        if {tuple([-x for x in X[:-1]]) for X in rows if X[-1] == -H} != top.keys():
             return None
         base = self.lift_base
-        return h, base if base is not None else VPolytope(self.dim - 1, tuple(sorted(top)))
+        if base is None:
+            base = VPolytope(self.dim - 1, tuple(top[X] for X in sorted(top)))
+        return Fraction(H, m), base
 
     def _lift_normals(self) -> tuple[int, tuple[tuple[int, ...], ...]] | None:
         """The facet normals of a symmetric lift (:attr:`_levels`), from its
@@ -256,12 +265,12 @@ class SymmetricBody:
         # largest is m * h_A(N) and its least -m * h_A(-N). With h = p / q,
         # the lifted normal times L = m * LD * p is (2 * m * p * N,
         # -(largest + least) * q), and the level t = h gives (0, q * m * LD)
-        m, rows = project(base.vertices, slice_normals)
+        m, points = base.scaled
         p, q = h.numerator, h.denominator
-        normals = [
-            tuple(2 * m * p * c for c in N) + (-(max(col) + min(col)) * q,)
-            for N, col in zip(slice_normals, zip(*rows))
-        ]
+        normals = []
+        for N in slice_normals:
+            col = [sum(map(mul, N, X)) for X in points]
+            normals.append(tuple(2 * m * p * c for c in N) + (-(max(col) + min(col)) * q,))
         level = (0,) * (self.dim - 1) + (q * m * LD,)
         normals += [level, tuple(-c for c in level)]
         L = m * LD * p
@@ -326,7 +335,8 @@ class Hull(NamedTuple):
     ``vertices`` are its strict extreme points: the least and the greatest
     on the line, counter-clockwise from the least in the plane, sorted in
     space. ``corners`` are the same points times ``scale``, the least
-    common denominator of the set's coordinates, and the hull is the
+    common denominator of the set's coordinates (or of a superset's,
+    for a hull handed on from the points it pruned), and the hull is the
     intersection of the integer half-spaces ``n . X <= c`` in ``planes``
     over such scaled points, one per facet. In the plane the half-plane of
     edge (P, Q) has ``c = P x Q``, the orientation of the origin against
@@ -346,24 +356,36 @@ class Hull(NamedTuple):
 
 
 def convex_hull(points) -> Hull | None:
-    """Exact convex hull of points of dimension at most MAX_HULL_DIM;
-    None in higher dimensions, and for coplanar points in space."""
-    dim = len(points[0])
-    if dim > MAX_HULL_DIM:
+    """Exact convex hull of rational points of dimension at most
+    MAX_HULL_DIM; None in higher dimensions, and for coplanar points in
+    space."""
+    return integer_hull(*over_common_denominator(points))
+
+
+def integer_hull(m: int, rows) -> Hull | None:
+    """Exact convex hull of the points ``X / m``, X an integer row, in
+    dimensions 1 to MAX_HULL_DIM, at scale m: the least common
+    denominator of the points, as the callers make it. None in higher
+    dimensions, and for coplanar points in space.
+
+    The rows are sorted once, the hull of each dimension is built from
+    those sorted integer points alone, and ``Fraction``s are made only
+    for the hull's vertices."""
+    d = len(next(iter(rows)))
+    if d > MAX_HULL_DIM:
         return None
-    return (_segment_hull, planar_hull, _spatial_hull)[dim - 1](points)
+    made = (_segment_hull, planar_hull, _spatial_hull)[d - 1](sorted(set(rows)))
+    if made is None:
+        return None
+    corners, planes = made
+    return Hull(tuple(tuple([Fraction(x, m) for x in X]) for X in corners), m, tuple(corners), planes)
 
 
-def _segment_hull(points) -> Hull:
-    """The hull on the line: the least and the greatest point, one
-    half-line at each."""
-    scale, flat = over_common_denominator([x for (x,) in points])
-    by_corner = dict(zip(flat, points))
-    lo, hi = min(by_corner), max(by_corner)
-    ends = (lo, hi) if lo < hi else (lo,)
-    return Hull(
-        tuple(by_corner[e] for e in ends), scale, tuple((e,) for e in ends), (((1,), hi), ((-1,), -lo))
-    )
+def _segment_hull(P) -> tuple:
+    """The hull of the sorted distinct integer points P on the line: the
+    least and the greatest, one half-line at each."""
+    (lo,), (hi,) = P[0], P[-1]
+    return (P[0], P[-1]) if lo < hi else (P[0],), (((1,), hi), ((-1,), -lo))
 
 
 def _turn(o, a, b) -> int:
@@ -401,22 +423,16 @@ def _half_planes(corners) -> tuple[HalfSpace, ...]:
     return tuple(planes)
 
 
-def planar_hull(points) -> Hull:
-    """Exact convex hull of planar points, by Andrew's monotone chain
-    (1979) on the points scaled to integers.
+def planar_hull(P) -> tuple:
+    """The corners and half-planes of the hull of the sorted distinct
+    integer points P in the plane, by Andrew's monotone chain (1979).
 
     Only strict left turns are kept, so collinear boundary points are
-    dropped: the hull's vertices are the strict extreme points,
-    counter-clockwise from the least.
+    dropped: the corners are the strict extreme points, counter-clockwise
+    from the least.
     """
-    scale, flat = over_common_denominator([c for p in points for c in p])
-    by_corner = dict(zip(zip(flat[::2], flat[1::2]), points))
-    corners = sorted(by_corner)
-    if len(corners) > 2:
-        corners = _chain(corners)[:-1] + _chain(reversed(corners))[:-1]
-    return Hull(
-        tuple(by_corner[p] for p in corners), scale, tuple(corners), _half_planes(corners)
-    )
+    corners = _chain(P)[:-1] + _chain(reversed(P))[:-1] if len(P) > 2 else P
+    return corners, _half_planes(corners)
 
 
 def _triangle(P, i, j, k):
@@ -449,10 +465,10 @@ def _first_tetrahedron(P) -> list | None:
     return triangles
 
 
-def _spatial_hull(points) -> Hull | None:
-    """Exact convex hull of points in space, by the incremental
-    beneath-beyond method (Preparata and Hong, 1977) on the points scaled
-    to integers; None when the points are coplanar.
+def _spatial_hull(P) -> tuple | None:
+    """The corners and planes of the hull of the sorted distinct integer
+    points P in space, by the incremental beneath-beyond method (Preparata
+    and Hong, 1977); None when the points are coplanar.
 
     The surface is kept as outward triangles. Each further point replaces
     the triangles that see it strictly (``n . X > c``) by the cone from it
@@ -469,9 +485,6 @@ def _spatial_hull(points) -> Hull | None:
     every facet, and each facet holds points of rank 3 lifted to ``(X, 1)``,
     that is three not on a line.
     """
-    scale, flat = over_common_denominator([c for p in points for c in p])
-    by_corner = dict(zip(zip(flat[::3], flat[1::3], flat[2::3]), points))
-    P = sorted(by_corner)
     triangles = _first_tetrahedron(P)
     if triangles is None:
         return None
@@ -491,23 +504,20 @@ def _spatial_hull(points) -> Hull | None:
         g = gcd(*n, c)
         planes.append((tuple(x // g for x in n), c // g))
     planes = sorted(set(planes))
-    tight = [[_slack(n, c, X) == 0 for X in P] for n, c in planes]
+    tight = []  # per plane, which points are on it
+    for n, c in planes:
+        values = [sum(map(mul, n, X)) for X in P]
+        if max(values) > c:
+            X = P[values.index(max(values))]
+            raise ArithmeticError(f"point {X} is outside the hull's half-space {n} . X <= {c}")
+        tight.append([v == c for v in values])
     for on in tight:
         if matrix_rank([X + (1,) for X, t in zip(P, on) if t]) < 3:
             raise ArithmeticError("a facet of the spatial hull holds no three points off a line")
     corners = tuple(
         X for x, X in enumerate(P) if matrix_rank([n for (n, _), on in zip(planes, tight) if on[x]]) == 3
     )
-    return Hull(tuple(by_corner[X] for X in corners), scale, corners, tuple(planes))
-
-
-def _slack(n, c, X) -> int:
-    """c - n . X, checked not negative: every point of a hull lies in
-    each of its half-spaces."""
-    slack = c - sum(map(mul, n, X))
-    if slack < 0:
-        raise ArithmeticError(f"point {X} is outside the hull's half-space {n} . X <= {c}")
-    return slack
+    return corners, tuple(planes)
 
 
 def vpolytope(points, pruned=False) -> VPolytope:
@@ -544,17 +554,19 @@ def validate_body(candidate: SymmetricBody) -> SymmetricBody:
 
     Vertex form: the vertex set must be closed under negation and span
     the space, which is exactly an interior origin: a basis ``b`` and
-    ``-b`` hold a cross-polytope around it. One exact rank over the
-    vertices scaled to integers decides it, with no hull and no LP.
+    ``-b`` hold a cross-polytope around it. Both are decided on the body's
+    scaled form, with no hull and no LP: closure on its integer rows, and
+    one exact rank over them.
     Facet form: offsets must be strictly positive and the normals must
     span the space, otherwise the "body" is unbounded.
     """
     if candidate.vertices is not None:
-        vset = set(candidate.vertices)
-        for v in candidate.vertices:
-            if vneg(v) not in vset:
+        _, rows = candidate.scaled
+        distinct = set(rows)
+        for X, v in zip(rows, candidate.vertices):
+            if tuple([-x for x in X]) not in distinct:
                 raise NotSymmetric(f"vertex {v} has no mirror {vneg(v)}")
-        if matrix_rank(over_common_denominator(v)[1] for v in candidate.vertices) < candidate.dim:
+        if matrix_rank(rows) < candidate.dim:
             raise DegenerateBody("origin is not interior (body not full-dimensional)")
     else:
         for a, b in candidate.facets:
@@ -585,7 +597,7 @@ def prune_redundant(P: VPolytope) -> VPolytope:
     """
     hull = P.hull
     if hull is not None:
-        return VPolytope(P.dim, tuple(sorted(hull.vertices)), pruned=True, seed_hull=hull)
+        return _pruned_by(P.dim, hull)
     unique = sorted(set(P.vertices))
     if len(unique) == 1:
         return VPolytope(P.dim, tuple(unique), pruned=True)
@@ -601,16 +613,48 @@ def prune_redundant(P: VPolytope) -> VPolytope:
     return VPolytope(P.dim, tuple(survivors), pruned=True)
 
 
+def _pruned_by(dim: int, hull: Hull) -> VPolytope:
+    """The pruned polytope of the hull's vertices, sorted, which keeps the
+    hull: its corners, sorted, are then its scaled form."""
+    order = sorted(range(len(hull.corners)), key=hull.corners.__getitem__)
+    return VPolytope(dim, tuple(hull.vertices[i] for i in order), pruned=True, seed_hull=hull)
+
+
+def _pruned_sums(dim: int, m: int, sums: set) -> VPolytope:
+    """The pruned polytope of the points ``X / m`` for the integer rows X
+    in ``sums``, pairwise sums of two scaled forms over their common
+    denominator m.
+
+    A sum can have a coarser denominator than its summands (``1/2 + 3/2``
+    is 2), so the rows and m are first divided by ``g = gcd(m, every
+    entry)``: m is then the least common denominator of the sums, the
+    scale their hull would have had from the sums as ``Fraction``s, which
+    are made only for its vertices. Without a hull, all of them are made
+    and pruned by LPs.
+    """
+    g = gcd(m, *(x for X in sums for x in X))
+    if g > 1:
+        m, sums = m // g, {tuple([x // g for x in X]) for X in sums}
+    hull = integer_hull(m, sums)
+    if hull is None:
+        points = tuple(tuple([Fraction(x, m) for x in X]) for X in sorted(sums))
+        return prune_redundant(VPolytope(dim, points))
+    return _pruned_by(dim, hull)
+
+
 def minkowski_sum(A: VPolytope, B: VPolytope) -> VPolytope:
-    """Pruned hull of all pairwise vertex sums."""
+    """Pruned hull of all pairwise vertex sums, summed as integer rows of
+    the two scaled forms over their least common scale."""
     if A.dim != B.dim:
         raise DimensionMismatch(f"dims {A.dim} and {B.dim} differ")
-    sums = {vadd(a, b) for a in A.vertices for b in B.vertices}
-    return prune_redundant(VPolytope(A.dim, tuple(sorted(sums))))
+    (ma, XA), (mb, XB) = A.scaled, B.scaled
+    m = lcm(ma, mb)
+    sums = {tuple([m // ma * x + m // mb * y for x, y in zip(a, b)]) for a in XA for b in XB}
+    return _pruned_sums(A.dim, m, sums)
 
 
 def is_full_dimensional(K: VPolytope) -> bool:
-    return affine_rank(list(K.vertices)) == K.dim
+    return affine_rank(K.scaled[1]) == K.dim
 
 
 def difference_body(K: VPolytope) -> SymmetricBody:
@@ -636,9 +680,12 @@ def lift_body(K: VPolytope) -> LiftedBody:
     if not is_full_dimensional(K):
         raise DegenerateBody("lift requires a full-dimensional polytope")
     base = K if K.pruned else prune_redundant(K)
-    up = [v + (ONE,) for v in base.vertices]
-    down = [vneg(v) + (-ONE,) for v in base.vertices]
-    body = validate_body(SymmetricBody(K.dim + 1, vertices=tuple(sorted(up + down)), lift_base=base))
+    # the lifted points' integer rows sort in the order the points would
+    m, rows = base.scaled
+    up = [(X + (m,), v + (ONE,)) for X, v in zip(rows, base.vertices)]
+    down = [(tuple([-x for x in X]) + (-m,), vneg(v) + (-ONE,)) for X, v in zip(rows, base.vertices)]
+    verts = tuple(v for _, v in sorted(up + down))
+    body = validate_body(SymmetricBody(K.dim + 1, vertices=verts, lift_base=base))
     return LiftedBody(base_dim=K.dim, body=body, provenance=K)
 
 

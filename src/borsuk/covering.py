@@ -153,9 +153,7 @@ def _translate_membership(
     """Per center c, the bitmask of the points (bit i for points[i]) in
     the translate c + lam*K, after scaling points and centers to integers
     over their common denominator; see :func:`_lattice_membership`."""
-    m, flat = over_common_denominator([x for p in (*points, *centers) for x in p])
-    d = K.dim
-    vecs = [tuple(flat[k : k + d]) for k in range(0, len(flat), d)]
+    m, vecs = over_common_denominator((*points, *centers))
     return _lattice_membership(K, lam, m, vecs[: len(points)], vecs[len(points) :], first)
 
 

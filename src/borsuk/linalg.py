@@ -2,7 +2,11 @@
 
 Vectors are plain tuples of ``fractions.Fraction``; everything here is
 pure and allocation-light. No floating point enters any of these
-functions.
+functions. The integer layers read a point set in one scaled form,
+``(m, rows)``: a common denominator m and each point times m as a row of
+ints (:func:`over_common_denominator`), made once per polytope or body
+and handed on, so that ranks, hulls, sums and projections compare plain
+ints.
 """
 
 from __future__ import annotations
@@ -23,10 +27,6 @@ def as_vec(coords) -> Vec:
     return tuple(c if type(c) is Fraction else Fraction(c) for c in coords)
 
 
-def vadd(a: Vec, b: Vec) -> Vec:
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def vsub(a: Vec, b: Vec) -> Vec:
     return tuple(x - y for x, y in zip(a, b))
 
@@ -39,11 +39,12 @@ def vdot(a: Vec, b: Vec) -> Fraction:
     return sum((x * y for x, y in zip(a, b)), ZERO)
 
 
-def over_common_denominator(values) -> tuple[int, list[int]]:
-    """The least common denominator m of a sequence of rationals, and
-    each of them times m."""
-    m = lcm(*{v.denominator for v in values})
-    return m, [v.numerator * (m // v.denominator) for v in values]
+def over_common_denominator(points) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """The scaled form of a sequence of rational points: the least common
+    denominator m of their coordinates, and each point times m, a row of
+    ints."""
+    m = lcm(*{c.denominator for p in points for c in p})
+    return m, tuple(tuple([c.numerator * (m // c.denominator) for c in p]) for p in points)
 
 
 def project(points, normals) -> tuple[int, list[list[int]]]:
@@ -52,12 +53,8 @@ def project(points, normals) -> tuple[int, list[list[int]]]:
 
     Each point is scaled to integers once, so every later comparison
     against the normals is between plain ints."""
-    m = lcm(*{c.denominator for p in points for c in p})
-    rows = []
-    for p in points:
-        P = [c.numerator * (m // c.denominator) for c in p]
-        rows.append([sum(map(mul, n, P)) for n in normals])
-    return m, rows
+    m, rows = over_common_denominator(points)
+    return m, [[sum(map(mul, n, P)) for n in normals] for P in rows]
 
 
 def canonical_sign(a: Vec) -> Vec:
@@ -94,12 +91,10 @@ def matrix_rank(rows) -> int:
     return len(basis)
 
 
-def affine_rank(points: list[Vec]) -> int:
-    """Dimension of the affine hull of the given points, taken over the
-    points scaled to integers."""
+def affine_rank(points) -> int:
+    """Dimension of the affine hull of the given points, rows of ints or
+    rationals; exact, and fastest on a scaled form's integer rows."""
     if len(points) <= 1:
         return 0
-    d = len(points[0])
-    _, flat = over_common_denominator([x for p in points for x in p])
-    base = flat[:d]
-    return matrix_rank([[x - y for x, y in zip(flat[k : k + d], base)] for k in range(d, len(flat), d)])
+    base = points[0]
+    return matrix_rank([[x - y for x, y in zip(p, base)] for p in points[1:]])

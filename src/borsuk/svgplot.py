@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .bodies import PointSet, SymmetricBody, planar_hull
-from .errors import DegenerateBody, DimensionUnsupported, InvalidInput
+from .errors import DimensionUnsupported, InvalidInput
 from .metric import diameter_graph
 from .partition import Partition
 
@@ -43,14 +43,14 @@ def _outline_vertices(C: SymmetricBody):
     C = {x : N_k . x <= L} has one corner ``L * n / c`` for each edge
     ``n . Y <= c`` of the hull of its normals N_k; the normals of
     redundant facets fall inside that hull or on an edge, and give none.
-    The edges run counter-clockwise from the least normal, so the first
-    corner lies below the x-axis, and the first one after it not below
-    has an angle in [0, pi): the ring is rotated to start there.
+    The normals are certified to span the plane (``DegenerateBody``
+    otherwise), so the origin is inside their hull and every c is
+    positive. The edges run counter-clockwise from the least normal, so
+    the first corner lies below the x-axis, and the first one after it
+    not below has an angle in [0, pi): the ring is rotated to start there.
     """
     L, normals = C.normals
-    planes = planar_hull(normals).planes
-    if any(c == 0 for _, c in planes):  # normals on a line through the origin
-        raise DegenerateBody("facet normals do not span the plane (unbounded)")
+    _, planes = planar_hull(sorted(set(normals)))
     ring = [(Fraction(L * a, c), Fraction(L * b, c)) for (a, b), c in planes]
     start = next(i for i, (_, y) in enumerate(ring) if y >= 0)
     return ring[start:] + ring[:start]

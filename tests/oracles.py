@@ -32,6 +32,9 @@ side.
 :func:`outline_by_facet_crossings` is the reference for the planar
 outline drawn from a body's normals: a vertex body's hull vertices, or
 every feasible crossing of two facet lines, sorted by angle.
+:func:`fraction_minkowski_sum` and :func:`fraction_difference_body` are
+the references for sums taken on integer rows: every pairwise sum built
+as a ``Fraction`` tuple, hashed into a set and pruned.
 """
 
 import math
@@ -39,11 +42,20 @@ from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations, product
 
-from borsuk import lp
-from borsuk.bodies import PointSet, SymmetricBody, VPolytope, contains_point
+from borsuk import bodies, lp
+from borsuk.bodies import (
+    PointSet,
+    SymmetricBody,
+    VPolytope,
+    contains_point,
+    is_full_dimensional,
+    negate,
+    prune_redundant,
+    validate_body,
+)
 from borsuk.covering import SAMPLE_CERTIFIED, Covering
-from borsuk.errors import DegenerateBody, GridTooCoarse, IndexOutOfRange, PointUncovered
-from borsuk.linalg import Vec, canonical_sign, vsub
+from borsuk.errors import DegenerateBody, DimensionMismatch, GridTooCoarse, IndexOutOfRange, PointUncovered
+from borsuk.linalg import Vec, canonical_sign, vneg, vsub
 from borsuk.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult
 from borsuk.metric import gauge, set_diameter
 from borsuk.partition import Partition
@@ -678,9 +690,12 @@ def lp_path(patch):
     exact hull, so pruning, gauges and membership of vertex bodies in
     every dimension are all answered by exact LPs. Certification is a
     rank check on either path; :func:`axis_extent_verdict` is its LP
-    reference."""
+    reference. The integer hull entry is nulled too, so that Minkowski
+    sums and difference bodies, which hull their integer sums directly,
+    prune them by LPs."""
     for kind in (VPolytope, SymmetricBody):
         patch.setattr(kind, "hull", property(lambda body: None))
+    patch.setattr(bodies, "integer_hull", lambda m, rows: None)
     # read afresh, so normals a body kept from before do not outlive its hull
     patch.setattr(SymmetricBody, "normals", property(SymmetricBody.normals.func))
 
@@ -780,3 +795,29 @@ def outline_by_facet_crossings(C: SymmetricBody):
             if all(abs(a[0] * x + a[1] * y) <= b for a, b in C.facets):
                 pts.add(p)
     return _angular_sort(pts)
+
+
+def fraction_minkowski_sum(A: VPolytope, B: VPolytope) -> VPolytope:
+    """The Minkowski sum with every pairwise vertex sum a ``Fraction``
+    tuple, hashed into a set and pruned: the hull of the sums then takes
+    their least common denominator as its scale."""
+    if A.dim != B.dim:
+        raise DimensionMismatch(f"dims {A.dim} and {B.dim} differ")
+    sums = {tuple(x + y for x, y in zip(a, b)) for a in A.vertices for b in B.vertices}
+    return prune_redundant(VPolytope(A.dim, tuple(sorted(sums))))
+
+
+def fraction_difference_body(K: VPolytope) -> SymmetricBody:
+    """K - K from ``Fraction`` vertices: twice the pruned vertices when K is
+    closed under negation, else :func:`fraction_minkowski_sum` of K and -K,
+    keeping the hull of its sums."""
+    if not is_full_dimensional(K):
+        raise DegenerateBody("difference body requires a full-dimensional polytope")
+    vset = set(K.vertices)
+    if all(vneg(v) in vset for v in vset):
+        base = K if K.pruned else prune_redundant(K)
+        verts, hull = tuple(sorted({tuple(2 * c for c in v) for v in base.vertices})), None
+    else:
+        sums = fraction_minkowski_sum(K, negate(K))
+        verts, hull = sums.vertices, sums.hull
+    return validate_body(SymmetricBody(K.dim, vertices=verts, seed_hull=hull))

@@ -1,7 +1,9 @@
 """Polytope constructions: negation, sums, difference bodies, lifting."""
 
 import random
+from collections import Counter
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -12,12 +14,12 @@ from borsuk.bodies import (
     VPolytope,
     body_from_vertices,
     contains_point,
+    convex_hull,
     difference_body,
     lift_body,
     lift_set,
     minkowski_sum,
     negate,
-    planar_hull,
     point_set,
     prune_redundant,
     validate_body,
@@ -27,7 +29,7 @@ from borsuk.errors import DegenerateBody, DimensionMismatch, InvalidInput, NotSy
 from borsuk.generators import cross_polytope_body, gen_random_body, gen_random_polytope
 from borsuk.linalg import vneg
 from borsuk.metric import gauge
-from oracles import axis_extent_verdict, lp_path
+from oracles import axis_extent_verdict, fraction_difference_body, fraction_minkowski_sum, lp_path
 
 F = Fraction
 
@@ -301,6 +303,78 @@ def test_difference_body_of_symmetric_polytope_matches_minkowski_sum():
         assert difference_body(P).vertices == expected
 
 
+def _copy(K):
+    """K afresh, with the hull it was pruned with but nothing it cached."""
+    return VPolytope(K.dim, K.vertices, pruned=K.pruned, seed_hull=K.seed_hull)
+
+
+def _sum_inputs():
+    """Seeded polytopes in 1D-4D: pruned ones, whose hull may be finer than
+    their vertices, the same without that hull, unpruned ones with an inner
+    point of finer denominator, and negation-closed ones."""
+    for seed in range(60):
+        dim = 1 + seed % 3
+        K = gen_random_polytope(1600 + seed, dim, dim + 1 + seed % 4, max_numerator=7, max_denominator=6)
+        yield K
+        yield VPolytope(dim, K.vertices, pruned=True)
+        inner = tuple(sum(c) / len(K.vertices) for c in zip(*K.vertices))  # the centroid
+        yield VPolytope(dim, tuple(sorted(set(K.vertices) | {inner})))
+        if seed % 4 == 0:
+            yield VPolytope(dim, tuple(sorted(set(K.vertices) | {vneg(v) for v in K.vertices})))
+    for seed in range(3):
+        yield gen_random_polytope(1700 + seed, 4, 5 + seed, max_numerator=5, max_denominator=3)
+
+
+def _assert_same_polytope(got, expected):
+    assert (got.vertices, got.pruned) == (expected.vertices, expected.pruned)
+    assert got.hull == expected.hull  # vertices, scale, corners and planes
+
+
+def test_integer_sums_match_fraction_sums():
+    rng = random.Random(1617)
+    inputs = list(_sum_inputs())
+    scales = Counter()
+    for K in inputs:
+        L = rng.choice([P for P in inputs if P.dim == K.dim])
+        for A, B in ((K, negate(K)), (K, K), (K, L)):
+            got = minkowski_sum(_copy(A), _copy(B))
+            _assert_same_polytope(got, fraction_minkowski_sum(_copy(A), _copy(B)))
+            if got.hull is not None:
+                scales[got.hull.scale < lcm(_copy(A).scaled[0], _copy(B).scaled[0])] += 1
+        D, expected = difference_body(_copy(K)), fraction_difference_body(_copy(K))
+        assert D.vertices == expected.vertices and D.hull == expected.hull
+        assert D.normals == expected.normals
+    # sums on a coarser scale than their summands are common
+    assert scales[True] >= 20 and scales[False] >= 20, scales
+
+
+def test_sums_coarser_than_their_summands_get_their_own_scale():
+    # K has scale 2 and K - K, K + K scale 1: the hull of the sums must
+    # have the scale it would have had from the sums as Fractions
+    segment = vpolytope([(F(1, 2),), (F(3, 2),)])
+    tetrahedron = vpolytope([(F(1, 2), 0, 0), (F(3, 2), 0, 0), (F(1, 2), 1, 0), (F(1, 2), 0, 1)])
+    for K in (segment, tetrahedron):
+        assert K.scaled[0] == 2
+        for got, expected in (
+            (minkowski_sum(K, negate(K)), fraction_minkowski_sum(K, negate(K))),
+            (minkowski_sum(K, K), fraction_minkowski_sum(K, K)),
+        ):
+            assert got.hull.scale == 1
+            _assert_same_polytope(got, expected)
+        D = difference_body(_copy(K))
+        assert D.hull.scale == 1 and D.hull == fraction_difference_body(_copy(K)).hull
+    assert difference_body(segment).vertices == ((F(-1),), (F(1),))
+
+
+def test_sums_without_a_hull_are_pruned_by_lps(monkeypatch):
+    K = gen_random_polytope(1618, 3, 5, max_numerator=7, max_denominator=6)
+    expected = minkowski_sum(K, negate(K))
+    with monkeypatch.context() as patch:
+        lp_path(patch)
+        got = minkowski_sum(_copy(K), negate(K))
+        assert got.hull is None and got.vertices == expected.vertices
+
+
 def _planar_clouds():
     """Seeded planar point clouds for the hull: lattice clouds (with
     duplicate points and collinear triples), rational clouds, clouds on
@@ -337,7 +411,7 @@ def test_hull_prune_matches_lp_prune(monkeypatch):
     sizes = {len(P.vertices) for P in by_hull}
     assert {1, 2} <= sizes and max(sizes) >= 5
     for P, pruned in zip(clouds, by_hull):
-        hull = planar_hull(P.vertices).vertices
+        hull = convex_hull(P.vertices).vertices
         # counter-clockwise from the least point, every turn strictly left
         assert sorted(hull) == list(pruned.vertices) and hull[0] == min(hull)
         if len(hull) >= 3:

@@ -297,10 +297,24 @@ def _count_hulls(monkeypatch):
     return calls
 
 
+def _count_spatial_hull_entries(monkeypatch):
+    """The point counts of the integer hull entry's calls in space."""
+    calls = []
+    hull = bodies.integer_hull
+
+    def counted(m, rows):
+        if len(next(iter(rows))) == 3:
+            calls.append(len(rows))
+        return hull(m, rows)
+
+    monkeypatch.setattr(bodies, "integer_hull", counted)
+    return calls
+
+
 def test_one_doubling_check_hulls_k_minus_k_once(monkeypatch):
     K = gen_random_polytope(31, 3, 6, max_numerator=8, max_denominator=4)
     S = point_set(K.vertices)
-    calls = _count_hulls(monkeypatch)
+    calls = _count_spatial_hull_entries(monkeypatch)
     b1, b2, ok = doubling_check(K, S)
     assert ok
     sums = {tuple(a - b for a, b in zip(u, v)) for u in K.vertices for v in K.vertices}

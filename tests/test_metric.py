@@ -385,6 +385,25 @@ def test_body_contains_rejects_an_unvalidated_planar_body():
             gauge(segment, x)
 
 
+def test_a_facet_body_whose_normals_do_not_span_is_refused():
+    # an unvalidated strip is unbounded: its normals would give a seminorm,
+    # with gauge 0 at (0, 100), so they are refused as a segment's are
+    strips = [
+        SymmetricBody(2, facets=(((1, 0), 1),)),
+        SymmetricBody(3, facets=(((F(1), F(0), F(0)), F(1)), ((F(0), F(1), F(-1)), F(2, 3)))),
+    ]
+    for C in strips:
+        with pytest.raises(DegenerateBody, match="do not span"):
+            C.normals
+        x = (F(0),) * (C.dim - 1) + (F(100),)
+        for query in (gauge, body_contains):
+            with pytest.raises(DegenerateBody):
+                query(C, x)
+    # a facet body whose normals span keeps its gauge
+    C = SymmetricBody(2, facets=(((1, 0), 1), ((1, 1), 2)))
+    assert gauge(C, (F(0), F(100))) == 50 and not body_contains(C, (F(0), F(100)))
+
+
 PRIMES = [p for p in range(2, 400) if all(p % q for q in range(2, p))]
 
 

@@ -31,6 +31,7 @@ from borsuk.partition import (
     Partition,
     _dsatur_greedy,
     _exact_chromatic,
+    _greedy_clique,
     borsuk_number,
     chromatic_number,
     doubling_check,
@@ -40,6 +41,7 @@ from borsuk.partition import (
 )
 from oracles import (
     _recursive_dsatur_greedy,
+    _recursive_greedy_clique,
     chromatic_by_bruteforce,
     linked_list_dsatur_greedy,
     linked_list_exact_chromatic,
@@ -579,3 +581,30 @@ def test_dsatur_greedy_matches_both_references():
     for n in (808, 1200):
         adj = _adjacency(n, _padded(n, DSATUR_TRAP, rng))
         assert _dsatur_greedy(n, adj) == linked_list_dsatur_greedy(n, adj)
+
+
+def test_greedy_clique_matches_the_set_reference_at_benchmark_scale():
+    # the masked clique against the per-candidate set scan it replaced: M6
+    # relabelled, G(80, 0.1), the trap padded to 800-1200 vertices, and
+    # random graphs, some with isolated vertices, some with none or no edge
+    rng = random.Random(1606)
+    n6, m6 = _mycielski(6)
+    graphs = [(n6, _relabel(n6, m6, rng)) for _ in range(3)]
+    for _ in range(4):
+        graphs.append((80, [(i, j) for i in range(80) for j in range(i + 1, 80) if rng.random() < 0.1]))
+    for _ in range(3):
+        n = rng.randint(800, 1200)
+        graphs.append((n, _padded(n, DSATUR_TRAP, rng)))
+    for _ in range(300):
+        k = rng.randint(1, 40)
+        p = rng.choice((0.0, 0.15, 0.3, 0.5, 0.7, 0.9, rng.random()))
+        edges = [(i, j) for i in range(k) for j in range(i + 1, k) if rng.random() < p]
+        n = k + rng.choice((0, rng.randint(1, 60)))
+        graphs.append((n, _padded(n, edges, rng) if edges else edges))
+    sizes = set()
+    for n, edges in graphs:
+        adj = _adjacency(n, edges)
+        clique = _greedy_clique(n, adj)
+        assert clique == _recursive_greedy_clique(n, adj), (n, edges)
+        sizes.add(len(clique))
+    assert {1, 2, 3, 4, 5} <= sizes
