@@ -9,9 +9,11 @@ colors next the uncolored vertex of highest saturation, the first in
 (-degree, index) order on a tie, and tries colors in increasing order.
 Its state is held in int bitmasks over the vertices in that order, in
 the style of San Segundo (2012): per color, the vertices next to it;
-per saturation, the vertices at it. Coloring a vertex is then a few
-ANDs and ORs. Outcomes are certified by the returned coloring and,
-when the search finished, by exhaustion.
+per saturation, the vertices at it. Each frame of the stack keeps the
+state its vertex was picked in, and a child's state is built from it
+by a few ANDs and ORs on copies of the lists it changes, so backing out
+of a child undoes nothing. Outcomes are certified by the returned
+coloring and, when the search finished, by exhaustion.
 """
 
 from __future__ import annotations
@@ -77,6 +79,17 @@ def node_budget_default() -> int:
     return budget
 
 
+def _checked_budget(node_budget) -> int:
+    """``node_budget``, or the default when it is None. Like the
+    environment variable, it must be an int of at least 1, and a bool is
+    not one."""
+    if node_budget is None:
+        return node_budget_default()
+    if isinstance(node_budget, bool) or not isinstance(node_budget, int) or node_budget < 1:
+        raise InvalidInput(f"node budget must be a positive integer, got {node_budget!r}")
+    return node_budget
+
+
 def _greedy_clique(n, adj) -> list[int]:
     """A clique grown greedily: each step takes the candidate with the most
     neighbours among the candidates, ties to the least index, and keeps
@@ -101,132 +114,74 @@ def _greedy_clique(n, adj) -> list[int]:
     return clique
 
 
-class _Saturation:
-    """A partial coloring with its DSATUR state held in int bitmasks.
+def _ranking(adj):
+    """(order, ranked, bit, nbr): the vertices in (-degree, index) order,
+    how many of them have a neighbour, and per vertex its own bit and the
+    mask of its neighbours, bit r standing for the vertex of rank r.
 
-    The vertices are ranked once in (-degree, index) order, and bit r of
-    every mask stands for the vertex of rank r: ``bit[v]`` is v's own bit,
-    ``nbr[v]`` the mask of its neighbours and ``uncolored`` that of the
-    vertices not yet colored. ``near[c]`` is the mask of vertices with a
-    neighbour of color c, and ``lev[s]`` the mask of vertices, colored or
-    not, of saturation s (s distinct colors among their neighbours).
-    Coloring v with c ORs ``nbr[v]`` into ``near[c]`` and moves the
-    vertices that adds up one level, one AND per level. Colorings are
-    undone last-in first-out, each popping the ``near[c]`` it pushed on
-    ``undo`` and moving the vertices it had added back down.
-
-    :meth:`pick` takes the uncolored vertex of highest saturation, ties
-    going to the lowest rank: the highest degree, then the smallest
-    index. Vertices of degree 0 rank last and stay out of the masks, with
-    ``bit[v] == 0``: their saturation is always 0, so they are picked
-    only once every other vertex is colored, and then in rank order,
-    which a count of those colored keeps.
+    Vertices of degree 0 rank last and stay out of the masks, with
+    ``bit[v] == 0``: their saturation is always 0, so they are picked only
+    once every other vertex is colored, and then in rank order.
     """
+    n = len(adj)
+    degree = [len(a) for a in adj]
+    # a stable sort, so equal degrees stay in index order
+    order = sorted(range(n), key=degree.__getitem__, reverse=True)
+    ranked = n - degree.count(0)
+    bit = [0] * n
+    for r in range(ranked):
+        bit[order[r]] = 1 << r
+    nbr = [0] * n
+    for v in order[:ranked]:
+        nbr[v] = sum(bit[u] for u in adj[v])
+    return order, ranked, bit, nbr
 
-    def __init__(self, adj, n_colors):
-        n = len(adj)
-        degree = [len(a) for a in adj]
-        # a stable sort, so equal degrees stay in index order
-        order = sorted(range(n), key=degree.__getitem__, reverse=True)
-        ranked = n - degree.count(0)
-        self.order = order
-        self.isolated = order[ranked:]
-        self.isolated_colored = 0
-        self.bit = bit = [0] * n
-        for r in range(ranked):
-            bit[order[r]] = 1 << r
-        self.nbr = nbr = [0] * n
-        for v in order[:ranked]:
-            nbr[v] = sum(bit[u] for u in adj[v])
-        self.colors = [-1] * n
-        self.uncolored = (1 << ranked) - 1
-        self.near = [0] * n_colors
-        self.lev = [self.uncolored] + [0] * n_colors
-        self.undo: list[int] = []
 
-    def add_color(self):
-        self.near.append(0)
-        self.lev.append(0)
+def _pick(order, unc, lev):
+    """The vertex of ``unc`` on the highest level, the first in rank order
+    on a tie; ``unc`` must be nonzero."""
+    for m in reversed(lev):
+        m &= unc
+        if m:
+            return order[(m & -m).bit_length() - 1]
 
-    def assign(self, v, c):
-        self.colors[v] = c
-        b = self.bit[v]
-        if not b:
-            self.isolated_colored += 1
-            return
-        self.uncolored ^= b
-        near = self.near
-        old = near[c]
-        self.undo.append(old)
-        x = self.nbr[v] & ~old
-        if x:
-            near[c] = old | x
-            lev = self.lev
-            for s, m in enumerate(lev):  # a vertex moved up leaves x
-                y = m & x
-                if y:
-                    lev[s] = m ^ y
-                    lev[s + 1] |= y
-                    x ^= y
-                    if not x:
-                        break
 
-    def clear(self, v):
-        c = self.colors[v]
-        self.colors[v] = -1
-        b = self.bit[v]
-        if not b:
-            self.isolated_colored -= 1
-            return
-        self.uncolored |= b
-        near = self.near
-        old = self.undo.pop()
-        x = near[c] ^ old
-        if x:
-            near[c] = old
-            lev = self.lev
-            for s, m in enumerate(lev):  # x holds no vertex of level 0
-                y = m & x
-                if y:
-                    lev[s] = m ^ y
-                    lev[s - 1] |= y
-                    x ^= y
-                    if not x:
-                        break
+def _raised(lev, x):
+    """A copy of the levels with the vertices of x moved up one."""
+    lev = lev.copy()
+    for s, m in enumerate(lev):  # a vertex moved up leaves x
+        y = m & x
+        if y:
+            lev[s] = m ^ y
+            lev[s + 1] |= y
+            x ^= y
+            if not x:
+                break
+    return lev
 
-    def pick(self):
-        """The uncolored vertex of highest saturation, the first in rank
-        order on a tie."""
-        unc = self.uncolored
-        if not unc:
-            return self.isolated[self.isolated_colored]
-        for m in reversed(self.lev):
-            m &= unc
-            if m:
-                return self.order[(m & -m).bit_length() - 1]
 
-    def first_free(self, v):
-        """Smallest color no neighbour of v holds; len(near) if none."""
-        near, b = self.near, self.bit[v]
+def _dsatur_greedy(ranking) -> list[int]:
+    """DSATUR's own coloring: each picked vertex takes its first free
+    color. Vertices of degree 0 come last and all take color 0."""
+    order, ranked, bit, nbr = ranking
+    colors = [0] * len(order)
+    unc = (1 << ranked) - 1
+    near, lev = [], [unc]
+    for _ in range(ranked):
+        v = _pick(order, unc, lev)
+        b = bit[v]
         c = 0
         while c < len(near) and near[c] & b:
             c += 1
-        return c
-
-
-def _dsatur_greedy(n, adj) -> list[int]:
-    """DSATUR's own coloring: each picked vertex takes its first free
-    color. Vertices of degree 0 come last and all take color 0."""
-    state = _Saturation(adj, 0)
-    for _ in range(n - len(state.isolated)):
-        v = state.pick()
-        c = state.first_free(v)
-        if c == len(state.near):
-            state.add_color()
-        state.assign(v, c)
-    colors = state.colors
-    for v in state.isolated:
-        colors[v] = 0
+        if c == len(near):
+            near.append(0)
+            lev.append(0)
+        colors[v] = c
+        unc ^= b
+        x = nbr[v] & ~near[c]
+        if x:
+            near[c] |= x
+            lev = _raised(lev, x)
     return colors
 
 
@@ -238,7 +193,8 @@ def _exact_chromatic(n, edges, budget):
         adj[j].add(i)
 
     clique = _greedy_clique(n, adj)
-    best = _dsatur_greedy(n, adj)
+    ranking = order, ranked, bit, nbr = _ranking(adj)
+    best = _dsatur_greedy(ranking)
     best_k = max(best) + 1
     lb = len(clique)
     if lb == best_k:
@@ -246,20 +202,29 @@ def _exact_chromatic(n, edges, budget):
 
     # Fixing the clique's colors breaks color-permutation symmetry and
     # is sound: any proper coloring can be relabeled to match.
-    state = _Saturation(adj, best_k)
-    for rank, v in enumerate(clique):
-        state.assign(v, rank)
-    colors, near, bit = state.colors, state.near, state.bit
+    unc = (1 << ranked) - 1
+    near = [0] * best_k
+    lev = [unc] + near
+    for c, v in enumerate(clique):
+        unc ^= bit[v]
+        near[c] = nbr[v]
+        lev = _raised(lev, nbr[v])
 
     # Depth-first search on an explicit stack of frames [v, next color,
-    # colors in use], one per colored vertex outside the clique. A node
-    # is entered with `used` colors in use; it tries each free color below
-    # `used`, then one new color if that could still beat the best. The
-    # budget is checked on entering a node and after each child that
-    # reused a color.
+    # colors in use, unc, near, lev], one per colored vertex outside the
+    # clique, holding the state before v is colored: `unc` masks the
+    # uncolored vertices, `near[c]` those with a neighbour of color c and
+    # `lev[s]` those, colored or not, of saturation s. A child's state is
+    # built from its frame's and never undone: the lists a child changes
+    # are copies, and the lists it leaves alone are shared, so backing out
+    # of a child is just reading its frame again. v's color is the next
+    # color less one. A node is entered with `used` colors in use; it
+    # tries each free color below `used`, then one new color if that could
+    # still beat the best. The budget is checked on entering a node and
+    # after each child that reused a color.
     nodes = 0
     exhausted = True
-    stack: list[list[int]] = []
+    stack: list[list] = []
     used = lb
     entering = True
     while True:
@@ -270,18 +235,24 @@ def _exact_chromatic(n, edges, budget):
             else:
                 nodes += 1
                 if used < best_k:
-                    if lb + len(stack) == n:
-                        best_k, best = used, colors.copy()
+                    depth = lb + len(stack)
+                    if depth == n:
+                        best_k, best = used, [-1] * n
+                        for c, v in enumerate(clique):
+                            best[v] = c
+                        for frame in stack:
+                            best[frame[0]] = frame[1] - 1
                     else:
-                        stack.append([state.pick(), 0, used])
+                        # with every ranked vertex colored, the next is
+                        # isolated and the first of those left in rank order
+                        v = _pick(order, unc, lev) if unc else order[depth]
+                        stack.append([v, 0, used, unc, near, lev])
         if not stack:
             break
         frame = stack[-1]
-        v, c, frame_used = frame
-        if colors[v] >= 0:  # a child of this frame has returned
-            reused = colors[v] < frame_used
-            state.clear(v)
-            if not reused:
+        v, c, frame_used, unc, near, lev = frame
+        if c:  # a child of this frame has returned
+            if c > frame_used:  # it had opened a new color
                 stack.pop()
                 continue
             if nodes >= budget:
@@ -292,13 +263,19 @@ def _exact_chromatic(n, edges, budget):
         while c < frame_used and near[c] & b:
             c += 1
         if c < frame_used:
-            frame[1], used = c + 1, frame_used
+            used = frame_used
         elif frame_used + 1 < best_k:  # c == frame_used: open a new color
-            frame[1], used = c + 1, frame_used + 1
+            used = frame_used + 1
         else:
             stack.pop()
             continue
-        state.assign(v, c)
+        frame[1] = c + 1
+        unc ^= b
+        x = nbr[v] & ~near[c]
+        if x:
+            near = near.copy()
+            near[c] |= x
+            lev = _raised(lev, x)
         entering = True
     optimal = exhausted or best_k == lb
     return best_k, best, clique, optimal, nodes
@@ -309,9 +286,10 @@ def chromatic_number(G: DiameterGraph, node_budget: int | None = None) -> Borsuk
 
     If the node budget runs out the best coloring found so far is
     returned with ``optimal=False`` (its class count is still an upper
-    bound, and the clique size a lower bound).
+    bound, and the clique size a lower bound). A budget that is not an int
+    of at least 1 raises :class:`InvalidInput`.
     """
-    budget = node_budget if node_budget is not None else node_budget_default()
+    budget = _checked_budget(node_budget)
     k, colors, clique, optimal, nodes = _exact_chromatic(G.n_points, G.edges, budget)
     classes: dict[int, list[int]] = {}
     for v, c in enumerate(colors):
@@ -322,9 +300,10 @@ def chromatic_number(G: DiameterGraph, node_budget: int | None = None) -> Borsuk
 
 def borsuk_number(C: SymmetricBody, S: PointSet, node_budget: int | None = None) -> BorsukCertificate:
     """Least number of parts of S with diameter strictly below d_C(S)."""
+    budget = _checked_budget(node_budget)
     if len(S.points) == 1:
         return BorsukCertificate(1, partition(1, [(0,)]), (0,), True, 0)
-    return chromatic_number(diameter_graph(C, S), node_budget)
+    return chromatic_number(diameter_graph(C, S), budget)
 
 
 def verify_partition(C: SymmetricBody, S: PointSet, P: Partition) -> bool:

@@ -13,7 +13,9 @@ the package's branch and bound: the recursive DSATUR search that
 recomputes every saturation at every node, for small graphs, and
 :func:`linked_list_exact_chromatic`, the same iterative search with
 saturations counted per vertex and per color and the uncolored vertices
-in a linked list, for graphs and searches at benchmark scale.
+in a linked list, for graphs and searches at benchmark scale, and
+:func:`undo_exact_chromatic`, the bitmask search that colors and
+uncolors one shared state instead of building each child's state anew.
 :func:`per_pair_greedy_cover`
 and :func:`per_pair_cover_to_partition` are the references for the
 covering layer: one membership LP per (witness, center) pair, and only
@@ -578,6 +580,211 @@ def linked_list_exact_chromatic(n, edges, budget):
                 continue
         held = counts[v]
         while c < frame_used and held[c]:
+            c += 1
+        if c < frame_used:
+            frame[1], used = c + 1, frame_used
+        elif frame_used + 1 < best_k:  # c == frame_used: open a new color
+            frame[1], used = c + 1, frame_used + 1
+        else:
+            stack.pop()
+            continue
+        state.assign(v, c)
+        entering = True
+    optimal = exhausted or best_k == lb
+    return best_k, best, clique, optimal, nodes
+
+
+class UndoSaturation:
+    """A partial coloring with its DSATUR state held in int bitmasks.
+
+    The vertices are ranked once in (-degree, index) order, and bit r of
+    every mask stands for the vertex of rank r: ``bit[v]`` is v's own bit,
+    ``nbr[v]`` the mask of its neighbours and ``uncolored`` that of the
+    vertices not yet colored. ``near[c]`` is the mask of vertices with a
+    neighbour of color c, and ``lev[s]`` the mask of vertices, colored or
+    not, of saturation s (s distinct colors among their neighbours).
+    Coloring v with c ORs ``nbr[v]`` into ``near[c]`` and moves the
+    vertices that adds up one level, one AND per level. Colorings are
+    undone last-in first-out, each popping the ``near[c]`` it pushed on
+    ``undo`` and moving the vertices it had added back down.
+
+    :meth:`pick` takes the uncolored vertex of highest saturation, ties
+    going to the lowest rank: the highest degree, then the smallest
+    index. Vertices of degree 0 rank last and stay out of the masks, with
+    ``bit[v] == 0``: their saturation is always 0, so they are picked
+    only once every other vertex is colored, and then in rank order,
+    which a count of those colored keeps.
+    """
+
+    def __init__(self, adj, n_colors):
+        n = len(adj)
+        degree = [len(a) for a in adj]
+        # a stable sort, so equal degrees stay in index order
+        order = sorted(range(n), key=degree.__getitem__, reverse=True)
+        ranked = n - degree.count(0)
+        self.order = order
+        self.isolated = order[ranked:]
+        self.isolated_colored = 0
+        self.bit = bit = [0] * n
+        for r in range(ranked):
+            bit[order[r]] = 1 << r
+        self.nbr = nbr = [0] * n
+        for v in order[:ranked]:
+            nbr[v] = sum(bit[u] for u in adj[v])
+        self.colors = [-1] * n
+        self.uncolored = (1 << ranked) - 1
+        self.near = [0] * n_colors
+        self.lev = [self.uncolored] + [0] * n_colors
+        self.undo = []
+
+    def add_color(self):
+        self.near.append(0)
+        self.lev.append(0)
+
+    def assign(self, v, c):
+        self.colors[v] = c
+        b = self.bit[v]
+        if not b:
+            self.isolated_colored += 1
+            return
+        self.uncolored ^= b
+        near = self.near
+        old = near[c]
+        self.undo.append(old)
+        x = self.nbr[v] & ~old
+        if x:
+            near[c] = old | x
+            lev = self.lev
+            for s, m in enumerate(lev):  # a vertex moved up leaves x
+                y = m & x
+                if y:
+                    lev[s] = m ^ y
+                    lev[s + 1] |= y
+                    x ^= y
+                    if not x:
+                        break
+
+    def clear(self, v):
+        c = self.colors[v]
+        self.colors[v] = -1
+        b = self.bit[v]
+        if not b:
+            self.isolated_colored -= 1
+            return
+        self.uncolored |= b
+        near = self.near
+        old = self.undo.pop()
+        x = near[c] ^ old
+        if x:
+            near[c] = old
+            lev = self.lev
+            for s, m in enumerate(lev):  # x holds no vertex of level 0
+                y = m & x
+                if y:
+                    lev[s] = m ^ y
+                    lev[s - 1] |= y
+                    x ^= y
+                    if not x:
+                        break
+
+    def pick(self):
+        """The uncolored vertex of highest saturation, the first in rank
+        order on a tie."""
+        unc = self.uncolored
+        if not unc:
+            return self.isolated[self.isolated_colored]
+        for m in reversed(self.lev):
+            m &= unc
+            if m:
+                return self.order[(m & -m).bit_length() - 1]
+
+    def first_free(self, v):
+        """Smallest color no neighbour of v holds; len(near) if none."""
+        near, b = self.near, self.bit[v]
+        c = 0
+        while c < len(near) and near[c] & b:
+            c += 1
+        return c
+
+
+def undo_dsatur_greedy(n, adj):
+    """DSATUR's own coloring: each picked vertex takes its first free
+    color. Vertices of degree 0 come last and all take color 0."""
+    state = UndoSaturation(adj, 0)
+    for _ in range(n - len(state.isolated)):
+        v = state.pick()
+        c = state.first_free(v)
+        if c == len(state.near):
+            state.add_color()
+        state.assign(v, c)
+    colors = state.colors
+    for v in state.isolated:
+        colors[v] = 0
+    return colors
+
+
+def undo_exact_chromatic(n, edges, budget):
+    """(k, colors, clique, optimal, nodes) by the iterative DSATUR branch
+    and bound with its state in :class:`UndoSaturation`, each coloring
+    undone when the search backs out of it."""
+    adj = [set() for _ in range(n)]
+    for i, j in edges:
+        adj[i].add(j)
+        adj[j].add(i)
+
+    clique = _recursive_greedy_clique(n, adj)
+    best = undo_dsatur_greedy(n, adj)
+    best_k = max(best) + 1
+    lb = len(clique)
+    if lb == best_k:
+        return best_k, best, clique, True, 0
+
+    # Fixing the clique's colors breaks color-permutation symmetry and
+    # is sound: any proper coloring can be relabeled to match.
+    state = UndoSaturation(adj, best_k)
+    for rank, v in enumerate(clique):
+        state.assign(v, rank)
+    colors, near, bit = state.colors, state.near, state.bit
+
+    # Depth-first search on an explicit stack of frames [v, next color,
+    # colors in use], one per colored vertex outside the clique. A node
+    # is entered with `used` colors in use; it tries each free color below
+    # `used`, then one new color if that could still beat the best. The
+    # budget is checked on entering a node and after each child that
+    # reused a color.
+    nodes = 0
+    exhausted = True
+    stack = []
+    used = lb
+    entering = True
+    while True:
+        if entering:
+            entering = False
+            if nodes >= budget:
+                exhausted = False
+            else:
+                nodes += 1
+                if used < best_k:
+                    if lb + len(stack) == n:
+                        best_k, best = used, colors.copy()
+                    else:
+                        stack.append([state.pick(), 0, used])
+        if not stack:
+            break
+        frame = stack[-1]
+        v, c, frame_used = frame
+        if colors[v] >= 0:  # a child of this frame has returned
+            reused = colors[v] < frame_used
+            state.clear(v)
+            if not reused:
+                stack.pop()
+                continue
+            if nodes >= budget:
+                exhausted = False
+                stack.pop()
+                continue
+        b = bit[v]
+        while c < frame_used and near[c] & b:
             c += 1
         if c < frame_used:
             frame[1], used = c + 1, frame_used

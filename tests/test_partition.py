@@ -32,6 +32,7 @@ from borsuk.partition import (
     _dsatur_greedy,
     _exact_chromatic,
     _greedy_clique,
+    _ranking,
     borsuk_number,
     chromatic_number,
     doubling_check,
@@ -46,6 +47,8 @@ from oracles import (
     linked_list_dsatur_greedy,
     linked_list_exact_chromatic,
     recursive_exact_chromatic,
+    undo_dsatur_greedy,
+    undo_exact_chromatic,
     verify_partition_by_class,
 )
 
@@ -371,6 +374,21 @@ def test_node_budget_env_rejects_bad_values(monkeypatch, raw):
         node_budget_default()
 
 
+@pytest.mark.parametrize("budget", [0, -1, 1.5, True, False, "5", F(3)])
+def test_library_node_budgets_are_validated(square_v, budget):
+    # the environment variable's rule: an int of at least 1, not a bool
+    edges = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]
+    with pytest.raises(InvalidInput, match="node budget"):
+        chromatic_number(_graph(5, edges), budget)
+    with pytest.raises(InvalidInput, match="node budget"):
+        borsuk_number(square_v, point_set([(1, 1), (-1, -1)]), budget)
+    with pytest.raises(InvalidInput, match="node budget"):
+        borsuk_number(square_v, point_set([(1, 1)]), budget)
+    K = vpolytope([(0, 0), (2, 0), (3, 2), (1, 3), (-1, 2)])
+    with pytest.raises(InvalidInput, match="node budget"):
+        doubling_check(K, point_set(K.vertices), node_budget=budget)
+
+
 def _random_facet_body(rng, dim):
     while True:
         facets = [
@@ -539,11 +557,12 @@ def _adjacency(n, edges):
 
 
 def test_branch_and_bound_matches_linked_list_reference_at_benchmark_scale():
-    # the bitmask search against the per-vertex, per-colour tables it
-    # replaced, on the coloring benchmark's graphs: M6 under node budgets,
-    # G(80, 0.1) under the benchmark's cap, the trap padded to 800-1200
-    # vertices with isolated vertices on both sides of its own, and random
-    # graphs with isolated vertices mixed in
+    # the search against the per-vertex, per-colour tables and against the
+    # bitmask state colored and uncolored in place, on the coloring
+    # benchmark's graphs: M6 under node budgets, G(80, 0.1) under the
+    # benchmark's cap, the trap padded to 800-1200 vertices with isolated
+    # vertices on both sides of its own, and random graphs with isolated
+    # vertices mixed in
     rng = random.Random(1105)
     n6, m6 = _mycielski(6)
     cases = [(n6, _relabel(n6, m6, rng), budget) for budget in (1, rng.randint(2, 13000), 13000)]
@@ -562,6 +581,7 @@ def test_branch_and_bound_matches_linked_list_reference_at_benchmark_scale():
     for n, edges, budget in cases:
         got = _exact_chromatic(n, edges, budget)
         assert got == linked_list_exact_chromatic(n, edges, budget), (n, edges, budget)
+        assert got == undo_exact_chromatic(n, edges, budget), (n, edges, budget)
         searched += got[4] > 1
         cut += not got[3]
         isolated += not all(_adjacency(n, edges))
@@ -577,10 +597,11 @@ def test_dsatur_greedy_matches_both_references():
         if edges:
             edges = _padded(n, edges, rng)
         adj = _adjacency(n, edges)
-        assert _dsatur_greedy(n, adj) == _recursive_dsatur_greedy(n, adj) == linked_list_dsatur_greedy(n, adj)
+        got = _dsatur_greedy(_ranking(adj))
+        assert got == _recursive_dsatur_greedy(n, adj) == linked_list_dsatur_greedy(n, adj) == undo_dsatur_greedy(n, adj)
     for n in (808, 1200):
         adj = _adjacency(n, _padded(n, DSATUR_TRAP, rng))
-        assert _dsatur_greedy(n, adj) == linked_list_dsatur_greedy(n, adj)
+        assert _dsatur_greedy(_ranking(adj)) == linked_list_dsatur_greedy(n, adj) == undo_dsatur_greedy(n, adj)
 
 
 def test_greedy_clique_matches_the_set_reference_at_benchmark_scale():
