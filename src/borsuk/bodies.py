@@ -9,18 +9,19 @@ vertex body is certified by linear algebra alone: its integer rows are
 closed under negation and span the space (:func:`validate_body`).
 Redundancy removal is answered in dimensions 1 to 3 by one exact convex
 hull per body (:func:`integer_hull` of the scaled form, held by the
-body's ``hull``); Minkowski sums and difference bodies add integer rows
-and hull them directly. Gauges, membership and planar outlines all read
-one integer form, the certified facet normals ``SymmetricBody.normals``
-made from that hull or from a facet body's facets. A symmetric lift,
-the hull of ``(A, h)`` and ``(-A, -h)``, takes its facets from the hull
-of its middle slice ``A - A`` one dimension down, so the lifts of
-polytopes in space are answered without an LP in dimension 4 too.
-Constructions hand on what they build: a pruned polytope keeps the hull
-it was pruned with, the difference body is built on the hull of its
-pruned sums and kept on its polytope, and a lift's slice is that same
-difference body of the lift's base, so ``K - K`` is hulled and its
-normals certified once however many of these ask for it.
+body's ``hull``), in integer form and certified once, where it is made;
+Minkowski sums and difference bodies add integer rows and hull them
+directly. Gauges, membership and planar outlines all read one integer
+form, the facet normals ``SymmetricBody.normals``, read from that hull
+or made from a facet body's facets. A symmetric lift, the hull of
+``(A, h)`` and ``(-A, -h)``, takes its facets from the hull of its
+middle slice ``A - A`` one dimension down, each certified as it is made,
+so the lifts of polytopes in space are answered without an LP in
+dimension 4 too. Constructions hand on what they build: a pruned
+polytope keeps the hull it was pruned with, the difference body is
+built on the hull of its pruned sums and kept on its polytope, and a
+lift's slice is that same difference body of the lift's base, so
+``K - K`` is hulled and certified once however many of these ask for it.
 Other bodies from dimension 4, where facet counts can be exponential in
 the vertex count, and coplanar points in space are answered by the
 exact simplex in :mod:`borsuk.lp`.
@@ -149,66 +150,39 @@ class SymmetricBody(_VertexForm):
         one, whose gauge takes an LP.
 
         A facet body gives ``a / b`` and ``-a / b`` for each facet; each
-        offset ``b`` is checked positive and the normals checked to span
-        the space, else the body is unbounded. A vertex body gives the outer
-        normals of its facets, ``a . v = 1`` on each facet: those of its
-        hull in dimensions 1 to 3, and those of :meth:`_lift_normals` for
-        a symmetric lift without a hull. Each is certified as it is made:
-        ``a . v <= 1`` at every vertex, with equality on ``dim`` vertices
-        of rank ``dim``; and a hull's facets are checked to close up
-        around its corners.
+        offset ``b`` is checked positive and each normal nonzero, in turn,
+        and the normals checked to span the space, else the body is
+        unbounded. A vertex body gives the outer normals of its facets,
+        ``a . v = 1`` on each facet: those of its hull in dimensions 1 to 3,
+        certified where the hull was made (:func:`integer_hull`), so only
+        the origin is checked to be interior here; and those of
+        :meth:`_lift_normals` for a symmetric lift without a hull.
         """
-        d = self.dim
         if self.facets is not None:
-            for _, b in self.facets:
+            for a, b in self.facets:
                 if b <= 0:
                     raise DegenerateBody(f"facet offset {b} is not strictly positive")
+                if not any(a):
+                    raise DegenerateBody("zero facet normal")
             L, rows = over_common_denominator([tuple(Fraction(c, b) for c in a) for a, b in self.facets])
-            if matrix_rank(rows) < d:
+            if matrix_rank(rows) < self.dim:
                 raise DegenerateBody("facet normals do not span the space (unbounded)")
             # both signs, though |a . x| would need only one: the pairwise
             # pass then takes a plain max for facet and vertex bodies alike
             return L, rows + tuple(tuple(-c for c in n) for n in rows)
         hull = self.hull
         if hull is None:
-            lifted = self._lift_normals()
-            if lifted is None:
-                return None
-            L, normals = lifted
-        else:
-            # the origin is interior when it is strictly inside every
-            # half-space, which only a full-dimensional hull allows
-            if not all(c > 0 for _, c in hull.planes):
-                raise DegenerateBody("origin is not interior (body not full-dimensional)")
-            s = hull.scale
-            # facet n . X = c over points X = v * s, so a = n * s / c gives
-            # a . v = 1 on the facet; the least common denominator of the
-            # entries k * s / c of a is c / gcd(s * gcd(n), c)
-            L = lcm(*(c // gcd(s * gcd(*n), c) for n, c in hull.planes))
-            normals = tuple(tuple(k * s * L // c for k in n) for n, c in hull.planes)
-        # the vertices times s: a hull handed on from a superset of the
-        # vertices holds them at its own scale, and they are certified there
-        s, points = self.scaled
-        one = L * s
-        corners = set(hull.corners) if hull is not None else set()
-        incidences = 0  # (corner, facet) pairs with the corner on the facet
-        for a in normals:
-            tight = []
-            for X in points:
-                t = sum(map(mul, a, X))
-                if t >= one:
-                    if t > one:
-                        raise ArithmeticError(f"vertex {X}/{s} is outside facet normal {a}/{L}")
-                    tight.append(X)
-            if matrix_rank(tight) < d:
-                raise ArithmeticError(f"facet normal {a}/{L} holds fewer than {d} independent vertices")
-            incidences += len(corners.intersection(tight))
-        # a polygon has as many edges as corners; a polytope in space has
-        # V - E + F = 2, and each edge lies on two facets, so 2E = incidences
-        V, F = len(corners), len(normals)
-        if hull is not None and ((F != V) if d < 3 else (2 * V - incidences + 2 * F != 4)):
-            raise ArithmeticError(f"the {F} facets of the hull do not close up around its {V} corners")
-        return L, normals
+            return self._lift_normals()
+        # the origin is interior when it is strictly inside every
+        # half-space, which only a full-dimensional hull allows
+        if not all(c > 0 for _, c in hull.planes):
+            raise DegenerateBody("origin is not interior (body not full-dimensional)")
+        s = hull.scale
+        # facet n . X = c over points X = v * s, so a = n * s / c gives
+        # a . v = 1 on the facet; the least common denominator of the
+        # entries k * s / c of a is c / gcd(s * gcd(n), c)
+        L = lcm(*(c // gcd(s * gcd(*n), c) for n, c in hull.planes))
+        return L, tuple(tuple(k * s * L // c for k in n) for n, c in hull.planes)
 
     @cached_property
     def _levels(self) -> tuple[Fraction, VPolytope] | None:
@@ -236,8 +210,8 @@ class SymmetricBody(_VertexForm):
 
     def _lift_normals(self) -> tuple[int, tuple[tuple[int, ...], ...]] | None:
         """The facet normals of a symmetric lift (:attr:`_levels`), from its
-        middle slice, as ``(L, N)`` before certification; None for any
-        other body, or when the slice has no normals.
+        middle slice, as ``(L, N)``; None for any other body, or when the
+        slice has no normals.
 
         By the Cayley trick (Huber, Rambau and Santos, 2000) each facet
         of the hull of ``(A, h)`` and ``(-A, -h)`` other than ``t = +-h``
@@ -251,6 +225,10 @@ class SymmetricBody(_VertexForm):
         ``(2n, (h_A(-n) - h_A(n)) / h)``: it takes the value 1 on the face
         of A that ``n`` picks out, at ``t = h``, and on the face of -A that
         it picks out, at ``t = -h``. The levels add ``(0, +-1 / h)``.
+
+        These normals come from no hull of the lift, so each is certified
+        as it is made: ``a . v <= 1`` at every vertex of the lift, with
+        equality on ``dim`` vertices of rank ``dim``.
         """
         if self._levels is None:
             return None
@@ -273,9 +251,16 @@ class SymmetricBody(_VertexForm):
             normals.append(tuple(2 * m * p * c for c in N) + (-(max(col) + min(col)) * q,))
         level = (0,) * (self.dim - 1) + (q * m * LD,)
         normals += [level, tuple(-c for c in level)]
-        L = m * LD * p
-        g = gcd(L, *(c for n in normals for c in n))
-        return L // g, tuple(tuple(c // g for c in n) for n in normals)
+        g = gcd(m * LD * p, *(c for n in normals for c in n))
+        L, normals = m * LD * p // g, tuple(tuple(c // g for c in n) for n in normals)
+        s, points = self.scaled
+        for a in normals:
+            values = [sum(map(mul, a, X)) for X in points]
+            if max(values) > L * s:
+                raise ArithmeticError(f"a vertex times {s} is outside lifted facet normal {a}/{L}")
+            if matrix_rank([X for X, t in zip(points, values) if t == L * s]) < self.dim:
+                raise ArithmeticError(f"lifted facet normal {a}/{L} holds fewer than {self.dim} independent vertices")
+        return L, normals
 
 
 @dataclass(frozen=True)
@@ -330,26 +315,26 @@ MAX_HULL_DIM = 3
 
 class Hull(NamedTuple):
     """Exact convex hull of a finite point set on the line, in the plane
-    or in space.
+    or in space, in integer form only.
 
-    ``vertices`` are its strict extreme points: the least and the greatest
-    on the line, counter-clockwise from the least in the plane, sorted in
-    space. ``corners`` are the same points times ``scale``, the least
-    common denominator of the set's coordinates (or of a superset's,
-    for a hull handed on from the points it pruned), and the hull is the
-    intersection of the integer half-spaces ``n . X <= c`` in ``planes``
-    over such scaled points, one per facet. In the plane the half-plane of
-    edge (P, Q) has ``c = P x Q``, the orientation of the origin against
-    that edge. A hull that is one point, or a segment in the plane, gets
-    the half-spaces that pin it down.
+    ``corners`` are its strict extreme points times ``scale``, the least
+    common denominator of the set's coordinates (or of a superset's, for
+    a hull handed on from the points it pruned): the least and the
+    greatest on the line, counter-clockwise from the least in the plane,
+    sorted in space. The hull is the intersection of the integer
+    half-spaces ``n . X <= c`` in ``planes`` over such scaled points, one
+    per facet. In the plane the half-plane of edge (P, Q) has
+    ``c = P x Q``, the orientation of the origin against that edge. A hull
+    that is one point, or a segment in the plane, gets the half-spaces
+    that pin it down.
 
-    A hull holds data only: a body certifies its planes and reads them as
-    its normals. A named tuple rather than a frozen dataclass: it is as
-    immutable and costs a sixth of the time to define when the package is
-    imported.
+    A hull holds data only, certified once by :func:`integer_hull` as it
+    is made: a body reads its planes as its normals, and pruning its
+    corners as the pruned vertices. A named tuple rather than a frozen
+    dataclass: it is as immutable and costs a sixth of the time to define
+    when the package is imported.
     """
 
-    vertices: tuple[Vec, ...]
     scale: int
     corners: tuple[tuple[int, ...], ...]
     planes: tuple[HalfSpace, ...]
@@ -368,17 +353,41 @@ def integer_hull(m: int, rows) -> Hull | None:
     denominator of the points, as the callers make it. None in higher
     dimensions, and for coplanar points in space.
 
-    The rows are sorted once, the hull of each dimension is built from
-    those sorted integer points alone, and ``Fraction``s are made only
-    for the hull's vertices."""
+    The rows are sorted once, and the hull of each dimension is built from
+    those sorted points P alone. It is certified here, the one place a
+    hull is, over all of P: (a) every point satisfies ``n . X <= c`` for
+    every plane; and for a full-dimensional hull, (b) each plane holds d
+    affinely independent points, so it is a facet's, and (c) the facets
+    close up: as many as corners on the line and in the plane, and
+    Euler's ``V - E + F = 2`` in space, where each edge lies on two
+    facets, so that 2E counts the (corner, facet) incidences. A point, or
+    a segment in the plane, is checked by (a) alone: its planes only pin
+    it down.
+    """
     d = len(next(iter(rows)))
     if d > MAX_HULL_DIM:
         return None
-    made = (_segment_hull, planar_hull, _spatial_hull)[d - 1](sorted(set(rows)))
+    P = sorted(set(rows))
+    made = (_segment_hull, planar_hull, _spatial_hull)[d - 1](P)
     if made is None:
         return None
     corners, planes = made
-    return Hull(tuple(tuple([Fraction(x, m) for x in X]) for X in corners), m, tuple(corners), planes)
+    full = not len(corners) <= d < MAX_HULL_DIM
+    corner_set, incidences = set(corners), 0
+    for n, c in planes:
+        values = [sum(map(mul, n, X)) for X in P]
+        if max(values) > c:
+            raise ArithmeticError(f"point {P[values.index(max(values))]} is outside the hull's half-space {n} . X <= {c}")
+        if full:
+            on = [X for X, t in zip(P, values) if t == c]
+            # on the line and in the plane any d distinct points are independent
+            if (len(on) if d < 3 else matrix_rank([X + (1,) for X in on])) < d:
+                raise ArithmeticError(f"the hull's plane {n} . X = {c} holds fewer than {d} affinely independent points")
+            incidences += len(corner_set.intersection(on))
+    V, F = len(corners), len(planes)
+    if full and ((F != V) if d < 3 else (2 * V - incidences + 2 * F != 4)):
+        raise ArithmeticError(f"the {F} facets of the hull do not close up around its {V} corners")
+    return Hull(m, tuple(corners), planes)
 
 
 def _segment_hull(P) -> tuple:
@@ -425,11 +434,10 @@ def _half_planes(corners) -> tuple[HalfSpace, ...]:
 
 def planar_hull(P) -> tuple:
     """The corners and half-planes of the hull of the sorted distinct
-    integer points P in the plane, by Andrew's monotone chain (1979).
-
-    Only strict left turns are kept, so collinear boundary points are
-    dropped: the corners are the strict extreme points, counter-clockwise
-    from the least.
+    integer points P in the plane, by Andrew's monotone chain (1979), for
+    :func:`integer_hull` to certify. Only strict left turns are kept, so
+    collinear boundary points are dropped: the corners are the strict
+    extreme points, counter-clockwise from the least.
     """
     corners = _chain(P)[:-1] + _chain(reversed(P))[:-1] if len(P) > 2 else P
     return corners, _half_planes(corners)
@@ -477,13 +485,11 @@ def _spatial_hull(P) -> tuple | None:
     of those before it, and sees a triangle, unless it was passed over
     while the first tetrahedron was sought; one that sees none is in the
     hull already. Coplanar triangles then merge into one facet by dividing
-    each ``(n, c)`` by its gcd, and the vertices are the points whose
-    tight facets have normals of rank 3, so a point inside a facet or an
-    edge is none.
-
-    Certified as it is made: every point satisfies ``n . X <= c`` for
-    every facet, and each facet holds points of rank 3 lifted to ``(X, 1)``,
-    that is three not on a line.
+    each ``(n, c)`` by its gcd. The triangles at a point cover the facets
+    through it: one for a point inside a facet, two inside an edge, and
+    three or more at a vertex, so the corners are the points at which the
+    triangles lie on three facets or more. :func:`integer_hull` certifies
+    the result.
     """
     triangles = _first_tetrahedron(P)
     if triangles is None:
@@ -499,25 +505,14 @@ def _spatial_hull(P) -> tuple | None:
             edges = {e for i, j, k, _, _ in seen for e in ((i, j), (j, k), (k, i))}
             kept += [_triangle(P, i, j, p) for i, j in edges if (j, i) not in edges]
             triangles = kept
-    planes = []
-    for *_, n, c in triangles:
+    facets_at: dict = {}  # per point of a triangle, the facets of the triangles at it
+    for *ijk, n, c in triangles:
         g = gcd(*n, c)
-        planes.append((tuple(x // g for x in n), c // g))
-    planes = sorted(set(planes))
-    tight = []  # per plane, which points are on it
-    for n, c in planes:
-        values = [sum(map(mul, n, X)) for X in P]
-        if max(values) > c:
-            X = P[values.index(max(values))]
-            raise ArithmeticError(f"point {X} is outside the hull's half-space {n} . X <= {c}")
-        tight.append([v == c for v in values])
-    for on in tight:
-        if matrix_rank([X + (1,) for X, t in zip(P, on) if t]) < 3:
-            raise ArithmeticError("a facet of the spatial hull holds no three points off a line")
-    corners = tuple(
-        X for x, X in enumerate(P) if matrix_rank([n for (n, _), on in zip(planes, tight) if on[x]]) == 3
-    )
-    return corners, tuple(planes)
+        facet = (tuple([x // g for x in n]), c // g)
+        for p in ijk:
+            facets_at.setdefault(p, set()).add(facet)
+    corners = tuple(P[p] for p in sorted(facets_at) if len(facets_at[p]) >= 3)
+    return corners, tuple(sorted(set().union(*facets_at.values())))
 
 
 def vpolytope(points, pruned=False) -> VPolytope:
@@ -557,8 +552,9 @@ def validate_body(candidate: SymmetricBody) -> SymmetricBody:
     ``-b`` hold a cross-polytope around it. Both are decided on the body's
     scaled form, with no hull and no LP: closure on its integer rows, and
     one exact rank over them.
-    Facet form: offsets must be strictly positive and the normals must
-    span the space, otherwise the "body" is unbounded.
+    Facet form: offsets must be strictly positive and the normals nonzero
+    and spanning the space, otherwise the "body" is unbounded; these are
+    the checks :attr:`SymmetricBody.normals` makes as it makes them.
     """
     if candidate.vertices is not None:
         _, rows = candidate.scaled
@@ -569,13 +565,7 @@ def validate_body(candidate: SymmetricBody) -> SymmetricBody:
         if matrix_rank(rows) < candidate.dim:
             raise DegenerateBody("origin is not interior (body not full-dimensional)")
     else:
-        for a, b in candidate.facets:
-            if b <= 0:
-                raise DegenerateBody(f"facet offset {b} is not strictly positive")
-            if all(x == 0 for x in a):
-                raise DegenerateBody("zero facet normal")
-        if matrix_rank([a for a, _ in candidate.facets]) < candidate.dim:
-            raise DegenerateBody("facet normals do not span the space (unbounded)")
+        candidate.normals
     return candidate
 
 
@@ -614,10 +604,12 @@ def prune_redundant(P: VPolytope) -> VPolytope:
 
 
 def _pruned_by(dim: int, hull: Hull) -> VPolytope:
-    """The pruned polytope of the hull's vertices, sorted, which keeps the
-    hull: its corners, sorted, are then its scaled form."""
-    order = sorted(range(len(hull.corners)), key=hull.corners.__getitem__)
-    return VPolytope(dim, tuple(hull.vertices[i] for i in order), pruned=True, seed_hull=hull)
+    """The pruned polytope of the hull's corners, sorted and divided by its
+    scale, which keeps the hull: its corners, sorted, are then its scaled
+    form."""
+    m = hull.scale
+    vertices = tuple(tuple([Fraction(x, m) for x in X]) for X in sorted(hull.corners))
+    return VPolytope(dim, vertices, pruned=True, seed_hull=hull)
 
 
 def _pruned_sums(dim: int, m: int, sums: set) -> VPolytope:

@@ -7,7 +7,8 @@ rational written goes through :func:`format_rational`, which raises
 :class:`DomainError` for a value too long to write. Parsing raises
 :class:`InvalidInput` on any malformed object: bad JSON text, a missing
 field, a value of the wrong type, an unparsable rational or a decimal
-too long to print back.
+too long to print back. Every point, vertex, facet normal, class and
+edge must be a JSON list, so a string is not read one character each.
 """
 
 from __future__ import annotations
@@ -120,8 +121,14 @@ def _parses(what):
     return wrap
 
 
+def _list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise InvalidInput(f"{what} must be a JSON list, not {value!r}")
+    return value
+
+
 def _vec_from_obj(coords):
-    return tuple(parse_rational(c) for c in coords)
+    return tuple(parse_rational(c) for c in _list(coords, "a point"))
 
 
 def _freeze(value):
@@ -198,7 +205,7 @@ def graph_from_obj(obj) -> DiameterGraph:
     return DiameterGraph(
         int(obj["n_points"]),
         parse_rational(obj["diameter"]),
-        tuple((int(i), int(j)) for i, j in obj["edges"]),
+        tuple((int(i), int(j)) for i, j in (_list(e, "an edge") for e in obj["edges"])),
     )
 
 
@@ -215,7 +222,7 @@ def certificate_to_obj(cert: BorsukCertificate, elapsed: float | None = None) ->
 @_parses("partition")
 def partition_from_obj(obj, n_points: int | None = None) -> Partition:
     """Accepts either a bare partition object or a certificate."""
-    classes = tuple(tuple(int(i) for i in cls) for cls in obj["classes"])
+    classes = tuple(tuple(int(i) for i in _list(cls, "a class")) for cls in obj["classes"])
     if n_points is None:
         n_points = int(obj.get("n_points") or sum(len(c) for c in classes))
     return Partition(n_points, classes)

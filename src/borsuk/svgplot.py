@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .bodies import PointSet, SymmetricBody, planar_hull
+from .bodies import PointSet, SymmetricBody, integer_hull
 from .errors import DimensionUnsupported, InvalidInput
 from .metric import diameter_graph
 from .partition import Partition
@@ -50,7 +50,7 @@ def _outline_vertices(C: SymmetricBody):
     not below has an angle in [0, pi): the ring is rotated to start there.
     """
     L, normals = C.normals
-    _, planes = planar_hull(sorted(set(normals)))
+    planes = integer_hull(1, normals).planes
     ring = [(Fraction(L * a, c), Fraction(L * b, c)) for (a, b), c in planes]
     start = next(i for i, (_, y) in enumerate(ring) if y >= 0)
     return ring[start:] + ring[:start]

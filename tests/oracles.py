@@ -37,6 +37,11 @@ every feasible crossing of two facet lines, sorted by angle.
 :func:`fraction_minkowski_sum` and :func:`fraction_difference_body` are
 the references for sums taken on integer rows: every pairwise sum built
 as a ``Fraction`` tuple, hashed into a set and pruned.
+:func:`certified_normals` is the reference for ``SymmetricBody.normals``,
+which reads a hull's planes certified where the hull is made: the same
+normals, each certified again as it is read, ``a . v <= 1`` at every
+vertex of the body with equality on ``dim`` vertices of rank ``dim``,
+and a hull's facets checked to close up around its corners.
 """
 
 import math
@@ -57,7 +62,7 @@ from borsuk.bodies import (
 )
 from borsuk.covering import SAMPLE_CERTIFIED, Covering
 from borsuk.errors import DegenerateBody, DimensionMismatch, GridTooCoarse, IndexOutOfRange, PointUncovered
-from borsuk.linalg import Vec, canonical_sign, vneg, vsub
+from borsuk.linalg import Vec, canonical_sign, matrix_rank, over_common_denominator, vneg, vsub
 from borsuk.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult
 from borsuk.metric import gauge, set_diameter
 from borsuk.partition import Partition
@@ -974,6 +979,15 @@ def _angular_sort(vectors):
     return sorted(vectors, key=cmp_to_key(compare))
 
 
+def counter_clockwise(vertices):
+    """The vertices of a convex polygon counter-clockwise from the least,
+    by angle about their centroid, for tests that walk its edges."""
+    o = tuple(sum(c) / len(vertices) for c in zip(*vertices))
+    ring = [tuple(a + b for a, b in zip(v, o)) for v in _angular_sort([vsub(v, o) for v in vertices])]
+    i = ring.index(min(ring))
+    return ring[i:] + ring[:i]
+
+
 def outline_by_facet_crossings(C: SymmetricBody):
     """The corners of a planar unit ball by increasing angle in [0, 2 pi):
     a vertex body's hull vertices sorted by angle, and for a facet body
@@ -981,7 +995,7 @@ def outline_by_facet_crossings(C: SymmetricBody):
     if C.vertices is not None:
         # the hull drops inner points and collinear boundary points, which
         # would dent the outline or add corners that are none
-        return _angular_sort(C.hull.vertices)
+        return _angular_sort(graham_hull_2d(C.vertices))
     # planar facet body: intersect facet lines pairwise and keep the
     # feasible intersection points (2D only; this is not a general
     # representation converter)
@@ -1028,3 +1042,74 @@ def fraction_difference_body(K: VPolytope) -> SymmetricBody:
         sums = fraction_minkowski_sum(K, negate(K))
         verts, hull = sums.vertices, sums.hull
     return validate_body(SymmetricBody(K.dim, vertices=verts, seed_hull=hull))
+
+
+def certified_normals(C: SymmetricBody):
+    """``(L, N)`` for C as ``SymmetricBody.normals`` gives it, or None,
+    each normal certified against C's vertices at the scale of its scaled
+    form, and a hull's facets checked to close up around its corners; a
+    lift's normals are made from its slice's, which are this function's
+    own."""
+    d = C.dim
+    if C.facets is not None:
+        for _, b in C.facets:
+            if b <= 0:
+                raise DegenerateBody(f"facet offset {b} is not strictly positive")
+        L, rows = over_common_denominator([tuple(Fraction(c, b) for c in a) for a, b in C.facets])
+        if matrix_rank(rows) < d:
+            raise DegenerateBody("facet normals do not span the space (unbounded)")
+        return L, rows + tuple(tuple(-c for c in n) for n in rows)
+    hull = C.hull
+    if hull is None:
+        lifted = _lift_normals(C)
+        if lifted is None:
+            return None
+        L, normals = lifted
+    else:
+        if not all(c > 0 for _, c in hull.planes):
+            raise DegenerateBody("origin is not interior (body not full-dimensional)")
+        s = hull.scale
+        L = math.lcm(*(c // math.gcd(s * math.gcd(*n), c) for n, c in hull.planes))
+        normals = tuple(tuple(k * s * L // c for k in n) for n, c in hull.planes)
+    s, points = C.scaled
+    one = L * s
+    corners = set(hull.corners) if hull is not None else set()
+    incidences = 0
+    for a in normals:
+        tight = []
+        for X in points:
+            t = sum(x * y for x, y in zip(a, X))
+            if t >= one:
+                if t > one:
+                    raise ArithmeticError(f"vertex {X}/{s} is outside facet normal {a}/{L}")
+                tight.append(X)
+        if matrix_rank(tight) < d:
+            raise ArithmeticError(f"facet normal {a}/{L} holds fewer than {d} independent vertices")
+        incidences += len(corners.intersection(tight))
+    V, F = len(corners), len(normals)
+    if hull is not None and ((F != V) if d < 3 else (2 * V - incidences + 2 * F != 4)):
+        raise ArithmeticError(f"the {F} facets of the hull do not close up around its {V} corners")
+    return L, normals
+
+
+def _lift_normals(C: SymmetricBody):
+    """A symmetric lift's normals from its slice's, uncertified, or None."""
+    if C._levels is None:
+        return None
+    h, base = C._levels
+    D = base.difference
+    slice_normals = certified_normals(D)
+    if slice_normals is None:
+        return None
+    LD, slice_normals = slice_normals
+    m, points = base.scaled
+    p, q = h.numerator, h.denominator
+    normals = []
+    for N in slice_normals:
+        col = [sum(x * y for x, y in zip(N, X)) for X in points]
+        normals.append(tuple(2 * m * p * c for c in N) + (-(max(col) + min(col)) * q,))
+    level = (0,) * (C.dim - 1) + (q * m * LD,)
+    normals += [level, tuple(-c for c in level)]
+    L = m * LD * p
+    g = math.gcd(L, *(c for n in normals for c in n))
+    return L // g, tuple(tuple(c // g for c in n) for n in normals)

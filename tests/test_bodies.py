@@ -411,9 +411,11 @@ def test_hull_prune_matches_lp_prune(monkeypatch):
     sizes = {len(P.vertices) for P in by_hull}
     assert {1, 2} <= sizes and max(sizes) >= 5
     for P, pruned in zip(clouds, by_hull):
-        hull = convex_hull(P.vertices).vertices
+        hull = convex_hull(P.vertices)
+        assert sorted(hull.corners) == [tuple(x * hull.scale for x in v) for v in pruned.vertices]
         # counter-clockwise from the least point, every turn strictly left
-        assert sorted(hull) == list(pruned.vertices) and hull[0] == min(hull)
+        hull = hull.corners
+        assert hull[0] == min(hull)
         if len(hull) >= 3:
             assert all(
                 (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]) > 0

@@ -208,6 +208,19 @@ def _bad_input_argv(case, tmp_path):
         return ["borsuk", *points]
     if case == "bad inline point":
         return ["gauge", "--body", body, "--point", '["1", "x"]']
+    if case == "string points":
+        bad.write_text(json.dumps({"dim": 2, "points": ["10", "01"]}))
+        return ["borsuk", *points]
+    if case == "string inline point":
+        return ["gauge", "--body", body, "--point", '"11"']
+    if case == "string facet normal":
+        body.write_text(json.dumps({"dim": 2, "facets": [{"a": "10", "b": "1"}, {"a": ["0", "1"], "b": "1"}]}))
+        return ["gauge", "--body", body, "--point", '["1", "1"]']
+    if case == "string class":
+        bad.write_text(json.dumps({"dim": 2, "points": [["1", "0"], ["0", "1"]]}))
+        partition = tmp_path / "partition.json"
+        partition.write_text(json.dumps({"classes": ["01"]}))
+        return ["plot2d", *points, "--partition", partition]
     if case == "ratio abc":
         return ["cover", "--polytope", square, "--ratio", "abc", "--grid-step", "1/4"]
     if case == "ratio 2":
@@ -238,6 +251,7 @@ def _bad_input_argv(case, tmp_path):
 
 @pytest.mark.parametrize("case", [
     "malformed json", "json nested too deep", "infinite dim", "missing dim", "bad rational", "duplicate points", "bad inline point",
+    "string points", "string inline point", "string facet normal", "string class",
     "ratio abc", "ratio 2", "grid step 0", "grid step too fine", "grid pairs too many", "bounds past double range",
     "bounds range empty", "body without vertices", "result too long to write",
 ])

@@ -8,7 +8,7 @@ from itertools import product
 import pytest
 
 from borsuk import covering
-from borsuk.bodies import body_from_vertices, contains_point, convex_hull, point_set, vpolytope
+from borsuk.bodies import body_from_vertices, contains_point, point_set, prune_redundant, vpolytope
 from borsuk.covering import (
     BINOMIAL_BOUND_MAX_N,
     COVERING_BOUND_MAX_N,
@@ -25,7 +25,7 @@ from borsuk.covering import (
 )
 from borsuk.errors import DomainError, GridTooCoarse, PointUncovered
 from borsuk.partition import borsuk_number, verify_partition
-from oracles import _in_translate, lp_path, per_pair_cover_to_partition, per_pair_greedy_cover
+from oracles import _in_translate, counter_clockwise, lp_path, per_pair_cover_to_partition, per_pair_greedy_cover
 
 F = Fraction
 
@@ -339,7 +339,7 @@ def _membership_probes(K, rng):
     """(x, whether x is in K) for K's hull: each vertex, points exactly on
     an edge, inner points, and points just outside (past each vertex, off
     the line of a segment, beside a single point)."""
-    hull = convex_hull(K.vertices).vertices
+    hull = counter_clockwise(prune_redundant(K).vertices)
     middle = tuple(sum(c) / len(hull) for c in zip(*hull))
     probes = [(v, True) for v in hull] + [(middle, True)]
     if len(hull) == 1:

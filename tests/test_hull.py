@@ -10,7 +10,9 @@ lattice clouds in {0,1,2}^3 drawn with repetition (so full of duplicate,
 coplanar and collinear points), coplanar and collinear sets (no hull),
 the cube, the cross-polytope, the cuboctahedron (the simplex's K - K),
 lifts of planar polytopes and random symmetric bodies. Probes sit at
-vertices, on edges and facets, just outside and at the origin.
+vertices, on edges and facets, just outside and at the origin. Planes
+corrupted as a builder hands them on, on the line, in the plane and in
+space, fail the certificate :func:`borsuk.bodies.integer_hull` makes.
 """
 
 import random
@@ -23,6 +25,7 @@ import pytest
 from borsuk import bodies, lp
 from borsuk.bodies import (
     SymmetricBody,
+    VPolytope,
     body_from_vertices,
     contains_point,
     convex_hull,
@@ -77,7 +80,7 @@ def test_hull_prune_and_facets_match_lps_and_brute_force(monkeypatch):
     for P, pruned in zip(clouds, by_hull):
         hull = convex_hull(P.vertices)
         if P.dim == 1:
-            assert hull.vertices == pruned.vertices
+            assert list(hull.corners) == [tuple(x * hull.scale for x in v) for v in pruned.vertices]
             tally["line"] += 1
         elif affine_rank(list(P.vertices)) < 3:
             assert hull is None
@@ -85,7 +88,8 @@ def test_hull_prune_and_facets_match_lps_and_brute_force(monkeypatch):
         else:
             # one plane per facet, each in lowest terms, and only extreme points
             assert set(hull.planes) == facets_by_triples(P.vertices)
-            assert len(hull.planes) == len(set(hull.planes)) and hull.vertices == pruned.vertices
+            assert len(hull.planes) == len(set(hull.planes))
+            assert list(hull.corners) == [tuple(x * hull.scale for x in v) for v in pruned.vertices]
             tally["space"] += 1
     assert tally["flat"] >= 12 and tally["space"] >= 50 and tally["line"] >= 20
     assert max(len(P.vertices) for P in by_hull) >= 8
@@ -154,14 +158,11 @@ def _bodies():
 def _boundary_probes(C):
     """(kind, x) on the boundary of C: its vertices, points on its edges
     and the centre of each facet."""
-    hull = C.hull
-    tight = [
-        [v for v, X in zip(hull.vertices, hull.corners) if sum(a * b for a, b in zip(n, X)) == c]
-        for n, c in hull.planes
-    ]
-    probes = [("vertex", v) for v in hull.vertices]
+    hull, vertices = C.hull, prune_redundant(VPolytope(C.dim, C.vertices)).vertices
+    tight = [[v for v in vertices if sum(a * b for a, b in zip(n, v)) * hull.scale == c] for n, c in hull.planes]
+    probes = [("vertex", v) for v in vertices]
     if C.dim == 3:
-        for u, v in combinations(hull.vertices, 2):
+        for u, v in combinations(vertices, 2):
             if sum(u in on and v in on for on in tight) >= 2:
                 probes.append(("edge", tuple((a + b) / 2 for a, b in zip(u, v))))
                 probes.append(("edge", tuple((a + 2 * b) / 3 for a, b in zip(u, v))))
@@ -239,23 +240,42 @@ def test_hull_translate_membership_matches_lp_membership():
     assert tally["vertex", True] >= 150 and tally["outside", False] >= 150 and tally["pair", True] >= 300
 
 
+def _corrupt_builder(patch, dim, corrupt):
+    """Have the hull builder of dimension dim hand its planes through
+    ``corrupt`` to :func:`bodies.integer_hull`, which certifies them."""
+    name = ("_segment_hull", "planar_hull", "_spatial_hull")[dim - 1]
+    build = getattr(bodies, name)
+
+    def corrupted(P):
+        corners, planes = build(P)
+        return corners, corrupt(planes)
+
+    patch.setattr(bodies, name, corrupted)
+
+
 @pytest.mark.parametrize("move", ["loosened", "tightened"])
-def test_a_wrong_facet_fails_the_normals_certificate(move):
-    C = SymmetricBody(3, vertices=cube_body(3, facet_form=False).vertices)
-    (n, c), *rest = C.hull.planes
-    wrong = (n, 2 * c) if move == "loosened" else (tuple(2 * x for x in n), c)
-    C.__dict__["hull"] = C.hull._replace(planes=(wrong, *rest))
-    with pytest.raises(ArithmeticError):
-        C.normals
+def test_a_wrong_facet_fails_the_normals_certificate(move, monkeypatch):
+    # the builder's first facet moved off the cube, so that it holds no
+    # vertex, or its normal doubled, so that the vertices on it are outside;
+    # the normals are read from the hull, whose certificate fails
+    def wrong(planes):
+        (n, c), *rest = planes
+        return ((n, 2 * c) if move == "loosened" else (tuple(2 * x for x in n), c), *rest)
+
+    for dim in (1, 2, 3):
+        with monkeypatch.context() as patch:
+            _corrupt_builder(patch, dim, wrong)
+            C = SymmetricBody(dim, vertices=cube_body(dim, facet_form=False).vertices)
+            with pytest.raises(ArithmeticError, match="fewer than" if move == "loosened" else "outside"):
+                C.normals
 
 
-@pytest.mark.parametrize("dim", [2, 3])
-def test_a_hull_missing_a_facet_fails_the_normals_certificate(dim):
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_a_hull_missing_a_facet_fails_the_normals_certificate(dim, monkeypatch):
     # every facet left is valid, but they no longer close up: without the
     # facet on x = -1 the gauge of (-2, 0, ...) would read 0, not 2
+    _corrupt_builder(monkeypatch, dim, lambda planes: tuple(p for p in planes if p[0][0] >= 0 or any(p[0][1:])))
     C = SymmetricBody(dim, vertices=cube_body(dim, facet_form=False).vertices)
-    missing = next(p for p in C.hull.planes if p[0][0] < 0 and not any(p[0][1:]))
-    C.__dict__["hull"] = C.hull._replace(planes=tuple(p for p in C.hull.planes if p != missing))
     with pytest.raises(ArithmeticError, match="do not close up"):
         C.normals
 

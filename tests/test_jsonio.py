@@ -159,3 +159,22 @@ def test_result_too_long_to_write_is_a_domain_error(value, digits):
         jsonio.body_to_obj(SymmetricBody(1, facets=(((F(1),), abs(value)),)))
     with pytest.raises(DomainError):
         jsonio.graph_to_obj(DiameterGraph(2, abs(value), ((0, 1),)))
+
+
+@pytest.mark.parametrize("parse, obj", [
+    (jsonio.pointset_from_obj, {"dim": 2, "points": ["10", "01"]}),
+    (jsonio.polytope_from_obj, {"dim": 2, "vertices": ["10", "01"]}),
+    (jsonio.body_from_obj, {"dim": 2, "vertices": ["10", "01"]}),
+    (jsonio.body_from_obj, {"dim": 2, "facets": [{"a": "10", "b": "1"}, {"a": ["0", "1"], "b": "1"}]}),
+    (jsonio.partition_from_obj, {"classes": ["01"]}),
+    (jsonio.graph_from_obj, {"n_points": 2, "diameter": "1", "edges": ["01"]}),
+], ids=["points", "polytope vertices", "body vertices", "facet normal", "class", "edge"])
+def test_a_string_is_not_read_as_a_list(parse, obj):
+    # each of these was read one character per coordinate or index
+    with pytest.raises(InvalidInput, match="must be a JSON list"):
+        parse(obj)
+
+
+def test_an_inline_point_must_be_a_list():
+    with pytest.raises(InvalidInput, match="must be a JSON list"):
+        jsonio.parse_rational_point('"11"')

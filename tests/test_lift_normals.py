@@ -252,7 +252,7 @@ def _shared_cases():
 def _assert_agree(C, fresh, rng):
     assert (C.hull is None) == (fresh.hull is None)
     if C.hull is not None:
-        assert C.hull.vertices == fresh.hull.vertices
+        assert bodies._pruned_by(C.dim, C.hull).vertices == bodies._pruned_by(C.dim, fresh.hull).vertices
     L, N = C.normals
     assert (L, set(N)) == (fresh.normals[0], set(fresh.normals[1]))
     probes = list(C.vertices) + [tuple(F(101, 100) * c for c in v) for v in C.vertices[::2]]

@@ -18,6 +18,7 @@ from borsuk.bodies import (
     difference_body,
     lift_body,
     point_set,
+    prune_redundant,
     vpolytope,
 )
 from borsuk.errors import DegenerateBody, DimensionMismatch, ZeroDiameter
@@ -32,7 +33,7 @@ from borsuk.metric import (
     polytope_diameter,
     set_diameter,
 )
-from oracles import gauge_by_support_enumeration, memo_pairwise_max, pairwise_max_by_fractions
+from oracles import counter_clockwise, gauge_by_support_enumeration, memo_pairwise_max, pairwise_max_by_fractions
 
 F = Fraction
 
@@ -354,7 +355,7 @@ def test_hull_gauge_and_membership_match_lps():
     ]))
     compared = {"vertex": 0, "edge": 0, "random": 0}
     for C in bodies:
-        hull = C.hull.vertices
+        hull = counter_clockwise(prune_redundant(VPolytope(2, C.vertices)).vertices)
         probes = [("vertex", v, F(1)) for v in hull]
         for p, q in zip(hull, hull[1:] + hull[:1]):
             for t in (F(1, 3), F(1, 2), F(rng.randint(1, 9), 10)):

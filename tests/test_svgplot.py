@@ -10,7 +10,7 @@ from borsuk.errors import DegenerateBody, DimensionUnsupported
 from borsuk.generators import gen_random_body
 from borsuk.partition import borsuk_number, partition
 from borsuk.svgplot import _outline_vertices, plot2d_svg, render_svg
-from oracles import outline_by_facet_crossings
+from oracles import counter_clockwise, outline_by_facet_crossings
 
 
 def _square_instance():
@@ -83,7 +83,8 @@ def _random_facet_body(rng):
 def _random_vertex_body(rng, seed):
     # a random polygon given with the midpoints of its edges and an inner
     # point, which are no corners
-    hull = gen_random_body(seed, 2, 2 + seed % 5, max_numerator=9, max_denominator=6).hull.vertices
+    # the generated body's vertices are those of its pruned points
+    hull = counter_clockwise(gen_random_body(seed, 2, 2 + seed % 5, max_numerator=9, max_denominator=6).vertices)
     extra = [tuple((a + b) / 2 for a, b in zip(p, q)) for p, q in zip(hull, hull[1:] + hull[:1])]
     extra.append(tuple(c / 3 for c in hull[0]))
     points = set(hull) | set(extra) | {tuple(-c for c in p) for p in extra}
