@@ -8,7 +8,8 @@ rational written goes through :func:`format_rational`, which raises
 :class:`InvalidInput` on any malformed object: bad JSON text, a missing
 field, a value of the wrong type, an unparsable rational or a decimal
 too long to print back. Every point, vertex, facet normal, class and
-edge must be a JSON list, so a string is not read one character each.
+edge must be a JSON list, so a string is not read one character each,
+and every dim, point count, class index and edge end a JSON integer.
 """
 
 from __future__ import annotations
@@ -127,6 +128,12 @@ def _list(value, what: str) -> list:
     return value
 
 
+def _int(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidInput(f"{what} must be a JSON integer, not {value!r}")
+    return value
+
+
 def _vec_from_obj(coords):
     return tuple(parse_rational(c) for c in _list(coords, "a point"))
 
@@ -145,7 +152,7 @@ def polytope_to_obj(K: VPolytope) -> dict:
 @_parses("polytope")
 def polytope_from_obj(obj) -> VPolytope:
     verts = tuple(_vec_from_obj(v) for v in obj["vertices"])
-    return VPolytope(int(obj["dim"]), verts)
+    return VPolytope(_int(obj["dim"], "dim"), verts)
 
 
 def body_to_obj(C: SymmetricBody) -> dict:
@@ -159,7 +166,7 @@ def body_to_obj(C: SymmetricBody) -> dict:
 
 @_parses("body")
 def body_from_obj(obj) -> SymmetricBody:
-    dim = int(obj["dim"])
+    dim = _int(obj["dim"], "dim")
     if "vertices" in obj:
         return SymmetricBody(dim, vertices=tuple(_vec_from_obj(v) for v in obj["vertices"]))
     facets = tuple(
@@ -181,7 +188,7 @@ def pointset_from_obj(obj) -> PointSet:
     labels = obj.get("labels")
     if labels is not None:
         labels = tuple(_freeze(l) for l in labels)
-    return PointSet(int(obj["dim"]), points, labels)
+    return PointSet(_int(obj["dim"], "dim"), points, labels)
 
 
 def lifted_body_to_obj(L: LiftedBody) -> dict:
@@ -203,9 +210,9 @@ def graph_to_obj(G: DiameterGraph) -> dict:
 @_parses("diameter graph")
 def graph_from_obj(obj) -> DiameterGraph:
     return DiameterGraph(
-        int(obj["n_points"]),
+        _int(obj["n_points"], "n_points"),
         parse_rational(obj["diameter"]),
-        tuple((int(i), int(j)) for i, j in (_list(e, "an edge") for e in obj["edges"])),
+        tuple((_int(i, "an edge end"), _int(j, "an edge end")) for i, j in (_list(e, "an edge") for e in obj["edges"])),
     )
 
 
@@ -222,9 +229,9 @@ def certificate_to_obj(cert: BorsukCertificate, elapsed: float | None = None) ->
 @_parses("partition")
 def partition_from_obj(obj, n_points: int | None = None) -> Partition:
     """Accepts either a bare partition object or a certificate."""
-    classes = tuple(tuple(int(i) for i in _list(cls, "a class")) for cls in obj["classes"])
+    classes = tuple(tuple(_int(i, "a class index") for i in _list(cls, "a class")) for cls in obj["classes"])
     if n_points is None:
-        n_points = int(obj.get("n_points") or sum(len(c) for c in classes))
+        n_points = _int(obj.get("n_points", 0), "n_points") or sum(len(c) for c in classes)
     return Partition(n_points, classes)
 
 

@@ -9,11 +9,13 @@ colors next the uncolored vertex of highest saturation, the first in
 (-degree, index) order on a tie, and tries colors in increasing order.
 Its state is held in int bitmasks over the vertices in that order, in
 the style of San Segundo (2012): per color, the vertices next to it;
-per saturation, the vertices at it. Each frame of the stack keeps the
-state its vertex was picked in, and a child's state is built from it
-by a few ANDs and ORs on copies of the lists it changes, so backing out
-of a child undoes nothing. Outcomes are certified by the returned
-coloring and, when the search finished, by exhaustion.
+per bit i of the saturations, a plane of the vertices with it set. The
+search never has best_k colors in use, best_k those of the greedy
+coloring, so (best_k - 1).bit_length() planes hold every saturation.
+Each frame of the stack keeps the state its vertex was picked in, and a
+child's state is built from it on copies of the lists it changes, so
+backing out of a child undoes nothing. Outcomes are certified by the
+returned coloring and, when the search finished, by exhaustion.
 """
 
 from __future__ import annotations
@@ -137,27 +139,15 @@ def _ranking(adj):
     return order, ranked, bit, nbr
 
 
-def _pick(order, unc, lev):
-    """The vertex of ``unc`` on the highest level, the first in rank order
-    on a tie; ``unc`` must be nonzero."""
-    for m in reversed(lev):
-        m &= unc
-        if m:
-            return order[(m & -m).bit_length() - 1]
-
-
-def _raised(lev, x):
-    """A copy of the levels with the vertices of x moved up one."""
-    lev = lev.copy()
-    for s, m in enumerate(lev):  # a vertex moved up leaves x
-        y = m & x
-        if y:
-            lev[s] = m ^ y
-            lev[s + 1] |= y
-            x ^= y
-            if not x:
-                break
-    return lev
+def _count_up(sat, x):
+    """Adds one to the saturation of each vertex of x, in place: a ripple
+    carry up the planes, a carry out of the top one making a new plane."""
+    for i, p in enumerate(sat):
+        sat[i] = p ^ x
+        x &= p
+        if not x:
+            return
+    sat.append(x)
 
 
 def _dsatur_greedy(ranking) -> list[int]:
@@ -166,22 +156,24 @@ def _dsatur_greedy(ranking) -> list[int]:
     order, ranked, bit, nbr = ranking
     colors = [0] * len(order)
     unc = (1 << ranked) - 1
-    near, lev = [], [unc]
+    near, sat = [], []
     for _ in range(ranked):
-        v = _pick(order, unc, lev)
+        m = unc
+        for p in reversed(sat):
+            m = m & p or m
+        v = order[(m & -m).bit_length() - 1]
         b = bit[v]
         c = 0
         while c < len(near) and near[c] & b:
             c += 1
         if c == len(near):
             near.append(0)
-            lev.append(0)
         colors[v] = c
         unc ^= b
         x = nbr[v] & ~near[c]
         if x:
             near[c] |= x
-            lev = _raised(lev, x)
+            _count_up(sat, x)
     return colors
 
 
@@ -204,53 +196,29 @@ def _exact_chromatic(n, edges, budget):
     # is sound: any proper coloring can be relabeled to match.
     unc = (1 << ranked) - 1
     near = [0] * best_k
-    lev = [unc] + near
+    sat = [0] * (best_k - 1).bit_length()
     for c, v in enumerate(clique):
         unc ^= bit[v]
         near[c] = nbr[v]
-        lev = _raised(lev, nbr[v])
+        _count_up(sat, nbr[v])
 
     # Depth-first search on an explicit stack of frames [v, next color,
-    # colors in use, unc, near, lev], one per colored vertex outside the
+    # colors in use, unc, near, sat], one per colored vertex outside the
     # clique, holding the state before v is colored: `unc` masks the
     # uncolored vertices, `near[c]` those with a neighbour of color c and
-    # `lev[s]` those, colored or not, of saturation s. A child's state is
-    # built from its frame's and never undone: the lists a child changes
-    # are copies, and the lists it leaves alone are shared, so backing out
-    # of a child is just reading its frame again. v's color is the next
-    # color less one. A node is entered with `used` colors in use; it
-    # tries each free color below `used`, then one new color if that could
-    # still beat the best. The budget is checked on entering a node and
-    # after each child that reused a color.
-    nodes = 0
+    # `sat[i]` those, colored or not, whose saturation has bit i set. The
+    # lists a child changes are copies, so backing out of it is just
+    # reading its frame again. v is picked on the frame's first visit, and
+    # its color is the next color less one. A node with `used` colors in
+    # use tries each free color below `used`, then one new color if that
+    # could still beat the best. A child is entered where it is built; the
+    # budget is checked there and after each child that reused a color.
+    nodes = 1  # the root, within any budget of at least 1
     exhausted = True
-    stack: list[list] = []
-    used = lb
-    entering = True
-    while True:
-        if entering:
-            entering = False
-            if nodes >= budget:
-                exhausted = False
-            else:
-                nodes += 1
-                if used < best_k:
-                    depth = lb + len(stack)
-                    if depth == n:
-                        best_k, best = used, [-1] * n
-                        for c, v in enumerate(clique):
-                            best[v] = c
-                        for frame in stack:
-                            best[frame[0]] = frame[1] - 1
-                    else:
-                        # with every ranked vertex colored, the next is
-                        # isolated and the first of those left in rank order
-                        v = _pick(order, unc, lev) if unc else order[depth]
-                        stack.append([v, 0, used, unc, near, lev])
-        if not stack:
-            break
+    stack: list[list] = [[0, 0, lb, unc, near, sat]]
+    while stack:
         frame = stack[-1]
-        v, c, frame_used, unc, near, lev = frame
+        v, c, frame_used, unc, near, sat = frame
         if c:  # a child of this frame has returned
             if c > frame_used:  # it had opened a new color
                 stack.pop()
@@ -259,6 +227,13 @@ def _exact_chromatic(n, edges, budget):
                 exhausted = False
                 stack.pop()
                 continue
+        elif unc:  # the uncolored vertex of highest saturation, the first on a tie
+            m = unc
+            for p in reversed(sat):
+                m = m & p or m
+            frame[0] = v = order[(m & -m).bit_length() - 1]
+        else:  # every ranked vertex is colored: the first isolated one left
+            frame[0] = v = order[lb + len(stack) - 1]
         b = bit[v]
         while c < frame_used and near[c] & b:
             c += 1
@@ -275,8 +250,26 @@ def _exact_chromatic(n, edges, budget):
         if x:
             near = near.copy()
             near[c] |= x
-            lev = _raised(lev, x)
-        entering = True
+            sat = sat.copy()
+            i = 0
+            while x:  # a ripple carry; it never runs past the top plane
+                p = sat[i]
+                sat[i] = p ^ x
+                x &= p
+                i += 1
+        if nodes >= budget:
+            exhausted = False
+            continue
+        nodes += 1
+        if used < best_k:
+            if lb + len(stack) == n:
+                best_k, best = used, [-1] * n
+                for c, v in enumerate(clique):
+                    best[v] = c
+                for frame in stack:
+                    best[frame[0]] = frame[1] - 1
+            else:
+                stack.append([0, 0, used, unc, near, sat])
     optimal = exhausted or best_k == lb
     return best_k, best, clique, optimal, nodes
 

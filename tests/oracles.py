@@ -15,7 +15,10 @@ recomputes every saturation at every node, for small graphs, and
 saturations counted per vertex and per color and the uncolored vertices
 in a linked list, for graphs and searches at benchmark scale, and
 :func:`undo_exact_chromatic`, the bitmask search that colors and
-uncolors one shared state instead of building each child's state anew.
+uncolors one shared state instead of building each child's state anew,
+and :func:`level_exact_chromatic`, the search that builds each child's
+state anew but holds its saturations as levels, one mask per
+saturation, instead of as binary counters.
 :func:`per_pair_greedy_cover`
 and :func:`per_pair_cover_to_partition` are the references for the
 covering layer: one membership LP per (witness, center) pair, and only
@@ -802,6 +805,180 @@ def undo_exact_chromatic(n, edges, budget):
         entering = True
     optimal = exhausted or best_k == lb
     return best_k, best, clique, optimal, nodes
+
+
+def _level_ranking(adj):
+    """(order, ranked, bit, nbr): the vertices in (-degree, index) order,
+    how many of them have a neighbour, and per vertex its own bit and the
+    mask of its neighbours, bit r standing for the vertex of rank r.
+
+    Vertices of degree 0 rank last and stay out of the masks, with
+    ``bit[v] == 0``: their saturation is always 0, so they are picked only
+    once every other vertex is colored, and then in rank order.
+    """
+    n = len(adj)
+    degree = [len(a) for a in adj]
+    # a stable sort, so equal degrees stay in index order
+    order = sorted(range(n), key=degree.__getitem__, reverse=True)
+    ranked = n - degree.count(0)
+    bit = [0] * n
+    for r in range(ranked):
+        bit[order[r]] = 1 << r
+    nbr = [0] * n
+    for v in order[:ranked]:
+        nbr[v] = sum(bit[u] for u in adj[v])
+    return order, ranked, bit, nbr
+
+
+def _pick(order, unc, lev):
+    """The vertex of ``unc`` on the highest level, the first in rank order
+    on a tie; ``unc`` must be nonzero."""
+    for m in reversed(lev):
+        m &= unc
+        if m:
+            return order[(m & -m).bit_length() - 1]
+
+
+def _raised(lev, x):
+    """A copy of the levels with the vertices of x moved up one."""
+    lev = lev.copy()
+    for s, m in enumerate(lev):  # a vertex moved up leaves x
+        y = m & x
+        if y:
+            lev[s] = m ^ y
+            lev[s + 1] |= y
+            x ^= y
+            if not x:
+                break
+    return lev
+
+
+def _level_dsatur_greedy(ranking) -> list[int]:
+    """DSATUR's own coloring: each picked vertex takes its first free
+    color. Vertices of degree 0 come last and all take color 0."""
+    order, ranked, bit, nbr = ranking
+    colors = [0] * len(order)
+    unc = (1 << ranked) - 1
+    near, lev = [], [unc]
+    for _ in range(ranked):
+        v = _pick(order, unc, lev)
+        b = bit[v]
+        c = 0
+        while c < len(near) and near[c] & b:
+            c += 1
+        if c == len(near):
+            near.append(0)
+            lev.append(0)
+        colors[v] = c
+        unc ^= b
+        x = nbr[v] & ~near[c]
+        if x:
+            near[c] |= x
+            lev = _raised(lev, x)
+    return colors
+
+
+def level_exact_chromatic(n, edges, budget):
+    """(k, colors, clique, optimal, nodes) by the iterative DSATUR branch
+    and bound with its saturations held as levels, ``lev[s]`` the mask of
+    the vertices at saturation s, each child building its own copy."""
+    adj = [set() for _ in range(n)]
+    for i, j in edges:
+        adj[i].add(j)
+        adj[j].add(i)
+
+    clique = _recursive_greedy_clique(n, adj)
+    ranking = order, ranked, bit, nbr = _level_ranking(adj)
+    best = _level_dsatur_greedy(ranking)
+    best_k = max(best) + 1
+    lb = len(clique)
+    if lb == best_k:
+        return best_k, best, clique, True, 0
+
+    # Fixing the clique's colors breaks color-permutation symmetry and
+    # is sound: any proper coloring can be relabeled to match.
+    unc = (1 << ranked) - 1
+    near = [0] * best_k
+    lev = [unc] + near
+    for c, v in enumerate(clique):
+        unc ^= bit[v]
+        near[c] = nbr[v]
+        lev = _raised(lev, nbr[v])
+
+    # Depth-first search on an explicit stack of frames [v, next color,
+    # colors in use, unc, near, lev], one per colored vertex outside the
+    # clique, holding the state before v is colored: `unc` masks the
+    # uncolored vertices, `near[c]` those with a neighbour of color c and
+    # `lev[s]` those, colored or not, of saturation s. A child's state is
+    # built from its frame's and never undone: the lists a child changes
+    # are copies, and the lists it leaves alone are shared, so backing out
+    # of a child is just reading its frame again. v's color is the next
+    # color less one. A node is entered with `used` colors in use; it
+    # tries each free color below `used`, then one new color if that could
+    # still beat the best. The budget is checked on entering a node and
+    # after each child that reused a color.
+    nodes = 0
+    exhausted = True
+    stack: list[list] = []
+    used = lb
+    entering = True
+    while True:
+        if entering:
+            entering = False
+            if nodes >= budget:
+                exhausted = False
+            else:
+                nodes += 1
+                if used < best_k:
+                    depth = lb + len(stack)
+                    if depth == n:
+                        best_k, best = used, [-1] * n
+                        for c, v in enumerate(clique):
+                            best[v] = c
+                        for frame in stack:
+                            best[frame[0]] = frame[1] - 1
+                    else:
+                        # with every ranked vertex colored, the next is
+                        # isolated and the first of those left in rank order
+                        v = _pick(order, unc, lev) if unc else order[depth]
+                        stack.append([v, 0, used, unc, near, lev])
+        if not stack:
+            break
+        frame = stack[-1]
+        v, c, frame_used, unc, near, lev = frame
+        if c:  # a child of this frame has returned
+            if c > frame_used:  # it had opened a new color
+                stack.pop()
+                continue
+            if nodes >= budget:
+                exhausted = False
+                stack.pop()
+                continue
+        b = bit[v]
+        while c < frame_used and near[c] & b:
+            c += 1
+        if c < frame_used:
+            used = frame_used
+        elif frame_used + 1 < best_k:  # c == frame_used: open a new color
+            used = frame_used + 1
+        else:
+            stack.pop()
+            continue
+        frame[1] = c + 1
+        unc ^= b
+        x = nbr[v] & ~near[c]
+        if x:
+            near = near.copy()
+            near[c] |= x
+            lev = _raised(lev, x)
+        entering = True
+    optimal = exhausted or best_k == lb
+    return best_k, best, clique, optimal, nodes
+
+
+def level_dsatur_greedy(n, adj):
+    """DSATUR's own coloring on the saturation levels."""
+    return _level_dsatur_greedy(_level_ranking(adj))
 
 
 def _lattice_axis(lo, hi, step):

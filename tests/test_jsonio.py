@@ -175,6 +175,33 @@ def test_a_string_is_not_read_as_a_list(parse, obj):
         parse(obj)
 
 
+@pytest.mark.parametrize("parse, obj, field", [
+    (jsonio.partition_from_obj, {"n_points": 3, "classes": [[0, 1.5], [2]]}, "a class index"),
+    (jsonio.partition_from_obj, {"n_points": 3, "classes": [[0, True], [2]]}, "a class index"),
+    (jsonio.partition_from_obj, {"n_points": 3, "classes": [[0, "1"], [2]]}, "a class index"),
+    (jsonio.partition_from_obj, {"n_points": 2.9, "classes": [[0, 1], [2]]}, "n_points"),
+    (jsonio.partition_from_obj, {"n_points": False, "classes": [[0]]}, "n_points"),
+    (jsonio.graph_from_obj, {"n_points": 2, "diameter": "1", "edges": [[0, 1.99]]}, "an edge end"),
+    (jsonio.graph_from_obj, {"n_points": 2, "diameter": "1", "edges": [[False, 1]]}, "an edge end"),
+    (jsonio.graph_from_obj, {"n_points": "2", "diameter": "1", "edges": [[0, 1]]}, "n_points"),
+    (jsonio.pointset_from_obj, {"dim": 2.0, "points": [["1", "0"]]}, "dim"),
+    (jsonio.polytope_from_obj, {"dim": True, "vertices": [["0"], ["1"]]}, "dim"),
+    (jsonio.body_from_obj, {"dim": "2", "vertices": [["1", "0"], ["0", "1"]]}, "dim"),
+], ids=[
+    "class index float", "class index bool", "class index string", "n_points float", "n_points bool",
+    "edge end float", "edge end bool", "graph n_points string", "points dim float", "polytope dim bool",
+    "body dim string",
+])
+def test_counts_and_indices_must_be_json_integers(parse, obj, field):
+    # int() read each of these, truncating 1.5 to 1 and true to 1
+    with pytest.raises(InvalidInput, match=f"^{field} must be a JSON integer"):
+        parse(obj)
+
+
+def test_partition_without_n_points_counts_its_indices():
+    assert jsonio.partition_from_obj({"classes": [[0, 2], [1]]}).n_points == 3
+
+
 def test_an_inline_point_must_be_a_list():
     with pytest.raises(InvalidInput, match="must be a JSON list"):
         jsonio.parse_rational_point('"11"')

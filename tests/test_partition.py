@@ -44,6 +44,8 @@ from oracles import (
     _recursive_dsatur_greedy,
     _recursive_greedy_clique,
     chromatic_by_bruteforce,
+    level_dsatur_greedy,
+    level_exact_chromatic,
     linked_list_dsatur_greedy,
     linked_list_exact_chromatic,
     recursive_exact_chromatic,
@@ -536,6 +538,7 @@ def test_branch_and_bound_matches_recursive_reference():
         for budget in budgets:
             got = _exact_chromatic(n, edges, budget)
             assert got == recursive_exact_chromatic(n, edges, budget), (n, edges, budget)
+            assert got == level_exact_chromatic(n, edges, budget), (n, edges, budget)
             searched += got[4] > 1
             cut += not got[3]
     assert searched >= 350 and cut >= 250, (searched, cut)
@@ -582,10 +585,68 @@ def test_branch_and_bound_matches_linked_list_reference_at_benchmark_scale():
         got = _exact_chromatic(n, edges, budget)
         assert got == linked_list_exact_chromatic(n, edges, budget), (n, edges, budget)
         assert got == undo_exact_chromatic(n, edges, budget), (n, edges, budget)
+        assert got == level_exact_chromatic(n, edges, budget), (n, edges, budget)
         searched += got[4] > 1
         cut += not got[3]
         isolated += not all(_adjacency(n, edges))
     assert searched >= 40 and cut >= 20 and isolated >= 103, (searched, cut, isolated)
+
+
+def _join(*graphs):
+    """Every vertex of each graph joined to every vertex of the others."""
+    n, edges = 0, []
+    for k, own in graphs:
+        edges += [(i + n, j + n) for i, j in own] + [(i, n + j) for i in range(n) for j in range(k)]
+        n += k
+    return n, sorted(edges)
+
+
+def _cycle(k):
+    return k, [(i, i + 1) for i in range(k - 1)] + [(0, k - 1)]
+
+
+def test_search_saturations_reach_each_new_plane(monkeypatch):
+    # the search holds saturations in (best_k - 1).bit_length() binary
+    # planes; on these graphs it raises a saturation to exactly 4 with
+    # three planes and to exactly 8 with four, the one value that lives in
+    # the top plane alone. The level reference's saturations are read off
+    # its levels as its search raises them, and the results must agree
+    import oracles
+
+    reached, in_greedy = set(), []
+    raised, greedy = oracles._raised, oracles._level_dsatur_greedy
+
+    def recorded(lev, x):
+        lev = raised(lev, x)
+        if not in_greedy:
+            reached.update(s for s, m in enumerate(lev) if m)
+        return lev
+
+    def unrecorded(ranking):
+        in_greedy.append(True)
+        try:
+            return greedy(ranking)
+        finally:
+            in_greedy.pop()
+
+    monkeypatch.setattr(oracles, "_raised", recorded)
+    monkeypatch.setattr(oracles, "_level_dsatur_greedy", unrecorded)
+    rng = random.Random(1919)
+    m4, c5, c7 = _mycielski(4), _cycle(5), _cycle(7)
+    graphs = [_mycielski(5), _join(m4, m4), _join(c5, c5, c5), _join(c7, c7, c7), _join(c5, c5, c5, c5)]
+    tops = set()
+    for n, edges in graphs:
+        for _ in range(3):
+            edges = _relabel(n, edges, rng)
+            planes = max(level_dsatur_greedy(n, _adjacency(n, edges))).bit_length()
+            for budget in (1, 2, rng.randint(3, 300), 10**7):
+                reached.clear()
+                want = level_exact_chromatic(n, edges, budget)
+                assert _exact_chromatic(n, edges, budget) == want, (n, edges, budget)
+                assert max(reached) < 2**planes
+                if 2 ** (planes - 1) in reached:
+                    tops.add(planes)
+    assert tops == {3, 4}
 
 
 def test_dsatur_greedy_matches_both_references():
@@ -599,9 +660,11 @@ def test_dsatur_greedy_matches_both_references():
         adj = _adjacency(n, edges)
         got = _dsatur_greedy(_ranking(adj))
         assert got == _recursive_dsatur_greedy(n, adj) == linked_list_dsatur_greedy(n, adj) == undo_dsatur_greedy(n, adj)
+        assert got == level_dsatur_greedy(n, adj)
     for n in (808, 1200):
         adj = _adjacency(n, _padded(n, DSATUR_TRAP, rng))
-        assert _dsatur_greedy(_ranking(adj)) == linked_list_dsatur_greedy(n, adj) == undo_dsatur_greedy(n, adj)
+        got = _dsatur_greedy(_ranking(adj))
+        assert got == linked_list_dsatur_greedy(n, adj) == undo_dsatur_greedy(n, adj) == level_dsatur_greedy(n, adj)
 
 
 def test_greedy_clique_matches_the_set_reference_at_benchmark_scale():
