@@ -1,12 +1,12 @@
 """Exact polytope types and constructions.
 
 Everything is immutable and exact, never floating point: vertices are
-tuples of ``Fraction``, and each polytope and vertex body also carries
-one scaled form ``scaled = (m, rows)``, its vertices times a common
-denominator m as rows of ints, made once. The convexity work reads that
-form and builds ``Fraction``s only for what it returns. A symmetric
-vertex body is certified by linear algebra alone: its integer rows are
-closed under negation and span the space (:func:`validate_body`).
+tuples of ``Fraction``, and each polytope, vertex body and point set
+also carries one scaled form ``scaled = (m, rows)``, its points times a
+common denominator m as rows of ints, made once. The convexity work
+reads that form and builds ``Fraction``s only for what it returns. A
+symmetric vertex body is certified by linear algebra alone: its integer
+rows are closed under negation and span the space (:func:`validate_body`).
 Redundancy removal is answered in dimensions 1 to 3 by one exact convex
 hull per body (:func:`integer_hull` of the scaled form, held by the
 body's ``hull``), in integer form and certified once, where it is made;
@@ -265,7 +265,8 @@ class SymmetricBody(_VertexForm):
 
 @dataclass(frozen=True)
 class PointSet:
-    """Finite labeled set of rational points, pairwise distinct."""
+    """Finite labeled set of rational points, pairwise distinct, with the
+    scaled form the diameter pass reads."""
 
     dim: int
     points: tuple[Vec, ...]
@@ -277,11 +278,17 @@ class PointSet:
         for p in self.points:
             if len(p) != self.dim:
                 raise DimensionMismatch(f"point {p} does not have dim {self.dim}")
-        if len(set(self.points)) != len(self.points):
+        if len(set(self.scaled[1])) != len(self.points):
             # duplicates would make partition counts bookkeeping artifacts
             raise InvalidInput("points must be pairwise distinct")
         if self.labels is not None and len(self.labels) != len(self.points):
             raise InvalidInput("labels must match points one to one")
+
+    @cached_property
+    def scaled(self) -> Scaled:
+        """``(m, X)``, each point times the least common denominator m of
+        the coordinates, in the points' order, made once."""
+        return over_common_denominator(self.points)
 
     def __len__(self):
         return len(self.points)

@@ -128,7 +128,7 @@ def _cmd_verify(args) -> int:
 def _cmd_plot2d(args) -> int:
     C = _load_body(args.body)
     S = jsonio.pointset_from_obj(_read_json(args.points))
-    P = jsonio.partition_from_obj(_read_json(args.partition), n_points=len(S.points))
+    P = jsonio.partition_from_obj(_read_json(args.partition))
     _write_text(render_svg(C, S, P), args.out)
     return 0
 

@@ -185,10 +185,12 @@ def greedy_cover(K: VPolytope, lam: Fraction, grid_step: Fraction) -> Covering:
             f"grid step too fine: {inner} x {outer} witness-center pairs, more than {MAX_COVER_PAIRS}"
         )
     # vertices and lattice points as integer vectors over one denominator
-    # m; positive scaling keeps their lexicographic order
-    m = math.lcm(grid_step.denominator, *{x.denominator for v in K.vertices for x in v})
+    # m, a multiple of K's scale; positive scaling keeps their
+    # lexicographic order
+    mK, rows = K.scaled
+    m = math.lcm(grid_step.denominator, mK)
     u = grid_step.numerator * (m // grid_step.denominator)
-    vertices = {tuple(x.numerator * (m // x.denominator) for x in v) for v in K.vertices}
+    vertices = {tuple([x * (m // mK) for x in X]) for X in rows}
     # the grid points in K are those in the translate 0 + 1*K
     grid = list(product(*([k * u for k in r] for r in inner_axes)))
     [in_K] = _lattice_membership(K, ONE, m, grid, [(0,) * K.dim])

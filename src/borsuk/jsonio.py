@@ -227,11 +227,11 @@ def certificate_to_obj(cert: BorsukCertificate, elapsed: float | None = None) ->
 
 
 @_parses("partition")
-def partition_from_obj(obj, n_points: int | None = None) -> Partition:
-    """Accepts either a bare partition object or a certificate."""
+def partition_from_obj(obj) -> Partition:
+    """Accepts either a bare partition object or a certificate; without
+    ``n_points`` the classes' sizes add up to it."""
     classes = tuple(tuple(_int(i, "a class index") for i in _list(cls, "a class")) for cls in obj["classes"])
-    if n_points is None:
-        n_points = _int(obj.get("n_points", 0), "n_points") or sum(len(c) for c in classes)
+    n_points = _int(obj.get("n_points", 0), "n_points") or sum(len(c) for c in classes)
     return Partition(n_points, classes)
 
 

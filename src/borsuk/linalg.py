@@ -4,16 +4,15 @@ Vectors are plain tuples of ``fractions.Fraction``; everything here is
 pure and allocation-light. No floating point enters any of these
 functions. The integer layers read a point set in one scaled form,
 ``(m, rows)``: a common denominator m and each point times m as a row of
-ints (:func:`over_common_denominator`), made once per polytope or body
-and handed on, so that ranks, hulls, sums and projections compare plain
-ints.
+ints (:func:`over_common_denominator`), made once per point set,
+polytope or body and handed on, so that ranks, hulls, sums, gauges and
+diameters compare plain ints.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from operator import mul
 
 Vec = tuple[Fraction, ...]
 
@@ -45,16 +44,6 @@ def over_common_denominator(points) -> tuple[int, tuple[tuple[int, ...], ...]]:
     ints."""
     m = lcm(*{c.denominator for p in points for c in p})
     return m, tuple(tuple([c.numerator * (m // c.denominator) for c in p]) for p in points)
-
-
-def project(points, normals) -> tuple[int, list[list[int]]]:
-    """The least common denominator m of the points' coordinates, and for
-    each point p the integers ``n . (p * m)``, one per integer normal n.
-
-    Each point is scaled to integers once, so every later comparison
-    against the normals is between plain ints."""
-    m, rows = over_common_denominator(points)
-    return m, [[sum(map(mul, n, P)) for n in normals] for P in rows]
 
 
 def canonical_sign(a: Vec) -> Vec:

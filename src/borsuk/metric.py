@@ -17,12 +17,14 @@ positive hull of the vertices is the whole space and the LP is always
 feasible).
 
 The diameter pass, which every diameter graph and every partition check
-goes through, takes the same two paths. With normals it scales the
-points to integers over their common denominator m, projects each point
-onto every normal once, and compares the integers
+goes through, takes the same two paths in one pair loop over the
+integer rows P_i of the set's scaled form ``(m, P)``, which point sets
+and polytopes carry as bodies do. With normals it projects each row onto
+every normal once and compares the integers
 ``max_k (N_k . P_i - N_k . P_j)`` pair by pair; the diameter is one
 ``Fraction`` of the largest over ``L * m``. On the LP path it takes one
-gauge LP per distinct difference up to sign.
+gauge LP per distinct integer difference ``P_i - P_j`` up to sign; the
+gauge is homogeneous, so the diameter is the largest over m.
 
 Membership in C is ``gauge(C, x) <= 1`` read from the same normals, or
 one exact LP for a body without them. Diameter-graph edges are decided
@@ -33,12 +35,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import sub
+from operator import mul, sub
 
 from . import lp
-from .bodies import PointSet, SymmetricBody, VPolytope, contains_point
+from .bodies import PointSet, Scaled, SymmetricBody, VPolytope, contains_point
 from .errors import DimensionMismatch, IndexOutOfRange, InvalidInput, ZeroDiameter
-from .linalg import ONE, ZERO, Vec, canonical_sign, project, vsub
+from .linalg import ONE, ZERO, Vec, canonical_sign, over_common_denominator, vsub
 
 
 @dataclass(frozen=True)
@@ -68,8 +70,8 @@ def gauge(C: SymmetricBody, x: Vec) -> Fraction:
     if C.normals is not None:
         # normals N_k / L and x = X / m: the gauge is max_k N_k . X / (L * m)
         L, normals = C.normals
-        m, (row,) = project((x,), normals)
-        return Fraction(max(row), L * m)
+        m, (X,) = over_common_denominator((x,))
+        return Fraction(max([sum(map(mul, n, X)) for n in normals]), L * m)
     if all(v == 0 for v in x):
         return ZERO
     res = lp.solve_combination(C.vertices, x, cost=[ONE] * len(C.vertices))
@@ -86,58 +88,48 @@ def distance(C: SymmetricBody, x: Vec, y: Vec) -> Fraction:
     return gauge(C, vsub(x, y))
 
 
-def _pairwise_max(C: SymmetricBody, points) -> tuple[Fraction, list[tuple[int, int]]]:
-    """The largest gauge of p_i - p_j over pairs i < j, and every pair
-    attaining it when it is positive, in (i, j) order."""
+def _pairwise_max(C: SymmetricBody, scaled: Scaled) -> tuple[Fraction, list[tuple[int, int]]]:
+    """The largest gauge of p_i - p_j over pairs i < j of the points
+    p_i = P_i / m of a scaled form ``(m, P)``, and every pair attaining
+    it when it is positive, in (i, j) order."""
+    m, rows = scaled
+    memo: dict[tuple[int, ...], Fraction] | None = None
     if C.normals is None:
-        return _pairwise_max_by_lp(C, points)
-    # points p_i = P_i / m and normals N_k / L: the gauge of p_i - p_j is
-    # max_k (N_k . P_i - N_k . P_j) / (L * m), so each point is projected
-    # onto the normals once and each pair compares integers
-    L, normals = C.normals
-    m, projected = project(points, normals)
+        # the gauge is homogeneous, so that of p_i - p_j is the gauge of
+        # P_i - P_j over m, and g(-z) = g(z): one LP per integer
+        # difference up to sign, which many pairs share
+        memo = {}
+    else:
+        # normals N_k / L: the gauge of p_i - p_j is
+        # max_k (N_k . P_i - N_k . P_j) / (L * m), so each point is
+        # projected onto the normals once and each pair compares integers
+        L, normals = C.normals
+        rows = [[sum(map(mul, n, P)) for n in normals] for P in rows]
+        m *= L
     best = 0
     witnesses: list[tuple[int, int]] = []
-    for i, P in enumerate(projected):
-        for j in range(i + 1, len(projected)):
-            g = max(map(sub, P, projected[j]))
+    for i, P in enumerate(rows):
+        for j in range(i + 1, len(rows)):
+            if memo is None:
+                g = max(map(sub, P, rows[j]))
+            else:
+                key = canonical_sign(tuple(map(sub, P, rows[j])))
+                g = memo.get(key)
+                if g is None:
+                    g = memo[key] = gauge(C, key)
             if g > best:
                 best = g
                 witnesses = [(i, j)]
             elif g == best and g > 0:
                 witnesses.append((i, j))
-    return Fraction(best, L * m), witnesses
-
-
-def _pairwise_max_by_lp(C: SymmetricBody, points) -> tuple[Fraction, list[tuple[int, int]]]:
-    # Many index pairs share a difference, and g(-z) = g(z), so the
-    # gauge LPs are memoized on the sign-canonical difference vector.
-    memo: dict[Vec, Fraction] = {}
-    best = ZERO
-    witnesses: list[tuple[int, int]] = []
-    n = len(points)
-    for i in range(n):
-        for j in range(i + 1, n):
-            key = canonical_sign(vsub(points[i], points[j]))
-            d = memo.get(key)
-            if d is None:
-                d = gauge(C, key)
-                memo[key] = d
-            if d > best:
-                best = d
-                witnesses = [(i, j)]
-            elif d == best and d > 0:
-                witnesses.append((i, j))
-    return best, witnesses
+    return Fraction(best, m), witnesses
 
 
 def set_diameter(C: SymmetricBody, S: PointSet) -> tuple[Fraction, list[tuple[int, int]]]:
     """Exact maximum pairwise distance and every attaining pair."""
     if S.dim != C.dim:
         raise DimensionMismatch(f"set of dim {S.dim} against body of dim {C.dim}")
-    if len(S.points) == 1:
-        return ZERO, []
-    return _pairwise_max(C, S.points)
+    return _pairwise_max(C, S.scaled)
 
 
 def polytope_diameter(C: SymmetricBody, K: VPolytope) -> Fraction:
@@ -145,15 +137,12 @@ def polytope_diameter(C: SymmetricBody, K: VPolytope) -> Fraction:
 
     Reducing to vertex pairs is exact: (x, y) -> gauge(x - y) is convex,
     and a convex function on the product polytope K x K attains its
-    maximum at an extreme point, which is a pair of vertices of K.
+    maximum at an extreme point, which is a pair of vertices of K. A
+    vertex listed twice only adds a pair at distance 0.
     """
     if K.dim != C.dim:
         raise DimensionMismatch(f"polytope of dim {K.dim} against body of dim {C.dim}")
-    unique = sorted(set(K.vertices))
-    if len(unique) == 1:
-        return ZERO
-    best, _ = _pairwise_max(C, unique)
-    return best
+    return _pairwise_max(C, K.scaled)[0]
 
 
 def diameter_graph(C: SymmetricBody, S: PointSet) -> DiameterGraph:

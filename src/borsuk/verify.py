@@ -27,16 +27,6 @@ from .generators import cube_body, cube_vertices, gen_random_body, gen_random_po
 from .metric import distance, gauge, polytope_diameter, set_diameter
 from .partition import borsuk_number, doubling_check, verify_partition
 
-SUITES = (
-    "difference_norm",
-    "lifted_cross",
-    "doubling",
-    "grunbaum_plane",
-    "cube_exact",
-    "norm_domination",
-    "bounds_table",
-)
-
 
 @dataclass
 class VerificationReport:
@@ -269,6 +259,7 @@ _SUITE_FUNCS = {
     "norm_domination": _suite_norm_domination,
     "bounds_table": _suite_bounds_table,
 }
+SUITES = tuple(_SUITE_FUNCS)
 
 
 def run_verify_suite(name: str, count: int = 10, seed: int = 0) -> VerificationReport:

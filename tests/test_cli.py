@@ -226,6 +226,12 @@ def _bad_input_argv(case, tmp_path):
         partition = tmp_path / "partition.json"
         partition.write_text(json.dumps({"n_points": 3, "classes": [[0, 1.5], [2]]}))
         return ["plot2d", *points, "--partition", partition]
+    if case == "partition for another set":
+        # the partition's own count, not the set's, says which set it is for
+        bad.write_text(json.dumps({"dim": 2, "points": [["0", "0"], ["1", "0"], ["0", "1"], ["1", "1"]]}))
+        partition = tmp_path / "partition.json"
+        partition.write_text(json.dumps({"n_points": 99, "classes": [[0], [1], [2], [3]]}))
+        return ["plot2d", *points, "--partition", partition]
     if case == "ratio abc":
         return ["cover", "--polytope", square, "--ratio", "abc", "--grid-step", "1/4"]
     if case == "ratio 2":
@@ -257,6 +263,7 @@ def _bad_input_argv(case, tmp_path):
 @pytest.mark.parametrize("case", [
     "malformed json", "json nested too deep", "infinite dim", "missing dim", "bad rational", "duplicate points", "bad inline point",
     "string points", "string inline point", "string facet normal", "string class", "fractional class index",
+    "partition for another set",
     "ratio abc", "ratio 2", "grid step 0", "grid step too fine", "grid pairs too many", "bounds past double range",
     "bounds range empty", "body without vertices", "result too long to write",
 ])

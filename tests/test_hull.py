@@ -38,7 +38,7 @@ from borsuk.bodies import (
 from borsuk.covering import _translate_membership
 from borsuk.errors import DegenerateBody
 from borsuk.generators import cross_polytope_body, cube_body, gen_random_body, gen_random_polytope
-from borsuk.linalg import affine_rank, matrix_rank, vneg
+from borsuk.linalg import affine_rank, matrix_rank, over_common_denominator, vneg
 from borsuk.metric import _pairwise_max, body_contains, gauge
 from oracles import axis_extent_verdict, facets_by_triples, lp_path, memo_pairwise_max
 
@@ -204,7 +204,7 @@ def _point_sets(C, rng):
 def test_hull_diameter_pass_matches_memoized_lp_gauges(monkeypatch):
     rng = random.Random(7)
     cases = [(C, points) for C in _bodies() for points in _point_sets(C, rng)]
-    by_hull = [_pairwise_max(C, points) for C, points in cases]
+    by_hull = [_pairwise_max(C, over_common_denominator(points)) for C, points in cases]
     with monkeypatch.context() as patch:
         lp_path(patch)
         by_lp = [memo_pairwise_max(C, points) for C, points in cases]

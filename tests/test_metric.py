@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from borsuk import lp
-from borsuk.linalg import matrix_rank, vdot
+from borsuk.linalg import matrix_rank, over_common_denominator, vdot
 from borsuk.bodies import (
     SymmetricBody,
     VPolytope,
@@ -320,6 +320,12 @@ def test_set_diameter_matches_fraction_reference(hexagon_v, hexagon_h):
         cross_polytope_body(3),
         *(gen_random_body(seed, 2, 4, max_numerator=5, max_denominator=7) for seed in range(3)),
         *(gen_random_body(seed, 3, 5, max_numerator=4, max_denominator=3) for seed in range(2)),
+        # 4D bodies, the cross-polytope and the random one with no normals:
+        # their gauge LPs take integer differences over the set's common
+        # denominator
+        cross_polytope_body(4),
+        cube_body(4, facet_form=False),
+        gen_random_body(5, 4, 5, max_numerator=4, max_denominator=3),
     ]
     compared = 0
     for C in bodies:
@@ -330,6 +336,8 @@ def test_set_diameter_matches_fraction_reference(hexagon_v, hexagon_h):
             reference = pairwise_max_by_fractions(C, S.points)
             assert set_diameter(C, S) == reference
             assert polytope_diameter(C, VPolytope(C.dim, S.points)) == reference[0]
+            # a vertex listed twice adds only a pair at distance 0
+            assert polytope_diameter(C, VPolytope(C.dim, S.points + S.points[:1])) == reference[0]
             compared += 1
     assert compared >= 70
 
@@ -494,8 +502,8 @@ def test_integer_pass_gives_no_witness_at_zero_distance(hexagon_h):
     for C in bodies:
         p = tuple(F(k, 3) for k in range(C.dim))
         q = tuple(F(1, 2) for _ in range(C.dim))
-        assert _pairwise_max(C, [p, p]) == memo_pairwise_max(C, [p, p]) == (0, [])
-        assert _pairwise_max(C, [p, p, q]) == memo_pairwise_max(C, [p, p, q])
+        assert _pairwise_max(C, over_common_denominator([p, p])) == memo_pairwise_max(C, [p, p]) == (0, [])
+        assert _pairwise_max(C, over_common_denominator([p, p, q])) == memo_pairwise_max(C, [p, p, q])
 
 
 def test_facet_gauge_through_normals_matches_ratios():
