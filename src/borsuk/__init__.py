@@ -48,10 +48,8 @@ from .errors import (
     NotSymmetric,
     PointUncovered,
     UnknownSuite,
-    ZeroDiameter,
 )
 from .generators import (
-    InstanceSpec,
     cross_polytope_body,
     cube_body,
     cube_vertices,
@@ -66,7 +64,6 @@ from .metric import (
     diameter_graph,
     distance,
     gauge,
-    normalize_to_unit_diameter,
     polytope_diameter,
     set_diameter,
 )
@@ -95,13 +92,13 @@ __all__ = [
     # errors
     "BorsukError", "DegenerateBody", "DimensionMismatch", "DimensionUnsupported", "DomainError",
     "GenerationFailed", "GridTooCoarse", "IndexOutOfRange", "InvalidInput", "NotSymmetric",
-    "PointUncovered", "UnknownSuite", "ZeroDiameter",
+    "PointUncovered", "UnknownSuite",
     # generators
-    "InstanceSpec", "cross_polytope_body", "cube_body", "cube_vertices", "gen_random_body",
-    "gen_random_points", "gen_random_polytope", "parallelogram_body",
+    "cross_polytope_body", "cube_body", "cube_vertices", "gen_random_body", "gen_random_points",
+    "gen_random_polytope", "parallelogram_body",
     # metric
-    "DiameterGraph", "body_contains", "diameter_graph", "distance", "gauge",
-    "normalize_to_unit_diameter", "polytope_diameter", "set_diameter",
+    "DiameterGraph", "body_contains", "diameter_graph", "distance", "gauge", "polytope_diameter",
+    "set_diameter",
     # partition
     "BorsukCertificate", "Partition", "borsuk_number", "chromatic_number", "doubling_check",
     "lift_partition", "verify_partition",

@@ -227,8 +227,20 @@ class SymmetricBody(_VertexForm):
         it picks out, at ``t = -h``. The levels add ``(0, +-1 / h)``.
 
         These normals come from no hull of the lift, so each is certified
-        as it is made: ``a . v <= 1`` at every vertex of the lift, with
-        equality on ``dim`` vertices of rank ``dim``.
+        as it is made, with no rank: ``a . v <= 1`` at every vertex of the
+        lift, and each normal made from a slice normal ``n`` takes the
+        value 1 at some vertex on each level. That makes it a facet's. The
+        slice normal is certified where D's hull was made, so its face
+        ``F_A(n) - F_A(-n)`` of D has dimension ``dim - 2``, where
+        ``F_A(n)`` is the face of A on which ``n`` is largest. On the level
+        ``t = h`` the lifted normal is ``2n . a`` plus a constant, so, tight
+        at one vertex there, it is tight on all of ``F_A(n)`` there, and
+        likewise on all of ``-F_A(-n)`` at ``t = -h``. Its face holds the
+        Cayley polytope of these two faces, whose directions are those of
+        the slice's facet and the step between the levels: it has
+        dimension ``(dim - 2) + 1``, a facet. The two level normals hold
+        all of A at ``t = +-h``, and A is full-dimensional, which D's
+        construction checks.
         """
         if self._levels is None:
             return None
@@ -254,12 +266,13 @@ class SymmetricBody(_VertexForm):
         g = gcd(m * LD * p, *(c for n in normals for c in n))
         L, normals = m * LD * p // g, tuple(tuple(c // g for c in n) for n in normals)
         s, points = self.scaled
-        for a in normals:
+        for k, a in enumerate(normals):
             values = [sum(map(mul, a, X)) for X in points]
             if max(values) > L * s:
                 raise ArithmeticError(f"a vertex times {s} is outside lifted facet normal {a}/{L}")
-            if matrix_rank([X for X, t in zip(points, values) if t == L * s]) < self.dim:
-                raise ArithmeticError(f"lifted facet normal {a}/{L} holds fewer than {self.dim} independent vertices")
+            # the scaled vertices' last entries are the two levels
+            if k < len(slice_normals) and len({X[-1] for X, t in zip(points, values) if t == L * s}) < 2:
+                raise ArithmeticError(f"lifted facet normal {a}/{L} does not touch both levels")
         return L, normals
 
 
@@ -702,5 +715,5 @@ def lift_set(S: PointSet) -> PointSet:
 
 def scale_polytope(K: VPolytope, t: Fraction) -> VPolytope:
     if t == 0:
-        raise ValueError("scale factor must be nonzero")
+        raise InvalidInput("scale factor must be nonzero")
     return VPolytope(K.dim, tuple(tuple(t * x for x in v) for v in K.vertices), pruned=K.pruned)

@@ -17,10 +17,6 @@ class DegenerateBody(BorsukError):
     """The body is lower-dimensional or the origin is not interior."""
 
 
-class ZeroDiameter(BorsukError):
-    """A diameter-normalisation was requested for a single point."""
-
-
 class IndexOutOfRange(BorsukError):
     """A partition refers to point indices that do not exist."""
 

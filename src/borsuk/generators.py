@@ -8,7 +8,6 @@ denominators bounded) so the exact LPs downstream stay fast.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
@@ -144,41 +143,3 @@ def parallelogram_body() -> SymmetricBody:
             ),
         )
     )
-
-
-@dataclass(frozen=True)
-class InstanceSpec:
-    """Recipe for a reproducible (body, point set) instance."""
-
-    seed: int
-    dim: int
-    body_kind: str = "random_symmetric_polytope"
-    set_kind: str = "body_vertices"
-    n_vertex_pairs: int = 4
-    n_points: int = 6
-
-    def build(self) -> tuple[SymmetricBody, PointSet]:
-        if self.body_kind == "random_symmetric_polytope":
-            body = gen_random_body(self.seed, self.dim, self.n_vertex_pairs)
-        elif self.body_kind == "cube":
-            body = cube_body(self.dim)
-        elif self.body_kind == "cross_polytope":
-            body = cross_polytope_body(self.dim)
-        elif self.body_kind == "parallelogram":
-            body = parallelogram_body()
-        else:
-            raise ValueError(f"unknown body kind {self.body_kind!r}")
-
-        if self.set_kind == "body_vertices":
-            if body.vertices is None:
-                if self.body_kind == "cube":
-                    points = cube_vertices(self.dim)
-                else:
-                    raise ValueError("facet bodies do not carry vertices")
-            else:
-                points = PointSet(body.dim, body.vertices)
-        elif self.set_kind == "random_points":
-            points = gen_random_points(self.seed + 1, self.dim, self.n_points)
-        else:
-            raise ValueError(f"unknown set kind {self.set_kind!r}")
-        return body, points

@@ -34,10 +34,6 @@ def vneg(a: Vec) -> Vec:
     return tuple(-x for x in a)
 
 
-def vdot(a: Vec, b: Vec) -> Fraction:
-    return sum((x * y for x, y in zip(a, b)), ZERO)
-
-
 def over_common_denominator(points) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """The scaled form of a sequence of rational points: the least common
     denominator m of their coordinates, and each point times m, a row of

@@ -39,7 +39,7 @@ from operator import mul, sub
 
 from . import lp
 from .bodies import PointSet, Scaled, SymmetricBody, VPolytope, contains_point
-from .errors import DimensionMismatch, IndexOutOfRange, InvalidInput, ZeroDiameter
+from .errors import DimensionMismatch, IndexOutOfRange, InvalidInput
 from .linalg import ONE, ZERO, Vec, canonical_sign, over_common_denominator, vsub
 
 
@@ -77,7 +77,7 @@ def gauge(C: SymmetricBody, x: Vec) -> Fraction:
     res = lp.solve_combination(C.vertices, x, cost=[ONE] * len(C.vertices))
     # a validated body keeps this LP feasible for every x
     if res.status != lp.OPTIMAL:
-        raise ValueError("gauge LP failed; body was not validated")
+        raise InvalidInput("gauge LP failed; body was not validated")
     return res.value
 
 
@@ -151,19 +151,6 @@ def diameter_graph(C: SymmetricBody, S: PointSet) -> DiameterGraph:
         raise InvalidInput("diameter graph needs at least two points")
     diam, witnesses = set_diameter(C, S)
     return DiameterGraph(len(S.points), diam, tuple(witnesses))
-
-
-def normalize_to_unit_diameter(C: SymmetricBody, S: PointSet) -> tuple[PointSet, Fraction]:
-    """Scale S so its diameter under C becomes exactly 1.
-
-    Returns the scaled set and the applied factor 1/diameter.
-    """
-    diam, _ = set_diameter(C, S)
-    if diam == 0:
-        raise ZeroDiameter("cannot normalize a singleton")
-    scale = ONE / diam
-    scaled = PointSet(S.dim, tuple(tuple(scale * c for c in p) for p in S.points), S.labels)
-    return scaled, scale
 
 
 def body_contains(C: SymmetricBody, x: Vec) -> bool:

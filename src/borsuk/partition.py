@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
 
 from .bodies import PointSet, SymmetricBody, VPolytope, difference_body, lift_body, lift_set, prune_redundant
 from .errors import BorsukError, IndexOutOfRange, InvalidInput
@@ -336,7 +338,9 @@ def doubling_check(K: VPolytope, S: PointSet, node_budget: int | None = None):
     (b1, b2, ok) where ok says b2 == 2*b1 and both searches finished: a
     number from a search cut short by ``node_budget`` is only an upper
     bound and shows nothing. S must contain every vertex of K so that the
-    finite diameters agree with the body diameters.
+    finite diameters agree with the body diameters: the rows of the
+    pruned K's scaled form are looked up among those of S's, over a
+    common scale, and a vertex missing from S raises ``InvalidInput``.
 
     L is symmetric, so its difference body L - L is 2L, whose gauge is
     half that of L: every distance halves, the same pairs attain the
@@ -346,10 +350,14 @@ def doubling_check(K: VPolytope, S: PointSet, node_budget: int | None = None):
     slice of L is the very difference body of the first search, with its
     hull and normals.
     """
-    missing = set(K.vertices) - set(S.points)
-    if missing:
-        raise ValueError(f"S must contain all vertices of K; missing {sorted(missing)[:3]}")
     base = K if K.pruned else prune_redundant(K)
+    (mK, XK), (mS, XS) = base.scaled, S.scaled
+    m = lcm(mK, mS)
+    points = {tuple([m // mS * x for x in X]) for X in XS}
+    missing = [X for X in XK if tuple([m // mK * x for x in X]) not in points]
+    if missing:
+        shown = [tuple([Fraction(x, mK) for x in X]) for X in sorted(missing)[:3]]
+        raise InvalidInput(f"S must contain all vertices of K; missing {shown}")
     b1 = borsuk_number(difference_body(base), S, node_budget)
     b2 = borsuk_number(lift_body(base).body, lift_set(S), node_budget)
     return b1.number, b2.number, b1.optimal and b2.optimal and b2.number == 2 * b1.number

@@ -2,13 +2,15 @@
 
 Each suite runs ``count`` reproducible instances and records every
 failed check together with a payload (child seed plus serialized
-inputs) that regenerates the failure. All comparisons are exact except
-in the bounds table, whose formulas are floating-point by design.
+inputs) that regenerates the failure, built only when a check fails.
+All comparisons are exact except in the bounds table, whose formulas
+are floating-point by design.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -42,12 +44,14 @@ class VerificationReport:
     def passed(self) -> bool:
         return self.checks_failed == 0
 
-    def record(self, ok: bool, payload: dict, check: str):
+    def record(self, ok: bool, payload: Callable[[], dict], check: str):
+        """Count the check, and on failure keep the dict ``payload()``
+        builds, which passing checks never serialize."""
         if ok:
             self.checks_passed += 1
         else:
             self.checks_failed += 1
-            self.failures.append({**payload, "check": check})
+            self.failures.append({**payload(), "check": check})
 
     def to_obj(self) -> dict:
         return {
@@ -76,12 +80,15 @@ def _suite_difference_norm(report, count, seed):
         diam = polytope_diameter(C, K)
         K = scale_polytope(K, Fraction(1) / diam)
         D = difference_body(K)
-        payload = {
-            "instance_seed": s,
-            "dim": dim,
-            "body": jsonio.body_to_obj(C),
-            "polytope": jsonio.polytope_to_obj(K),
-        }
+
+        def payload():
+            return {
+                "instance_seed": s,
+                "dim": dim,
+                "body": jsonio.body_to_obj(C),
+                "polytope": jsonio.polytope_to_obj(K),
+            }
+
         report.record(all(gauge(C, w) <= 1 for w in D.vertices), payload, "difference_body_inside_unit_ball")
         report.record(
             polytope_diameter(C, VPolytope(dim, D.vertices, pruned=True)) == 2,
@@ -104,7 +111,10 @@ def _suite_lifted_cross(report, count, seed):
         D_up = difference_body(lift_body(K).as_polytope())
         lifted = lift_set(S)
         n = len(S.points)
-        payload = {"instance_seed": s, "dim": dim, "polytope": jsonio.polytope_to_obj(K)}
+
+        def payload():
+            return {"instance_seed": s, "dim": dim, "polytope": jsonio.polytope_to_obj(K)}
+
         if n >= 2:
             upper = point_set(lifted.points[:n])
             lower = point_set(lifted.points[n:])
@@ -138,14 +148,17 @@ def _suite_doubling(report, count, seed):
                 pts.append(mid)  # interior points keep the span
         S = point_set(pts)
         b1, b2, ok = doubling_check(K, S)
-        payload = {
-            "instance_seed": s,
-            "dim": dim,
-            "polytope": jsonio.polytope_to_obj(K),
-            "points": jsonio.pointset_to_obj(S),
-            "b_base": b1,
-            "b_lifted": b2,
-        }
+
+        def payload():
+            return {
+                "instance_seed": s,
+                "dim": dim,
+                "polytope": jsonio.polytope_to_obj(K),
+                "points": jsonio.pointset_to_obj(S),
+                "b_base": b1,
+                "b_lifted": b2,
+            }
+
         report.record(ok, payload, "lifted_number_is_doubled")
         report.instances_run += 1
 
@@ -172,12 +185,15 @@ def _suite_grunbaum_plane(report, count, seed):
         s = _child_seed(seed, i)
         C, S = _planar_instance(s, i)
         cert = borsuk_number(C, S)
-        payload = {
-            "instance_seed": s,
-            "body": jsonio.body_to_obj(C),
-            "points": jsonio.pointset_to_obj(S),
-            "number": cert.number,
-        }
+
+        def payload():
+            return {
+                "instance_seed": s,
+                "body": jsonio.body_to_obj(C),
+                "points": jsonio.pointset_to_obj(S),
+                "number": cert.number,
+            }
+
         report.record(cert.number <= 4, payload, "planar_number_at_most_four")
         report.record(verify_partition(C, S, cert.partition), payload, "partition_verifies")
         report.instances_run += 1
@@ -187,8 +203,11 @@ def _suite_cube_exact(report, count, seed):
     """The cube needs exactly 2^n parts, realized on its vertex set."""
     for n in (2, 3, 4):
         cert = borsuk_number(cube_body(n), cube_vertices(n))
-        payload = {"dim": n, "number": cert.number, "expected": 2**n}
-        report.record(cert.number == 2**n and cert.optimal, payload, "cube_number_is_2_pow_n")
+        report.record(
+            cert.number == 2**n and cert.optimal,
+            lambda: {"dim": n, "number": cert.number, "expected": 2**n},
+            "cube_number_is_2_pow_n",
+        )
         report.instances_run += 1
 
 
@@ -207,14 +226,17 @@ def _suite_norm_domination(report, count, seed):
         ambient = borsuk_number(C, S)
         difference = borsuk_number(D, S)
         b_ambient, b_difference = ambient.number, difference.number
-        payload = {
-            "instance_seed": s,
-            "dim": dim,
-            "body": jsonio.body_to_obj(C),
-            "polytope": jsonio.polytope_to_obj(K),
-            "b_ambient": b_ambient,
-            "b_difference": b_difference,
-        }
+
+        def payload():
+            return {
+                "instance_seed": s,
+                "dim": dim,
+                "body": jsonio.body_to_obj(C),
+                "polytope": jsonio.polytope_to_obj(K),
+                "b_ambient": b_ambient,
+                "b_difference": b_difference,
+            }
+
         # a search cut short by the node budget gives only an upper bound
         finished = ambient.optimal and difference.optimal
         report.record(finished and b_ambient <= b_difference, payload, "ambient_number_dominated")
@@ -224,28 +246,27 @@ def _suite_norm_domination(report, count, seed):
 def _suite_bounds_table(report, count, seed):
     """Floating-point identities between the closed-form bounds."""
     for n in range(2, 65):
-        payload = {"n": n}
         report.record(
             partition_bound(n).value == covering_bound(n + 1).value / 2.0,
-            payload,
+            lambda: {"n": n},
             "partition_equals_half_covering_up",
         )
         report.instances_run += 1
     for n in range(3, 64):
         report.record(
             covering_bound(n + 1).value > covering_bound(n).value,
-            {"n": n},
+            lambda: {"n": n},
             "covering_bound_monotone",
         )
     for n in range(3, 65):
         report.record(
             partition_bound(n).value < binomial_bound(n).value,
-            {"n": n},
+            lambda: {"n": n},
             "partition_bound_improves_binomial",
         )
     report.record(
         math.isclose(covering_bound(2).value, 42.613074, rel_tol=1e-6),
-        {"n": 2},
+        lambda: {"n": 2},
         "covering_bound_spot_value",
     )
 

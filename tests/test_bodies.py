@@ -22,6 +22,7 @@ from borsuk.bodies import (
     negate,
     point_set,
     prune_redundant,
+    scale_polytope,
     validate_body,
     vpolytope,
 )
@@ -269,6 +270,11 @@ def test_difference_of_lift_sliced_is_difference_body():
             if all(c == 0 for c in z):
                 continue
             assert gauge(D_lift, z + (F(0),)) == gauge(D, z)
+
+
+def test_scale_polytope_refuses_a_zero_factor():
+    with pytest.raises(InvalidInput, match="nonzero"):
+        scale_polytope(vpolytope([(0, 0), (1, 0), (0, 1)]), Fraction(0))
 
 
 def test_point_set_rejects_duplicates():

@@ -5,7 +5,6 @@ import pytest
 from borsuk.bodies import validate_body
 from borsuk.errors import GenerationFailed
 from borsuk.generators import (
-    InstanceSpec,
     cross_polytope_body,
     cube_body,
     cube_vertices,
@@ -66,17 +65,3 @@ def test_cross_polytope_fixture():
 def test_parallelogram_fixture():
     C = parallelogram_body()
     assert len(C.vertices) == 4
-
-
-def test_instance_spec_round():
-    spec = InstanceSpec(seed=3, dim=2, body_kind="random_symmetric_polytope", set_kind="body_vertices")
-    body, points = spec.build()
-    assert body.dim == 2
-    assert points.points == body.vertices
-    again_body, again_points = spec.build()
-    assert again_body == body and again_points.points == points.points
-
-    spec2 = InstanceSpec(seed=3, dim=2, body_kind="cube", set_kind="random_points", n_points=5)
-    body2, points2 = spec2.build()
-    assert body2.facets is not None
-    assert len(points2.points) == 5

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from borsuk import lp
-from borsuk.linalg import matrix_rank, over_common_denominator, vdot
+from borsuk.linalg import matrix_rank, over_common_denominator
 from borsuk.bodies import (
     SymmetricBody,
     VPolytope,
@@ -21,7 +21,7 @@ from borsuk.bodies import (
     prune_redundant,
     vpolytope,
 )
-from borsuk.errors import DegenerateBody, DimensionMismatch, ZeroDiameter
+from borsuk.errors import DegenerateBody, DimensionMismatch, InvalidInput
 from borsuk.generators import cross_polytope_body, cube_body, cube_vertices, gen_random_body
 from borsuk.metric import (
     _pairwise_max,
@@ -29,7 +29,6 @@ from borsuk.metric import (
     diameter_graph,
     distance,
     gauge,
-    normalize_to_unit_diameter,
     polytope_diameter,
     set_diameter,
 )
@@ -86,6 +85,16 @@ def test_gauge_matches_support_enumeration_in_three_dimensions():
 def test_gauge_dimension_mismatch(square_v):
     with pytest.raises(DimensionMismatch):
         gauge(square_v, (F(1),))
+
+
+def test_gauge_lp_on_an_unvalidated_flat_body_raises_invalid_input():
+    # a segment in 4D: no hull, no lift, so the gauge takes the LP, which
+    # has no solution off the segment's line
+    e1 = (F(1), F(0), F(0), F(0))
+    C = SymmetricBody(4, vertices=(e1, tuple(-c for c in e1)))
+    assert C.normals is None
+    with pytest.raises(InvalidInput, match="not validated"):
+        gauge(C, (F(0), F(1), F(0), F(0)))
 
 
 def test_distance_properties(square_v):
@@ -172,25 +181,6 @@ def test_diameter_graph_collinear_points(square_v):
     assert G.edges == ((0, 2),)
 
 
-def test_normalize_to_unit_diameter(square_v):
-    S = point_set([(1, 1), (1, -1), (-1, 1), (-1, -1)])
-    scaled, scale = normalize_to_unit_diameter(square_v, S)
-    assert scale == F(1, 2)
-    assert set_diameter(square_v, scaled)[0] == 1
-
-
-def test_normalize_unit_input_unchanged(square_v):
-    S = point_set([(0, 0), (1, 0)])
-    scaled, scale = normalize_to_unit_diameter(square_v, S)
-    assert scale == 1
-    assert scaled.points == S.points
-
-
-def test_normalize_singleton_raises(square_v):
-    with pytest.raises(ZeroDiameter):
-        normalize_to_unit_diameter(square_v, point_set([(0, 0)]))
-
-
 @given(x=st.tuples(rationals, rationals), t=rationals)
 @settings(max_examples=60, deadline=None)
 def test_gauge_homogeneous_and_symmetric(x, t):
@@ -225,7 +215,7 @@ def test_rep_agreement(square_v, square_h, cross_v, cross_h, hexagon_v, hexagon_
 
 
 def _by_facets(C, x):
-    return all(abs(vdot(a, x)) <= b for a, b in C.facets)
+    return all(abs(sum(u * v for u, v in zip(a, x))) <= b for a, b in C.facets)
 
 
 def _by_lp(C, x):
@@ -513,7 +503,7 @@ def test_facet_gauge_through_normals_matches_ratios():
         assert len(normals) == 2 * len(C.facets) and L > 0
         for _ in range(20):
             x = tuple(_rational(rng, 12) for _ in range(C.dim))
-            assert gauge(C, x) == max(abs(vdot(a, x)) / b for a, b in C.facets)
+            assert gauge(C, x) == max(abs(sum(u * v for u, v in zip(a, x))) / b for a, b in C.facets)
         assert gauge(C, (F(0),) * C.dim) == 0
 
 

@@ -11,7 +11,9 @@ inner points and points inside edges and facets; bodies on a hull handed
 on at a finer scale than their vertices (difference bodies whose sums
 have a coarser denominator, and generated random bodies); facet bodies
 with redundant facets; and lifts, 4D ones among them. A lift normal
-corrupted in its slice fails the lift's certificate.
+corrupted in its slice fails the lift's certificate, which makes no rank
+call: a normal outside a vertex fails its ``a . v <= 1``, and a valid
+one off the levels fails its level contacts.
 """
 
 import random
@@ -110,6 +112,20 @@ def test_normals_of_a_hull_body_make_no_rank_call(monkeypatch):
     assert ranked == [] and len(bodies_with_hulls) >= 60
 
 
+def test_normals_of_a_4d_lift_make_no_rank_call(monkeypatch):
+    # a lift normal is certified by the levels it touches; only the
+    # slice's hull, built first here, is ranked where it is made
+    lifts = [C for C in _seed_hull_bodies() if C.dim == 4]
+    for C in lifts:
+        C._levels[1].difference.normals
+    ranked = []
+    rank = bodies.matrix_rank
+    monkeypatch.setattr(bodies, "matrix_rank", lambda rows: ranked.append(rows) or rank(rows))
+    for C in lifts:
+        assert C.hull is None and C.normals is not None
+    assert ranked == [] and len(lifts) >= 8
+
+
 def test_a_wrong_lifted_normal_fails_the_lift_certificate():
     # one slice normal doubled doubles the lift's normal made from it, so
     # the lift's vertices on that facet are outside it
@@ -120,4 +136,16 @@ def test_a_wrong_lifted_normal_fails_the_lift_certificate():
     D.__dict__["normals"] = (L, (tuple(2 * c for c in N), *rest))
     assert C.hull is None
     with pytest.raises(ArithmeticError, match="outside lifted facet normal"):
+        C.normals
+
+
+def test_a_lifted_normal_off_both_levels_fails_the_lift_certificate():
+    # the slice normals halved are still valid, but touch no vertex of the
+    # slice, so the lift's normals made from them touch neither level
+    K = gen_random_polytope(31, 3, 6, max_numerator=8, max_denominator=4)
+    C = lift_body(K).body
+    D = C._levels[1].difference
+    L, normals = D.normals
+    D.__dict__["normals"] = (2 * L, normals)
+    with pytest.raises(ArithmeticError, match="does not touch both levels"):
         C.normals

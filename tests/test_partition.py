@@ -13,6 +13,7 @@ from borsuk.bodies import (
     lift_body,
     lift_set,
     point_set,
+    prune_redundant,
     validate_body,
     vpolytope,
 )
@@ -265,8 +266,26 @@ def test_lifted_body_and_its_difference_body_colour_alike():
 
 
 def test_doubling_requires_vertices_in_set(triangle):
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInput, match=r"missing \[\(Fraction\(0, 1\), Fraction\(1, 1\)\)\]"):
         doubling_check(triangle, point_set([(0, 0), (1, 0)]))
+
+
+def test_doubling_asks_only_for_the_vertices_of_an_unpruned_polytope():
+    # (1, 1) is listed but inside the triangle, so S need not hold it
+    K = vpolytope([(0, 0), (4, 0), (0, 4), (1, 1)])
+    assert doubling_check(K, point_set([(0, 0), (4, 0), (0, 4)])) == (3, 6, True)
+    with pytest.raises(InvalidInput, match="missing"):
+        doubling_check(K, point_set([(0, 0), (4, 0), (1, 1)]))
+
+
+def test_doubling_finds_vertices_over_a_scale_finer_than_the_set():
+    # the inner point's denominator 3 sets the scale of the hull that the
+    # pruned K keeps, while the set's scale is 1
+    K = vpolytope([(0, 0), (2, 0), (0, 2), (F(1, 3), F(1, 3))])
+    assert prune_redundant(K).scaled[0] == 3
+    assert doubling_check(K, point_set([(0, 0), (2, 0), (0, 2)])) == (3, 6, True)
+    with pytest.raises(InvalidInput, match=r"missing \[\(Fraction\(0, 1\), Fraction\(2, 1\)\)\]"):
+        doubling_check(K, point_set([(0, 0), (2, 0), (1, 1)]))
 
 
 def test_cross_copy_distances_are_one(triangle):

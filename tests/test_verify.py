@@ -1,10 +1,11 @@
 """Verification suites: all pass on seeded instances; reports serialize."""
 
+import hashlib
 import json
 
 import pytest
 
-from borsuk import jsonio
+from borsuk import jsonio, verify
 from borsuk.errors import BorsukError, UnknownSuite
 from borsuk.verify import SUITES, run_verify_suite
 
@@ -68,3 +69,23 @@ def test_search_cut_short_fails_its_check(suite, count, seed, failing_seed, monk
     monkeypatch.setenv("BORSUK_NODE_BUDGET", "1")
     report = run_verify_suite(suite, count, seed)
     assert [f["instance_seed"] for f in report.failures] == [failing_seed]
+
+
+def test_a_forced_failure_report_is_pinned(monkeypatch):
+    # every partition check fails, so every instance's payload is built:
+    # the digest is that of the report when each payload was built eagerly
+    monkeypatch.setattr(verify, "verify_partition", lambda C, S, P: False)
+    report = run_verify_suite("grunbaum_plane", 3, 4)
+    assert (report.checks_passed, report.checks_failed) == (3, 3)
+    digest = hashlib.sha256(jsonio.dumps(report.to_obj()).encode()).hexdigest()
+    assert digest == "bb26588251788dab460af0732abf13885e48f6dcd0f61d9b39a082d7e58f20af"
+
+
+def test_passing_checks_serialize_nothing(monkeypatch):
+    def refuse(obj):
+        raise AssertionError(f"a payload was built for a passing check: {obj!r}")
+
+    for name in ("body_to_obj", "polytope_to_obj", "pointset_to_obj"):
+        monkeypatch.setattr(jsonio, name, refuse)
+    for suite in SUITES:
+        assert run_verify_suite(suite, 2, 11).passed
