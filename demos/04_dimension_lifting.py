@@ -30,10 +30,10 @@ S = point_set(triangle.vertices)
 
 lifted = lift_body(triangle)
 print("lifted body vertices (last coordinate is the copy sign):")
-for v in lifted.body.vertices:
+for v in lifted.vertices:
     print("  ", tuple(str(c) for c in v))
 
-D_up = difference_body(lifted.as_polytope())
+D_up = difference_body(vpolytope(lifted.vertices, pruned=True))
 doubled = lift_set(S)
 n = len(S.points)
 

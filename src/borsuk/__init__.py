@@ -9,7 +9,6 @@ appears in the closed-form bound formulas and SVG coordinates.
 """
 
 from .bodies import (
-    LiftedBody,
     PointSet,
     SymmetricBody,
     VPolytope,
@@ -22,7 +21,6 @@ from .bodies import (
     negate,
     point_set,
     prune_redundant,
-    validate_body,
     vpolytope,
 )
 from .covering import (
@@ -83,9 +81,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     # bodies
-    "LiftedBody", "PointSet", "SymmetricBody", "VPolytope", "body_from_facets",
-    "body_from_vertices", "difference_body", "lift_body", "lift_set", "minkowski_sum", "negate",
-    "point_set", "prune_redundant", "validate_body", "vpolytope",
+    "PointSet", "SymmetricBody", "VPolytope", "body_from_facets", "body_from_vertices",
+    "difference_body", "lift_body", "lift_set", "minkowski_sum", "negate", "point_set",
+    "prune_redundant", "vpolytope",
     # covering
     "BoundValue", "Covering", "binomial_bound", "bounds_table", "cover_to_partition",
     "covering_bound", "greedy_cover", "partition_bound",

@@ -5,8 +5,10 @@ tuples of ``Fraction``, and each polytope, vertex body and point set
 also carries one scaled form ``scaled = (m, rows)``, its points times a
 common denominator m as rows of ints, made once. The convexity work
 reads that form and builds ``Fraction``s only for what it returns. A
-symmetric vertex body is certified by linear algebra alone: its integer
-rows are closed under negation and span the space (:func:`validate_body`).
+symmetric body is certified where it is made, so none exists uncertified:
+a vertex body by linear algebra alone, its integer rows closed under
+negation and spanning the space, and a facet body by its normals
+(:func:`validate_body`, called by the body's constructor).
 Redundancy removal is answered in dimensions 1 to 3 by one exact convex
 hull per body (:func:`integer_hull` of the scaled form, held by the
 body's ``hull``), in integer form and certified once, where it is made;
@@ -38,7 +40,7 @@ from typing import NamedTuple
 
 from . import lp
 from .errors import DegenerateBody, DimensionMismatch, InvalidInput, NotSymmetric
-from .linalg import ONE, Vec, affine_rank, as_vec, matrix_rank, over_common_denominator, vneg
+from .linalg import ONE, Vec, affine_rank, as_vec, matrix_rank, over_common_denominator, show, vneg
 
 Facet = tuple[Vec, Fraction]  # normal a and offset b, encoding |<a, x>| <= b
 HalfSpace = tuple[tuple[int, ...], int]  # integer normal n and offset c, encoding n . X <= c
@@ -90,7 +92,7 @@ class VPolytope(_VertexForm):
             raise InvalidInput("a polytope needs at least one vertex")
         for v in self.vertices:
             if len(v) != self.dim:
-                raise DimensionMismatch(f"vertex {v} does not have dim {self.dim}")
+                raise DimensionMismatch(f"vertex {show(v)} does not have dim {self.dim}")
 
     @cached_property
     def difference(self) -> SymmetricBody:
@@ -107,7 +109,7 @@ class VPolytope(_VertexForm):
         else:
             sums = _pruned_sums(self.dim, m, {tuple(map(sub, a, b)) for a in rows for b in rows})
             verts, hull = sums.vertices, sums.hull
-        return validate_body(SymmetricBody(self.dim, vertices=verts, seed_hull=hull))
+        return SymmetricBody(self.dim, vertices=verts, seed_hull=hull)
 
 
 @dataclass(frozen=True)
@@ -115,8 +117,9 @@ class SymmetricBody(_VertexForm):
     """Centrally symmetric convex body with the origin interior.
 
     Exactly one representation is present: ``vertices`` (closed under
-    negation) or ``facets`` (pairs |<a, x>| <= b). Instances produced by
-    :func:`validate_body` and the constructions below are certified.
+    negation) or ``facets`` (pairs |<a, x>| <= b). Every instance is
+    certified as it is made: the constructor ends with
+    :func:`validate_body`, which raises on a set that is no such body.
     """
 
     dim: int
@@ -137,11 +140,14 @@ class SymmetricBody(_VertexForm):
                 raise InvalidInput("a body needs at least one vertex")
             for v in self.vertices:
                 if len(v) != self.dim:
-                    raise DimensionMismatch(f"vertex {v} does not have dim {self.dim}")
+                    raise DimensionMismatch(f"vertex {show(v)} does not have dim {self.dim}")
         else:
             for a, _ in self.facets:
                 if len(a) != self.dim:
-                    raise DimensionMismatch(f"facet normal {a} does not have dim {self.dim}")
+                    raise DimensionMismatch(f"facet normal {show(a)} does not have dim {self.dim}")
+        # looked up as a module global at each call, so that a tracer
+        # wrapping it sees every body made
+        validate_body(self)
 
     @cached_property
     def normals(self) -> tuple[int, tuple[tuple[int, ...], ...]] | None:
@@ -152,11 +158,13 @@ class SymmetricBody(_VertexForm):
         A facet body gives ``a / b`` and ``-a / b`` for each facet; each
         offset ``b`` is checked positive and each normal nonzero, in turn,
         and the normals checked to span the space, else the body is
-        unbounded. A vertex body gives the outer normals of its facets,
+        unbounded: these checks certify a facet body, made once, as the
+        body is. A vertex body gives the outer normals of its facets,
         ``a . v = 1`` on each facet: those of its hull in dimensions 1 to 3,
-        certified where the hull was made (:func:`integer_hull`), so only
-        the origin is checked to be interior here; and those of
-        :meth:`_lift_normals` for a symmetric lift without a hull.
+        certified where the hull was made (:func:`integer_hull`), each
+        offset positive since the body's own certificate puts the origin
+        inside; and those of :meth:`_lift_normals` for a symmetric lift
+        without a hull.
         """
         if self.facets is not None:
             for a, b in self.facets:
@@ -173,10 +181,6 @@ class SymmetricBody(_VertexForm):
         hull = self.hull
         if hull is None:
             return self._lift_normals()
-        # the origin is interior when it is strictly inside every
-        # half-space, which only a full-dimensional hull allows
-        if not all(c > 0 for _, c in hull.planes):
-            raise DegenerateBody("origin is not interior (body not full-dimensional)")
         s = hull.scale
         # facet n . X = c over points X = v * s, so a = n * s / c gives
         # a . v = 1 on the facet; the least common denominator of the
@@ -189,7 +193,8 @@ class SymmetricBody(_VertexForm):
         """``(h, A)`` for a symmetric lift, a vertex body on the two levels
         ``t = h`` and ``t = -h`` (h > 0) of the last coordinate, the lower
         level the negated upper one, A: the hull of ``(A, h)`` and
-        ``(-A, -h)``. A is the base the lift was built from
+        ``(-A, -h)``. The vertices are closed under negation, so any two
+        levels are such mirrors. A is the base the lift was built from
         (``lift_base``), or else a polytope of the top level, made once per
         body. None for any other body, and from dimension 5, where the
         slice has no hull."""
@@ -197,12 +202,10 @@ class SymmetricBody(_VertexForm):
             return None
         m, rows = self.scaled
         levels = {X[-1] for X in rows}
+        if len(levels) != 2:
+            return None
         H = max(levels)
-        if H <= 0 or levels != {H, -H}:
-            return None
         top = {X[:-1]: v[:-1] for X, v in zip(rows, self.vertices) if X[-1] == H}
-        if {tuple([-x for x in X[:-1]]) for X in rows if X[-1] == -H} != top.keys():
-            return None
         base = self.lift_base
         if base is None:
             base = VPolytope(self.dim - 1, tuple(top[X] for X in sorted(top)))
@@ -290,7 +293,7 @@ class PointSet:
             raise InvalidInput("a point set needs at least one point")
         for p in self.points:
             if len(p) != self.dim:
-                raise DimensionMismatch(f"point {p} does not have dim {self.dim}")
+                raise DimensionMismatch(f"point {show(p)} does not have dim {self.dim}")
         if len(set(self.scaled[1])) != len(self.points):
             # duplicates would make partition counts bookkeeping artifacts
             raise InvalidInput("points must be pairwise distinct")
@@ -305,23 +308,6 @@ class PointSet:
 
     def __len__(self):
         return len(self.points)
-
-
-@dataclass(frozen=True)
-class LiftedBody:
-    """Symmetric body one dimension up built from a polytope.
-
-    The vertex set is (K x {1}) united with (-K x {-1}); ``provenance``
-    keeps the source polytope so partitions of the lifted point set can
-    be traced back to it.
-    """
-
-    base_dim: int
-    body: SymmetricBody
-    provenance: VPolytope
-
-    def as_polytope(self) -> VPolytope:
-        return VPolytope(self.body.dim, self.body.vertices, pruned=True)
 
 
 # Up to dimension 3 a polytope has few facets (at most 2n - 4 for n
@@ -547,15 +533,15 @@ def point_set(points, labels=None) -> PointSet:
 
 
 def body_from_vertices(points) -> SymmetricBody:
-    """Build and certify a symmetric body from its vertex list."""
+    """Build a symmetric body, certified, from its vertex list."""
     verts = tuple(as_vec(p) for p in points)
-    return validate_body(SymmetricBody(len(verts[0]), vertices=verts))
+    return SymmetricBody(len(verts[0]), vertices=verts)
 
 
 def body_from_facets(facets) -> SymmetricBody:
-    """Build and certify a symmetric body from facet pairs (a, b)."""
+    """Build a symmetric body, certified, from facet pairs (a, b)."""
     fs = tuple((as_vec(a), Fraction(b)) for a, b in facets)
-    return validate_body(SymmetricBody(len(fs[0][0]), facets=fs))
+    return SymmetricBody(len(fs[0][0]), facets=fs)
 
 
 def contains_point(generators: tuple[Vec, ...], x: Vec) -> bool:
@@ -565,7 +551,10 @@ def contains_point(generators: tuple[Vec, ...], x: Vec) -> bool:
 
 
 def validate_body(candidate: SymmetricBody) -> SymmetricBody:
-    """Certify central symmetry and interiority of the origin.
+    """Certify central symmetry and interiority of the origin, raising
+    :class:`NotSymmetric` or :class:`DegenerateBody` when they fail. The
+    constructor of :class:`SymmetricBody` ends with this call, once per
+    body, so no body exists uncertified and no caller makes it again.
 
     Vertex form: the vertex set must be closed under negation and span
     the space, which is exactly an interior origin: a basis ``b`` and
@@ -581,7 +570,7 @@ def validate_body(candidate: SymmetricBody) -> SymmetricBody:
         distinct = set(rows)
         for X, v in zip(rows, candidate.vertices):
             if tuple([-x for x in X]) not in distinct:
-                raise NotSymmetric(f"vertex {v} has no mirror {vneg(v)}")
+                raise NotSymmetric(f"vertex {show(v)} has no mirror {show(vneg(v))}")
         if matrix_rank(rows) < candidate.dim:
             raise DegenerateBody("origin is not interior (body not full-dimensional)")
     else:
@@ -682,8 +671,9 @@ def difference_body(K: VPolytope) -> SymmetricBody:
     return K.difference
 
 
-def lift_body(K: VPolytope) -> LiftedBody:
-    """Symmetrize K one dimension up: hull of (K, +1) and (-K, -1).
+def lift_body(K: VPolytope) -> SymmetricBody:
+    """Symmetrize K one dimension up: the hull of (K, +1) and (-K, -1), a
+    certified body that keeps K pruned as its ``lift_base``.
 
     A lifted point (v, 1) is a convex combination of the other lifted
     points only if all weight sits at height +1, i.e. only if v was
@@ -697,8 +687,7 @@ def lift_body(K: VPolytope) -> LiftedBody:
     up = [(X + (m,), v + (ONE,)) for X, v in zip(rows, base.vertices)]
     down = [(tuple([-x for x in X]) + (-m,), vneg(v) + (-ONE,)) for X, v in zip(rows, base.vertices)]
     verts = tuple(v for _, v in sorted(up + down))
-    body = validate_body(SymmetricBody(K.dim + 1, vertices=verts, lift_base=base))
-    return LiftedBody(base_dim=K.dim, body=body, provenance=K)
+    return SymmetricBody(K.dim + 1, vertices=verts, lift_base=base)
 
 
 def lift_set(S: PointSet) -> PointSet:

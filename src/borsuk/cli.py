@@ -14,7 +14,7 @@ import sys
 import time
 
 from . import jsonio
-from .bodies import difference_body, lift_body, lift_set, validate_body
+from .bodies import difference_body, lift_set
 from .covering import bounds_table, greedy_cover
 from .errors import BorsukError, InvalidInput
 from .metric import diameter_graph, gauge
@@ -42,7 +42,7 @@ def _write_text(text: str, out: str | None):
 
 
 def _load_body(path: str):
-    return validate_body(jsonio.body_from_obj(_read_json(path)))
+    return jsonio.body_from_obj(_read_json(path))
 
 
 def _cmd_gauge(args) -> int:
@@ -89,7 +89,7 @@ def _cmd_lift(args) -> int:
         raise BorsukError("give exactly one of --polytope or --points")
     if args.polytope:
         K = jsonio.polytope_from_obj(_read_json(args.polytope))
-        _write_text(jsonio.dumps(jsonio.lifted_body_to_obj(lift_body(K))), args.out)
+        _write_text(jsonio.dumps(jsonio.lifted_body_to_obj(K)), args.out)
     else:
         S = jsonio.pointset_from_obj(_read_json(args.points))
         _write_text(jsonio.dumps(jsonio.pointset_to_obj(lift_set(S))), args.out)

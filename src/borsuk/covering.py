@@ -36,7 +36,7 @@ from operator import mul, or_, sub
 
 from .bodies import PointSet, SymmetricBody, VPolytope, contains_point
 from .errors import DomainError, GridTooCoarse, InvalidInput, PointUncovered
-from .linalg import ONE, Vec, over_common_denominator
+from .linalg import ONE, Vec, over_common_denominator, show
 from .partition import Partition
 
 SAMPLE_CERTIFIED = "sample_certified"
@@ -236,7 +236,7 @@ def cover_to_partition(S: PointSet, cov: Covering, C: SymmetricBody) -> Partitio
     missed = ((1 << n) - 1) & ~sum(masks)  # the masks are disjoint
     if missed:
         p = S.points[(missed & -missed).bit_length() - 1]
-        raise PointUncovered(f"point {p} lies in no covering translate")
+        raise PointUncovered(f"point {show(p)} lies in no covering translate")
     classes = (tuple(i for i in range(n) if mask >> i & 1) for mask in masks if mask)
     return Partition(n, tuple(classes))
 

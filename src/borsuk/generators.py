@@ -18,7 +18,6 @@ from .bodies import (
     body_from_facets,
     is_full_dimensional,
     prune_redundant,
-    validate_body,
 )
 from .errors import DegenerateBody, GenerationFailed
 
@@ -55,7 +54,7 @@ def gen_random_body(
         sym = set(pts) | {tuple(-c for c in p) for p in pts}
         pruned = prune_redundant(VPolytope(dim, tuple(sorted(sym))))
         try:
-            return validate_body(SymmetricBody(dim, vertices=pruned.vertices, seed_hull=pruned.hull))
+            return SymmetricBody(dim, vertices=pruned.vertices, seed_hull=pruned.hull)
         except DegenerateBody:
             continue
     raise GenerationFailed(f"no full-dimensional symmetric body after {RETRY_BUDGET} tries")
@@ -112,7 +111,7 @@ def cube_body(dim: int, facet_form: bool = True) -> SymmetricBody:
             normal = tuple(Fraction(int(j == i)) for j in range(dim))
             facets.append((normal, Fraction(1)))
         return body_from_facets(facets)
-    return validate_body(SymmetricBody(dim, vertices=tuple(sorted(cube_vertices(dim).points))))
+    return SymmetricBody(dim, vertices=tuple(sorted(cube_vertices(dim).points)))
 
 
 def cube_vertices(dim: int) -> PointSet:
@@ -127,19 +126,17 @@ def cross_polytope_body(dim: int) -> SymmetricBody:
         e = tuple(Fraction(int(j == i)) for j in range(dim))
         verts.append(e)
         verts.append(tuple(-c for c in e))
-    return validate_body(SymmetricBody(dim, vertices=tuple(sorted(verts))))
+    return SymmetricBody(dim, vertices=tuple(sorted(verts)))
 
 
 def parallelogram_body() -> SymmetricBody:
     """A sheared symmetric parallelogram, vertices (+-1, 0), (+-1, +-1)."""
-    return validate_body(
-        SymmetricBody(
-            2,
-            vertices=(
-                (Fraction(-1), Fraction(-1)),
-                (Fraction(-1), Fraction(0)),
-                (Fraction(1), Fraction(0)),
-                (Fraction(1), Fraction(1)),
-            ),
-        )
+    return SymmetricBody(
+        2,
+        vertices=(
+            (Fraction(-1), Fraction(-1)),
+            (Fraction(-1), Fraction(0)),
+            (Fraction(1), Fraction(0)),
+            (Fraction(1), Fraction(1)),
+        ),
     )

@@ -19,7 +19,7 @@ import json
 import re
 from fractions import Fraction
 
-from .bodies import LiftedBody, PointSet, SymmetricBody, VPolytope
+from .bodies import PointSet, SymmetricBody, VPolytope, lift_body
 from .covering import Covering
 from .errors import BorsukError, DomainError, InvalidInput
 from .metric import DiameterGraph
@@ -191,11 +191,12 @@ def pointset_from_obj(obj) -> PointSet:
     return PointSet(_int(obj["dim"], "dim"), points, labels)
 
 
-def lifted_body_to_obj(L: LiftedBody) -> dict:
+def lifted_body_to_obj(K: VPolytope) -> dict:
+    """The symmetric lift of K, with K as its provenance."""
     return {
-        "base_dim": L.base_dim,
-        "body": body_to_obj(L.body),
-        "provenance": polytope_to_obj(L.provenance),
+        "base_dim": K.dim,
+        "body": body_to_obj(lift_body(K)),
+        "provenance": polytope_to_obj(K),
     }
 
 

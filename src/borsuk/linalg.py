@@ -34,6 +34,11 @@ def vneg(a: Vec) -> Vec:
     return tuple(-x for x in a)
 
 
+def show(v: Vec) -> str:
+    """A point as error messages print it: ``(1, -1/2)``."""
+    return f"({', '.join(map(str, v))})"
+
+
 def over_common_denominator(points) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """The scaled form of a sequence of rational points: the least common
     denominator m of their coordinates, and each point times m, a row of

@@ -20,10 +20,10 @@ which is all the geometry in this package needs from dimension 4:
 convex-hull membership and gauge evaluation are each a single small
 instance of this form, built by :func:`solve_combination`. Bodies in
 dimensions 1 to 3 answer these from their exact hull instead
-(:func:`borsuk.bodies.convex_hull`), except for flat point sets in
+(:func:`borsuk.bodies.integer_hull`), except for flat point sets in
 space, and symmetric lifts in dimension 4 answer gauges from the hull
-of their slice. Certifying a body needs no LP in any dimension: it is
-a rank check (:func:`borsuk.bodies.validate_body`).
+of their slice. Certifying a body, which its constructor does, needs no
+LP in any dimension: it is a closure test and one rank.
 """
 
 from __future__ import annotations

@@ -12,9 +12,9 @@ the optimum of the exact LP
 
     minimize sum(mu)  subject to  sum(mu_i * v_i) = x,  mu >= 0,
 
-which is valid because C is symmetric with the origin interior (so the
-positive hull of the vertices is the whole space and the LP is always
-feasible).
+which is valid because C is symmetric with the origin interior, as every
+body is certified to be where it is made: the positive hull of the
+vertices is then the whole space and the LP is always feasible.
 
 The diameter pass, which every diameter graph and every partition check
 goes through, takes the same two paths in one pair loop over the
@@ -75,9 +75,9 @@ def gauge(C: SymmetricBody, x: Vec) -> Fraction:
     if all(v == 0 for v in x):
         return ZERO
     res = lp.solve_combination(C.vertices, x, cost=[ONE] * len(C.vertices))
-    # a validated body keeps this LP feasible for every x
+    # a certified body keeps this LP feasible for every x
     if res.status != lp.OPTIMAL:
-        raise InvalidInput("gauge LP failed; body was not validated")
+        raise InvalidInput(f"gauge LP failed ({res.status})")
     return res.value
 
 

@@ -27,6 +27,7 @@ from math import lcm
 
 from .bodies import PointSet, SymmetricBody, VPolytope, difference_body, lift_body, lift_set, prune_redundant
 from .errors import BorsukError, IndexOutOfRange, InvalidInput
+from .linalg import show
 from .metric import DiameterGraph, diameter_graph, set_diameter
 
 DEFAULT_NODE_BUDGET = 10_000_000
@@ -356,8 +357,8 @@ def doubling_check(K: VPolytope, S: PointSet, node_budget: int | None = None):
     points = {tuple([m // mS * x for x in X]) for X in XS}
     missing = [X for X in XK if tuple([m // mK * x for x in X]) not in points]
     if missing:
-        shown = [tuple([Fraction(x, mK) for x in X]) for X in sorted(missing)[:3]]
+        shown = ", ".join(show(tuple([Fraction(x, mK) for x in X])) for X in sorted(missing)[:3])
         raise InvalidInput(f"S must contain all vertices of K; missing {shown}")
     b1 = borsuk_number(difference_body(base), S, node_budget)
-    b2 = borsuk_number(lift_body(base).body, lift_set(S), node_budget)
+    b2 = borsuk_number(lift_body(base), lift_set(S), node_budget)
     return b1.number, b2.number, b1.optimal and b2.optimal and b2.number == 2 * b1.number

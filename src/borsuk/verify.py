@@ -108,7 +108,8 @@ def _suite_lifted_cross(report, count, seed):
         dim = 1 + (i % 3)
         K = gen_random_polytope(s, dim, dim + 2, max_numerator=6, max_denominator=4)
         S = point_set(K.vertices)
-        D_up = difference_body(lift_body(K).as_polytope())
+        L = lift_body(K)
+        D_up = difference_body(VPolytope(L.dim, L.vertices, pruned=True))
         lifted = lift_set(S)
         n = len(S.points)
 

@@ -61,10 +61,9 @@ from borsuk.bodies import (
     is_full_dimensional,
     negate,
     prune_redundant,
-    validate_body,
 )
 from borsuk.covering import SAMPLE_CERTIFIED, Covering
-from borsuk.errors import DegenerateBody, DimensionMismatch, GridTooCoarse, IndexOutOfRange, PointUncovered
+from borsuk.errors import DegenerateBody, DimensionMismatch, GridTooCoarse, IndexOutOfRange, NotSymmetric, PointUncovered
 from borsuk.linalg import Vec, canonical_sign, matrix_rank, over_common_denominator, vneg, vsub
 from borsuk.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult
 from borsuk.metric import gauge, set_diameter
@@ -1107,11 +1106,23 @@ def _axis_extent(vertices: tuple[Vec, ...], axis: int) -> Fraction:
     return -res.value
 
 
-def axis_extent_verdict(C: SymmetricBody):
-    """True when the origin is interior to the negation-closed vertex
-    body C, ``DegenerateBody`` when it is not: by one exact LP per axis,
-    the reference for the rank check of ``validate_body``."""
-    return True if all(_axis_extent(C.vertices, k) > 0 for k in range(C.dim)) else DegenerateBody
+def axis_extent_verdict(vertices: tuple[Vec, ...]):
+    """True when the origin is interior to the hull of the negation-closed
+    vertex tuple, ``DegenerateBody`` when it is not: by one exact LP per
+    axis, the reference for the rank check that certifies a vertex body
+    as it is made."""
+    return True if all(_axis_extent(vertices, k) > 0 for k in range(len(vertices[0]))) else DegenerateBody
+
+
+def construction_verdict(vertices: tuple[Vec, ...]):
+    """True when the vertex tuple makes a body, else the class of the
+    error its construction raises: the verdict to compare with
+    :func:`axis_extent_verdict`."""
+    try:
+        SymmetricBody(len(vertices[0]), vertices=vertices)
+    except (DegenerateBody, NotSymmetric) as exc:
+        return type(exc)
+    return True
 
 
 def facets_by_triples(points):
@@ -1218,7 +1229,7 @@ def fraction_difference_body(K: VPolytope) -> SymmetricBody:
     else:
         sums = fraction_minkowski_sum(K, negate(K))
         verts, hull = sums.vertices, sums.hull
-    return validate_body(SymmetricBody(K.dim, vertices=verts, seed_hull=hull))
+    return SymmetricBody(K.dim, vertices=verts, seed_hull=hull)
 
 
 def certified_normals(C: SymmetricBody):

@@ -118,7 +118,7 @@ def doubling_instances():
         S = point_set(pts)
         assert len(S.points) <= 10
         b1 = borsuk_number(difference_body(K), S).number
-        D_up = difference_body(lift_body(K).as_polytope())
+        D_up = difference_body(vpolytope(lift_body(K).vertices, pruned=True))
         lifted = lift_set(S)
         b2 = borsuk_number(D_up, lifted).number
         instances.append((K, S, D_up, lifted, b1, b2))

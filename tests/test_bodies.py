@@ -30,7 +30,7 @@ from borsuk.errors import DegenerateBody, DimensionMismatch, InvalidInput, NotSy
 from borsuk.generators import cross_polytope_body, gen_random_body, gen_random_polytope
 from borsuk.linalg import vneg
 from borsuk.metric import gauge
-from oracles import axis_extent_verdict, fraction_difference_body, fraction_minkowski_sum, lp_path
+from oracles import axis_extent_verdict, construction_verdict, fraction_difference_body, fraction_minkowski_sum, lp_path
 
 F = Fraction
 
@@ -49,15 +49,21 @@ def test_validate_accepts_square(square_v):
 
 
 def test_validate_rejects_asymmetric_triangle():
-    cand = SymmetricBody(2, vertices=((F(0), F(0)), (F(1), F(0)), (F(0), F(1))))
-    with pytest.raises(NotSymmetric):
-        validate_body(cand)
+    # refused as it is made, naming the points as they are written
+    with pytest.raises(NotSymmetric, match=r"^vertex \(1, 0\) has no mirror \(-1, 0\)$"):
+        SymmetricBody(2, vertices=((F(0), F(0)), (F(1), F(0)), (F(0), F(1))))
 
 
 def test_validate_rejects_flat_segment_in_plane():
-    cand = SymmetricBody(2, vertices=((F(-1), F(0)), (F(1), F(0))))
-    with pytest.raises(DegenerateBody):
-        validate_body(cand)
+    with pytest.raises(DegenerateBody, match=r"^origin is not interior \(body not full-dimensional\)$"):
+        SymmetricBody(2, vertices=((F(-1), F(0)), (F(1), F(0))))
+
+
+def test_a_vertex_of_another_dimension_is_named_readably():
+    with pytest.raises(DimensionMismatch, match=r"^vertex \(1, 2, 3\) does not have dim 2$"):
+        body_from_vertices([(1, 0), (1, 2, 3)])
+    with pytest.raises(DimensionMismatch, match=r"^facet normal \(1/2\) does not have dim 2$"):
+        SymmetricBody(2, facets=(((F(1, 2),), F(1)),))
 
 
 def test_a_body_without_vertices_is_invalid_input():
@@ -67,13 +73,13 @@ def test_a_body_without_vertices_is_invalid_input():
 
 
 def test_validate_facet_offsets_must_be_positive():
-    with pytest.raises(DegenerateBody):
-        validate_body(SymmetricBody(2, facets=(((F(1), F(0)), F(0)), ((F(0), F(1)), F(1)))))
+    with pytest.raises(DegenerateBody, match="^facet offset 0 is not strictly positive$"):
+        SymmetricBody(2, facets=(((F(1), F(0)), F(0)), ((F(0), F(1)), F(1))))
 
 
 def test_validate_facet_normals_must_span():
-    with pytest.raises(DegenerateBody):
-        validate_body(SymmetricBody(2, facets=(((F(1), F(0)), F(1)),)))
+    with pytest.raises(DegenerateBody, match=r"^facet normals do not span the space \(unbounded\)$"):
+        SymmetricBody(2, facets=(((F(1), F(0)), F(1)),))
 
 
 def test_negate_triangle(triangle):
@@ -208,9 +214,9 @@ def test_prune_preserves_hull_membership():
 def test_lift_segment_gives_square():
     seg = vpolytope([(-1,), (1,)])
     lifted = lift_body(seg)
-    assert lifted.base_dim == 1
-    assert lifted.body.dim == 2
-    assert set(lifted.body.vertices) == {
+    assert lifted.lift_base.vertices == seg.vertices
+    assert lifted.dim == 2
+    assert set(lifted.vertices) == {
         (F(1), F(1)),
         (F(-1), F(1)),
         (F(1), F(-1)),
@@ -220,7 +226,7 @@ def test_lift_segment_gives_square():
 
 def test_lift_vertices_are_symmetric_and_signed(triangle):
     lifted = lift_body(triangle)
-    vs = set(lifted.body.vertices)
+    vs = set(lifted.vertices)
     assert len(vs) == 6
     assert {tuple(-c for c in v) for v in vs} == vs
     assert all(v[-1] in (F(1), F(-1)) for v in vs)
@@ -228,7 +234,7 @@ def test_lift_vertices_are_symmetric_and_signed(triangle):
 
 def test_lift_slice_at_top_recovers_polytope(triangle):
     lifted = lift_body(triangle)
-    top = {v[:-1] for v in lifted.body.vertices if v[-1] == 1}
+    top = {v[:-1] for v in lifted.vertices if v[-1] == 1}
     assert top == set(triangle.vertices)
 
 
@@ -262,7 +268,7 @@ def test_difference_of_lift_sliced_is_difference_body():
             D = difference_body(K)
         except DegenerateBody:
             continue
-        D_lift = difference_body(lift_body(K).as_polytope())
+        D_lift = difference_body(vpolytope(lift_body(K).vertices, pruned=True))
         for w in D.vertices:
             assert gauge(D_lift, w + (F(0),)) == 1
         for _ in range(10):
@@ -283,8 +289,8 @@ def test_point_set_rejects_duplicates():
 
 
 def test_point_set_rejects_mixed_dimensions():
-    with pytest.raises(DimensionMismatch):
-        PointSet(2, ((F(0), F(0)), (F(1),)))
+    with pytest.raises(DimensionMismatch, match=r"^point \(-1/3\) does not have dim 2$"):
+        PointSet(2, ((F(0), F(0)), (F(-1, 3),)))
 
 
 def _symmetric_inputs():
@@ -294,7 +300,7 @@ def _symmetric_inputs():
     for seed in range(12):
         dim = 1 + seed % 3
         K = gen_random_polytope(900 + seed, dim, dim + 2, max_numerator=6, max_denominator=4)
-        yield lift_body(K).as_polytope()
+        yield vpolytope(lift_body(K).vertices, pruned=True)
     for seed in range(8):
         dim = 2 + seed % 2
         C = gen_random_body(700 + seed, dim, dim + 2, max_numerator=6, max_denominator=4)
@@ -455,7 +461,7 @@ def _symmetric_candidates():
     for pts in sets:
         closed = {tuple(F(c) for c in p) for p in pts}
         closed |= {vneg(p) for p in closed}
-        yield SymmetricBody(2, vertices=tuple(sorted(closed)))
+        yield tuple(sorted(closed))
 
 
 def _rational(rng, top=6, den=4):
@@ -480,33 +486,26 @@ def _high_candidates():
     for pts in sets:
         closed = set(pts) | {vneg(p) for p in pts}
         if len({abs(v[-1]) for v in closed}) > 1:  # not on two levels t = +-h, as a lift is
-            yield SymmetricBody(len(pts[0]), vertices=tuple(sorted(closed)))
-
-
-def _verdict(C):
-    try:
-        return validate_body(C) is C
-    except DegenerateBody:
-        return DegenerateBody
+            yield tuple(sorted(closed))
 
 
 def test_hull_certification_matches_axis_extent_lps():
     planar, high = list(_symmetric_candidates()), list(_high_candidates())
     candidates = planar + high
-    by_rank = [_verdict(C) for C in candidates]
-    assert by_rank == [axis_extent_verdict(C) for C in candidates]
+    by_rank = [construction_verdict(V) for V in candidates]
+    assert by_rank == [axis_extent_verdict(V) for V in candidates]
     assert by_rank[: len(planar)].count(DegenerateBody) >= 12 and by_rank[: len(planar)].count(True) >= 12
     assert by_rank[len(planar) :].count(DegenerateBody) >= 12 and by_rank[len(planar) :].count(True) >= 12
 
 
 def test_validate_body_solves_no_lp(monkeypatch):
-    bodies = list(_symmetric_candidates()) + list(_high_candidates())
-    bodies += [gen_random_body(50 + d, d, d + 2, max_numerator=6, max_denominator=3) for d in range(1, 6)]
-    bodies += [lift_body(gen_random_polytope(60 + d, d, d + 3, max_numerator=6, max_denominator=3)).body for d in (1, 2, 3)]
-    assert {C.dim for C in bodies} == {1, 2, 3, 4, 5}
+    vertex_sets = list(_symmetric_candidates()) + list(_high_candidates())
+    vertex_sets += [gen_random_body(50 + d, d, d + 2, max_numerator=6, max_denominator=3).vertices for d in range(1, 6)]
+    vertex_sets += [lift_body(gen_random_polytope(60 + d, d, d + 3, max_numerator=6, max_denominator=3)).vertices for d in (1, 2, 3)]
+    assert {len(V[0]) for V in vertex_sets} == {1, 2, 3, 4, 5}
     solves = []
     solve_min = lp.solve_min
     monkeypatch.setattr(lp, "solve_min", lambda *args: solves.append(args) or solve_min(*args))
-    verdicts = [_verdict(SymmetricBody(C.dim, vertices=C.vertices)) for C in bodies]
+    verdicts = [construction_verdict(V) for V in vertex_sets]
     assert solves == []
     assert verdicts.count(True) >= 30 and verdicts.count(DegenerateBody) >= 24

@@ -6,6 +6,7 @@ import pytest
 
 from borsuk import jsonio
 from borsuk.cli import cli_dispatch
+from borsuk.errors import BorsukError
 
 
 @pytest.fixture
@@ -180,6 +181,31 @@ def test_bad_node_budget_env_exits_one(cube2, monkeypatch, capsys):
 SQUARE = {"dim": 2, "vertices": [["0", "0"], ["1", "0"], ["0", "1"], ["1", "1"]]}
 CUBE2_BODY = {"dim": 2, "facets": [{"a": ["1", "0"], "b": "1"}, {"a": ["0", "1"], "b": "1"}]}
 
+# sets that are no symmetric body with the origin interior, and the one
+# error line each is refused with, as it is parsed
+REFUSED_BODIES = {
+    "asymmetric triangle": (
+        {"dim": 2, "vertices": [[0, 0], [1, 0], [0, 1]]},
+        "vertex (1, 0) has no mirror (-1, 0)",
+    ),
+    "planar segment": (
+        {"dim": 2, "vertices": [[-1, 0], [1, 0]]},
+        "origin is not interior (body not full-dimensional)",
+    ),
+    "strip": (
+        {"dim": 2, "facets": [{"a": [1, 0], "b": 1}]},
+        "facet normals do not span the space (unbounded)",
+    ),
+    "4D segment": (
+        {"dim": 4, "vertices": [[1, 0, 0, 0], [-1, 0, 0, 0]]},
+        "origin is not interior (body not full-dimensional)",
+    ),
+    "facet offset 0": (
+        {"dim": 2, "facets": [{"a": [1, 0], "b": 0}, {"a": [0, 1], "b": 1}]},
+        "facet offset 0 is not strictly positive",
+    ),
+}
+
 
 def _bad_input_argv(case, tmp_path):
     body = tmp_path / "body.json"
@@ -252,6 +278,10 @@ def _bad_input_argv(case, tmp_path):
     if case == "body without vertices":
         body.write_text(json.dumps({"dim": 2, "vertices": []}))
         return ["gauge", "--body", body, "--point", '["1","1"]']
+    if case in REFUSED_BODIES:
+        obj, _ = REFUSED_BODIES[case]
+        body.write_text(json.dumps(obj))
+        return ["gauge", "--body", body, "--point", json.dumps(["1"] * obj["dim"])]
     if case == "result too long to write":
         # each input is printable, the gauge 10**8000 is not
         thin = {"dim": 2, "facets": [{"a": ["1", "0"], "b": "1e-4000"}, {"a": ["0", "1"], "b": "1"}]}
@@ -265,7 +295,7 @@ def _bad_input_argv(case, tmp_path):
     "string points", "string inline point", "string facet normal", "string class", "fractional class index",
     "partition for another set",
     "ratio abc", "ratio 2", "grid step 0", "grid step too fine", "grid pairs too many", "bounds past double range",
-    "bounds range empty", "body without vertices", "result too long to write",
+    "bounds range empty", "body without vertices", "result too long to write", *REFUSED_BODIES,
 ])
 def test_bad_input_is_an_error_line_not_a_traceback(case, tmp_path, capsys):
     # an uncaught exception would escape cli_dispatch and fail the test
@@ -274,6 +304,13 @@ def test_bad_input_is_an_error_line_not_a_traceback(case, tmp_path, capsys):
     assert code == 1
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    if case in REFUSED_BODIES:
+        obj, line = REFUSED_BODIES[case]
+        assert captured.err == f"error: {line}\n"
+        # the body is certified as it is parsed, before any command reads it
+        with pytest.raises(BorsukError) as refused:
+            jsonio.body_from_obj(obj)
+        assert str(refused.value) == line
 
 
 @pytest.mark.parametrize("exponent", ["1e999999999", "1e-999999999"])

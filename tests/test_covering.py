@@ -106,7 +106,7 @@ def test_cover_to_partition_nine_grid(square_cover, unit_square_poly):
 def test_cover_to_partition_uncovered_point(square_cover):
     S = point_set([(0, 0), (5, 5)])
     C = body_from_vertices([(1, 1), (1, -1), (-1, 1), (-1, -1)])
-    with pytest.raises(PointUncovered):
+    with pytest.raises(PointUncovered, match=r"^point \(5, 5\) lies in no covering translate$"):
         cover_to_partition(S, square_cover, C)
 
 

@@ -88,12 +88,12 @@ def test_covering_serialization(unit_square_poly):
 
 
 def test_lifted_body_serialization(triangle):
-    L = lift_body(triangle)
-    obj = jsonio.lifted_body_to_obj(L)
+    obj = jsonio.lifted_body_to_obj(triangle)
     assert obj["base_dim"] == 2
     assert obj["body"]["dim"] == 3
+    assert jsonio.polytope_from_obj(obj["provenance"]) == triangle
     back = jsonio.body_from_obj(obj["body"])
-    assert back == L.body
+    assert back == lift_body(triangle)
 
 
 def test_dumps_is_deterministic(square_v):

@@ -8,8 +8,8 @@ compared with the LP path (``lp_path`` and ``lp.solve_combination``),
 and certification with the axis-extent LPs (``axis_extent_verdict``),
 on seeded lifts of polytopes in 1D-3D and on
 their difference bodies, on lifts rescaled to a rational level with
-inner points on it, and on the 4-cube against its facet form. Flat and
-degenerate tops end on the LP path or in ``DegenerateBody``.
+inner points on it, and on the 4-cube against its facet form. Flat tops
+make flat lifts, refused as they are made with ``DegenerateBody``.
 
 A lift's slice is the difference body of its base, shared with
 ``difference_body``, and the difference body keeps the hull of its
@@ -33,7 +33,6 @@ from borsuk.bodies import (
     lift_body,
     lift_set,
     point_set,
-    validate_body,
     vpolytope,
 )
 from borsuk.errors import DegenerateBody, NotSymmetric
@@ -41,7 +40,7 @@ from borsuk.generators import cube_body, gen_random_body, gen_random_polytope
 from borsuk.linalg import over_common_denominator
 from borsuk.metric import _pairwise_max, body_contains, gauge
 from borsuk.partition import borsuk_number, doubling_check
-from oracles import axis_extent_verdict, lp_path, memo_pairwise_max
+from oracles import axis_extent_verdict, construction_verdict, lp_path, memo_pairwise_max
 
 F = Fraction
 
@@ -66,12 +65,12 @@ def _bodies():
     bodies = []
     for K in _bases():
         lifted = lift_body(K)
-        bodies += [lifted.body, difference_body(lifted.as_polytope())]
+        bodies += [lifted, difference_body(vpolytope(lifted.vertices, pruned=True))]
         if K.dim == 3:
             r = F(3, 2)
             inner = tuple(sum(c) / len(K.vertices) for c in zip(*K.vertices)) + (F(1),)
-            vertices = {tuple(r * c for c in v) for v in (*lifted.body.vertices, inner, tuple(-c for c in inner))}
-            bodies.append(validate_body(SymmetricBody(4, vertices=tuple(sorted(vertices)))))
+            vertices = {tuple(r * c for c in v) for v in (*lifted.vertices, inner, tuple(-c for c in inner))}
+            bodies.append(SymmetricBody(4, vertices=tuple(sorted(vertices))))
     bodies.append(cube_body(4, facet_form=False))
     return bodies
 
@@ -150,38 +149,31 @@ FLAT_TOPS = [
 ]
 
 
-def _verdict(C):
-    try:
-        return validate_body(C) is C
-    except (DegenerateBody, NotSymmetric) as exc:
-        return type(exc)
-
-
 @pytest.mark.parametrize("top", FLAT_TOPS)
 @pytest.mark.parametrize("h", [F(1), F(2, 3)])
 def test_a_flat_top_ends_on_the_lp_path_or_degenerate(top, h):
-    C = SymmetricBody(len(top[0]) + 1, vertices=_two_levels(top, h))
-    try:
-        assert C.normals is None
-    except DegenerateBody:
-        pass
-    assert _verdict(SymmetricBody(C.dim, vertices=C.vertices)) == axis_extent_verdict(C) == DegenerateBody
+    # a flat top makes a flat lift, which is refused as it is made
+    V = _two_levels(top, h)
+    with pytest.raises(DegenerateBody, match="^origin is not interior"):
+        SymmetricBody(len(V[0]), vertices=V)
+    assert axis_extent_verdict(V) == DegenerateBody
 
 
-def test_two_levels_that_are_not_mirrors_keep_the_lp_path():
+def test_two_levels_that_are_not_mirrors_are_refused():
+    # not closed under negation, so no body is made: a body on two levels
+    # always has the lower the negated upper, as a lift's slice needs
     top = list(product((0, 1), repeat=3))
     up = [tuple(F(c) for c in a) + (F(1),) for a in top]
     down = [tuple(F(c) - 2 for c in a) + (F(-1),) for a in top]
-    C = SymmetricBody(4, vertices=tuple(up + down))
-    assert C.normals is None
-    assert _verdict(C) == NotSymmetric
+    with pytest.raises(NotSymmetric, match=r"^vertex \(0, 0, 0, 1\) has no mirror \(0, 0, 0, -1\)$"):
+        SymmetricBody(4, vertices=tuple(up + down))
 
 
 def test_certification_matches_axis_extent_lps():
-    candidates = [SymmetricBody(C.dim, vertices=C.vertices) for C in _bodies()]
-    candidates += [SymmetricBody(len(t[0]) + 1, vertices=_two_levels(t)) for t in FLAT_TOPS]
-    by_rank = [_verdict(C) for C in candidates]
-    assert by_rank == [axis_extent_verdict(C) for C in candidates]
+    candidates = [C.vertices for C in _bodies()]
+    candidates += [_two_levels(t) for t in FLAT_TOPS]
+    by_rank = [construction_verdict(V) for V in candidates]
+    assert by_rank == [axis_extent_verdict(V) for V in candidates]
     assert by_rank.count(True) >= 20 and by_rank.count(DegenerateBody) == len(FLAT_TOPS)
 
 
@@ -194,7 +186,7 @@ def test_lift_membership_through_normals_matches_the_lp_path(monkeypatch):
     for seed in range(12):
         dim = (1, 2, 3, 3)[seed % 4]
         K = gen_random_polytope(300 + seed, dim, dim + 2 + seed % 2, max_numerator=6, max_denominator=3)
-        C = lift_body(K).body
+        C = lift_body(K)
         probes = list(C.vertices)  # on the boundary
         probes += [tuple(c / 2 for c in v) for v in C.vertices]  # inside
         probes += [tuple(F(101, 100) * c for c in v) for v in C.vertices]  # outside
@@ -221,7 +213,7 @@ def test_lift_membership_through_normals_matches_the_lp_path(monkeypatch):
 def _fresh(C):
     """C built again from its vertex tuple alone: no hull handed on, no
     lift base, so its hull, slice and normals are all its own."""
-    return validate_body(SymmetricBody(C.dim, vertices=C.vertices))
+    return SymmetricBody(C.dim, vertices=C.vertices)
 
 
 # conv{0, 2e1, 2e2, 2e3, (1/2, 1/2, 1/2)}: the sums of K - K have scale 2,
@@ -267,7 +259,7 @@ def test_shared_bodies_match_bodies_built_fresh_from_their_vertices():
     rng = random.Random(13)
     kinds = Counter()
     for K in _shared_cases():
-        D, lifted = difference_body(K), lift_body(K).body
+        D, lifted = difference_body(K), lift_body(K)
         for C in (D, lifted):
             _assert_agree(C, _fresh(C), rng)
         kinds[K.dim, lifted.hull is None, K.pruned] += 1
@@ -288,7 +280,7 @@ def test_a_hull_handed_on_at_a_finer_scale_certifies():
     fresh = _fresh(D)
     assert fresh.hull.scale == 1
     assert (D.normals[0], set(D.normals[1])) == (fresh.normals[0], set(fresh.normals[1]))
-    assert lift_body(FINE_K).body.normals is not None
+    assert lift_body(FINE_K).normals is not None
 
 
 def _count_hulls(monkeypatch):
@@ -321,7 +313,7 @@ def test_one_doubling_check_hulls_k_minus_k_once(monkeypatch):
     sums = {tuple(a - b for a, b in zip(u, v)) for u in K.vertices for v in K.vertices}
     assert calls == [len(sums)]
     # the lift's slice is the difference body, certified once
-    assert lift_body(K).body._levels[1].difference is difference_body(K)
+    assert lift_body(K)._levels[1].difference is difference_body(K)
     assert calls == [len(sums)]
 
 
@@ -334,7 +326,7 @@ def test_shared_bodies_on_the_lp_path_make_lps(monkeypatch):
     solve_min = lp.solve_min
     monkeypatch.setattr(lp, "solve_min", lambda *args: solves.append(args) or solve_min(*args))
     lp_path(monkeypatch)
-    D, lifted = difference_body(K), lift_body(K).body
+    D, lifted = difference_body(K), lift_body(K)
     assert D.hull is None and D.normals is None
     assert lifted.hull is None and lifted.normals is None
     assert doubling_check(K, S) == expected

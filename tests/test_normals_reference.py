@@ -61,12 +61,12 @@ def _seed_hull_bodies():
         dim = 1 + seed % 3
         K = gen_random_polytope(500 + seed, dim, dim + 2 + seed % 3, max_numerator=7, max_denominator=4)
         yield difference_body(K)
-        yield lift_body(K).body
+        yield lift_body(K)
     # conv{0, 2e1, 2e2, 2e3, (1/2, 1/2, 1/2)}: its sums have scale 2, the
     # vertices of K - K scale 1
     K = vpolytope([(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2), (F(1, 2), F(1, 2), F(1, 2))])
     yield difference_body(K)
-    yield lift_body(K).body
+    yield lift_body(K)
     for seed in range(20):
         yield gen_random_body(seed, 1 + seed % 3, 1 + seed % 3 + seed % 4, max_numerator=9, max_denominator=6)
 
@@ -130,7 +130,7 @@ def test_a_wrong_lifted_normal_fails_the_lift_certificate():
     # one slice normal doubled doubles the lift's normal made from it, so
     # the lift's vertices on that facet are outside it
     K = gen_random_polytope(31, 3, 6, max_numerator=8, max_denominator=4)
-    C = lift_body(K).body
+    C = lift_body(K)
     D = C._levels[1].difference
     L, (N, *rest) = D.normals
     D.__dict__["normals"] = (L, (tuple(2 * c for c in N), *rest))
@@ -143,7 +143,7 @@ def test_a_lifted_normal_off_both_levels_fails_the_lift_certificate():
     # the slice normals halved are still valid, but touch no vertex of the
     # slice, so the lift's normals made from them touch neither level
     K = gen_random_polytope(31, 3, 6, max_numerator=8, max_denominator=4)
-    C = lift_body(K).body
+    C = lift_body(K)
     D = C._levels[1].difference
     L, normals = D.normals
     D.__dict__["normals"] = (2 * L, normals)

@@ -221,7 +221,7 @@ def test_lift_partition_verifies_in_lifted_space(square_v):
     base = borsuk_number(difference_body(K), S)
     lifted_S = lift_set(S)
     lifted_P = lift_partition(base.partition, S)
-    D_up = difference_body(lift_body(K).as_polytope())
+    D_up = difference_body(vpolytope(lift_body(K).vertices, pruned=True))
     assert len(lifted_P.classes) == 2 * base.number
     assert verify_partition(D_up, lifted_S, lifted_P)
 
@@ -258,15 +258,15 @@ def test_lifted_body_and_its_difference_body_colour_alike():
         pts = list(K.vertices) + [tuple((a + b) / 2 for a, b in zip(*K.vertices[:2]))]
         T = lift_set(point_set(sorted(set(pts))))
         lifted = lift_body(K)
-        twice = difference_body(lifted.as_polytope())
-        assert twice.vertices == tuple(sorted(tuple(2 * c for c in v) for v in lifted.body.vertices))
-        G, G2 = diameter_graph(lifted.body, T), diameter_graph(twice, T)
+        twice = difference_body(vpolytope(lifted.vertices, pruned=True))
+        assert twice.vertices == tuple(sorted(tuple(2 * c for c in v) for v in lifted.vertices))
+        G, G2 = diameter_graph(lifted, T), diameter_graph(twice, T)
         assert G.edges == G2.edges and G.diameter == 2 * G2.diameter
-        assert borsuk_number(lifted.body, T) == borsuk_number(twice, T)
+        assert borsuk_number(lifted, T) == borsuk_number(twice, T)
 
 
 def test_doubling_requires_vertices_in_set(triangle):
-    with pytest.raises(InvalidInput, match=r"missing \[\(Fraction\(0, 1\), Fraction\(1, 1\)\)\]"):
+    with pytest.raises(InvalidInput, match=r"missing \(0, 1\)$"):
         doubling_check(triangle, point_set([(0, 0), (1, 0)]))
 
 
@@ -284,7 +284,7 @@ def test_doubling_finds_vertices_over_a_scale_finer_than_the_set():
     K = vpolytope([(0, 0), (2, 0), (0, 2), (F(1, 3), F(1, 3))])
     assert prune_redundant(K).scaled[0] == 3
     assert doubling_check(K, point_set([(0, 0), (2, 0), (0, 2)])) == (3, 6, True)
-    with pytest.raises(InvalidInput, match=r"missing \[\(Fraction\(0, 1\), Fraction\(2, 1\)\)\]"):
+    with pytest.raises(InvalidInput, match=r"missing \(0, 2\)$"):
         doubling_check(K, point_set([(0, 0), (2, 0), (1, 1)]))
 
 
@@ -292,7 +292,7 @@ def test_cross_copy_distances_are_one(triangle):
     from borsuk.metric import distance
 
     S = point_set(triangle.vertices)
-    D_up = difference_body(lift_body(triangle).as_polytope())
+    D_up = difference_body(vpolytope(lift_body(triangle).vertices, pruned=True))
     lifted = lift_set(S)
     n = len(S.points)
     for i in range(n):

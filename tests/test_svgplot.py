@@ -122,13 +122,12 @@ def test_rejects_non_planar():
 
 
 def test_rejects_unvalidated_bodies():
-    # a facet body whose normals do not span, and a segment, are no bodies
-    S, P = point_set([(0, 0), (1, 0)]), partition(2, [(0,), (1,)])
-    strip = SymmetricBody(2, facets=(((F(1), F(0)), F(1)),))
-    segment = SymmetricBody(2, vertices=((F(-1), F(0)), (F(1), F(0))))
-    for C in (strip, segment):
-        with pytest.raises(DegenerateBody):
-            render_svg(C, S, P)
+    # a facet body whose normals do not span, and a segment, are no bodies:
+    # each is refused as it is made, so none reaches the plot
+    with pytest.raises(DegenerateBody, match="do not span"):
+        SymmetricBody(2, facets=(((F(1), F(0)), F(1)),))
+    with pytest.raises(DegenerateBody, match="^origin is not interior"):
+        SymmetricBody(2, vertices=((F(-1), F(0)), (F(1), F(0))))
 
 
 def test_rejects_mismatched_partition():

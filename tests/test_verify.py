@@ -6,7 +6,9 @@ import json
 import pytest
 
 from borsuk import jsonio, verify
+from borsuk.bodies import difference_body, point_set
 from borsuk.errors import BorsukError, UnknownSuite
+from borsuk.partition import borsuk_number, doubling_check
 from borsuk.verify import SUITES, run_verify_suite
 
 
@@ -45,17 +47,25 @@ def test_reports_are_reproducible():
     assert a == b
 
 
-def test_failure_payload_replays():
-    # force a failure by checking a deliberately wrong expectation:
-    # replaying the recorded seed regenerates the identical instance
-    from borsuk.generators import gen_random_body
+def test_failure_payload_replays(monkeypatch):
+    # under a budget of one node a search stops short and its check fails;
+    # the failure's payload rebuilds the instance, whose searches under the
+    # same budget give the numbers the payload recorded
+    monkeypatch.setenv("BORSUK_NODE_BUDGET", "1")
+    (failure,) = run_verify_suite("doubling", 2, 2).failures
+    assert failure["instance_seed"] == 2 * 1_000_003 + 1
+    K = jsonio.polytope_from_obj(failure["polytope"])
+    S = jsonio.pointset_from_obj(failure["points"])
+    assert doubling_check(K, S, 1) == (failure["b_base"], failure["b_lifted"], False) == (3, 6, False)
 
-    report = run_verify_suite("grunbaum_plane", 2, 123)
-    assert report.passed
-    # the payload convention: instance seeds regenerate instances
-    seed = 123 * 1_000_003 + 0
-    body = gen_random_body(seed, 2, 3, max_numerator=16, max_denominator=16)
-    assert jsonio.body_to_obj(body) is not None
+    (failure,) = run_verify_suite("norm_domination", 6, 0).failures
+    assert failure["instance_seed"] == 5
+    C = jsonio.body_from_obj(failure["body"])  # certified as it is parsed
+    K = jsonio.polytope_from_obj(failure["polytope"])
+    S = point_set(K.vertices)
+    ambient, difference = borsuk_number(C, S, 1), borsuk_number(difference_body(K), S, 1)
+    assert (ambient.number, difference.number) == (failure["b_ambient"], failure["b_difference"]) == (2, 4)
+    assert not difference.optimal
 
 
 @pytest.mark.parametrize("suite, count, seed, failing_seed", [
