@@ -7,14 +7,11 @@ diameter exactly 2 - no scaling required. Both facts are verified here
 with exact arithmetic on a few bodies.
 """
 
-from fractions import Fraction as F
-
 from borsuk import (
     VPolytope,
     difference_body,
     gauge,
     minkowski_sum,
-    negate,
     polytope_diameter,
     vpolytope,
 )

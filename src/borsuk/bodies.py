@@ -107,7 +107,7 @@ class VPolytope(_VertexForm):
             verts = tuple(tuple([Fraction(2 * x, m) for x in X]) for X in sorted(set(rows)))
             hull = None
         else:
-            sums = _pruned_sums(self.dim, m, {tuple(map(sub, a, b)) for a in rows for b in rows})
+            sums = _pruned_rows(self.dim, m, {tuple(map(sub, a, b)) for a in rows for b in rows})
             verts, hull = sums.vertices, sums.hull
         return SymmetricBody(self.dim, vertices=verts, seed_hull=hull)
 
@@ -344,13 +344,6 @@ class Hull(NamedTuple):
     scale: int
     corners: tuple[tuple[int, ...], ...]
     planes: tuple[HalfSpace, ...]
-
-
-def convex_hull(points) -> Hull | None:
-    """Exact convex hull of rational points of dimension at most
-    MAX_HULL_DIM; None in higher dimensions, and for coplanar points in
-    space."""
-    return integer_hull(*over_common_denominator(points))
 
 
 def integer_hull(m: int, rows) -> Hull | None:
@@ -621,24 +614,24 @@ def _pruned_by(dim: int, hull: Hull) -> VPolytope:
     return VPolytope(dim, vertices, pruned=True, seed_hull=hull)
 
 
-def _pruned_sums(dim: int, m: int, sums: set) -> VPolytope:
+def _pruned_rows(dim: int, m: int, rows) -> VPolytope:
     """The pruned polytope of the points ``X / m`` for the integer rows X
-    in ``sums``, pairwise sums of two scaled forms over their common
-    denominator m.
+    in ``rows`` over any common denominator m: the pairwise sums of two
+    scaled forms, or the points a generator drew.
 
-    A sum can have a coarser denominator than its summands (``1/2 + 3/2``
-    is 2), so the rows and m are first divided by ``g = gcd(m, every
-    entry)``: m is then the least common denominator of the sums, the
-    scale their hull would have had from the sums as ``Fraction``s, which
-    are made only for its vertices. Without a hull, all of them are made
-    and pruned by LPs.
+    The rows and m are first divided by ``g = gcd(m, every entry)``,
+    since the points can have a coarser denominator than m (a sum
+    ``1/2 + 3/2`` is 2, and a drawn ``2/4`` is ``1/2``): m is then the
+    least common denominator of the points, the scale their hull would
+    have had from them as ``Fraction``s, which are made only for its
+    vertices. Without a hull, all of them are made and pruned by LPs.
     """
-    g = gcd(m, *(x for X in sums for x in X))
+    g = gcd(m, *(x for X in rows for x in X))
     if g > 1:
-        m, sums = m // g, {tuple([x // g for x in X]) for X in sums}
-    hull = integer_hull(m, sums)
+        m, rows = m // g, {tuple([x // g for x in X]) for X in rows}
+    hull = integer_hull(m, rows)
     if hull is None:
-        points = tuple(tuple([Fraction(x, m) for x in X]) for X in sorted(sums))
+        points = tuple(tuple([Fraction(x, m) for x in X]) for X in sorted(rows))
         return prune_redundant(VPolytope(dim, points))
     return _pruned_by(dim, hull)
 
@@ -651,7 +644,7 @@ def minkowski_sum(A: VPolytope, B: VPolytope) -> VPolytope:
     (ma, XA), (mb, XB) = A.scaled, B.scaled
     m = lcm(ma, mb)
     sums = {tuple([m // ma * x + m // mb * y for x, y in zip(a, b)]) for a in XA for b in XB}
-    return _pruned_sums(A.dim, m, sums)
+    return _pruned_rows(A.dim, m, sums)
 
 
 def is_full_dimensional(K: VPolytope) -> bool:

@@ -4,34 +4,48 @@ Instances regenerate bit-identically from (seed, parameters): the only
 randomness source is ``random.Random(seed)``, whose integer methods are
 stable across platforms. Coordinates are kept small (numerators and
 denominators bounded) so the exact LPs downstream stay fast.
+
+Each coordinate draws its numerator and then its denominator, and each
+point goes straight into the integer form every layer below reads: a row
+of ints, the point times the lcm of the denominators drawn (:func:`_draw`).
+A positive scale keeps both equality and lexicographic order, so
+deduplicating, negating, sorting and the rank test run on the rows and
+give the same points, in the same order, as on ``Fraction`` tuples.
+Pruning divides the rows by their gcd with the scale, down to the least
+common denominator, and hulls them (:func:`borsuk.bodies._pruned_rows`).
+``Fraction``s are made only for the points returned, and the rng stream
+is that of drawing each coordinate as a ``Fraction``, so every instance
+is unchanged.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
-from .bodies import (
-    PointSet,
-    SymmetricBody,
-    VPolytope,
-    body_from_facets,
-    is_full_dimensional,
-    prune_redundant,
-)
-from .errors import DegenerateBody, GenerationFailed
-
-import random
+from .bodies import PointSet, Scaled, SymmetricBody, VPolytope, _pruned_rows, body_from_facets
+from .errors import DegenerateBody, GenerationFailed, InvalidInput
+from .linalg import affine_rank
 
 RETRY_BUDGET = 64
 
 
-def _rand_coord(rng, max_numerator=16, max_denominator=16) -> Fraction:
-    return Fraction(rng.randint(-max_numerator, max_numerator), rng.randint(1, max_denominator))
-
-
-def _rand_point(rng, dim, max_numerator=16, max_denominator=16):
-    return tuple(_rand_coord(rng, max_numerator, max_denominator) for _ in range(dim))
+def _draw(rng, count: int, dim: int, max_numerator: int, max_denominator: int) -> Scaled:
+    """``count`` random points as ``(m, rows)``: each coordinate the
+    numerator ``randint(-max_numerator, max_numerator)`` over the
+    denominator ``randint(1, max_denominator)``, drawn in that order, and
+    each point times m, the lcm of the denominators drawn (not of 1 to
+    ``max_denominator``, which has about 0.43 * max_denominator digits),
+    as a row of ints."""
+    if dim < 1:
+        raise InvalidInput("dimension must be >= 1")
+    randint = rng.randint
+    drawn = [(randint(-max_numerator, max_numerator), randint(1, max_denominator)) for _ in range(count * dim)]
+    m = lcm(*{d for _, d in drawn})
+    flat = [n * (m // d) for n, d in drawn]
+    return m, [tuple(flat[k : k + dim]) for k in range(0, len(flat), dim)]
 
 
 def gen_random_body(
@@ -48,11 +62,12 @@ def gen_random_body(
     raises :class:`GenerationFailed` when the retry budget runs out
     (e.g. a single vertex pair in the plane is always a segment).
     """
+    if n_vertex_pairs < 1:
+        raise InvalidInput("a polytope needs at least one vertex")
     rng = random.Random(seed)
     for _ in range(RETRY_BUDGET):
-        pts = [_rand_point(rng, dim, max_numerator, max_denominator) for _ in range(n_vertex_pairs)]
-        sym = set(pts) | {tuple(-c for c in p) for p in pts}
-        pruned = prune_redundant(VPolytope(dim, tuple(sorted(sym))))
+        m, rows = _draw(rng, n_vertex_pairs, dim, max_numerator, max_denominator)
+        pruned = _pruned_rows(dim, m, {*rows, *(tuple([-x for x in X]) for X in rows)})
         try:
             return SymmetricBody(dim, vertices=pruned.vertices, seed_hull=pruned.hull)
         except DegenerateBody:
@@ -70,12 +85,9 @@ def gen_random_polytope(
     """Random full-dimensional polytope (pruned vertex form)."""
     rng = random.Random(seed)
     for _ in range(RETRY_BUDGET):
-        pts = {_rand_point(rng, dim, max_numerator, max_denominator) for _ in range(n_points)}
-        if len(pts) < dim + 1:
-            continue
-        cand = VPolytope(dim, tuple(sorted(pts)))
-        if is_full_dimensional(cand):
-            return prune_redundant(cand)
+        m, rows = _draw(rng, n_points, dim, max_numerator, max_denominator)
+        if affine_rank(rows) == dim:
+            return _pruned_rows(dim, m, set(rows))
     raise GenerationFailed(f"no full-dimensional polytope after {RETRY_BUDGET} tries")
 
 
@@ -86,20 +98,31 @@ def gen_random_points(
     max_numerator: int = 16,
     max_denominator: int = 16,
 ) -> PointSet:
-    """Random set of pairwise distinct rational points."""
+    """Random set of pairwise distinct rational points, in the order drawn.
+
+    The points still missing are drawn together, and drawn again while a
+    duplicate leaves some missing; at most ``100 * count`` are drawn.
+    The rows kept are held over the lcm of every scale drawn so far.
+    """
     rng = random.Random(seed)
-    pts: list = []
-    seen = set()
-    attempts = 0
-    while len(pts) < count:
-        p = _rand_point(rng, dim, max_numerator, max_denominator)
-        attempts += 1
-        if attempts > 100 * count:
+    m, kept = 1, {}  # the distinct rows over m, in the order drawn
+    budget = 100 * count
+    while len(kept) < count:
+        # a set completes only on the last point of a batch, so the batch
+        # that would pass the budget fails whole
+        k = min(count - len(kept), budget + 1)
+        mb, batch = _draw(rng, k, dim, max_numerator, max_denominator)
+        budget -= k
+        if budget < 0:
             raise GenerationFailed("cannot sample enough distinct points")
-        if p not in seen:
-            seen.add(p)
-            pts.append(p)
-    return PointSet(dim, tuple(pts))
+        M = lcm(m, mb)
+        if M != m:
+            kept = dict.fromkeys(tuple([x * (M // m) for x in X]) for X in kept)
+            m = M
+        if M != mb:
+            batch = [tuple([x * (M // mb) for x in X]) for X in batch]
+        kept.update(dict.fromkeys(batch))
+    return PointSet(dim, tuple(tuple([Fraction(x, m) for x in X]) for X in kept))
 
 
 def cube_body(dim: int, facet_form: bool = True) -> SymmetricBody:

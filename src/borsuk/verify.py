@@ -166,16 +166,22 @@ def _suite_doubling(report, count, seed):
 
 def _planar_instance(s: int, i: int):
     """Random polygon plus a point set; every third instance includes the
-    polygon's own vertices so the diameter graph has antipodal edges."""
+    polygon's own vertices so the diameter graph has antipodal edges, and
+    then the drawn points that are none of them, compared as integer rows
+    over one common denominator."""
     C = gen_random_body(s, 2, 3 + (i % 4), max_numerator=16, max_denominator=16)
     target = 4 + (i % 9)
-    pts: list = []
-    if i % 3 == 0:
-        pts.extend(C.vertices[: min(len(C.vertices), target)])
-    for p in gen_random_points(s + 1, 2, target, max_numerator=16, max_denominator=16).points:
-        if len(pts) >= target and pts:
+    drawn = gen_random_points(s + 1, 2, target, max_numerator=16, max_denominator=16)
+    if i % 3:
+        return C, drawn
+    pts = list(C.vertices[:target])
+    (mC, XC), (mS, XS) = C.scaled, drawn.scaled
+    m = math.lcm(mC, mS)
+    taken = {tuple([x * (m // mC) for x in X]) for X in XC[:target]}
+    for X, p in zip(XS, drawn.points):
+        if len(pts) >= target:
             break
-        if p not in pts:
+        if tuple([x * (m // mS) for x in X]) not in taken:
             pts.append(p)
     return C, point_set(pts)
 

@@ -45,9 +45,17 @@ which reads a hull's planes certified where the hull is made: the same
 normals, each certified again as it is read, ``a . v <= 1`` at every
 vertex of the body with equality on ``dim`` vertices of rank ``dim``,
 and a hull's facets checked to close up around its corners.
+:func:`fraction_gen_random_body`, :func:`fraction_gen_random_polytope`
+and :func:`fraction_gen_random_points` are the references for the seeded
+generators, which draw each point into a row of ints: the same draws,
+each coordinate a ``Fraction``, hashed, sorted and pruned as ``Fraction``
+tuples; :func:`list_scan_planar_instance` is the reference for the planar
+verify instance, which scans a list of ``Fraction`` tuples for the body's
+vertices.
 """
 
 import math
+import random
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations, product
@@ -63,7 +71,15 @@ from borsuk.bodies import (
     prune_redundant,
 )
 from borsuk.covering import SAMPLE_CERTIFIED, Covering
-from borsuk.errors import DegenerateBody, DimensionMismatch, GridTooCoarse, IndexOutOfRange, NotSymmetric, PointUncovered
+from borsuk.errors import (
+    DegenerateBody,
+    DimensionMismatch,
+    GenerationFailed,
+    GridTooCoarse,
+    IndexOutOfRange,
+    NotSymmetric,
+    PointUncovered,
+)
 from borsuk.linalg import Vec, canonical_sign, matrix_rank, over_common_denominator, vneg, vsub
 from borsuk.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult
 from borsuk.metric import gauge, set_diameter
@@ -1301,3 +1317,69 @@ def _lift_normals(C: SymmetricBody):
     L = m * LD * p
     g = math.gcd(L, *(c for n in normals for c in n))
     return L // g, tuple(tuple(c // g for c in n) for n in normals)
+
+
+def _fraction_point(rng, dim, max_numerator, max_denominator):
+    return tuple(
+        Fraction(rng.randint(-max_numerator, max_numerator), rng.randint(1, max_denominator)) for _ in range(dim)
+    )
+
+
+def fraction_gen_random_body(seed, dim, n_vertex_pairs, max_numerator=16, max_denominator=16) -> SymmetricBody:
+    """``gen_random_body`` with every point a ``Fraction`` tuple."""
+    rng = random.Random(seed)
+    for _ in range(64):
+        pts = [_fraction_point(rng, dim, max_numerator, max_denominator) for _ in range(n_vertex_pairs)]
+        sym = set(pts) | {tuple(-c for c in p) for p in pts}
+        pruned = prune_redundant(VPolytope(dim, tuple(sorted(sym))))
+        try:
+            return SymmetricBody(dim, vertices=pruned.vertices, seed_hull=pruned.hull)
+        except DegenerateBody:
+            continue
+    raise GenerationFailed("no full-dimensional symmetric body after 64 tries")
+
+
+def fraction_gen_random_polytope(seed, dim, n_points, max_numerator=16, max_denominator=16) -> VPolytope:
+    """``gen_random_polytope`` with every point a ``Fraction`` tuple."""
+    rng = random.Random(seed)
+    for _ in range(64):
+        pts = {_fraction_point(rng, dim, max_numerator, max_denominator) for _ in range(n_points)}
+        if len(pts) < dim + 1:
+            continue
+        cand = VPolytope(dim, tuple(sorted(pts)))
+        if is_full_dimensional(cand):
+            return prune_redundant(cand)
+    raise GenerationFailed("no full-dimensional polytope after 64 tries")
+
+
+def fraction_gen_random_points(seed, dim, count, max_numerator=16, max_denominator=16) -> PointSet:
+    """``gen_random_points`` with every point a ``Fraction`` tuple, drawn
+    and checked against those kept one at a time."""
+    rng = random.Random(seed)
+    pts, seen, attempts = [], set(), 0
+    while len(pts) < count:
+        p = _fraction_point(rng, dim, max_numerator, max_denominator)
+        attempts += 1
+        if attempts > 100 * count:
+            raise GenerationFailed("cannot sample enough distinct points")
+        if p not in seen:
+            seen.add(p)
+            pts.append(p)
+    return PointSet(dim, tuple(pts))
+
+
+def list_scan_planar_instance(s, i):
+    """The planar verify instance from the ``Fraction`` generators, each
+    drawn point checked by ``not in`` against a list of ``Fraction``
+    tuples."""
+    C = fraction_gen_random_body(s, 2, 3 + (i % 4), max_numerator=16, max_denominator=16)
+    target = 4 + (i % 9)
+    pts = []
+    if i % 3 == 0:
+        pts.extend(C.vertices[: min(len(C.vertices), target)])
+    for p in fraction_gen_random_points(s + 1, 2, target, max_numerator=16, max_denominator=16).points:
+        if len(pts) >= target and pts:
+            break
+        if p not in pts:
+            pts.append(p)
+    return C, PointSet(2, tuple(pts))

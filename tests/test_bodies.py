@@ -14,8 +14,8 @@ from borsuk.bodies import (
     VPolytope,
     body_from_vertices,
     contains_point,
-    convex_hull,
     difference_body,
+    integer_hull,
     lift_body,
     lift_set,
     minkowski_sum,
@@ -28,7 +28,7 @@ from borsuk.bodies import (
 )
 from borsuk.errors import DegenerateBody, DimensionMismatch, InvalidInput, NotSymmetric
 from borsuk.generators import cross_polytope_body, gen_random_body, gen_random_polytope
-from borsuk.linalg import vneg
+from borsuk.linalg import over_common_denominator, vneg
 from borsuk.metric import gauge
 from oracles import axis_extent_verdict, construction_verdict, fraction_difference_body, fraction_minkowski_sum, lp_path
 
@@ -423,7 +423,7 @@ def test_hull_prune_matches_lp_prune(monkeypatch):
     sizes = {len(P.vertices) for P in by_hull}
     assert {1, 2} <= sizes and max(sizes) >= 5
     for P, pruned in zip(clouds, by_hull):
-        hull = convex_hull(P.vertices)
+        hull = integer_hull(*over_common_denominator(P.vertices))
         assert sorted(hull.corners) == [tuple(x * hull.scale for x in v) for v in pruned.vertices]
         # counter-clockwise from the least point, every turn strictly left
         hull = hull.corners

@@ -28,8 +28,8 @@ from borsuk.bodies import (
     VPolytope,
     body_from_vertices,
     contains_point,
-    convex_hull,
     difference_body,
+    integer_hull,
     lift_body,
     prune_redundant,
     vpolytope,
@@ -77,7 +77,7 @@ def test_hull_prune_and_facets_match_lps_and_brute_force(monkeypatch):
     assert by_hull == by_lp
     tally = Counter()
     for P, pruned in zip(clouds, by_hull):
-        hull = convex_hull(P.vertices)
+        hull = integer_hull(*over_common_denominator(P.vertices))
         if P.dim == 1:
             assert list(hull.corners) == [tuple(x * hull.scale for x in v) for v in pruned.vertices]
             tally["line"] += 1
@@ -283,7 +283,7 @@ def test_a_hull_that_cuts_off_a_point_fails_its_certificate(monkeypatch):
 
     monkeypatch.setattr(bodies, "_triangle", inward)
     with pytest.raises(ArithmeticError, match="outside"):
-        convex_hull([(0, 0, 0), (3, 0, 0), (0, 3, 0), (0, 0, 3), (2, 2, 2)])
+        integer_hull(*over_common_denominator([(0, 0, 0), (3, 0, 0), (0, 3, 0), (0, 0, 3), (2, 2, 2)]))
 
 
 def _det(M):

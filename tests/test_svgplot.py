@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from borsuk.bodies import SymmetricBody, body_from_facets, body_from_vertices, point_set, vpolytope
+from borsuk.bodies import SymmetricBody, body_from_facets, body_from_vertices, point_set
 from borsuk.errors import DegenerateBody, DimensionUnsupported
 from borsuk.generators import gen_random_body
 from borsuk.partition import borsuk_number, partition
