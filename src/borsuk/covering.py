@@ -10,13 +10,16 @@ Every witness and center is an integer vector over one common
 denominator m: the grid point ``k * step`` is ``k`` times the integer
 spacing ``step * m``, and ``Fraction``s are built only for the witnesses
 and centers returned. Membership of w in c + lam*K is decided per center
-as one bitmask over the witnesses, on the two paths of the diameter pass
-in :mod:`borsuk.metric`. Where K has an exact hull (dimensions 1 to 3,
-and K not a flat set in space), the witnesses are sorted once along each
-of the hull's integer planes, and a center's mask is the AND over the
-planes of the prefix of that order its translate's plane bounds, found
-by bisection. Otherwise one exact LP decides each distinct difference
-w - c, which grid witnesses and grid centers repeat many times.
+as one bitmask over the witnesses, on the two paths that
+:mod:`borsuk.metric` takes: exact planes, or LPs. Where K has an exact
+hull (dimensions 1 to 3, and K not a flat set in space), the witnesses
+are sorted once along each of the hull's integer planes, and a center's
+mask is the AND over the planes of the prefix of that order its
+translate's plane bounds, found by bisection. Otherwise one exact LP
+decides each distinct difference w - c, which grid witnesses and grid
+centers repeat many times. A partition from a cover tests a point set
+the same way, on the set's own scaled form, with the centers put over
+the same denominator.
 
 The closed-form bound evaluators are the only deliberately inexact
 computation in the package: they report double-precision values of
@@ -147,16 +150,6 @@ def _lattice_membership(
     return masks
 
 
-def _translate_membership(
-    K: VPolytope, lam: Fraction, points, centers, first: bool = False
-) -> list[int]:
-    """Per center c, the bitmask of the points (bit i for points[i]) in
-    the translate c + lam*K, after scaling points and centers to integers
-    over their common denominator; see :func:`_lattice_membership`."""
-    m, vecs = over_common_denominator((*points, *centers))
-    return _lattice_membership(K, lam, m, vecs[: len(points)], vecs[len(points) :], first)
-
-
 def greedy_cover(K: VPolytope, lam: Fraction, grid_step: Fraction) -> Covering:
     """Cover the witness points of K by translates of lam*K, greedily.
 
@@ -232,7 +225,16 @@ def cover_to_partition(S: PointSet, cov: Covering, C: SymmetricBody) -> Partitio
     witness-certified, so this can genuinely happen).
     """
     n = len(S.points)
-    masks = _translate_membership(cov.body, cov.ratio, S.points, cov.centers, first=True)
+    # S's rows and the centers over one denominator m; S's rows are
+    # rescaled only when the centers' denominator does not divide S's
+    mS, points = S.scaled
+    mC, centers = over_common_denominator(cov.centers)
+    m = math.lcm(mS, mC)
+    if m != mS:
+        points = [[m // mS * x for x in X] for X in points]
+    if m != mC:
+        centers = [[m // mC * x for x in X] for X in centers]
+    masks = _lattice_membership(cov.body, cov.ratio, m, points, centers, first=True)
     missed = ((1 << n) - 1) & ~sum(masks)  # the masks are disjoint
     if missed:
         p = S.points[(missed & -missed).bit_length() - 1]

@@ -16,15 +16,22 @@ which is valid because C is symmetric with the origin interior, as every
 body is certified to be where it is made: the positive hull of the
 vertices is then the whole space and the LP is always feasible.
 
-The diameter pass, which every diameter graph and every partition check
-goes through, takes the same two paths in one pair loop over the
-integer rows P_i of the set's scaled form ``(m, P)``, which point sets
-and polytopes carry as bodies do. With normals it projects each row onto
-every normal once and compares the integers
-``max_k (N_k . P_i - N_k . P_j)`` pair by pair; the diameter is one
-``Fraction`` of the largest over ``L * m``. On the LP path it takes one
-gauge LP per distinct integer difference ``P_i - P_j`` up to sign; the
-gauge is homogeneous, so the diameter is the largest over m.
+A diameter value is the largest spread of one projection table. Point
+sets and polytopes carry a scaled form ``(m, P)`` as bodies do, and
+with normals each integer row P_i is projected onto every normal once.
+The gauge of p_i - p_j is then ``max_k (N_k . P_i - N_k . P_j)`` over
+``L * m``, so the diameter of any subset T is
+
+    max_k (max_{i in T} N_k . P_i - min_{i in T} N_k . P_i) / (L * m),
+
+its largest width along the normals (the support-function identity;
+Schneider, *Convex Bodies*, 2nd ed., 2014). A diameter, or whether a
+part of a set lies strictly below it, takes a max and a min per column
+and compares no pair. Pairs are listed only for a diameter graph, by
+one pair loop over the same table. A body without normals has no
+table: that loop then gives every diameter too, with one gauge LP per
+distinct integer difference ``P_i - P_j`` up to sign, and since the
+gauge is homogeneous the diameter is the largest over m.
 
 Membership in C is ``gauge(C, x) <= 1`` read from the same normals, or
 one exact LP for a body without them. Diameter-graph edges are decided
@@ -88,24 +95,36 @@ def distance(C: SymmetricBody, x: Vec, y: Vec) -> Fraction:
     return gauge(C, vsub(x, y))
 
 
+def _projections(C: SymmetricBody, scaled: Scaled) -> tuple[int, list[list[int]]]:
+    """``(L * m, table)`` for a body with normals ``N_k / L`` and the
+    points ``p_i = P_i / m`` of a scaled form ``(m, P)``: row i of the
+    table holds ``N_k . P_i`` for every k, so the gauge of p_i - p_j is
+    ``max_k (table[i][k] - table[j][k]) / (L * m)``."""
+    L, normals = C.normals
+    m, rows = scaled
+    return L * m, [[sum(map(mul, n, P)) for n in normals] for P in rows]
+
+
+def _spread(rows) -> int:
+    """The largest spread ``max - min`` of a column over some rows of a
+    projection table: their diameter times ``L * m``, 0 for one row."""
+    return max([max(col) - min(col) for col in zip(*rows)], default=0)
+
+
 def _pairwise_max(C: SymmetricBody, scaled: Scaled) -> tuple[Fraction, list[tuple[int, int]]]:
     """The largest gauge of p_i - p_j over pairs i < j of the points
     p_i = P_i / m of a scaled form ``(m, P)``, and every pair attaining
     it when it is positive, in (i, j) order."""
-    m, rows = scaled
     memo: dict[tuple[int, ...], Fraction] | None = None
     if C.normals is None:
         # the gauge is homogeneous, so that of p_i - p_j is the gauge of
         # P_i - P_j over m, and g(-z) = g(z): one LP per integer
         # difference up to sign, which many pairs share
         memo = {}
+        m, rows = scaled
     else:
-        # normals N_k / L: the gauge of p_i - p_j is
-        # max_k (N_k . P_i - N_k . P_j) / (L * m), so each point is
-        # projected onto the normals once and each pair compares integers
-        L, normals = C.normals
-        rows = [[sum(map(mul, n, P)) for n in normals] for P in rows]
-        m *= L
+        # each pair compares the rows of the projection table
+        m, rows = _projections(C, scaled)
     best = 0
     witnesses: list[tuple[int, int]] = []
     for i, P in enumerate(rows):
@@ -137,12 +156,17 @@ def polytope_diameter(C: SymmetricBody, K: VPolytope) -> Fraction:
 
     Reducing to vertex pairs is exact: (x, y) -> gauge(x - y) is convex,
     and a convex function on the product polytope K x K attains its
-    maximum at an extreme point, which is a pair of vertices of K. A
-    vertex listed twice only adds a pair at distance 0.
+    maximum at an extreme point, which is a pair of vertices of K. With
+    normals that is the largest spread of K's projection table; a vertex
+    listed twice changes no spread, and on the LP path only adds a pair
+    at distance 0.
     """
     if K.dim != C.dim:
         raise DimensionMismatch(f"polytope of dim {K.dim} against body of dim {C.dim}")
-    return _pairwise_max(C, K.scaled)[0]
+    if C.normals is None:
+        return _pairwise_max(C, K.scaled)[0]
+    m, table = _projections(C, K.scaled)
+    return Fraction(_spread(table), m)
 
 
 def diameter_graph(C: SymmetricBody, S: PointSet) -> DiameterGraph:

@@ -16,6 +16,12 @@ Each frame of the stack keeps the state its vertex was picked in, and a
 child's state is built from it on copies of the lists it changes, so
 backing out of a child undoes nothing. Outcomes are certified by the
 returned coloring and, when the search finished, by exhaustion.
+
+Checking a given partition needs no graph. A diameter value is the
+largest spread of the set's projections onto the body's normals (see
+:mod:`borsuk.metric`), so each part is compared with the whole set by
+a max and a min per normal, and pairs are listed only to build a
+diameter graph, or for a body without normals.
 """
 
 from __future__ import annotations
@@ -26,9 +32,9 @@ from fractions import Fraction
 from math import lcm
 
 from .bodies import PointSet, SymmetricBody, VPolytope, difference_body, lift_body, lift_set, prune_redundant
-from .errors import BorsukError, IndexOutOfRange, InvalidInput
+from .errors import BorsukError, DimensionMismatch, IndexOutOfRange, InvalidInput
 from .linalg import show
-from .metric import DiameterGraph, diameter_graph, set_diameter
+from .metric import DiameterGraph, _projections, _spread, diameter_graph, set_diameter
 
 DEFAULT_NODE_BUDGET = 10_000_000
 BUDGET_ENV_VAR = "BORSUK_NODE_BUDGET"
@@ -305,15 +311,25 @@ def borsuk_number(C: SymmetricBody, S: PointSet, node_budget: int | None = None)
 def verify_partition(C: SymmetricBody, S: PointSet, P: Partition) -> bool:
     """True iff every class has diameter strictly below the full one.
 
-    A class has a strictly smaller diameter exactly when it contains no
-    pair attaining the full diameter, i.e. no edge of the diameter graph,
-    so one pass over S decides every class.
+    With normals, every diameter is a largest spread of S's projection
+    table (see :mod:`borsuk.metric`), so the table is built once and
+    each class of two or more points is checked to spread strictly less
+    than the whole set, with no pair compared. Without normals, a class
+    has a strictly smaller diameter exactly when it contains no pair
+    attaining the full diameter, so one witness pass over S decides
+    every class.
     """
     if P.n_points != len(S.points):
         raise IndexOutOfRange(f"partition of {P.n_points} points against a set of {len(S.points)}")
-    _, witnesses = set_diameter(C, S)
-    label = {i: k for k, cls in enumerate(P.classes) for i in cls}
-    return all(label[i] != label[j] for i, j in witnesses)
+    if C.normals is None:
+        _, witnesses = set_diameter(C, S)
+        label = {i: k for k, cls in enumerate(P.classes) for i in cls}
+        return all(label[i] != label[j] for i, j in witnesses)
+    if S.dim != C.dim:
+        raise DimensionMismatch(f"set of dim {S.dim} against body of dim {C.dim}")
+    _, table = _projections(C, S.scaled)
+    full = _spread(table)
+    return all(_spread([table[i] for i in cls]) < full for cls in P.classes if len(cls) > 1)
 
 
 def lift_partition(P: Partition, S: PointSet) -> Partition:

@@ -21,9 +21,10 @@ from borsuk.covering import (
     covering_bound,
     greedy_cover,
     partition_bound,
-    _translate_membership,
+    _lattice_membership,
 )
 from borsuk.errors import DomainError, GridTooCoarse, PointUncovered
+from borsuk.linalg import over_common_denominator
 from borsuk.partition import borsuk_number, verify_partition
 from oracles import _in_translate, counter_clockwise, lp_path, per_pair_cover_to_partition, per_pair_greedy_cover
 
@@ -48,9 +49,9 @@ def test_square_cover_uses_four_centers(square_cover):
 
 def test_square_cover_witnesses_rechecked(square_cover, unit_square_poly):
     # every witness lies in at least one translate (exact membership)
-    masks = _translate_membership(
-        unit_square_poly, square_cover.ratio, square_cover.witnesses, square_cover.centers
-    )
+    n = len(square_cover.witnesses)
+    m, rows = over_common_denominator((*square_cover.witnesses, *square_cover.centers))
+    masks = _lattice_membership(unit_square_poly, square_cover.ratio, m, rows[:n], rows[n:])
     for i in range(len(square_cover.witnesses)):
         assert any(masks[j] >> i & 1 for j in range(len(square_cover.centers)))
 
@@ -385,7 +386,8 @@ def test_hull_membership_matches_lp_membership():
             lam = F(rng.randint(1, 9), 10)
             center = (F(rng.randint(-5, 5), 4), F(rng.randint(-5, 5), 3))
             point = tuple(c + lam * v for c, v in zip(center, x))
-            masks = _translate_membership(K, lam, [point], [center])
+            m, rows = over_common_denominator((point, center))
+            masks = _lattice_membership(K, lam, m, rows[:1], rows[1:])
             assert masks[0] >> 0 & 1 == contains_point(K.vertices, x) == expected
             tally[expected] += 1
     assert tally[True] >= 300 and tally[False] >= 80

@@ -34,7 +34,7 @@ from borsuk.bodies import (
     prune_redundant,
     vpolytope,
 )
-from borsuk.covering import _translate_membership
+from borsuk.covering import _lattice_membership
 from borsuk.errors import DegenerateBody
 from borsuk.generators import cross_polytope_body, cube_body, gen_random_body, gen_random_polytope
 from borsuk.linalg import affine_rank, matrix_rank, over_common_denominator, vneg
@@ -227,7 +227,8 @@ def test_hull_translate_membership_matches_lp_membership():
             center = tuple(_rational(rng, 5, 4) for _ in range(K.dim))
             point = tuple(c + lam * v for c, v in zip(center, x))
             inside = contains_point(K.vertices, x)
-            assert _translate_membership(K, lam, [point], [center])[0] >> 0 & 1 == inside
+            m, rows = over_common_denominator((point, center))
+            assert _lattice_membership(K, lam, m, rows[:1], rows[1:])[0] >> 0 & 1 == inside
             tally[kind, inside] += 1
     assert tally["vertex", True] >= 150 and tally["outside", False] >= 150 and tally["pair", True] >= 300
 

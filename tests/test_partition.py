@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -9,6 +10,7 @@ from borsuk.bodies import (
     SymmetricBody,
     VPolytope,
     body_from_facets,
+    body_from_vertices,
     difference_body,
     lift_body,
     lift_set,
@@ -18,8 +20,10 @@ from borsuk.bodies import (
     vpolytope,
 )
 from borsuk import jsonio, metric
-from borsuk.errors import DegenerateBody, IndexOutOfRange, InvalidInput
+from borsuk.covering import cover_to_partition, greedy_cover
+from borsuk.errors import DegenerateBody, DimensionMismatch, IndexOutOfRange, InvalidInput
 from borsuk.generators import (
+    cross_polytope_body,
     cube_body,
     cube_vertices,
     gen_random_body,
@@ -27,7 +31,7 @@ from borsuk.generators import (
     gen_random_polytope,
     parallelogram_body,
 )
-from borsuk.metric import DiameterGraph, diameter_graph, set_diameter
+from borsuk.metric import DiameterGraph, diameter_graph, polytope_diameter, set_diameter
 from borsuk.partition import (
     Partition,
     _dsatur_greedy,
@@ -49,6 +53,7 @@ from oracles import (
     level_exact_chromatic,
     linked_list_dsatur_greedy,
     linked_list_exact_chromatic,
+    memo_pairwise_max,
     recursive_exact_chromatic,
     undo_dsatur_greedy,
     undo_exact_chromatic,
@@ -191,6 +196,14 @@ def test_verify_index_mismatch(square_v):
     S = point_set([(0, 0), (2, 0)])
     with pytest.raises(IndexOutOfRange):
         verify_partition(square_v, S, partition(3, [(0, 1, 2)]))
+    # the count is checked before the dimension, on either path, and a
+    # wrong dimension raises what set_diameter raises
+    S3 = point_set([(0, 0, 0), (2, 0, 1)])
+    for C in (square_v, cross_polytope_body(4)):
+        with pytest.raises(IndexOutOfRange):
+            verify_partition(C, S3, partition(3, [(0, 1, 2)]))
+        with pytest.raises(DimensionMismatch, match=rf"^set of dim 3 against body of dim {C.dim}$"):
+            verify_partition(C, S3, partition(2, [(0,), (1,)]))
 
 
 def test_partition_validation():
@@ -446,17 +459,37 @@ def _candidate_partitions(rng, C, S):
     yield cert.partition
     yield _from_labels([label[perm[i]] for i in range(n)])
     for moves in (1, 1, 2, 3):
-        moved = list(label)
-        for _ in range(moves):
-            moved[rng.randrange(n)] = rng.randint(0, cert.number)
-        yield _from_labels(moved)
+        yield _moved(rng, label, moves, cert.number)
     for k in (2, 3, 4):
         yield _from_labels([rng.randrange(k) for _ in range(n)])
 
 
+def _moved(rng, label, moves, top):
+    """The labeling with ``moves`` random points relabeled in 0..top."""
+    moved = list(label)
+    for _ in range(moves):
+        moved[rng.randrange(len(moved))] = rng.randint(0, top)
+    return _from_labels(moved)
+
+
+def _cover_partitions(rng, vertices, ratio, step):
+    """The witnesses S of a polytope's greedy cover, its difference body
+    D, the cover's partition of S, and nine moves of that partition."""
+    cov = greedy_cover(vpolytope(vertices), ratio, step)
+    S = point_set(cov.witnesses)
+    D = difference_body(cov.body)
+    P = cover_to_partition(S, cov, D)
+    label = [0] * len(S.points)
+    for k, cls in enumerate(P.classes):
+        for i in cls:
+            label[i] = k
+    return D, S, P, [_moved(rng, label, moves, len(P.classes)) for moves in (1, 2, 3) * 3]
+
+
 def test_verify_partition_matches_per_class_diameters(monkeypatch):
-    # the diameter-graph check against measuring every class on its own,
-    # on vertex-form and facet-form bodies in 2D and 3D; both sides read
+    # verify_partition (column spreads with normals, the witness pass
+    # without) against measuring every class on its own, on vertex-form
+    # and facet-form bodies in 2D and 3D; on the LP path both sides read
     # gauges through one memo per body, so each difference costs one LP
     # and the test compares the decisions, not the gauge code
     exact_gauge = metric.gauge
@@ -486,6 +519,59 @@ def test_verify_partition_matches_per_class_diameters(monkeypatch):
                     outcomes[expected] += 1
     assert sum(outcomes.values()) >= 2000
     assert min(outcomes.values()) >= 200, outcomes
+
+    # cover-scale sets: the witnesses of the benchmark's covers, under
+    # their difference bodies, with the cover's partition and moves of it
+    rng = random.Random(24)
+    unit_cube = [tuple(v) for v in product((0, 1), repeat=3)]
+    covers = [
+        ([(0, 0), (1, 0), (0, 1), (1, 1)], F(3, 5), F(1, 4)),
+        ([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)], F(3, 5), F(1, 3)),
+        (unit_cube, F(3, 5), F(1, 2)),
+        ([(0, 0), (2, 0), (2, 1), (0, 2)], F(3, 5), F(1, 2)),
+    ]
+    tally = {True: 0, False: 0}
+    for vertices, ratio, step in covers:
+        D, S, own, moved = _cover_partitions(rng, vertices, ratio, step)
+        assert len(S.points) >= 19 and verify_partition(D, S, own)
+        for P in (own, *moved):
+            expected = verify_partition_by_class(D, S, P)
+            assert verify_partition(D, S, P) == expected, (vertices, P)
+            tally[expected] += 1
+    assert tally[True] >= 4 and tally[False] >= 12, tally
+
+    # a body without normals takes the witness pass
+    C = cross_polytope_body(4)
+    assert C.normals is None
+    memo.clear()
+    for seed in range(6):
+        rng = random.Random(seed)
+        S = gen_random_points(seed + 900, 4, 4 + seed % 3, max_numerator=3, max_denominator=2)
+        for P in _candidate_partitions(rng, C, S):
+            assert verify_partition(C, S, P) == verify_partition_by_class(C, S, P), (S, P)
+
+    # a one-point set has no class to check, on either path
+    for C in (body_from_vertices([(1, 1), (1, -1), (-1, 1), (-1, -1)]), cross_polytope_body(4)):
+        S, P = point_set([(F(1, 2),) * C.dim]), partition(1, [(0,)])
+        assert verify_partition(C, S, P) is verify_partition_by_class(C, S, P) is True
+
+    # polytope_diameter reads the largest spread of the same table: against
+    # one gauge per difference of vertices, on seeded bodies in 1D-3D and
+    # on 4D lifts, each polytope also with a vertex listed twice
+    cases = 0
+    for seed in range(30):
+        for dim in (1, 2, 3, 4):
+            if dim < 4:
+                C = gen_random_body(seed, dim, dim + 1, max_numerator=5, max_denominator=3)
+            else:
+                C = lift_body(gen_random_polytope(seed, 3, 5, max_numerator=4, max_denominator=3))
+            assert C.normals is not None
+            K = gen_random_polytope(seed + 300, dim, dim + 2, max_numerator=5, max_denominator=4)
+            for V in (K.vertices, K.vertices + K.vertices[:1]):
+                expected, _ = memo_pairwise_max(C, V)
+                assert polytope_diameter(C, vpolytope(V)) == expected, (C, V)
+                cases += 1
+    assert cases == 240
 
 
 # 8 vertices, chromatic number 3, on which the DSATUR greedy coloring uses
