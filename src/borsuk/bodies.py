@@ -35,12 +35,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from operator import mul, sub
+from operator import sub
 from typing import NamedTuple
 
 from . import lp
 from .errors import DegenerateBody, DimensionMismatch, InvalidInput, NotSymmetric
-from .linalg import ONE, Vec, affine_rank, as_vec, matrix_rank, over_common_denominator, show, vneg
+from .linalg import ONE, Vec, affine_rank, as_vec, dots, matrix_rank, over_common_denominator, show, vneg
 
 Facet = tuple[Vec, Fraction]  # normal a and offset b, encoding |<a, x>| <= b
 HalfSpace = tuple[tuple[int, ...], int]  # integer normal n and offset c, encoding n . X <= c
@@ -261,16 +261,14 @@ class SymmetricBody(_VertexForm):
         m, points = base.scaled
         p, q = h.numerator, h.denominator
         normals = []
-        for N in slice_normals:
-            col = [sum(map(mul, N, X)) for X in points]
+        for N, col in zip(slice_normals, dots(slice_normals, points)):
             normals.append(tuple(2 * m * p * c for c in N) + (-(max(col) + min(col)) * q,))
         level = (0,) * (self.dim - 1) + (q * m * LD,)
         normals += [level, tuple(-c for c in level)]
         g = gcd(m * LD * p, *(c for n in normals for c in n))
         L, normals = m * LD * p // g, tuple(tuple(c // g for c in n) for n in normals)
         s, points = self.scaled
-        for k, a in enumerate(normals):
-            values = [sum(map(mul, a, X)) for X in points]
+        for k, (a, values) in enumerate(zip(normals, dots(normals, points))):
             if max(values) > L * s:
                 raise ArithmeticError(f"a vertex times {s} is outside lifted facet normal {a}/{L}")
             # the scaled vertices' last entries are the two levels
@@ -373,14 +371,16 @@ def integer_hull(m: int, rows) -> Hull | None:
     corners, planes = made
     full = not len(corners) <= d < MAX_HULL_DIM
     corner_set, incidences = set(corners), 0
-    for n, c in planes:
-        values = [sum(map(mul, n, X)) for X in P]
+    for (n, c), values in zip(planes, dots([n for n, _ in planes], P)):
         if max(values) > c:
             raise ArithmeticError(f"point {P[values.index(max(values))]} is outside the hull's half-space {n} . X <= {c}")
         if full:
             on = [X for X, t in zip(P, values) if t == c]
-            # on the line and in the plane any d distinct points are independent
-            if (len(on) if d < 3 else matrix_rank([X + (1,) for X in on])) < d:
+            # on the line and in the plane any d distinct points are
+            # independent; in space three are when one is off the line
+            # through the first two, so that their triangle's normal is not 0
+            spans = len(on) >= d if d < 3 else any(any(_triangle(on, 0, 1, k)[3]) for k in range(2, len(on)))
+            if not spans:
                 raise ArithmeticError(f"the hull's plane {n} . X = {c} holds fewer than {d} affinely independent points")
             incidences += len(corner_set.intersection(on))
     V, F = len(corners), len(planes)
@@ -460,16 +460,19 @@ def _first_tetrahedron(P) -> list | None:
     if k is None:
         return None
     _, _, _, n, c = _triangle(P, i, j, k)
-    q = next((q for q in range(k + 1, len(P)) if sum(map(mul, n, P[q])) != c), None)
+    [column] = dots([n], P)
+    q = next((q for q in range(k + 1, len(P)) if column[q] != c), None)
     if q is None:
         return None
-    triangles = []
-    for a, b, e, opposite in ((i, j, k, q), (i, j, q, k), (i, k, q, j), (j, k, q, i)):
-        t = _triangle(P, a, b, e)
-        if sum(map(mul, t[3], P[opposite])) > t[4]:
-            t = _triangle(P, a, e, b)
-        triangles.append(t)
-    return triangles
+    # a triangle faces outwards when the point opposite it lies below it,
+    # n . X < c. At q, (i, j, k) reads column[q] - c, six times the signed
+    # volume of (i, j, k, q); as listed, (i, k, q) reads the same at j, and
+    # (i, j, q) at k and (j, k, q) at i read its negative
+    up = column[q] > c
+    return [
+        _triangle(P, a, e, b) if turn else _triangle(P, a, b, e)
+        for a, b, e, turn in ((i, j, k, up), (i, j, q, not up), (i, k, q, up), (j, k, q, not up))
+    ]
 
 
 def _spatial_hull(P) -> tuple | None:
@@ -497,9 +500,11 @@ def _spatial_hull(P) -> tuple | None:
     for p, X in enumerate(P):
         if p in done:
             continue
+        x, y, z = X
         seen, kept = [], []
         for t in triangles:
-            (seen if sum(map(mul, t[3], X)) > t[4] else kept).append(t)
+            a, b, e = t[3]
+            (seen if a * x + b * y + e * z > t[4] else kept).append(t)
         if seen:
             edges = {e for i, j, k, _, _ in seen for e in ((i, j), (j, k), (k, i))}
             kept += [_triangle(P, i, j, p) for i, j in edges if (j, i) not in edges]

@@ -35,11 +35,11 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, product
-from operator import mul, or_, sub
+from operator import or_, sub
 
 from .bodies import PointSet, SymmetricBody, VPolytope, contains_point
-from .errors import DomainError, GridTooCoarse, InvalidInput, PointUncovered
-from .linalg import ONE, Vec, over_common_denominator, show
+from .errors import DimensionMismatch, DomainError, GridTooCoarse, InvalidInput, PointUncovered
+from .linalg import ONE, Vec, dots, over_common_denominator, show
 from .partition import Partition
 
 SAMPLE_CERTIFIED = "sample_certified"
@@ -105,12 +105,13 @@ def _lattice_membership(
 
     With K's exact hull ``n . X <= c`` at K's scale s, for ``lam = p/q``,
     W lies in C + lam*K exactly when ``s*q*(n . W - n . C) <= p*m*c`` on
-    every plane; the factor s*q is folded into the normals. Per plane the
-    points are sorted by ``n . W`` once, and the points under a bound are
-    a prefix of that order, found by bisection, so a center costs one
-    bisection and one AND per plane. Without a hull, one exact LP decides
-    each distinct difference W - C, and with ``first`` no point is tested
-    past its first translate.
+    every plane; the factor s*q is folded into the normals. Per plane one
+    call of :func:`~borsuk.linalg.dots` gives ``n . W`` at every point and
+    ``n . C`` at every center, the points are sorted by ``n . W`` once, and
+    the points under a bound are a prefix of that order, found by
+    bisection, so a center costs one bisection and one AND per plane.
+    Without a hull, one exact LP decides each distinct difference W - C,
+    and with ``first`` no point is tested past its first translate.
     """
     hull = K.hull
     if hull is None:
@@ -130,19 +131,18 @@ def _lattice_membership(
                 wanted &= ~mask
         return masks
     f = hull.scale * lam.denominator
-    masks = [(1 << len(points)) - 1] * len(centers)
+    k = len(points)
+    masks = [(1 << k) - 1] * len(centers)
+    rows = [*points, *centers]
     for n, c in hull.planes:
-        N = [f * x for x in n]
-        column = [sum(map(mul, N, W)) for W in points]
-        order = sorted(range(len(points)), key=column.__getitem__)
+        # the plane's values at the points, then at the centers
+        [column] = dots([[f * x for x in n]], rows)
+        order = sorted(range(k), key=column.__getitem__)
         values = [column[i] for i in order]
         prefix = [0, *accumulate((1 << i for i in order), or_)]
         offset = lam.numerator * m * c
-        # a center whose mask is empty already skips the plane
-        masks = [
-            mask and mask & prefix[bisect_right(values, sum(map(mul, N, C)) + offset)]
-            for mask, C in zip(masks, centers)
-        ]
+        # a center whose mask is empty already skips the bisection
+        masks = [mask and mask & prefix[bisect_right(values, v + offset)] for mask, v in zip(masks, column[k:])]
     if first:
         seen = 0
         for j, mask in enumerate(masks):
@@ -220,10 +220,14 @@ def cover_to_partition(S: PointSet, cov: Covering, C: SymmetricBody) -> Partitio
 
     Empty translates are dropped. ``C`` is the ambient norm the caller
     will verify the partition against; the assignment itself only needs
-    exact membership in the translates. Raises :class:`PointUncovered`
-    if some point of S escapes every translate (the covering is only
-    witness-certified, so this can genuinely happen).
+    exact membership in the translates. Raises :class:`DimensionMismatch`
+    when S and the covered body differ in dimension, before any point is
+    tested, and :class:`PointUncovered` if some point of S escapes every
+    translate (the covering is only witness-certified, so this can
+    genuinely happen).
     """
+    if S.dim != cov.body.dim:
+        raise DimensionMismatch(f"set of dim {S.dim} against body of dim {cov.body.dim}")
     n = len(S.points)
     # S's rows and the centers over one denominator m; S's rows are
     # rescaled only when the centers' denominator does not divide S's

@@ -18,7 +18,9 @@ vertices is then the whole space and the LP is always feasible.
 
 A diameter value is the largest spread of one projection table. Point
 sets and polytopes carry a scaled form ``(m, P)`` as bodies do, and
-with normals each integer row P_i is projected onto every normal once.
+with normals each integer row P_i is projected onto every normal once,
+one column per normal, by :func:`borsuk.linalg.dots`, the one integer
+dot kernel, which a gauge reads as well.
 The gauge of p_i - p_j is then ``max_k (N_k . P_i - N_k . P_j)`` over
 ``L * m``, so the diameter of any subset T is
 
@@ -42,12 +44,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul, sub
+from operator import sub
 
 from . import lp
 from .bodies import PointSet, Scaled, SymmetricBody, VPolytope, contains_point
 from .errors import DimensionMismatch, IndexOutOfRange, InvalidInput
-from .linalg import ONE, ZERO, Vec, canonical_sign, over_common_denominator, vsub
+from .linalg import ONE, ZERO, Vec, canonical_sign, dots, over_common_denominator, vsub
 
 
 @dataclass(frozen=True)
@@ -78,7 +80,7 @@ def gauge(C: SymmetricBody, x: Vec) -> Fraction:
         # normals N_k / L and x = X / m: the gauge is max_k N_k . X / (L * m)
         L, normals = C.normals
         m, (X,) = over_common_denominator((x,))
-        return Fraction(max([sum(map(mul, n, X)) for n in normals]), L * m)
+        return Fraction(max([v for (v,) in dots(normals, (X,))]), L * m)
     if all(v == 0 for v in x):
         return ZERO
     res = lp.solve_combination(C.vertices, x, cost=[ONE] * len(C.vertices))
@@ -97,18 +99,19 @@ def distance(C: SymmetricBody, x: Vec, y: Vec) -> Fraction:
 
 def _projections(C: SymmetricBody, scaled: Scaled) -> tuple[int, list[list[int]]]:
     """``(L * m, table)`` for a body with normals ``N_k / L`` and the
-    points ``p_i = P_i / m`` of a scaled form ``(m, P)``: row i of the
-    table holds ``N_k . P_i`` for every k, so the gauge of p_i - p_j is
-    ``max_k (table[i][k] - table[j][k]) / (L * m)``."""
+    points ``p_i = P_i / m`` of a scaled form ``(m, P)``: column k of the
+    table holds ``N_k . P_i`` for every i, so the gauge of p_i - p_j is
+    ``max_k (table[k][i] - table[k][j]) / (L * m)``."""
     L, normals = C.normals
     m, rows = scaled
-    return L * m, [[sum(map(mul, n, P)) for n in normals] for P in rows]
+    return L * m, dots(normals, rows)
 
 
-def _spread(rows) -> int:
-    """The largest spread ``max - min`` of a column over some rows of a
-    projection table: their diameter times ``L * m``, 0 for one row."""
-    return max([max(col) - min(col) for col in zip(*rows)], default=0)
+def _spread(columns) -> int:
+    """The largest spread ``max - min`` of the columns of a projection
+    table, or of their entries at some points: the diameter of those
+    points times ``L * m``, 0 for one point."""
+    return max([max(col) - min(col) for col in columns])
 
 
 def _pairwise_max(C: SymmetricBody, scaled: Scaled) -> tuple[Fraction, list[tuple[int, int]]]:
@@ -123,8 +126,9 @@ def _pairwise_max(C: SymmetricBody, scaled: Scaled) -> tuple[Fraction, list[tupl
         memo = {}
         m, rows = scaled
     else:
-        # each pair compares the rows of the projection table
-        m, rows = _projections(C, scaled)
+        # each pair compares two points' rows of the projection table
+        m, columns = _projections(C, scaled)
+        rows = list(zip(*columns))
     best = 0
     witnesses: list[tuple[int, int]] = []
     for i, P in enumerate(rows):

@@ -30,6 +30,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import itemgetter
 
 from .bodies import PointSet, SymmetricBody, VPolytope, difference_body, lift_body, lift_set, prune_redundant
 from .errors import BorsukError, DimensionMismatch, IndexOutOfRange, InvalidInput
@@ -329,7 +330,8 @@ def verify_partition(C: SymmetricBody, S: PointSet, P: Partition) -> bool:
         raise DimensionMismatch(f"set of dim {S.dim} against body of dim {C.dim}")
     _, table = _projections(C, S.scaled)
     full = _spread(table)
-    return all(_spread([table[i] for i in cls]) < full for cls in P.classes if len(cls) > 1)
+    # itemgetter of two or more indices picks a tuple out of each column
+    return all(_spread(map(itemgetter(*cls), table)) < full for cls in P.classes if len(cls) > 1)
 
 
 def lift_partition(P: Partition, S: PointSet) -> Partition:

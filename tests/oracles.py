@@ -52,6 +52,9 @@ each coordinate a ``Fraction``, hashed, sorted and pruned as ``Fraction``
 tuples; :func:`list_scan_planar_instance` is the reference for the planar
 verify instance, which scans a list of ``Fraction`` tuples for the body's
 vertices.
+:func:`dots_by_sum` is the reference for ``linalg.dots``, the integer dot
+kernel unrolled in dimensions 1 to 4: every product ``n . X`` as a
+``sum`` over ``map(mul, n, X)``, the form it replaces.
 """
 
 import math
@@ -59,6 +62,7 @@ import random
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations, product
+from operator import mul
 
 from borsuk import bodies, lp
 from borsuk.bodies import (
@@ -87,6 +91,11 @@ from borsuk.partition import Partition
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+def dots_by_sum(normals, rows):
+    """For each normal n, the list of ``n . X`` over the rows X."""
+    return [[sum(map(mul, n, X)) for X in rows] for n in normals]
 
 
 def solve_exact(rows, rhs):

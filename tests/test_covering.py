@@ -23,7 +23,7 @@ from borsuk.covering import (
     partition_bound,
     _lattice_membership,
 )
-from borsuk.errors import DomainError, GridTooCoarse, PointUncovered
+from borsuk.errors import DimensionMismatch, DomainError, GridTooCoarse, PointUncovered
 from borsuk.linalg import over_common_denominator
 from borsuk.partition import borsuk_number, verify_partition
 from oracles import _in_translate, counter_clockwise, lp_path, per_pair_cover_to_partition, per_pair_greedy_cover
@@ -109,6 +109,19 @@ def test_cover_to_partition_uncovered_point(square_cover):
     C = body_from_vertices([(1, 1), (1, -1), (-1, 1), (-1, -1)])
     with pytest.raises(PointUncovered, match=r"^point \(5, 5\) lies in no covering translate$"):
         cover_to_partition(S, square_cover, C)
+
+
+@pytest.mark.parametrize("path", ["hull", "lp"])
+def test_cover_to_partition_refuses_a_set_of_another_dimension(square_cover, path, monkeypatch):
+    # the translates' planes would fail to unpack the rows of either set,
+    # and the LP path would cut their differences with the centers short
+    if path == "lp":
+        lp_path(monkeypatch)
+    C = body_from_vertices([(1, 1), (1, -1), (-1, 1), (-1, -1)])
+    for points in ([(0, 0, 5), (1, 1, 7)], [(0,), (1,)]):
+        S = point_set(points)
+        with pytest.raises(DimensionMismatch, match=rf"^set of dim {S.dim} against body of dim 2$"):
+            cover_to_partition(S, square_cover, C)
 
 
 def test_covering_bound_values():

@@ -12,7 +12,10 @@ the cube, the cross-polytope, the cuboctahedron (the simplex's K - K),
 lifts of planar polytopes and random symmetric bodies. Probes sit at
 vertices, on edges and facets, just outside and at the origin. Planes
 corrupted as a builder hands them on, on the line, in the plane and in
-space, fail the certificate :func:`borsuk.bodies.integer_hull` makes.
+space, fail the certificate :func:`borsuk.bodies.integer_hull` makes,
+and so does a plane in space through collinear points only. The integer
+dot kernel :func:`borsuk.linalg.dots` that hulls, lifts, projection
+tables and covers read is compared with ``sum(map(mul, n, X))``.
 """
 
 import random
@@ -37,9 +40,16 @@ from borsuk.bodies import (
 from borsuk.covering import _lattice_membership
 from borsuk.errors import DegenerateBody
 from borsuk.generators import cross_polytope_body, cube_body, gen_random_body, gen_random_polytope
-from borsuk.linalg import affine_rank, matrix_rank, over_common_denominator, vneg
+from borsuk.linalg import affine_rank, dots, matrix_rank, over_common_denominator, vneg
 from borsuk.metric import _pairwise_max, body_contains, gauge
-from oracles import axis_extent_verdict, construction_verdict, facets_by_triples, lp_path, memo_pairwise_max
+from oracles import (
+    axis_extent_verdict,
+    construction_verdict,
+    dots_by_sum,
+    facets_by_triples,
+    lp_path,
+    memo_pairwise_max,
+)
 
 F = Fraction
 LATTICE = list(product(range(3), repeat=3))
@@ -287,6 +297,16 @@ def test_a_hull_that_cuts_off_a_point_fails_its_certificate(monkeypatch):
         integer_hull(*over_common_denominator([(0, 0, 0), (3, 0, 0), (0, 3, 0), (0, 0, 3), (2, 2, 2)]))
 
 
+def test_a_plane_through_collinear_points_fails_the_certificate(monkeypatch):
+    # the cube's corners and the midpoint of its edge x = y = 1: the plane
+    # x + y <= 2 added to the builder's holds three points, all on that
+    # edge, so it is no facet's; one more facet with two corners on it
+    # leaves 2V - I + 2F as it was, so Euler's count cannot tell
+    _corrupt_builder(monkeypatch, 3, lambda planes: (*planes, ((1, 1, 0), 2)))
+    with pytest.raises(ArithmeticError, match="fewer than"):
+        integer_hull(*over_common_denominator([*product((-1, 1), repeat=3), (1, 1, 0)]))
+
+
 def _det(M):
     """Determinant by expansion along the first row."""
     if not M:
@@ -318,3 +338,18 @@ def test_matrix_rank_of_ints_and_rationals_matches_minors():
         assert matrix_rank(rows) == _rank_by_minors(rows)
         ranks[matrix_rank(rows)] += 1
     assert set(ranks) == {0, 1, 2, 3, 4}
+
+
+def test_dots_matches_the_sum_over_map():
+    # every unrolled dimension and the generic sum past them, rows as
+    # tuples and as lists, no rows, and entries past 2**64
+    rng = random.Random(25)
+    for d in range(1, 7):
+        for top in (9, 2**70):
+            for n_rows in (0, 1, 7):
+                normals = [tuple(rng.randint(-top, top) for _ in range(d)) for _ in range(rng.randint(1, 4))]
+                rows = [tuple(rng.randint(-top, top) for _ in range(d)) for _ in range(n_rows)]
+                expected = dots_by_sum(normals, rows)
+                assert dots(normals, rows) == expected
+                assert dots([list(n) for n in normals], [list(X) for X in rows]) == expected
+    assert dots([], [(1, 2)]) == dots_by_sum([], [(1, 2)]) == []
