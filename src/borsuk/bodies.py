@@ -3,7 +3,8 @@
 Everything is immutable and exact, never floating point: vertices are
 tuples of ``Fraction``, and each polytope, vertex body and point set
 also carries one scaled form ``scaled = (m, rows)``, its points times a
-common denominator m as rows of ints, made once. The convexity work
+common denominator m as rows of ints, made once or handed on by the
+construction that built the points from those rows. The convexity work
 reads that form and builds ``Fraction``s only for what it returns. A
 symmetric body is certified where it is made, so none exists uncertified:
 a vertex body by linear algebra alone, its integer rows closed under
@@ -17,13 +18,18 @@ directly. Gauges, membership and planar outlines all read one integer
 form, the facet normals ``SymmetricBody.normals``, read from that hull
 or made from a facet body's facets. A symmetric lift, the hull of
 ``(A, h)`` and ``(-A, -h)``, takes its facets from the hull of its
-middle slice ``A - A`` one dimension down, each certified as it is made,
-so the lifts of polytopes in space are answered without an LP in
-dimension 4 too. Constructions hand on what they build: a pruned
-polytope keeps the hull it was pruned with, the difference body is
-built on the hull of its pruned sums and kept on its polytope, and a
+middle slice ``A - A`` one dimension down, each certified as it is made.
+Every lift made by :func:`lift_body` does so in every dimension, so its
+lifted points are never hulled; a lift read from its vertices does so
+where it has no hull, in dimension 4, which it then answers without an
+LP. Constructions hand on what they build:
+a pruned polytope keeps the hull it was pruned with, the difference body
+is built on the hull of its pruned sums and kept on its polytope, a
 lift's slice is that same difference body of the lift's base, so
-``K - K`` is hulled and certified once however many of these ask for it.
+``K - K`` is hulled and certified once however many of these ask for it,
+and lifts, lifted point sets and random point sets keep the integer rows
+they were built from as their scaled form, so no ``Fraction`` is scaled
+back to the rows it came from.
 Other bodies from dimension 4, where facet counts can be exponential in
 the vertex count, and coplanar points in space are answered by the
 exact simplex in :mod:`borsuk.lp`.
@@ -40,7 +46,7 @@ from typing import NamedTuple
 
 from . import lp
 from .errors import DegenerateBody, DimensionMismatch, InvalidInput, NotSymmetric
-from .linalg import ONE, Vec, affine_rank, as_vec, dots, matrix_rank, over_common_denominator, show, vneg
+from .linalg import ONE, Vec, affine_rank, as_vec, dots, lowest_terms, matrix_rank, over_common_denominator, show, vneg
 
 Facet = tuple[Vec, Fraction]  # normal a and offset b, encoding |<a, x>| <= b
 HalfSpace = tuple[tuple[int, ...], int]  # integer normal n and offset c, encoding n . X <= c
@@ -51,13 +57,20 @@ class _VertexForm:
     """The integer form of a vertex set, shared by polytopes and vertex
     bodies: one scaled form, and the hull made from it."""
 
+    # a scaled form handed on by the construction; only a symmetric body
+    # takes one, as a field, and a polytope keeps this default
+    seed_scaled: Scaled | None = None
+
     @cached_property
     def scaled(self) -> Scaled:
         """``(m, X)``, each vertex times a common denominator m, in the
-        vertices' order, made once: the least common denominator, or a seed
-        hull's scale and sorted corners when one was handed on (its
-        vertices are the hull's, sorted, so its corners are the vertices at
-        that scale, which may be finer than theirs)."""
+        vertices' order, made once: the scaled form handed on (a lift's
+        rows), else a seed hull's scale and sorted corners when one was
+        handed on (its vertices are the hull's, sorted, so its corners are
+        the vertices at that scale, which may be finer than theirs), else
+        the least common denominator."""
+        if self.seed_scaled is not None:
+            return self.seed_scaled
         hull = self.seed_hull
         if hull is not None:
             return hull.scale, tuple(sorted(hull.corners))
@@ -125,9 +138,11 @@ class SymmetricBody(_VertexForm):
     dim: int
     vertices: tuple[Vec, ...] | None = None
     facets: tuple[Facet, ...] | None = None
-    # a hull handed on by the construction, read only through ``hull``,
-    # and a symmetric lift's base, whose difference body is its slice
+    # a hull handed on by the construction, read only through ``hull``, a
+    # scaled form handed on, read only through ``scaled``, and a symmetric
+    # lift's base, whose difference body is its slice
     seed_hull: Hull | None = field(default=None, compare=False, repr=False)
+    seed_scaled: Scaled | None = field(default=None, compare=False, repr=False)
     lift_base: VPolytope | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
@@ -163,8 +178,11 @@ class SymmetricBody(_VertexForm):
         ``a . v = 1`` on each facet: those of its hull in dimensions 1 to 3,
         certified where the hull was made (:func:`integer_hull`), each
         offset positive since the body's own certificate puts the origin
-        inside; and those of :meth:`_lift_normals` for a symmetric lift
-        without a hull.
+        inside; and those of :meth:`_lift_normals`, read from the slice, for
+        every lift made by :func:`lift_body` (it keeps its ``lift_base``),
+        whose lifted points are then never hulled, and for a symmetric lift
+        read from its vertices without a hull. A lift read from its
+        vertices up to 3D keeps its hull's normals.
         """
         if self.facets is not None:
             for a, b in self.facets:
@@ -178,7 +196,7 @@ class SymmetricBody(_VertexForm):
             # both signs, though |a . x| would need only one: the pairwise
             # pass then takes a plain max for facet and vertex bodies alike
             return L, rows + tuple(tuple(-c for c in n) for n in rows)
-        hull = self.hull
+        hull = None if self.lift_base is not None else self.hull
         if hull is None:
             return self._lift_normals()
         s = hull.scale
@@ -285,6 +303,9 @@ class PointSet:
     dim: int
     points: tuple[Vec, ...]
     labels: tuple | None = None
+    # the scaled form the construction built the points from, read only
+    # through ``scaled``: least-common-denominator rows in the points' order
+    seed_scaled: Scaled | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.points:
@@ -301,7 +322,10 @@ class PointSet:
     @cached_property
     def scaled(self) -> Scaled:
         """``(m, X)``, each point times the least common denominator m of
-        the coordinates, in the points' order, made once."""
+        the coordinates, in the points' order, made once: the one handed
+        on, or else made from the points."""
+        if self.seed_scaled is not None:
+            return self.seed_scaled
         return over_common_denominator(self.points)
 
     def __len__(self):
@@ -631,9 +655,7 @@ def _pruned_rows(dim: int, m: int, rows) -> VPolytope:
     have had from them as ``Fraction``s, which are made only for its
     vertices. Without a hull, all of them are made and pruned by LPs.
     """
-    g = gcd(m, *(x for X in rows for x in X))
-    if g > 1:
-        m, rows = m // g, {tuple([x // g for x in X]) for X in rows}
+    m, rows = lowest_terms(m, rows)
     hull = integer_hull(m, rows)
     if hull is None:
         points = tuple(tuple([Fraction(x, m) for x in X]) for X in sorted(rows))
@@ -680,24 +702,32 @@ def lift_body(K: VPolytope) -> SymmetricBody:
     if not is_full_dimensional(K):
         raise DegenerateBody("lift requires a full-dimensional polytope")
     base = K if K.pruned else prune_redundant(K)
-    # the lifted points' integer rows sort in the order the points would
+    # the lifted points' integer rows sort in the order the points would,
+    # and are handed on as the lift's scaled form, over the least common
+    # denominator (a hull's scale can be finer than its corners need)
     m, rows = base.scaled
     up = [(X + (m,), v + (ONE,)) for X, v in zip(rows, base.vertices)]
     down = [(tuple([-x for x in X]) + (-m,), vneg(v) + (-ONE,)) for X, v in zip(rows, base.vertices)]
-    verts = tuple(v for _, v in sorted(up + down))
-    return SymmetricBody(K.dim + 1, vertices=verts, lift_base=base)
+    lifted = sorted(up + down)
+    verts = tuple(v for _, v in lifted)
+    scaled = lowest_terms(m, [X for X, _ in lifted])
+    return SymmetricBody(K.dim + 1, vertices=verts, seed_scaled=scaled, lift_base=base)
 
 
 def lift_set(S: PointSet) -> PointSet:
     """Two labeled copies one dimension up: (S, +1) and (-S, -1).
 
     Labels record (source index, sign) so partitions of the lifted set
-    can be mapped back to the original indices.
+    can be mapped back to the original indices. The lifted rows, S's rows
+    with m and their negations with -m, keep S's least common denominator
+    m and are handed on as the lifted set's scaled form.
     """
     up = [p + (ONE,) for p in S.points]
     down = [vneg(p) + (-ONE,) for p in S.points]
     labels = [(i, 1) for i in range(len(S.points))] + [(i, -1) for i in range(len(S.points))]
-    return PointSet(S.dim + 1, tuple(up + down), tuple(labels))
+    m, rows = S.scaled
+    lifted = tuple([X + (m,) for X in rows] + [tuple([-x for x in X]) + (-m,) for X in rows])
+    return PointSet(S.dim + 1, tuple(up + down), tuple(labels), seed_scaled=(m, lifted))
 
 
 def scale_polytope(K: VPolytope, t: Fraction) -> VPolytope:

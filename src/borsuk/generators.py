@@ -1,21 +1,28 @@
 """Seeded random instances and standard fixture bodies.
 
 Instances regenerate bit-identically from (seed, parameters): the only
-randomness source is ``random.Random(seed)``, whose integer methods are
+randomness source is ``random.Random(seed)``, whose ``getrandbits`` is
 stable across platforms. Coordinates are kept small (numerators and
-denominators bounded) so the exact LPs downstream stay fast.
+denominators bounded) so the exact LPs downstream stay fast; a bound that
+is no int, a negative ``max_numerator`` or a ``max_denominator`` below 1
+is refused with ``InvalidInput`` before any draw.
 
-Each coordinate draws its numerator and then its denominator, and each
-point goes straight into the integer form every layer below reads: a row
-of ints, the point times the lcm of the denominators drawn (:func:`_draw`).
+Each coordinate draws its numerator and then its denominator, as
+``randint`` would, by CPython's rejection rule written out on
+``getrandbits``: for ``width`` values, draw ``width.bit_length()`` bits,
+and again while the value is ``>= width``. The rule reads the same in
+CPython 3.10 to 3.13. Each point goes straight into the integer form
+every layer below reads: a row of ints, the point times the lcm of the
+denominators drawn (:func:`_draw`).
 A positive scale keeps both equality and lexicographic order, so
 deduplicating, negating, sorting and the rank test run on the rows and
 give the same points, in the same order, as on ``Fraction`` tuples.
 Pruning divides the rows by their gcd with the scale, down to the least
-common denominator, and hulls them (:func:`borsuk.bodies._pruned_rows`).
-``Fraction``s are made only for the points returned, and the rng stream
-is that of drawing each coordinate as a ``Fraction``, so every instance
-is unchanged.
+common denominator, and hulls them (:func:`borsuk.bodies._pruned_rows`);
+a random point set keeps its rows, divided the same way, as its scaled
+form. ``Fraction``s are made only for the points returned, and the rng
+stream is that of drawing each coordinate as a ``Fraction``, so every
+instance is unchanged.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from math import lcm
 
 from .bodies import PointSet, Scaled, SymmetricBody, VPolytope, _pruned_rows, body_from_facets
 from .errors import DegenerateBody, GenerationFailed, InvalidInput
-from .linalg import affine_rank
+from .linalg import affine_rank, lowest_terms
 
 RETRY_BUDGET = 64
 
@@ -38,14 +45,33 @@ def _draw(rng, count: int, dim: int, max_numerator: int, max_denominator: int) -
     denominator ``randint(1, max_denominator)``, drawn in that order, and
     each point times m, the lcm of the denominators drawn (not of 1 to
     ``max_denominator``, which has about 0.43 * max_denominator digits),
-    as a row of ints."""
+    as a row of ints.
+
+    Each ``randint(a, b)`` is ``a + r``, ``r`` drawn below the width
+    ``b - a + 1`` by the module's rejection rule without ``randint``'s
+    three Python frames, so the values and the final state of ``rng`` are
+    ``randint``'s: a width of 1 still draws a bit per call, and 3.10's
+    guard for a width of 0 never fires, as the bounds are checked first."""
     if dim < 1:
         raise InvalidInput("dimension must be >= 1")
-    randint = rng.randint
-    drawn = [(randint(-max_numerator, max_numerator), randint(1, max_denominator)) for _ in range(count * dim)]
+    for name, bound, least in (("max_numerator", max_numerator, 0), ("max_denominator", max_denominator, 1)):
+        if type(bound) is not int or bound < least:
+            raise InvalidInput(f"{name} must be an int >= {least}, not {bound!r}")
+    getrandbits = rng.getrandbits
+    wn, wd = 2 * max_numerator + 1, max_denominator
+    kn, kd = wn.bit_length(), wd.bit_length()
+    drawn = []
+    for _ in range(count * dim):
+        n = getrandbits(kn)
+        while n >= wn:
+            n = getrandbits(kn)
+        d = getrandbits(kd)
+        while d >= wd:
+            d = getrandbits(kd)
+        drawn.append((n - max_numerator, d + 1))
     m = lcm(*{d for _, d in drawn})
-    flat = [n * (m // d) for n, d in drawn]
-    return m, [tuple(flat[k : k + dim]) for k in range(0, len(flat), dim)]
+    # dim references to one iterator: zip cuts it into rows of dim entries
+    return m, list(zip(*[iter([n * (m // d) for n, d in drawn])] * dim))
 
 
 def gen_random_body(
@@ -102,7 +128,8 @@ def gen_random_points(
 
     The points still missing are drawn together, and drawn again while a
     duplicate leaves some missing; at most ``100 * count`` are drawn.
-    The rows kept are held over the lcm of every scale drawn so far.
+    The rows kept are held over the lcm of every scale drawn so far, and
+    handed on, over the least common denominator, as the set's scaled form.
     """
     rng = random.Random(seed)
     m, kept = 1, {}  # the distinct rows over m, in the order drawn
@@ -122,7 +149,8 @@ def gen_random_points(
         if M != mb:
             batch = [tuple([x * (M // mb) for x in X]) for X in batch]
         kept.update(dict.fromkeys(batch))
-    return PointSet(dim, tuple(tuple([Fraction(x, m) for x in X]) for X in kept))
+    m, rows = lowest_terms(m, kept)
+    return PointSet(dim, tuple(tuple([Fraction(x, m) for x in X]) for X in rows), seed_scaled=(m, rows))
 
 
 def cube_body(dim: int, facet_form: bool = True) -> SymmetricBody:

@@ -14,7 +14,7 @@ tables and cover membership, is taken by the one kernel :func:`dots`.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 Vec = tuple[Fraction, ...]
@@ -48,6 +48,21 @@ def over_common_denominator(points) -> tuple[int, tuple[tuple[int, ...], ...]]:
     ints."""
     m = lcm(*{c.denominator for p in points for c in p})
     return m, tuple(tuple([c.numerator * (m // c.denominator) for c in p]) for p in points)
+
+
+def lowest_terms(m: int, rows) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """The points ``X / m`` of integer rows X over a common denominator m,
+    in their order, as a scaled form over their least common denominator:
+    m and the rows divided by ``g = gcd(m, every entry)``, since the lcm of
+    the entries' denominators ``m / gcd(x, m)`` is ``m / g``. The gcd is
+    taken row by row and stops at 1, which most drawn sets reach in their
+    first row."""
+    g = m
+    for X in rows:
+        g = gcd(g, *X)
+        if g == 1:
+            return m, tuple(rows)
+    return m // g, tuple(tuple([x // g for x in X]) for X in rows)
 
 
 def dots(normals, rows) -> list[list[int]]:

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from . import jsonio
 from .bodies import (
+    PointSet,
     VPolytope,
     difference_body,
     lift_body,
@@ -26,6 +27,7 @@ from .bodies import (
 from .covering import binomial_bound, covering_bound, partition_bound
 from .errors import BorsukError, UnknownSuite
 from .generators import cube_body, cube_vertices, gen_random_body, gen_random_points, gen_random_polytope
+from .linalg import lowest_terms
 from .metric import distance, gauge, polytope_diameter, set_diameter
 from .partition import borsuk_number, doubling_check, verify_partition
 
@@ -168,7 +170,8 @@ def _planar_instance(s: int, i: int):
     """Random polygon plus a point set; every third instance includes the
     polygon's own vertices so the diameter graph has antipodal edges, and
     then the drawn points that are none of them, compared as integer rows
-    over one common denominator."""
+    over one common denominator; the rows kept are handed on as the set's
+    scaled form."""
     C = gen_random_body(s, 2, 3 + (i % 4), max_numerator=16, max_denominator=16)
     target = 4 + (i % 9)
     drawn = gen_random_points(s + 1, 2, target, max_numerator=16, max_denominator=16)
@@ -177,13 +180,16 @@ def _planar_instance(s: int, i: int):
     pts = list(C.vertices[:target])
     (mC, XC), (mS, XS) = C.scaled, drawn.scaled
     m = math.lcm(mC, mS)
-    taken = {tuple([x * (m // mC) for x in X]) for X in XC[:target]}
+    rows = [tuple([x * (m // mC) for x in X]) for X in XC[:target]]
+    taken = set(rows)
     for X, p in zip(XS, drawn.points):
         if len(pts) >= target:
             break
-        if tuple([x * (m // mS) for x in X]) not in taken:
+        Y = tuple([x * (m // mS) for x in X])
+        if Y not in taken:
             pts.append(p)
-    return C, point_set(pts)
+            rows.append(Y)
+    return C, PointSet(2, tuple(pts), seed_scaled=lowest_terms(m, rows))
 
 
 def _suite_grunbaum_plane(report, count, seed):

@@ -41,8 +41,9 @@ every feasible crossing of two facet lines, sorted by angle.
 the references for sums taken on integer rows: every pairwise sum built
 as a ``Fraction`` tuple, hashed into a set and pruned.
 :func:`certified_normals` is the reference for ``SymmetricBody.normals``,
-which reads a hull's planes certified where the hull is made: the same
-normals, each certified again as it is read, ``a . v <= 1`` at every
+which reads a hull's planes certified where the hull is made, and a
+lift's from its slice in every dimension: the same normals, in the same
+order, each certified again as it is read, ``a . v <= 1`` at every
 vertex of the body with equality on ``dim`` vertices of rank ``dim``,
 and a hull's facets checked to close up around its corners.
 :func:`fraction_gen_random_body`, :func:`fraction_gen_random_polytope`
@@ -1261,8 +1262,9 @@ def certified_normals(C: SymmetricBody):
     """``(L, N)`` for C as ``SymmetricBody.normals`` gives it, or None,
     each normal certified against C's vertices at the scale of its scaled
     form, and a hull's facets checked to close up around its corners; a
-    lift's normals are made from its slice's, which are this function's
-    own."""
+    lift made by ``lift_body`` (it keeps its ``lift_base``), and a body on
+    two levels with no hull, have their normals made from their slice's,
+    which are this function's own."""
     d = C.dim
     if C.facets is not None:
         for _, b in C.facets:
@@ -1272,7 +1274,7 @@ def certified_normals(C: SymmetricBody):
         if matrix_rank(rows) < d:
             raise DegenerateBody("facet normals do not span the space (unbounded)")
         return L, rows + tuple(tuple(-c for c in n) for n in rows)
-    hull = C.hull
+    hull = None if C.lift_base is not None else C.hull
     if hull is None:
         lifted = _lift_normals(C)
         if lifted is None:

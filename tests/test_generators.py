@@ -1,11 +1,21 @@
-"""Seeded generation: determinism and failure modes."""
+"""Seeded generation: determinism and failure modes.
+
+The draw writes out ``randint``'s rejection rule on ``getrandbits``; it
+is compared with ``randint`` itself over 2400 seeds, values and final rng
+state, at widths of 1 and next to powers of two. Bounds that ``randint``
+would refuse, or that would make the written-out loop never end, are
+refused before any draw.
+"""
 
 import hashlib
+import random
+from math import lcm
+from types import SimpleNamespace
 
 import pytest
 
-from borsuk import jsonio, verify
-from borsuk.bodies import validate_body
+from borsuk import generators, jsonio, verify
+from borsuk.bodies import lift_set, validate_body
 from borsuk.errors import GenerationFailed, InvalidInput
 from borsuk.generators import (
     cross_polytope_body,
@@ -16,6 +26,7 @@ from borsuk.generators import (
     gen_random_polytope,
     parallelogram_body,
 )
+from borsuk.linalg import over_common_denominator
 from borsuk.metric import gauge
 from borsuk.verify import run_verify_suite
 from oracles import (
@@ -47,6 +58,84 @@ def test_a_dimension_below_one_is_refused(gen):
     for dim in (0, -1):
         with pytest.raises(InvalidInput, match="dimension must be >= 1"):
             gen(0, dim, 1)
+
+
+class _CountingRandom(random.Random):
+    """A ``random.Random`` that counts the bits asked of it."""
+
+    draws = 0
+
+    def getrandbits(self, k):
+        _CountingRandom.draws += 1
+        return super().getrandbits(k)
+
+
+BAD_BOUNDS = [
+    (-1, 16),  # an empty numerator range
+    (16, 0),  # an empty denominator range: getrandbits(0) is 0, and 0 >= 0
+    (16, -3),
+    (1.0, 16),  # not an int
+    (16, 2.0),
+    (True, 16),  # a bool is an int, but no bound
+    (16, True),
+    ("3", 16),
+]
+
+
+@pytest.mark.parametrize("gen", [gen_random_body, gen_random_polytope, gen_random_points])
+@pytest.mark.parametrize("bounds", BAD_BOUNDS)
+def test_bad_bounds_are_refused_before_any_draw(gen, bounds, monkeypatch):
+    monkeypatch.setattr(generators, "random", SimpleNamespace(Random=_CountingRandom))
+    _CountingRandom.draws = 0
+    name = "max_numerator" if bounds[1] == 16 else "max_denominator"
+    with pytest.raises(InvalidInput, match=f"^{name} must be an int >= [01], not "):
+        gen(7, 2, 4, *bounds)
+    assert _CountingRandom.draws == 0
+    # the counting rng draws when the bounds are good
+    gen(7, 2, 4, 3, 2)
+    assert _CountingRandom.draws > 0
+
+
+# (max_numerator, max_denominator): widths 2 * max_numerator + 1 and
+# max_denominator of 1, where each call still draws a bit, of 31, 32 and 33,
+# next to a power of two, and wider
+DRAW_BOUNDS = ((0, 1), (0, 32), (15, 1), (16, 31), (15, 32), (16, 33), (0, 33), (15, 31), (1000, 97), (5, 500), (2**40, 3))
+
+
+def _randint_draw(rng, count, dim, max_numerator, max_denominator):
+    """``_draw`` through ``randint``: each numerator, then its denominator."""
+    drawn = [(rng.randint(-max_numerator, max_numerator), rng.randint(1, max_denominator)) for _ in range(count * dim)]
+    m = lcm(*{d for _, d in drawn})
+    return m, [tuple(n * (m // d) for n, d in drawn[k : k + dim]) for k in range(0, len(drawn), dim)]
+
+
+def test_draw_matches_randint_values_and_final_state():
+    for seed in range(2400):
+        bounds = DRAW_BOUNDS[seed % len(DRAW_BOUNDS)]
+        count, dim = 1 + seed % 5, 1 + seed % 3
+        rng, reference = random.Random(seed), random.Random(seed)
+        assert generators._draw(rng, count, dim, *bounds) == _randint_draw(reference, count, dim, *bounds), (seed, bounds)
+        assert rng.getstate() == reference.getstate(), (seed, bounds)
+
+
+def test_handed_on_scaled_forms_are_the_least_common_denominator_rows():
+    """Random point sets, planar verify instances and their lifts hand on
+    the rows they were built from: each equals the scaled form made from
+    the set's ``Fraction``s."""
+    sets = []
+    for seed in range(120):
+        N, D = BOUNDS[seed % len(BOUNDS)]
+        sets.append(_outcome(gen_random_points, seed, 1 + seed % 5, 3 + seed % 7, N, D))
+    for seed in (0, 11):
+        sets += [verify._planar_instance(seed * 1_000_003 + i, i)[1] for i in range(36)]
+    sets = [S for S in sets if S is not GenerationFailed]
+    sets += [lift_set(S) for S in sets]
+    for S in sets:
+        assert S.seed_scaled is not None
+        assert S.scaled == over_common_denominator(S.points), S
+    # a drawn 2/4 is 1/2: 46 of the random sets were drawn over a finer
+    # scale than their least common denominator
+    assert len(sets) >= 300
 
 
 def test_random_polytope_is_full_dimensional():

@@ -17,12 +17,20 @@ pruned sums. Shared bodies are compared with bodies built afresh from
 their vertex tuple on seeded polytopes, pruned, unpruned with inner
 points and negation-closed; one doubling check is counted to hull
 ``K - K`` once, and still to make LPs on the LP path.
+
+Every lift made by ``lift_body`` reads its normals from its slice, in 2D
+and 3D too, where the lifted rows have a hull. On the seeded 1D and 2D
+bases above (pruned, with inner points of finer denominators, and
+negation-closed) they equal the normals of ``integer_hull`` over the
+lifted rows, the path they replace; on all of them the rows a lift hands
+on are its vertices over their least common denominator.
 """
 
 import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
+from math import lcm
 
 import pytest
 
@@ -272,6 +280,26 @@ def test_shared_bodies_match_bodies_built_fresh_from_their_vertices():
         _assert_agree(C, _fresh(C), rng)
     # every dimension pruned and unpruned, and the 4D lifts among them
     assert min(kinds.values()) >= 15 and len(kinds) == 6
+
+
+def test_lift_normals_from_the_slice_match_the_hull_of_the_lifted_rows():
+    kinds = Counter()
+    for K in _shared_cases():
+        C = lift_body(K)
+        assert C.scaled == over_common_denominator(C.vertices), K
+        if C.dim > 3:
+            continue
+        hull = bodies.integer_hull(*C.scaled)
+        by_hull = {tuple(F(k * hull.scale, c) for k in n) for n, c in hull.planes}
+        L, normals = C.normals
+        assert {tuple(F(c, L) for c in n) for n in normals} == by_hull, K
+        assert len(normals) == len(by_hull) and L == lcm(*(c.denominator for a in by_hull for c in a)), K
+        rows = set(K.scaled[1])
+        kinds[K.dim, K.pruned, all(tuple(-x for x in X) in rows for X in rows)] += 1
+    # 1D and 2D bases: pruned, unpruned with inner points, negation-closed
+    assert min(kinds[d, True, False] for d in (1, 2)) >= 10
+    assert min(kinds[d, False, False] + kinds[d, False, True] for d in (1, 2)) >= 10
+    assert kinds[1, False, True] + kinds[2, False, True] >= 10
 
 
 def test_a_hull_handed_on_at_a_finer_scale_certifies():
