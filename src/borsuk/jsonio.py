@@ -7,9 +7,9 @@ rational written goes through :func:`format_rational`, which raises
 :class:`DomainError` for a value too long to write. Parsing raises
 :class:`InvalidInput` on any malformed object: bad JSON text, a missing
 field, a value of the wrong type, an unparsable rational or a decimal
-too long to print back. Every point, vertex, facet normal, class and
-edge must be a JSON list, so a string is not read one character each,
-and every dim, point count, class index and edge end a JSON integer.
+too long to print back. Every point, vertex, facet normal and class
+must be a JSON list, so a string is not read one character each, and
+every dim, point count and class index a JSON integer.
 """
 
 from __future__ import annotations
@@ -206,15 +206,6 @@ def graph_to_obj(G: DiameterGraph) -> dict:
         "diameter": format_rational(G.diameter),
         "edges": [list(e) for e in G.edges],
     }
-
-
-@_parses("diameter graph")
-def graph_from_obj(obj) -> DiameterGraph:
-    return DiameterGraph(
-        _int(obj["n_points"], "n_points"),
-        parse_rational(obj["diameter"]),
-        tuple((_int(i, "an edge end"), _int(j, "an edge end")) for i, j in (_list(e, "an edge") for e in obj["edges"])),
-    )
 
 
 def certificate_to_obj(cert: BorsukCertificate, elapsed: float | None = None) -> dict:

@@ -27,13 +27,17 @@ The gauge of p_i - p_j is then ``max_k (N_k . P_i - N_k . P_j)`` over
     max_k (max_{i in T} N_k . P_i - min_{i in T} N_k . P_i) / (L * m),
 
 its largest width along the normals (the support-function identity;
-Schneider, *Convex Bodies*, 2nd ed., 2014). A diameter, or whether a
-part of a set lies strictly below it, takes a max and a min per column
-and compares no pair. Pairs are listed only for a diameter graph, by
-one pair loop over the same table. A body without normals has no
-table: that loop then gives every diameter too, with one gauge LP per
-distinct integer difference ``P_i - P_j`` up to sign, and since the
-gauge is homogeneous the diameter is the largest over m.
+Schneider, *Convex Bodies*, 2nd ed., 2014). A pair attains it exactly
+when some column of largest spread has one end among its maxima and the
+other among its minima, so the columns of largest spread give every
+diameter question its answer as extreme sets, pairs of index lists
+``(A, B)``: a diameter graph's edges are the pairs across some
+``(A, B)``, and a part lies strictly below the diameter when it meets
+no ``(A, B)`` on both sides. No pair is compared. A body without
+normals has no table: one pair loop gives its extreme sets as the
+attaining pairs ``([i], [j])``, with one gauge LP per distinct integer
+difference ``P_i - P_j`` up to sign, and since the gauge is homogeneous
+the diameter is the largest over m.
 
 Membership in C is ``gauge(C, x) <= 1`` read from the same normals, or
 one exact LP for a body without them. Diameter-graph edges are decided
@@ -97,55 +101,58 @@ def distance(C: SymmetricBody, x: Vec, y: Vec) -> Fraction:
     return gauge(C, vsub(x, y))
 
 
-def _projections(C: SymmetricBody, scaled: Scaled) -> tuple[int, list[list[int]]]:
-    """``(L * m, table)`` for a body with normals ``N_k / L`` and the
-    points ``p_i = P_i / m`` of a scaled form ``(m, P)``: column k of the
-    table holds ``N_k . P_i`` for every i, so the gauge of p_i - p_j is
-    ``max_k (table[k][i] - table[k][j]) / (L * m)``."""
-    L, normals = C.normals
+def _extremes(C: SymmetricBody, scaled: Scaled) -> tuple[Fraction, list[tuple[list[int], list[int]]]]:
+    """The diameter of the points p_i = P_i / m of a scaled form
+    ``(m, P)``, and pairs of index lists ``(A, B)`` such that the pairs
+    attaining a positive diameter are exactly those with one end in A and
+    the other in B; there are none at diameter 0.
+
+    With normals ``N_k / L``, column k of the table holds ``N_k . P_i``
+    for every i, and each column of largest spread gives its maxima and
+    its minima. Every body's normals are closed under negation, and the
+    column of ``-N_k`` is that of ``N_k`` with its maxima and minima
+    swapped, so of the two only the one whose first maximum comes before
+    its first minimum is read. Without normals each attaining pair
+    (i, j), i < j, gives ``([i], [j])``.
+    """
     m, rows = scaled
-    return L * m, dots(normals, rows)
-
-
-def _spread(columns) -> int:
-    """The largest spread ``max - min`` of the columns of a projection
-    table, or of their entries at some points: the diameter of those
-    points times ``L * m``, 0 for one point."""
-    return max([max(col) - min(col) for col in columns])
+    if C.normals is not None:
+        L, normals = C.normals
+        table = dots(normals, rows)
+        bounds = [(min(col), max(col)) for col in table]
+        best = max([hi - lo for lo, hi in bounds])
+        sides = [
+            ([i for i, t in enumerate(col) if t == hi], [i for i, t in enumerate(col) if t == lo])
+            for col, (lo, hi) in zip(table, bounds)
+            if best and hi - lo == best and col.index(hi) < col.index(lo)
+        ]
+        return Fraction(best, L * m), sides
+    # the gauge is homogeneous, so that of p_i - p_j is the gauge of
+    # P_i - P_j over m, and g(-z) = g(z): one LP per integer difference
+    # up to sign, which many pairs share
+    memo: dict[tuple[int, ...], Fraction] = {}
+    best = 0
+    sides = []
+    for i, P in enumerate(rows):
+        for j in range(i + 1, len(rows)):
+            key = canonical_sign(tuple(map(sub, P, rows[j])))
+            g = memo.get(key)
+            if g is None:
+                g = memo[key] = gauge(C, key)
+            if g > best:
+                best = g
+                sides = [([i], [j])]
+            elif g == best and g > 0:
+                sides.append(([i], [j]))
+    return Fraction(best, m), sides
 
 
 def _pairwise_max(C: SymmetricBody, scaled: Scaled) -> tuple[Fraction, list[tuple[int, int]]]:
     """The largest gauge of p_i - p_j over pairs i < j of the points
     p_i = P_i / m of a scaled form ``(m, P)``, and every pair attaining
     it when it is positive, in (i, j) order."""
-    memo: dict[tuple[int, ...], Fraction] | None = None
-    if C.normals is None:
-        # the gauge is homogeneous, so that of p_i - p_j is the gauge of
-        # P_i - P_j over m, and g(-z) = g(z): one LP per integer
-        # difference up to sign, which many pairs share
-        memo = {}
-        m, rows = scaled
-    else:
-        # each pair compares two points' rows of the projection table
-        m, columns = _projections(C, scaled)
-        rows = list(zip(*columns))
-    best = 0
-    witnesses: list[tuple[int, int]] = []
-    for i, P in enumerate(rows):
-        for j in range(i + 1, len(rows)):
-            if memo is None:
-                g = max(map(sub, P, rows[j]))
-            else:
-                key = canonical_sign(tuple(map(sub, P, rows[j])))
-                g = memo.get(key)
-                if g is None:
-                    g = memo[key] = gauge(C, key)
-            if g > best:
-                best = g
-                witnesses = [(i, j)]
-            elif g == best and g > 0:
-                witnesses.append((i, j))
-    return Fraction(best, m), witnesses
+    diam, sides = _extremes(C, scaled)
+    return diam, sorted({(i, j) if i < j else (j, i) for A, B in sides for i in A for j in B})
 
 
 def set_diameter(C: SymmetricBody, S: PointSet) -> tuple[Fraction, list[tuple[int, int]]]:
@@ -160,17 +167,13 @@ def polytope_diameter(C: SymmetricBody, K: VPolytope) -> Fraction:
 
     Reducing to vertex pairs is exact: (x, y) -> gauge(x - y) is convex,
     and a convex function on the product polytope K x K attains its
-    maximum at an extreme point, which is a pair of vertices of K. With
-    normals that is the largest spread of K's projection table; a vertex
-    listed twice changes no spread, and on the LP path only adds a pair
-    at distance 0.
+    maximum at an extreme point, which is a pair of vertices of K. So it
+    is the diameter of K's vertex rows; a vertex listed twice adds only a
+    pair at distance 0.
     """
     if K.dim != C.dim:
         raise DimensionMismatch(f"polytope of dim {K.dim} against body of dim {C.dim}")
-    if C.normals is None:
-        return _pairwise_max(C, K.scaled)[0]
-    m, table = _projections(C, K.scaled)
-    return Fraction(_spread(table), m)
+    return _extremes(C, K.scaled)[0]
 
 
 def diameter_graph(C: SymmetricBody, S: PointSet) -> DiameterGraph:

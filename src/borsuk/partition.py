@@ -17,11 +17,12 @@ child's state is built from it on copies of the lists it changes, so
 backing out of a child undoes nothing. Outcomes are certified by the
 returned coloring and, when the search finished, by exhaustion.
 
-Checking a given partition needs no graph. A diameter value is the
-largest spread of the set's projections onto the body's normals (see
-:mod:`borsuk.metric`), so each part is compared with the whole set by
-a max and a min per normal, and pairs are listed only to build a
-diameter graph, or for a body without normals.
+Checking a given partition needs no graph. A part has a strictly
+smaller diameter exactly when it holds no pair attaining the full one,
+and those pairs are the pairs across the set's extreme sets (see
+:mod:`borsuk.metric`): with normals, the maxima and minima of each
+column of largest spread; without, the attaining pairs themselves. So
+a partition is checked by its class labels on the two sides of each.
 """
 
 from __future__ import annotations
@@ -30,12 +31,11 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import itemgetter
 
 from .bodies import PointSet, SymmetricBody, VPolytope, difference_body, lift_body, lift_set, prune_redundant
 from .errors import BorsukError, DimensionMismatch, IndexOutOfRange, InvalidInput
 from .linalg import show
-from .metric import DiameterGraph, _projections, _spread, diameter_graph, set_diameter
+from .metric import DiameterGraph, _extremes, diameter_graph
 
 DEFAULT_NODE_BUDGET = 10_000_000
 BUDGET_ENV_VAR = "BORSUK_NODE_BUDGET"
@@ -312,26 +312,19 @@ def borsuk_number(C: SymmetricBody, S: PointSet, node_budget: int | None = None)
 def verify_partition(C: SymmetricBody, S: PointSet, P: Partition) -> bool:
     """True iff every class has diameter strictly below the full one.
 
-    With normals, every diameter is a largest spread of S's projection
-    table (see :mod:`borsuk.metric`), so the table is built once and
-    each class of two or more points is checked to spread strictly less
-    than the whole set, with no pair compared. Without normals, a class
-    has a strictly smaller diameter exactly when it contains no pair
-    attaining the full diameter, so one witness pass over S decides
-    every class.
+    A class has exactly when it holds no pair attaining the full
+    diameter, and the attaining pairs are those across some pair of
+    extreme sets ``(A, B)`` of S (see :mod:`borsuk.metric`). So P fails
+    exactly when some class has points on both sides of some ``(A, B)``,
+    which the class labels of the two sides decide, with no pair listed.
     """
     if P.n_points != len(S.points):
         raise IndexOutOfRange(f"partition of {P.n_points} points against a set of {len(S.points)}")
-    if C.normals is None:
-        _, witnesses = set_diameter(C, S)
-        label = {i: k for k, cls in enumerate(P.classes) for i in cls}
-        return all(label[i] != label[j] for i, j in witnesses)
     if S.dim != C.dim:
         raise DimensionMismatch(f"set of dim {S.dim} against body of dim {C.dim}")
-    _, table = _projections(C, S.scaled)
-    full = _spread(table)
-    # itemgetter of two or more indices picks a tuple out of each column
-    return all(_spread(map(itemgetter(*cls), table)) < full for cls in P.classes if len(cls) > 1)
+    label = {i: k for k, cls in enumerate(P.classes) for i in cls}
+    _, sides = _extremes(C, S.scaled)
+    return all({label[i] for i in A}.isdisjoint([label[j] for j in B]) for A, B in sides)
 
 
 def lift_partition(P: Partition, S: PointSet) -> Partition:

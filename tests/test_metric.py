@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -22,8 +23,9 @@ from borsuk.bodies import (
     vpolytope,
 )
 from borsuk.errors import DegenerateBody, DimensionMismatch, InvalidInput
-from borsuk.generators import cross_polytope_body, cube_body, cube_vertices, gen_random_body
+from borsuk.generators import cross_polytope_body, cube_body, cube_vertices, gen_random_body, gen_random_points
 from borsuk.metric import (
+    _extremes,
     _pairwise_max,
     body_contains,
     diameter_graph,
@@ -470,6 +472,10 @@ def test_integer_pass_matches_memo_reference(hexagon_v, hexagon_h):
         cross_polytope_body(3),
     ]
     assert sum(C.normals is not None for C in bodies) >= len(bodies) - 3
+    # the integer pass reads one column of each pair N, -N
+    for C in bodies:
+        if C.normals is not None:
+            assert {tuple(-c for c in n) for n in C.normals[1]} == set(C.normals[1])
     most_ties = compared = 0
     for C in bodies:
         for S in _point_sets(C, rng):
@@ -479,6 +485,21 @@ def test_integer_pass_matches_memo_reference(hexagon_v, hexagon_h):
             most_ties = max(most_ties, len(reference[1]))
             compared += 1
     assert compared >= 100 and most_ties >= 6
+
+    # sets with many ties: the {0, 1/2, 1}^3 grid, whose 193 diameter
+    # pairs lie across the columns of largest spread of three axes (243
+    # counted once per axis), and the cube's vertices, all at one
+    # distance, under the cube in both forms; a diagonal, whose
+    # projections are equal across columns; and 200 seeded planar points
+    grid = point_set(product((0, F(1, 2), 1), repeat=3))
+    diagonal = point_set([(F(k, 3),) * 3 for k in range(-2, 5)])
+    cases = [(C, S) for C in (cube_body(3), cube_body(3, facet_form=False)) for S in (grid, cube_vertices(3), diagonal)]
+    cases += [(C, gen_random_points(27, 2, 200, max_numerator=6, max_denominator=4)) for C in (hexagon_v, hexagon_h)]
+    for C, S in cases:
+        reference = memo_pairwise_max(C, S.points)
+        assert set_diameter(C, S) == reference, (C, S)
+        assert polytope_diameter(C, VPolytope(C.dim, S.points)) == reference[0]
+    assert [len(set_diameter(C, S)[1]) for C, S in cases[:3]] == [193, 28, 1]
 
 
 def test_integer_pass_gives_no_witness_at_zero_distance(hexagon_h):
@@ -490,6 +511,10 @@ def test_integer_pass_gives_no_witness_at_zero_distance(hexagon_h):
         q = tuple(F(1, 2) for _ in range(C.dim))
         assert _pairwise_max(C, over_common_denominator([p, p])) == memo_pairwise_max(C, [p, p]) == (0, [])
         assert _pairwise_max(C, over_common_denominator([p, p, q])) == memo_pairwise_max(C, [p, p, q])
+        # a point repeated among others, one point, and all points equal
+        for points in ([q, p, q, p, q], [p], [p] * 5):
+            assert _pairwise_max(C, over_common_denominator(points)) == memo_pairwise_max(C, points)
+        assert _extremes(C, over_common_denominator([p] * 5)) == (0, [])
 
 
 def test_facet_gauge_through_normals_matches_ratios():

@@ -19,7 +19,7 @@ from borsuk.bodies import (
     validate_body,
     vpolytope,
 )
-from borsuk import jsonio, metric
+from borsuk import metric
 from borsuk.covering import cover_to_partition, greedy_cover
 from borsuk.errors import DegenerateBody, DimensionMismatch, IndexOutOfRange, InvalidInput
 from borsuk.generators import (
@@ -126,9 +126,6 @@ def test_clique_equality_on_perfect_fixtures():
 def test_malformed_graphs_are_refused(n, edges, error):
     with pytest.raises(error):
         DiameterGraph(n, F(1), edges)
-    obj = {"n_points": n, "diameter": "1", "edges": [list(e) for e in edges]}
-    with pytest.raises(error):
-        jsonio.graph_from_obj(obj)
 
 
 def test_reversed_and_repeated_edges_are_accepted():
@@ -479,19 +476,26 @@ def _cover_partitions(rng, vertices, ratio, step):
     S = point_set(cov.witnesses)
     D = difference_body(cov.body)
     P = cover_to_partition(S, cov, D)
-    label = [0] * len(S.points)
+    return D, S, P, _moves(rng, P)
+
+
+def _moves(rng, P):
+    """Nine moves of a partition: one, two and three random points
+    relabeled, three times each."""
+    label = [0] * P.n_points
     for k, cls in enumerate(P.classes):
         for i in cls:
             label[i] = k
-    return D, S, P, [_moved(rng, label, moves, len(P.classes)) for moves in (1, 2, 3) * 3]
+    return [_moved(rng, label, moves, len(P.classes)) for moves in (1, 2, 3) * 3]
 
 
 def test_verify_partition_matches_per_class_diameters(monkeypatch):
-    # verify_partition (column spreads with normals, the witness pass
-    # without) against measuring every class on its own, on vertex-form
-    # and facet-form bodies in 2D and 3D; on the LP path both sides read
-    # gauges through one memo per body, so each difference costs one LP
-    # and the test compares the decisions, not the gauge code
+    # verify_partition (the extreme sets of the columns of largest spread
+    # with normals, the attaining pairs without) against measuring every
+    # class on its own, on vertex-form and facet-form bodies in 2D and 3D;
+    # on the LP path both sides read gauges through one memo per body, so
+    # each difference costs one LP and the test compares the decisions,
+    # not the gauge code
     exact_gauge = metric.gauge
     memo = {}
 
@@ -540,7 +544,22 @@ def test_verify_partition_matches_per_class_diameters(monkeypatch):
             tally[expected] += 1
     assert tally[True] >= 4 and tally[False] >= 12, tally
 
-    # a body without normals takes the witness pass
+    # the {0, 1/2, 1}^3 grid under the cube in both forms, whose 193
+    # diameter pairs lie across three axes, with the partitions of greedy
+    # covers of the unit cube and moves of them
+    grid = point_set(product((0, F(1, 2), 1), repeat=3))
+    tally = {True: 0, False: 0}
+    for C in (cube_body(3), cube_body(3, facet_form=False)):
+        for ratio, step in ((F(1, 2), F(1, 2)), (F(3, 5), F(1, 2)), (F(2, 3), F(1, 4))):
+            own = cover_to_partition(grid, greedy_cover(vpolytope(unit_cube), ratio, step), C)
+            assert verify_partition(C, grid, own)
+            for P in (own, *_moves(rng, own)):
+                expected = verify_partition_by_class(C, grid, P)
+                assert verify_partition(C, grid, P) == expected, (C, P)
+                tally[expected] += 1
+    assert tally[True] >= 20 and tally[False] >= 30, tally
+
+    # a body without normals takes the pair loop
     C = cross_polytope_body(4)
     assert C.normals is None
     memo.clear()
