@@ -41,12 +41,24 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from operator import sub
+from operator import add, sub
 from typing import NamedTuple
 
 from . import lp
 from .errors import DegenerateBody, DimensionMismatch, InvalidInput, NotSymmetric
-from .linalg import ONE, Vec, affine_rank, as_vec, dots, lowest_terms, matrix_rank, over_common_denominator, show, vneg
+from .linalg import (
+    ONE,
+    Vec,
+    affine_rank,
+    as_vec,
+    common_scale,
+    dots,
+    lowest_terms,
+    matrix_rank,
+    over_common_denominator,
+    show,
+    vneg,
+)
 
 Facet = tuple[Vec, Fraction]  # normal a and offset b, encoding |<a, x>| <= b
 HalfSpace = tuple[tuple[int, ...], int]  # integer normal n and offset c, encoding n . X <= c
@@ -115,7 +127,7 @@ class VPolytope(_VertexForm):
             raise DegenerateBody("difference body requires a full-dimensional polytope")
         m, rows = self.scaled
         distinct = set(rows)
-        if all(tuple([-x for x in X]) in distinct for X in distinct):
+        if all(vneg(X) in distinct for X in distinct):
             m, rows = (self if self.pruned else prune_redundant(self)).scaled
             verts = tuple(tuple([Fraction(2 * x, m) for x in X]) for X in sorted(set(rows)))
             hull = None
@@ -591,7 +603,7 @@ def validate_body(candidate: SymmetricBody) -> SymmetricBody:
         _, rows = candidate.scaled
         distinct = set(rows)
         for X, v in zip(rows, candidate.vertices):
-            if tuple([-x for x in X]) not in distinct:
+            if vneg(X) not in distinct:
                 raise NotSymmetric(f"vertex {show(v)} has no mirror {show(vneg(v))}")
         if matrix_rank(rows) < candidate.dim:
             raise DegenerateBody("origin is not interior (body not full-dimensional)")
@@ -668,9 +680,8 @@ def minkowski_sum(A: VPolytope, B: VPolytope) -> VPolytope:
     the two scaled forms over their least common scale."""
     if A.dim != B.dim:
         raise DimensionMismatch(f"dims {A.dim} and {B.dim} differ")
-    (ma, XA), (mb, XB) = A.scaled, B.scaled
-    m = lcm(ma, mb)
-    sums = {tuple([m // ma * x + m // mb * y for x, y in zip(a, b)]) for a in XA for b in XB}
+    m, (XA, XB) = common_scale(A.scaled, B.scaled)
+    sums = {tuple(map(add, a, b)) for a in XA for b in XB}
     return _pruned_rows(A.dim, m, sums)
 
 
@@ -707,7 +718,7 @@ def lift_body(K: VPolytope) -> SymmetricBody:
     # denominator (a hull's scale can be finer than its corners need)
     m, rows = base.scaled
     up = [(X + (m,), v + (ONE,)) for X, v in zip(rows, base.vertices)]
-    down = [(tuple([-x for x in X]) + (-m,), vneg(v) + (-ONE,)) for X, v in zip(rows, base.vertices)]
+    down = [(vneg(X) + (-m,), vneg(v) + (-ONE,)) for X, v in zip(rows, base.vertices)]
     lifted = sorted(up + down)
     verts = tuple(v for _, v in lifted)
     scaled = lowest_terms(m, [X for X, _ in lifted])
@@ -726,7 +737,7 @@ def lift_set(S: PointSet) -> PointSet:
     down = [vneg(p) + (-ONE,) for p in S.points]
     labels = [(i, 1) for i in range(len(S.points))] + [(i, -1) for i in range(len(S.points))]
     m, rows = S.scaled
-    lifted = tuple([X + (m,) for X in rows] + [tuple([-x for x in X]) + (-m,) for X in rows])
+    lifted = tuple([X + (m,) for X in rows] + [vneg(X) + (-m,) for X in rows])
     return PointSet(S.dim + 1, tuple(up + down), tuple(labels), seed_scaled=(m, lifted))
 
 

@@ -39,7 +39,7 @@ from operator import or_, sub
 
 from .bodies import PointSet, SymmetricBody, VPolytope, contains_point
 from .errors import DimensionMismatch, DomainError, GridTooCoarse, InvalidInput, PointUncovered
-from .linalg import ONE, Vec, dots, over_common_denominator, show
+from .linalg import ONE, Vec, common_scale, dots, over_common_denominator, show
 from .partition import Partition
 
 SAMPLE_CERTIFIED = "sample_certified"
@@ -178,12 +178,9 @@ def greedy_cover(K: VPolytope, lam: Fraction, grid_step: Fraction) -> Covering:
             f"grid step too fine: {inner} x {outer} witness-center pairs, more than {MAX_COVER_PAIRS}"
         )
     # vertices and lattice points as integer vectors over one denominator
-    # m, a multiple of K's scale; positive scaling keeps their
-    # lexicographic order
-    mK, rows = K.scaled
-    m = math.lcm(grid_step.denominator, mK)
-    u = grid_step.numerator * (m // grid_step.denominator)
-    vertices = {tuple([x * (m // mK) for x in X]) for X in rows}
+    # m; positive scaling keeps their lexicographic order
+    m, (rows, [(u,)]) = common_scale(K.scaled, (grid_step.denominator, [(grid_step.numerator,)]))
+    vertices = set(rows)
     # the grid points in K are those in the translate 0 + 1*K
     grid = list(product(*([k * u for k in r] for r in inner_axes)))
     [in_K] = _lattice_membership(K, ONE, m, grid, [(0,) * K.dim])
@@ -229,15 +226,7 @@ def cover_to_partition(S: PointSet, cov: Covering, C: SymmetricBody) -> Partitio
     if S.dim != cov.body.dim:
         raise DimensionMismatch(f"set of dim {S.dim} against body of dim {cov.body.dim}")
     n = len(S.points)
-    # S's rows and the centers over one denominator m; S's rows are
-    # rescaled only when the centers' denominator does not divide S's
-    mS, points = S.scaled
-    mC, centers = over_common_denominator(cov.centers)
-    m = math.lcm(mS, mC)
-    if m != mS:
-        points = [[m // mS * x for x in X] for X in points]
-    if m != mC:
-        centers = [[m // mC * x for x in X] for X in centers]
+    m, (points, centers) = common_scale(S.scaled, over_common_denominator(cov.centers))
     masks = _lattice_membership(cov.body, cov.ratio, m, points, centers, first=True)
     missed = ((1 << n) - 1) & ~sum(masks)  # the masks are disjoint
     if missed:

@@ -34,7 +34,7 @@ from math import lcm
 
 from .bodies import PointSet, Scaled, SymmetricBody, VPolytope, _pruned_rows, body_from_facets
 from .errors import DegenerateBody, GenerationFailed, InvalidInput
-from .linalg import affine_rank, lowest_terms
+from .linalg import affine_rank, common_scale, lowest_terms, vneg
 
 RETRY_BUDGET = 64
 
@@ -93,7 +93,7 @@ def gen_random_body(
     rng = random.Random(seed)
     for _ in range(RETRY_BUDGET):
         m, rows = _draw(rng, n_vertex_pairs, dim, max_numerator, max_denominator)
-        pruned = _pruned_rows(dim, m, {*rows, *(tuple([-x for x in X]) for X in rows)})
+        pruned = _pruned_rows(dim, m, {*rows, *map(vneg, rows)})
         try:
             return SymmetricBody(dim, vertices=pruned.vertices, seed_hull=pruned.hull)
         except DegenerateBody:
@@ -142,13 +142,8 @@ def gen_random_points(
         budget -= k
         if budget < 0:
             raise GenerationFailed("cannot sample enough distinct points")
-        M = lcm(m, mb)
-        if M != m:
-            kept = dict.fromkeys(tuple([x * (M // m) for x in X]) for X in kept)
-            m = M
-        if M != mb:
-            batch = [tuple([x * (M // mb) for x in X]) for X in batch]
-        kept.update(dict.fromkeys(batch))
+        m, (kept, batch) = common_scale((m, kept), (mb, batch))
+        kept = dict.fromkeys([*kept, *batch])
     m, rows = lowest_terms(m, kept)
     return PointSet(dim, tuple(tuple([Fraction(x, m) for x in X]) for X in rows), seed_scaled=(m, rows))
 

@@ -6,9 +6,12 @@ functions. The integer layers read a point set in one scaled form,
 ``(m, rows)``: a common denominator m and each point times m as a row of
 ints (:func:`over_common_denominator`), made once per point set,
 polytope or body and handed on, so that ranks, hulls, sums, gauges and
-diameters compare plain ints. Every integer dot product ``n . X`` of
-those layers, from hull certificates and lifted normals to projection
-tables and cover membership, is taken by the one kernel :func:`dots`.
+diameters compare plain ints. Wherever two scaled forms meet, from
+Minkowski sums and covers to the vertex lookups of the doubling check,
+:func:`common_scale` puts them over one denominator. Every integer dot
+product ``n . X`` of those layers, from hull certificates and lifted
+normals to projection tables and cover membership, is taken by the one
+kernel :func:`dots`.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ def vsub(a: Vec, b: Vec) -> Vec:
 
 
 def vneg(a: Vec) -> Vec:
-    return tuple(-x for x in a)
+    return tuple([-x for x in a])
 
 
 def show(v: Vec) -> str:
@@ -63,6 +66,15 @@ def lowest_terms(m: int, rows) -> tuple[int, tuple[tuple[int, ...], ...]]:
         if g == 1:
             return m, tuple(rows)
     return m // g, tuple(tuple([x // g for x in X]) for X in rows)
+
+
+def common_scale(*forms) -> tuple[int, list]:
+    """Scaled forms ``(k, rows)`` over one common denominator: m, the lcm
+    of their denominators k, and each form's rows over m, in their order.
+    A form already over m comes back as the same object; the rows of the
+    others, times ``m // k``, come back as a list of tuples."""
+    m = lcm(*[k for k, _ in forms])
+    return m, [rows if k == m else [tuple([m // k * x for x in X]) for X in rows] for k, rows in forms]
 
 
 def dots(normals, rows) -> list[list[int]]:

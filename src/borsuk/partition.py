@@ -30,11 +30,10 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .bodies import PointSet, SymmetricBody, VPolytope, difference_body, lift_body, lift_set, prune_redundant
 from .errors import BorsukError, DimensionMismatch, IndexOutOfRange, InvalidInput
-from .linalg import show
+from .linalg import common_scale, show
 from .metric import DiameterGraph, _extremes, diameter_graph
 
 DEFAULT_NODE_BUDGET = 10_000_000
@@ -352,7 +351,8 @@ def doubling_check(K: VPolytope, S: PointSet, node_budget: int | None = None):
     bound and shows nothing. S must contain every vertex of K so that the
     finite diameters agree with the body diameters: the rows of the
     pruned K's scaled form are looked up among those of S's, over a
-    common scale, and a vertex missing from S raises ``InvalidInput``.
+    common scale, and a vertex missing from S raises ``InvalidInput``; S
+    of another dimension raises ``DimensionMismatch`` first.
 
     L is symmetric, so its difference body L - L is 2L, whose gauge is
     half that of L: every distance halves, the same pairs attain the
@@ -362,13 +362,14 @@ def doubling_check(K: VPolytope, S: PointSet, node_budget: int | None = None):
     slice of L is the very difference body of the first search, with its
     hull and normals.
     """
+    if S.dim != K.dim:
+        raise DimensionMismatch(f"set of dim {S.dim} against polytope of dim {K.dim}")
     base = K if K.pruned else prune_redundant(K)
-    (mK, XK), (mS, XS) = base.scaled, S.scaled
-    m = lcm(mK, mS)
-    points = {tuple([m // mS * x for x in X]) for X in XS}
-    missing = [X for X in XK if tuple([m // mK * x for x in X]) not in points]
+    m, (XK, XS) = common_scale(base.scaled, S.scaled)
+    points = set(XS)
+    missing = [X for X in XK if X not in points]
     if missing:
-        shown = ", ".join(show(tuple([Fraction(x, mK) for x in X])) for X in sorted(missing)[:3])
+        shown = ", ".join(show(tuple([Fraction(x, m) for x in X])) for X in sorted(missing)[:3])
         raise InvalidInput(f"S must contain all vertices of K; missing {shown}")
     b1 = borsuk_number(difference_body(base), S, node_budget)
     b2 = borsuk_number(lift_body(base), lift_set(S), node_budget)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from . import jsonio
@@ -27,7 +27,7 @@ from .bodies import (
 from .covering import binomial_bound, covering_bound, partition_bound
 from .errors import BorsukError, UnknownSuite
 from .generators import cube_body, cube_vertices, gen_random_body, gen_random_points, gen_random_polytope
-from .linalg import lowest_terms
+from .linalg import common_scale, lowest_terms
 from .metric import distance, gauge, polytope_diameter, set_diameter
 from .partition import borsuk_number, doubling_check, verify_partition
 
@@ -56,19 +56,21 @@ class VerificationReport:
             self.failures.append({**payload(), "check": check})
 
     def to_obj(self) -> dict:
-        return {
-            "suite": self.suite,
-            "count": self.count,
-            "seed": self.seed,
-            "instances_run": self.instances_run,
-            "checks_passed": self.checks_passed,
-            "checks_failed": self.checks_failed,
-            "failures": self.failures,
-        }
+        return asdict(self)
 
 
 def _child_seed(seed: int, index: int) -> int:
     return seed * 1_000_003 + index
+
+
+def _unit_diameter_instance(s: int, i: int):
+    """A random body C and polytope K in dimension 2 or 3, K scaled to
+    d_C(K) = 1, and its difference body D = K - K: (dim, C, K, D)."""
+    dim = 2 + (i % 2)
+    C = gen_random_body(s, dim, dim + 2, max_numerator=6, max_denominator=4)
+    K = gen_random_polytope(s + 1, dim, dim + 3, max_numerator=6, max_denominator=4)
+    K = scale_polytope(K, Fraction(1) / polytope_diameter(C, K))
+    return dim, C, K, difference_body(K)
 
 
 def _suite_difference_norm(report, count, seed):
@@ -76,12 +78,7 @@ def _suite_difference_norm(report, count, seed):
     difference norm, on random (K, C) pairs normalized to d_C(K) = 1."""
     for i in range(count):
         s = _child_seed(seed, i)
-        dim = 2 + (i % 2)
-        C = gen_random_body(s, dim, dim + 2, max_numerator=6, max_denominator=4)
-        K = gen_random_polytope(s + 1, dim, dim + 3, max_numerator=6, max_denominator=4)
-        diam = polytope_diameter(C, K)
-        K = scale_polytope(K, Fraction(1) / diam)
-        D = difference_body(K)
+        dim, C, K, D = _unit_diameter_instance(s, i)
 
         def payload():
             return {
@@ -178,14 +175,12 @@ def _planar_instance(s: int, i: int):
     if i % 3:
         return C, drawn
     pts = list(C.vertices[:target])
-    (mC, XC), (mS, XS) = C.scaled, drawn.scaled
-    m = math.lcm(mC, mS)
-    rows = [tuple([x * (m // mC) for x in X]) for X in XC[:target]]
+    mC, XC = C.scaled
+    m, (rows, XS) = common_scale((mC, list(XC[:target])), drawn.scaled)
     taken = set(rows)
-    for X, p in zip(XS, drawn.points):
+    for Y, p in zip(XS, drawn.points):
         if len(pts) >= target:
             break
-        Y = tuple([x * (m // mS) for x in X])
         if Y not in taken:
             pts.append(p)
             rows.append(Y)
@@ -229,12 +224,7 @@ def _suite_norm_domination(report, count, seed):
     under the difference norm of the hull."""
     for i in range(count):
         s = _child_seed(seed, i)
-        dim = 2 + (i % 2)
-        C = gen_random_body(s, dim, dim + 2, max_numerator=6, max_denominator=4)
-        K = gen_random_polytope(s + 1, dim, dim + 3, max_numerator=6, max_denominator=4)
-        diam = polytope_diameter(C, K)
-        K = scale_polytope(K, Fraction(1) / diam)
-        D = difference_body(K)
+        dim, C, K, D = _unit_diameter_instance(s, i)
         S = point_set(K.vertices)
         ambient = borsuk_number(C, S)
         difference = borsuk_number(D, S)

@@ -15,7 +15,10 @@ corrupted as a builder hands them on, on the line, in the plane and in
 space, fail the certificate :func:`borsuk.bodies.integer_hull` makes,
 and so does a plane in space through collinear points only. The integer
 dot kernel :func:`borsuk.linalg.dots` that hulls, lifts, projection
-tables and covers read is compared with ``sum(map(mul, n, X))``.
+tables and covers read is compared with ``sum(map(mul, n, X))``, and
+the scaled-form helpers :func:`borsuk.linalg.lowest_terms` and
+:func:`borsuk.linalg.common_scale` with ``over_common_denominator`` of
+the rational points their rows stand for.
 """
 
 import random
@@ -40,7 +43,7 @@ from borsuk.bodies import (
 from borsuk.covering import _lattice_membership
 from borsuk.errors import DegenerateBody
 from borsuk.generators import cross_polytope_body, cube_body, gen_random_body, gen_random_polytope
-from borsuk.linalg import affine_rank, dots, matrix_rank, over_common_denominator, vneg
+from borsuk.linalg import affine_rank, common_scale, dots, lowest_terms, matrix_rank, over_common_denominator, vneg
 from borsuk.metric import _pairwise_max, body_contains, gauge
 from oracles import (
     axis_extent_verdict,
@@ -353,3 +356,38 @@ def test_dots_matches_the_sum_over_map():
                 assert dots(normals, rows) == expected
                 assert dots([list(n) for n in normals], [list(X) for X in rows]) == expected
     assert dots([], [(1, 2)]) == dots_by_sum([], [(1, 2)]) == []
+
+
+def _points(m, rows):
+    return [tuple(F(x, m) for x in X) for X in rows]
+
+
+def test_scaled_forms_match_the_points_their_rows_stand_for():
+    # seeded forms, empty ones and entries past 2**64 among them, whose
+    # rows share factors with their denominators; each form is put in
+    # lowest terms, and each list of forms over one common denominator
+    rng = random.Random(28)
+    seen = Counter()
+    for top in (9, 2**70):
+        for _ in range(150):
+            d = rng.randint(1, 4)
+            forms = []
+            for _ in range(rng.randint(1, 4)):
+                k = rng.choice((1, 2, 3, 4, 6, 12, rng.randint(1, top)))
+                g = rng.choice((1, 2, 3))
+                rows = [tuple(g * rng.randint(-top, top) for _ in range(d)) for _ in range(rng.choice((0, 1, 3)))]
+                forms.append((k, rows))
+                assert lowest_terms(k, rows) == over_common_denominator(_points(k, rows))
+                seen["reduced" if lowest_terms(k, rows)[0] != k else "kept"] += 1
+            m, out = common_scale(*forms)
+            assert m == over_common_denominator([(F(1, k),) for k, _ in forms])[0]
+            assert len(out) == len(forms)
+            for (k, rows), got in zip(forms, out):
+                assert _points(m, got) == _points(k, rows)
+                assert all(type(Y) is tuple for Y in got)
+                if k == m:
+                    assert got is rows
+                seen["same" if got is rows else "rescaled"] += 1
+            every = [Y for got in out for Y in got]
+            assert lowest_terms(m, every) == over_common_denominator([p for k, rows in forms for p in _points(k, rows)])
+    assert min(seen[key] for key in ("reduced", "kept", "same", "rescaled")) > 20

@@ -280,6 +280,13 @@ def test_doubling_requires_vertices_in_set(triangle):
         doubling_check(triangle, point_set([(0, 0), (1, 0)]))
 
 
+def test_doubling_refuses_a_set_of_another_dimension(triangle):
+    # refused before any vertex is looked up, as set_diameter refuses it
+    for S in (point_set([(0, 0, 0), (1, 0, 0), (0, 1, 0)]), point_set([(0,), (1,)])):
+        with pytest.raises(DimensionMismatch, match=f"^set of dim {S.dim} against polytope of dim 2$"):
+            doubling_check(triangle, S)
+
+
 def test_doubling_asks_only_for_the_vertices_of_an_unpruned_polytope():
     # (1, 1) is listed but inside the triangle, so S need not hold it
     K = vpolytope([(0, 0), (4, 0), (0, 4), (1, 1)])
