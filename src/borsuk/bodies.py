@@ -3,9 +3,12 @@
 Everything is immutable and exact, never floating point: vertices are
 tuples of ``Fraction``, and each polytope, vertex body and point set
 also carries one scaled form ``scaled = (m, rows)``, its points times a
-common denominator m as rows of ints, made once or handed on by the
-construction that built the points from those rows. The convexity work
-reads that form and builds ``Fraction``s only for what it returns. A
+common denominator m as rows of ints, made once from the points or given
+in their place. Every construction here and in the generators builds its
+result from the rows alone, and the ``Fraction`` tuples are made only
+when they are read, once, by :func:`borsuk.linalg.rational_points`:
+checks run on the rows, and a refused row is made a point only to be
+shown. The convexity work reads that form alone. A
 symmetric body is certified where it is made, so none exists uncertified:
 a vertex body by linear algebra alone, its integer rows closed under
 negation and spanning the space, and a facet body by its normals
@@ -27,9 +30,9 @@ a pruned polytope keeps the hull it was pruned with, the difference body
 is built on the hull of its pruned sums and kept on its polytope, a
 lift's slice is that same difference body of the lift's base, so
 ``K - K`` is hulled and certified once however many of these ask for it,
-and lifts, lifted point sets and random point sets keep the integer rows
-they were built from as their scaled form, so no ``Fraction`` is scaled
-back to the rows it came from.
+and pruned polytopes, difference bodies, lifts, lifted point sets and
+random point sets are built from the integer rows they were made of, so
+no ``Fraction`` is made that nothing reads, nor scaled back to its row.
 Other bodies from dimension 4, where facet counts can be exponential in
 the vertex count, and coplanar points in space are answered by the
 exact simplex in :mod:`borsuk.lp`.
@@ -47,7 +50,6 @@ from typing import NamedTuple
 from . import lp
 from .errors import DegenerateBody, DimensionMismatch, InvalidInput, NotSymmetric
 from .linalg import (
-    ONE,
     Vec,
     affine_rank,
     as_vec,
@@ -56,6 +58,7 @@ from .linalg import (
     lowest_terms,
     matrix_rank,
     over_common_denominator,
+    rational_points,
     show,
     vneg,
 )
@@ -65,24 +68,51 @@ HalfSpace = tuple[tuple[int, ...], int]  # integer normal n and offset c, encodi
 Scaled = tuple[int, tuple[tuple[int, ...], ...]]  # a common denominator m and each point times m
 
 
+def _keep_points(obj, name: str, given, scaled: Scaled | None, empty: str, kind: str) -> None:
+    """Keep the points of a point set, polytope or vertex body on ``obj``:
+    as the ``Fraction`` tuples given, under ``name``, and as the scaled form
+    given, or as that scaled form alone, from which the tuples are made on
+    first read. Checks that there is at least one point, each of
+    ``obj.dim`` coordinates, on the tuples given or else on the rows; a
+    refused row is made a point only to be shown."""
+    held = vars(obj)
+    if scaled is not None:
+        held["scaled"] = scaled
+    if given is not None:
+        held[name] = points = given
+    else:
+        points = scaled[1] if scaled is not None else ()
+    if not points:
+        raise InvalidInput(empty)
+    for p in points:
+        if len(p) != obj.dim:
+            shown = p if given is not None else rational_points(scaled[0], [p])[0]
+            raise DimensionMismatch(f"{kind} {show(shown)} does not have dim {obj.dim}")
+
+
 class _VertexForm:
     """The integer form of a vertex set, shared by polytopes and vertex
-    bodies: one scaled form, and the hull made from it."""
+    bodies: one scaled form, the vertices made from it when they were not
+    given, and the hull made from it."""
 
-    # a scaled form handed on by the construction; only a symmetric body
-    # takes one, as a field, and a polytope keeps this default
-    seed_scaled: Scaled | None = None
+    # a polytope has no facets; a body's own field shadows this
+    facets = None
+
+    @cached_property
+    def vertices(self) -> tuple[Vec, ...]:
+        """The vertices as tuples of ``Fraction``, for a polytope or body
+        built from its scaled form alone: made from it on first read, then
+        an ordinary attribute."""
+        return rational_points(*self.scaled)
 
     @cached_property
     def scaled(self) -> Scaled:
         """``(m, X)``, each vertex times a common denominator m, in the
-        vertices' order, made once: the scaled form handed on (a lift's
-        rows), else a seed hull's scale and sorted corners when one was
-        handed on (its vertices are the hull's, sorted, so its corners are
-        the vertices at that scale, which may be finer than theirs), else
-        the least common denominator."""
-        if self.seed_scaled is not None:
-            return self.seed_scaled
+        vertices' order, made once unless it was handed on: a seed hull's
+        scale and sorted corners when one was handed on (its vertices are
+        the hull's, sorted, so its corners are the vertices at that scale,
+        which may be finer than theirs), else the least common
+        denominator."""
         hull = self.seed_hull
         if hull is not None:
             return hull.scale, tuple(sorted(hull.corners))
@@ -95,14 +125,21 @@ class _VertexForm:
         was handed on, else :func:`integer_hull`'s of the scaled form,
         which is None from dimension 4 and for coplanar points in space;
         None for a facet body."""
-        if self.vertices is None:
+        if self.facets is not None:
             return None
         return self.seed_hull if self.seed_hull is not None else integer_hull(*self.scaled)
 
 
-@dataclass(frozen=True)
+# Each class below is a frozen dataclass for its ``==``, ``hash`` and
+# ``repr``, with its own ``__init__``, so that its points can be left out:
+# the field ``vertices`` or ``points`` then defaults to the cached property
+# that makes them from the scaled form.
+
+
+@dataclass(frozen=True, init=False)
 class VPolytope(_VertexForm):
-    """Convex polytope given by (a superset of) its vertices."""
+    """Convex polytope given by (a superset of) its vertices, as tuples of
+    ``Fraction`` or as a scaled form ``scaled=(m, rows)`` alone."""
 
     dim: int
     vertices: tuple[Vec, ...]
@@ -110,14 +147,11 @@ class VPolytope(_VertexForm):
     # the hull this polytope was pruned with, read only through ``hull``
     seed_hull: Hull | None = field(default=None, compare=False, repr=False)
 
-    def __post_init__(self):
-        if self.dim < 1:
+    def __init__(self, dim, vertices=None, pruned=False, *, seed_hull=None, scaled=None):
+        vars(self).update(dim=dim, pruned=pruned, seed_hull=seed_hull)
+        if dim < 1:
             raise InvalidInput("dimension must be >= 1")
-        if not self.vertices:
-            raise InvalidInput("a polytope needs at least one vertex")
-        for v in self.vertices:
-            if len(v) != self.dim:
-                raise DimensionMismatch(f"vertex {show(v)} does not have dim {self.dim}")
+        _keep_points(self, "vertices", vertices, scaled, "a polytope needs at least one vertex", "vertex")
 
     @cached_property
     def difference(self) -> SymmetricBody:
@@ -129,49 +163,46 @@ class VPolytope(_VertexForm):
         distinct = set(rows)
         if all(vneg(X) in distinct for X in distinct):
             m, rows = (self if self.pruned else prune_redundant(self)).scaled
-            verts = tuple(tuple([Fraction(2 * x, m) for x in X]) for X in sorted(set(rows)))
+            scaled = lowest_terms(m, [tuple([2 * x for x in X]) for X in sorted(set(rows))])
             hull = None
         else:
             sums = _pruned_rows(self.dim, m, {tuple(map(sub, a, b)) for a in rows for b in rows})
-            verts, hull = sums.vertices, sums.hull
-        return SymmetricBody(self.dim, vertices=verts, seed_hull=hull)
+            scaled, hull = sums.scaled, sums.hull
+        return SymmetricBody(self.dim, scaled=scaled, seed_hull=hull)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SymmetricBody(_VertexForm):
     """Centrally symmetric convex body with the origin interior.
 
     Exactly one representation is present: ``vertices`` (closed under
-    negation) or ``facets`` (pairs |<a, x>| <= b). Every instance is
-    certified as it is made: the constructor ends with
+    negation), given as tuples of ``Fraction`` or as a scaled form
+    ``scaled=(m, rows)`` alone, or ``facets`` (pairs |<a, x>| <= b). Every
+    instance is certified as it is made: the constructor ends with
     :func:`validate_body`, which raises on a set that is no such body.
     """
 
     dim: int
-    vertices: tuple[Vec, ...] | None = None
+    vertices: tuple[Vec, ...] | None
     facets: tuple[Facet, ...] | None = None
-    # a hull handed on by the construction, read only through ``hull``, a
-    # scaled form handed on, read only through ``scaled``, and a symmetric
-    # lift's base, whose difference body is its slice
+    # a hull handed on by the construction, read only through ``hull``, and
+    # a symmetric lift's base, whose difference body is its slice
     seed_hull: Hull | None = field(default=None, compare=False, repr=False)
-    seed_scaled: Scaled | None = field(default=None, compare=False, repr=False)
     lift_base: VPolytope | None = field(default=None, compare=False, repr=False)
 
-    def __post_init__(self):
-        if (self.vertices is None) == (self.facets is None):
+    def __init__(self, dim, vertices=None, facets=None, *, scaled=None, seed_hull=None, lift_base=None):
+        vars(self).update(dim=dim, facets=facets, seed_hull=seed_hull, lift_base=lift_base)
+        if (vertices is None and scaled is None) == (facets is None):
             raise InvalidInput("exactly one of vertices/facets must be given")
-        if self.dim < 1:
+        if dim < 1:
             raise InvalidInput("dimension must be >= 1")
-        if self.vertices is not None:
-            if not self.vertices:
-                raise InvalidInput("a body needs at least one vertex")
-            for v in self.vertices:
-                if len(v) != self.dim:
-                    raise DimensionMismatch(f"vertex {show(v)} does not have dim {self.dim}")
+        if facets is None:
+            _keep_points(self, "vertices", vertices, scaled, "a body needs at least one vertex", "vertex")
         else:
-            for a, _ in self.facets:
-                if len(a) != self.dim:
-                    raise DimensionMismatch(f"facet normal {show(a)} does not have dim {self.dim}")
+            vars(self)["vertices"] = None
+            for a, _ in facets:
+                if len(a) != dim:
+                    raise DimensionMismatch(f"facet normal {show(a)} does not have dim {dim}")
         # looked up as a module global at each call, so that a tracer
         # wrapping it sees every body made
         validate_body(self)
@@ -235,10 +266,10 @@ class SymmetricBody(_VertexForm):
         if len(levels) != 2:
             return None
         H = max(levels)
-        top = {X[:-1]: v[:-1] for X, v in zip(rows, self.vertices) if X[-1] == H}
         base = self.lift_base
         if base is None:
-            base = VPolytope(self.dim - 1, tuple(top[X] for X in sorted(top)))
+            top = sorted(X[:-1] for X in rows if X[-1] == H)
+            base = VPolytope(self.dim - 1, scaled=lowest_terms(m, top))
         return Fraction(H, m), base
 
     def _lift_normals(self) -> tuple[int, tuple[tuple[int, ...], ...]] | None:
@@ -298,50 +329,55 @@ class SymmetricBody(_VertexForm):
         g = gcd(m * LD * p, *(c for n in normals for c in n))
         L, normals = m * LD * p // g, tuple(tuple(c // g for c in n) for n in normals)
         s, points = self.scaled
+        top = L * s  # the value of a . (v * s) on the facet of a / L
         for k, (a, values) in enumerate(zip(normals, dots(normals, points))):
-            if max(values) > L * s:
+            if max(values) > top:
                 raise ArithmeticError(f"a vertex times {s} is outside lifted facet normal {a}/{L}")
             # the scaled vertices' last entries are the two levels
-            if k < len(slice_normals) and len({X[-1] for X, t in zip(points, values) if t == L * s}) < 2:
+            if k < len(slice_normals) and len({X[-1] for X, t in zip(points, values) if t == top}) < 2:
                 raise ArithmeticError(f"lifted facet normal {a}/{L} does not touch both levels")
         return L, normals
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PointSet:
-    """Finite labeled set of rational points, pairwise distinct, with the
-    scaled form the diameter pass reads."""
+    """Finite labeled set of rational points, pairwise distinct, given as
+    tuples of ``Fraction`` or as the scaled form the diameter pass reads,
+    ``scaled=(m, rows)``, alone: least-common-denominator rows in the
+    points' order. The diameter pass keeps the extreme sets it read for
+    the last body asked on the set (:func:`borsuk.metric._set_extremes`),
+    which ``==``, ``hash`` and ``repr`` do not read."""
 
     dim: int
     points: tuple[Vec, ...]
     labels: tuple | None = None
-    # the scaled form the construction built the points from, read only
-    # through ``scaled``: least-common-denominator rows in the points' order
-    seed_scaled: Scaled | None = field(default=None, compare=False, repr=False)
 
-    def __post_init__(self):
-        if not self.points:
-            raise InvalidInput("a point set needs at least one point")
-        for p in self.points:
-            if len(p) != self.dim:
-                raise DimensionMismatch(f"point {show(p)} does not have dim {self.dim}")
-        if len(set(self.scaled[1])) != len(self.points):
+    def __init__(self, dim, points=None, labels=None, *, scaled=None):
+        vars(self).update(dim=dim, labels=labels)
+        _keep_points(self, "points", points, scaled, "a point set needs at least one point", "point")
+        n = len(self)
+        if len(set(self.scaled[1])) != n:
             # duplicates would make partition counts bookkeeping artifacts
             raise InvalidInput("points must be pairwise distinct")
-        if self.labels is not None and len(self.labels) != len(self.points):
+        if labels is not None and len(labels) != n:
             raise InvalidInput("labels must match points one to one")
+
+    @cached_property
+    def points(self) -> tuple[Vec, ...]:
+        """The points as tuples of ``Fraction``, for a set built from its
+        scaled form alone: made from it on first read, then an ordinary
+        attribute."""
+        return rational_points(*self.scaled)
 
     @cached_property
     def scaled(self) -> Scaled:
         """``(m, X)``, each point times the least common denominator m of
-        the coordinates, in the points' order, made once: the one handed
-        on, or else made from the points."""
-        if self.seed_scaled is not None:
-            return self.seed_scaled
+        the coordinates, in the points' order, made once from the points
+        unless it was handed on."""
         return over_common_denominator(self.points)
 
     def __len__(self):
-        return len(self.points)
+        return len(self.scaled[1])
 
 
 # Up to dimension 3 a polytope has few facets (at most 2n - 4 for n
@@ -599,11 +635,12 @@ def validate_body(candidate: SymmetricBody) -> SymmetricBody:
     and spanning the space, otherwise the "body" is unbounded; these are
     the checks :attr:`SymmetricBody.normals` makes as it makes them.
     """
-    if candidate.vertices is not None:
-        _, rows = candidate.scaled
+    if candidate.facets is None:
+        m, rows = candidate.scaled
         distinct = set(rows)
-        for X, v in zip(rows, candidate.vertices):
+        for X in rows:
             if vneg(X) not in distinct:
+                [v] = rational_points(m, [X])
                 raise NotSymmetric(f"vertex {show(v)} has no mirror {show(vneg(v))}")
         if matrix_rank(rows) < candidate.dim:
             raise DegenerateBody("origin is not interior (body not full-dimensional)")
@@ -650,9 +687,7 @@ def _pruned_by(dim: int, hull: Hull) -> VPolytope:
     """The pruned polytope of the hull's corners, sorted and divided by its
     scale, which keeps the hull: its corners, sorted, are then its scaled
     form."""
-    m = hull.scale
-    vertices = tuple(tuple([Fraction(x, m) for x in X]) for X in sorted(hull.corners))
-    return VPolytope(dim, vertices, pruned=True, seed_hull=hull)
+    return VPolytope(dim, pruned=True, seed_hull=hull, scaled=(hull.scale, tuple(sorted(hull.corners))))
 
 
 def _pruned_rows(dim: int, m: int, rows) -> VPolytope:
@@ -664,14 +699,14 @@ def _pruned_rows(dim: int, m: int, rows) -> VPolytope:
     since the points can have a coarser denominator than m (a sum
     ``1/2 + 3/2`` is 2, and a drawn ``2/4`` is ``1/2``): m is then the
     least common denominator of the points, the scale their hull would
-    have had from them as ``Fraction``s, which are made only for its
-    vertices. Without a hull, all of them are made and pruned by LPs.
+    have had from them as ``Fraction``s, which are made only when the
+    pruned polytope's vertices are read. Without a hull, all of them are
+    made and pruned by LPs.
     """
     m, rows = lowest_terms(m, rows)
     hull = integer_hull(m, rows)
     if hull is None:
-        points = tuple(tuple([Fraction(x, m) for x in X]) for X in sorted(rows))
-        return prune_redundant(VPolytope(dim, points))
+        return prune_redundant(VPolytope(dim, scaled=(m, tuple(sorted(rows)))))
     return _pruned_by(dim, hull)
 
 
@@ -714,15 +749,11 @@ def lift_body(K: VPolytope) -> SymmetricBody:
         raise DegenerateBody("lift requires a full-dimensional polytope")
     base = K if K.pruned else prune_redundant(K)
     # the lifted points' integer rows sort in the order the points would,
-    # and are handed on as the lift's scaled form, over the least common
-    # denominator (a hull's scale can be finer than its corners need)
+    # and are the lift's scaled form, over the least common denominator (a
+    # hull's scale can be finer than its corners need)
     m, rows = base.scaled
-    up = [(X + (m,), v + (ONE,)) for X, v in zip(rows, base.vertices)]
-    down = [(vneg(X) + (-m,), vneg(v) + (-ONE,)) for X, v in zip(rows, base.vertices)]
-    lifted = sorted(up + down)
-    verts = tuple(v for _, v in lifted)
-    scaled = lowest_terms(m, [X for X, _ in lifted])
-    return SymmetricBody(K.dim + 1, vertices=verts, seed_scaled=scaled, lift_base=base)
+    lifted = sorted([X + (m,) for X in rows] + [vneg(X) + (-m,) for X in rows])
+    return SymmetricBody(K.dim + 1, scaled=lowest_terms(m, lifted), lift_base=base)
 
 
 def lift_set(S: PointSet) -> PointSet:
@@ -731,14 +762,13 @@ def lift_set(S: PointSet) -> PointSet:
     Labels record (source index, sign) so partitions of the lifted set
     can be mapped back to the original indices. The lifted rows, S's rows
     with m and their negations with -m, keep S's least common denominator
-    m and are handed on as the lifted set's scaled form.
+    m and are the lifted set's scaled form.
     """
-    up = [p + (ONE,) for p in S.points]
-    down = [vneg(p) + (-ONE,) for p in S.points]
-    labels = [(i, 1) for i in range(len(S.points))] + [(i, -1) for i in range(len(S.points))]
+    n = len(S)
+    labels = [(i, 1) for i in range(n)] + [(i, -1) for i in range(n)]
     m, rows = S.scaled
     lifted = tuple([X + (m,) for X in rows] + [vneg(X) + (-m,) for X in rows])
-    return PointSet(S.dim + 1, tuple(up + down), tuple(labels), seed_scaled=(m, lifted))
+    return PointSet(S.dim + 1, labels=tuple(labels), scaled=(m, lifted))
 
 
 def scale_polytope(K: VPolytope, t: Fraction) -> VPolytope:

@@ -18,8 +18,8 @@ mask is the AND over the planes of the prefix of that order its
 translate's plane bounds, found by bisection. Otherwise one exact LP
 decides each distinct difference w - c, which grid witnesses and grid
 centers repeat many times. A partition from a cover tests a point set
-the same way, on the set's own scaled form, with the centers put over
-the same denominator.
+the same way, on the set's own scaled form, with the centers' rows, kept
+on the covering, put over the same denominator.
 
 The closed-form bound evaluators are the only deliberately inexact
 computation in the package: they report double-precision values of
@@ -32,12 +32,12 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, product
 from operator import or_, sub
 
-from .bodies import PointSet, SymmetricBody, VPolytope, contains_point
+from .bodies import PointSet, Scaled, SymmetricBody, VPolytope, contains_point
 from .errors import DimensionMismatch, DomainError, GridTooCoarse, InvalidInput, PointUncovered
 from .linalg import ONE, Vec, common_scale, dots, over_common_denominator, show
 from .partition import Partition
@@ -73,6 +73,10 @@ class Covering:
     body: VPolytope
     certificate_level: str
     witnesses: tuple[Vec, ...]
+    # the centers as the integer rows they were picked as, over a common
+    # denominator, which a partition from the cover reads; a covering
+    # built by hand from its centers alone has them made from those
+    center_rows: Scaled | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -208,7 +212,12 @@ def greedy_cover(K: VPolytope, lam: Fraction, grid_step: Fraction) -> Covering:
         return tuple(map(frac.__getitem__, X))
 
     return Covering(
-        lam, tuple(map(rational, centers)), K, SAMPLE_CERTIFIED, tuple(map(rational, witnesses))
+        lam,
+        tuple(map(rational, centers)),
+        K,
+        SAMPLE_CERTIFIED,
+        tuple(map(rational, witnesses)),
+        (m, tuple(centers)),
     )
 
 
@@ -225,8 +234,8 @@ def cover_to_partition(S: PointSet, cov: Covering, C: SymmetricBody) -> Partitio
     """
     if S.dim != cov.body.dim:
         raise DimensionMismatch(f"set of dim {S.dim} against body of dim {cov.body.dim}")
-    n = len(S.points)
-    m, (points, centers) = common_scale(S.scaled, over_common_denominator(cov.centers))
+    n = len(S)
+    m, (points, centers) = common_scale(S.scaled, cov.center_rows or over_common_denominator(cov.centers))
     masks = _lattice_membership(cov.body, cov.ratio, m, points, centers, first=True)
     missed = ((1 << n) - 1) & ~sum(masks)  # the masks are disjoint
     if missed:

@@ -19,10 +19,11 @@ deduplicating, negating, sorting and the rank test run on the rows and
 give the same points, in the same order, as on ``Fraction`` tuples.
 Pruning divides the rows by their gcd with the scale, down to the least
 common denominator, and hulls them (:func:`borsuk.bodies._pruned_rows`);
-a random point set keeps its rows, divided the same way, as its scaled
-form. ``Fraction``s are made only for the points returned, and the rng
-stream is that of drawing each coordinate as a ``Fraction``, so every
-instance is unchanged.
+a random point set, polytope or body is built from its rows alone,
+divided the same way, as its scaled form. ``Fraction``s are made only
+when its points are read (in dimension 4, by the LPs that prune a
+polytope or body), and the rng stream is that of drawing each
+coordinate as a ``Fraction``, so every instance is unchanged.
 """
 
 from __future__ import annotations
@@ -95,7 +96,7 @@ def gen_random_body(
         m, rows = _draw(rng, n_vertex_pairs, dim, max_numerator, max_denominator)
         pruned = _pruned_rows(dim, m, {*rows, *map(vneg, rows)})
         try:
-            return SymmetricBody(dim, vertices=pruned.vertices, seed_hull=pruned.hull)
+            return SymmetricBody(dim, scaled=pruned.scaled, seed_hull=pruned.hull)
         except DegenerateBody:
             continue
     raise GenerationFailed(f"no full-dimensional symmetric body after {RETRY_BUDGET} tries")
@@ -144,8 +145,7 @@ def gen_random_points(
             raise GenerationFailed("cannot sample enough distinct points")
         m, (kept, batch) = common_scale((m, kept), (mb, batch))
         kept = dict.fromkeys([*kept, *batch])
-    m, rows = lowest_terms(m, kept)
-    return PointSet(dim, tuple(tuple([Fraction(x, m) for x in X]) for X in rows), seed_scaled=(m, rows))
+    return PointSet(dim, scaled=lowest_terms(m, kept))
 
 
 def cube_body(dim: int, facet_form: bool = True) -> SymmetricBody:

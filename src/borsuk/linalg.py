@@ -6,12 +6,13 @@ functions. The integer layers read a point set in one scaled form,
 ``(m, rows)``: a common denominator m and each point times m as a row of
 ints (:func:`over_common_denominator`), made once per point set,
 polytope or body and handed on, so that ranks, hulls, sums, gauges and
-diameters compare plain ints. Wherever two scaled forms meet, from
-Minkowski sums and covers to the vertex lookups of the doubling check,
-:func:`common_scale` puts them over one denominator. Every integer dot
-product ``n . X`` of those layers, from hull certificates and lifted
-normals to projection tables and cover membership, is taken by the one
-kernel :func:`dots`.
+diameters compare plain ints; :func:`rational_points` makes the
+``Fraction`` points back from it, for those that are read. Wherever two
+scaled forms meet, from Minkowski sums and covers to the vertex lookups
+of the doubling check, :func:`common_scale` puts them over one
+denominator. Every integer dot product ``n . X`` of those layers, from
+hull certificates and lifted normals to projection tables and cover
+membership, is taken by the one kernel :func:`dots`.
 """
 
 from __future__ import annotations
@@ -51,6 +52,12 @@ def over_common_denominator(points) -> tuple[int, tuple[tuple[int, ...], ...]]:
     ints."""
     m = lcm(*{c.denominator for p in points for c in p})
     return m, tuple(tuple([c.numerator * (m // c.denominator) for c in p]) for p in points)
+
+
+def rational_points(m: int, rows) -> tuple[Vec, ...]:
+    """The points ``X / m`` of a scaled form, in their order, as tuples of
+    ``Fraction``: the inverse of :func:`over_common_denominator`."""
+    return tuple(tuple([Fraction(x, m) for x in X]) for X in rows)
 
 
 def lowest_terms(m: int, rows) -> tuple[int, tuple[tuple[int, ...], ...]]:

@@ -39,6 +39,12 @@ attaining pairs ``([i], [j])``, with one gauge LP per distinct integer
 difference ``P_i - P_j`` up to sign, and since the gauge is homogeneous
 the diameter is the largest over m.
 
+A set's extreme sets are made once per body and set: the set keeps them
+for the last body asked, keyed by that body's identity, so checking a
+partition after computing it for the same body and set (a diameter graph,
+then :func:`borsuk.partition.verify_partition`) reads them again and
+builds no second table.
+
 Membership in C is ``gauge(C, x) <= 1`` read from the same normals, or
 one exact LP for a body without them. Diameter-graph edges are decided
 by exact rational equality; there is no tolerance anywhere.
@@ -147,11 +153,21 @@ def _extremes(C: SymmetricBody, scaled: Scaled) -> tuple[Fraction, list[tuple[li
     return Fraction(best, m), sides
 
 
-def _pairwise_max(C: SymmetricBody, scaled: Scaled) -> tuple[Fraction, list[tuple[int, int]]]:
-    """The largest gauge of p_i - p_j over pairs i < j of the points
-    p_i = P_i / m of a scaled form ``(m, P)``, and every pair attaining
-    it when it is positive, in (i, j) order."""
-    diam, sides = _extremes(C, scaled)
+def _set_extremes(C: SymmetricBody, S: PointSet) -> tuple[Fraction, list[tuple[list[int], list[int]]]]:
+    """:func:`_extremes` of S's scaled form, made once per body and set: S
+    keeps it for the last body asked, which it holds, so the key is that
+    body's identity and no vertex is hashed. A partition computed for
+    (C, S) is then checked on the table its diameter graph was read from."""
+    held = vars(S).get("extremes")
+    if held is None or held[0] is not C:
+        held = vars(S)["extremes"] = C, _extremes(C, S.scaled)
+    return held[1]
+
+
+def _attaining(extremes) -> tuple[Fraction, list[tuple[int, int]]]:
+    """The diameter of :func:`_extremes` and every pair (i, j), i < j,
+    attaining it when it is positive, in (i, j) order."""
+    diam, sides = extremes
     return diam, sorted({(i, j) if i < j else (j, i) for A, B in sides for i in A for j in B})
 
 
@@ -159,7 +175,7 @@ def set_diameter(C: SymmetricBody, S: PointSet) -> tuple[Fraction, list[tuple[in
     """Exact maximum pairwise distance and every attaining pair."""
     if S.dim != C.dim:
         raise DimensionMismatch(f"set of dim {S.dim} against body of dim {C.dim}")
-    return _pairwise_max(C, S.scaled)
+    return _attaining(_set_extremes(C, S))
 
 
 def polytope_diameter(C: SymmetricBody, K: VPolytope) -> Fraction:
@@ -178,10 +194,10 @@ def polytope_diameter(C: SymmetricBody, K: VPolytope) -> Fraction:
 
 def diameter_graph(C: SymmetricBody, S: PointSet) -> DiameterGraph:
     """Edges at exact rational equality with the maximum distance."""
-    if len(S.points) < 2:
+    if len(S) < 2:
         raise InvalidInput("diameter graph needs at least two points")
     diam, witnesses = set_diameter(C, S)
-    return DiameterGraph(len(S.points), diam, tuple(witnesses))
+    return DiameterGraph(len(S), diam, tuple(witnesses))
 
 
 def body_contains(C: SymmetricBody, x: Vec) -> bool:

@@ -29,12 +29,11 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .bodies import PointSet, SymmetricBody, VPolytope, difference_body, lift_body, lift_set, prune_redundant
 from .errors import BorsukError, DimensionMismatch, IndexOutOfRange, InvalidInput
-from .linalg import common_scale, show
-from .metric import DiameterGraph, _extremes, diameter_graph
+from .linalg import common_scale, rational_points, show
+from .metric import DiameterGraph, _set_extremes, diameter_graph
 
 DEFAULT_NODE_BUDGET = 10_000_000
 BUDGET_ENV_VAR = "BORSUK_NODE_BUDGET"
@@ -303,7 +302,7 @@ def chromatic_number(G: DiameterGraph, node_budget: int | None = None) -> Borsuk
 def borsuk_number(C: SymmetricBody, S: PointSet, node_budget: int | None = None) -> BorsukCertificate:
     """Least number of parts of S with diameter strictly below d_C(S)."""
     budget = _checked_budget(node_budget)
-    if len(S.points) == 1:
+    if len(S) == 1:
         return BorsukCertificate(1, partition(1, [(0,)]), (0,), True, 0)
     return chromatic_number(diameter_graph(C, S), budget)
 
@@ -317,12 +316,12 @@ def verify_partition(C: SymmetricBody, S: PointSet, P: Partition) -> bool:
     exactly when some class has points on both sides of some ``(A, B)``,
     which the class labels of the two sides decide, with no pair listed.
     """
-    if P.n_points != len(S.points):
-        raise IndexOutOfRange(f"partition of {P.n_points} points against a set of {len(S.points)}")
+    if P.n_points != len(S):
+        raise IndexOutOfRange(f"partition of {P.n_points} points against a set of {len(S)}")
     if S.dim != C.dim:
         raise DimensionMismatch(f"set of dim {S.dim} against body of dim {C.dim}")
     label = {i: k for k, cls in enumerate(P.classes) for i in cls}
-    _, sides = _extremes(C, S.scaled)
+    _, sides = _set_extremes(C, S)
     return all({label[i] for i in A}.isdisjoint([label[j] for j in B]) for A, B in sides)
 
 
@@ -333,9 +332,9 @@ def lift_partition(P: Partition, S: PointSet) -> Partition:
     class of the mirrored (-1)-copy, matching the index layout of
     :func:`borsuk.bodies.lift_set` (originals first, then mirrors).
     """
-    if P.n_points != len(S.points):
-        raise IndexOutOfRange(f"partition of {P.n_points} points against a set of {len(S.points)}")
-    n = len(S.points)
+    n = len(S)
+    if P.n_points != n:
+        raise IndexOutOfRange(f"partition of {P.n_points} points against a set of {n}")
     upper = [tuple(cls) for cls in P.classes]
     lower = [tuple(i + n for i in cls) for cls in P.classes]
     return Partition(2 * n, tuple(upper + lower))
@@ -369,7 +368,7 @@ def doubling_check(K: VPolytope, S: PointSet, node_budget: int | None = None):
     points = set(XS)
     missing = [X for X in XK if X not in points]
     if missing:
-        shown = ", ".join(show(tuple([Fraction(x, m) for x in X])) for X in sorted(missing)[:3])
+        shown = ", ".join(map(show, rational_points(m, sorted(missing)[:3])))
         raise InvalidInput(f"S must contain all vertices of K; missing {shown}")
     b1 = borsuk_number(difference_body(base), S, node_budget)
     b2 = borsuk_number(lift_body(base), lift_set(S), node_budget)

@@ -13,6 +13,7 @@ import math
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from operator import add
 
 from . import jsonio
 from .bodies import (
@@ -141,12 +142,14 @@ def _suite_doubling(report, count, seed):
         s = _child_seed(seed, i)
         dim, n_points = _doubling_sizes(i)
         K = gen_random_polytope(s, dim, n_points, max_numerator=8, max_denominator=4)
-        pts = list(K.vertices)
-        if i % 4 == 0 and len(pts) >= 2:
-            mid = tuple((a + b) / 2 for a, b in zip(pts[0], pts[1]))
-            if mid not in pts:
-                pts.append(mid)  # interior points keep the span
-        S = point_set(pts)
+        m, rows = K.scaled
+        if i % 4 == 0 and len(rows) >= 2:
+            # the midpoint of the first two vertices, over 2m with them
+            mid = tuple(map(add, rows[0], rows[1]))
+            m, rows = 2 * m, [tuple([2 * x for x in X]) for X in rows]
+            if mid not in rows:
+                rows.append(mid)  # interior points keep the span
+        S = PointSet(dim, scaled=lowest_terms(m, rows))
         b1, b2, ok = doubling_check(K, S)
 
         def payload():
@@ -167,24 +170,21 @@ def _planar_instance(s: int, i: int):
     """Random polygon plus a point set; every third instance includes the
     polygon's own vertices so the diameter graph has antipodal edges, and
     then the drawn points that are none of them, compared as integer rows
-    over one common denominator; the rows kept are handed on as the set's
-    scaled form."""
+    over one common denominator; the set is built from the rows kept."""
     C = gen_random_body(s, 2, 3 + (i % 4), max_numerator=16, max_denominator=16)
     target = 4 + (i % 9)
     drawn = gen_random_points(s + 1, 2, target, max_numerator=16, max_denominator=16)
     if i % 3:
         return C, drawn
-    pts = list(C.vertices[:target])
     mC, XC = C.scaled
     m, (rows, XS) = common_scale((mC, list(XC[:target])), drawn.scaled)
     taken = set(rows)
-    for Y, p in zip(XS, drawn.points):
-        if len(pts) >= target:
+    for Y in XS:
+        if len(rows) >= target:
             break
         if Y not in taken:
-            pts.append(p)
             rows.append(Y)
-    return C, PointSet(2, tuple(pts), seed_scaled=lowest_terms(m, rows))
+    return C, PointSet(2, scaled=lowest_terms(m, rows))
 
 
 def _suite_grunbaum_plane(report, count, seed):

@@ -24,7 +24,7 @@ from borsuk.covering import (
     _lattice_membership,
 )
 from borsuk.errors import DimensionMismatch, DomainError, GridTooCoarse, PointUncovered
-from borsuk.linalg import over_common_denominator
+from borsuk.linalg import over_common_denominator, rational_points
 from borsuk.partition import borsuk_number, verify_partition
 from oracles import _in_translate, counter_clockwise, lp_path, per_pair_cover_to_partition, per_pair_greedy_cover
 
@@ -297,6 +297,27 @@ def test_greedy_cover_and_partition_match_per_pair_reference():
             assert P == _outcome(per_pair_cover_to_partition, S, cov)
             raised[PointUncovered] += P is PointUncovered
     assert min(raised.values()) >= 5
+
+
+def test_a_cover_built_from_its_centers_alone_gives_the_same_partition():
+    # greedy_cover keeps its centers' rows for the partition to read; a
+    # covering made by hand from the Fraction centers alone makes them
+    rng = random.Random(13)
+    compared = 0
+    for K, lam, step in _cover_cases():
+        cov = _outcome(greedy_cover, K, lam, step)
+        if not isinstance(cov, Covering):
+            continue
+        by_hand = Covering(cov.ratio, cov.centers, cov.body, cov.certificate_level, cov.witnesses)
+        assert by_hand == cov and by_hand.center_rows is None
+        assert rational_points(*cov.center_rows) == cov.centers
+        box = [(min(v[i] for v in K.vertices), max(v[i] for v in K.vertices)) for i in range(K.dim)]
+        extra = {tuple(a + (b - a) * F(rng.randint(0, 6), 6) for a, b in box) for _ in range(3)}
+        for points in (cov.witnesses, sorted(set(cov.witnesses) | extra)):
+            S = point_set(points)
+            assert _outcome(cover_to_partition, S, by_hand, None) == _outcome(cover_to_partition, S, cov, None)
+            compared += 1
+    assert compared >= 80
 
 
 def _count_membership_lps(monkeypatch):

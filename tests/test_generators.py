@@ -119,9 +119,9 @@ def test_draw_matches_randint_values_and_final_state():
 
 
 def test_handed_on_scaled_forms_are_the_least_common_denominator_rows():
-    """Random point sets, planar verify instances and their lifts hand on
-    the rows they were built from: each equals the scaled form made from
-    the set's ``Fraction``s."""
+    """Random point sets, planar verify instances and their lifts are built
+    from their rows alone, with no ``Fraction`` made until the points are
+    read: the rows equal the scaled form made from those points."""
     sets = []
     for seed in range(120):
         N, D = BOUNDS[seed % len(BOUNDS)]
@@ -131,7 +131,7 @@ def test_handed_on_scaled_forms_are_the_least_common_denominator_rows():
     sets = [S for S in sets if S is not GenerationFailed]
     sets += [lift_set(S) for S in sets]
     for S in sets:
-        assert S.seed_scaled is not None
+        assert "points" not in vars(S)
         assert S.scaled == over_common_denominator(S.points), S
     # a drawn 2/4 is 1/2: 46 of the random sets were drawn over a finer
     # scale than their least common denominator

@@ -44,7 +44,7 @@ from borsuk.covering import _lattice_membership
 from borsuk.errors import DegenerateBody
 from borsuk.generators import cross_polytope_body, cube_body, gen_random_body, gen_random_polytope
 from borsuk.linalg import affine_rank, common_scale, dots, lowest_terms, matrix_rank, over_common_denominator, vneg
-from borsuk.metric import _pairwise_max, body_contains, gauge
+from borsuk.metric import _attaining, _extremes, body_contains, gauge
 from oracles import (
     axis_extent_verdict,
     construction_verdict,
@@ -209,7 +209,7 @@ def _point_sets(C, rng):
 def test_hull_diameter_pass_matches_memoized_lp_gauges(monkeypatch):
     rng = random.Random(7)
     cases = [(C, points) for C in _bodies() for points in _point_sets(C, rng)]
-    by_hull = [_pairwise_max(C, over_common_denominator(points)) for C, points in cases]
+    by_hull = [_attaining(_extremes(C, over_common_denominator(points))) for C, points in cases]
     with monkeypatch.context() as patch:
         lp_path(patch)
         by_lp = [memo_pairwise_max(C, points) for C, points in cases]

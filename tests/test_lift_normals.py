@@ -46,7 +46,7 @@ from borsuk.bodies import (
 from borsuk.errors import DegenerateBody, NotSymmetric
 from borsuk.generators import cube_body, gen_random_body, gen_random_polytope
 from borsuk.linalg import over_common_denominator
-from borsuk.metric import _pairwise_max, body_contains, gauge
+from borsuk.metric import _attaining, _extremes, body_contains, gauge
 from borsuk.partition import borsuk_number, doubling_check
 from oracles import axis_extent_verdict, construction_verdict, lp_path, memo_pairwise_max
 
@@ -125,7 +125,7 @@ def test_lift_diameter_pass_matches_memoized_lp_gauges(monkeypatch):
         base += [tuple(_rational(rng, 4, 3) for _ in range(C.dim - 1)) for _ in range(4)]
         cases.append((C, lift_set(point_set(sorted(set(base)))).points))
         cases.append((C, C.vertices))
-    by_normals = [_pairwise_max(C, over_common_denominator(points)) for C, points in cases]
+    by_normals = [_attaining(_extremes(C, over_common_denominator(points))) for C, points in cases]
     with monkeypatch.context() as patch:
         lp_path(patch)
         by_lp = [memo_pairwise_max(C, points) for C, points in cases]

@@ -26,7 +26,7 @@ from borsuk.errors import DegenerateBody, DimensionMismatch, InvalidInput
 from borsuk.generators import cross_polytope_body, cube_body, cube_vertices, gen_random_body, gen_random_points
 from borsuk.metric import (
     _extremes,
-    _pairwise_max,
+    _attaining,
     body_contains,
     diameter_graph,
     distance,
@@ -509,11 +509,11 @@ def test_integer_pass_gives_no_witness_at_zero_distance(hexagon_h):
     for C in bodies:
         p = tuple(F(k, 3) for k in range(C.dim))
         q = tuple(F(1, 2) for _ in range(C.dim))
-        assert _pairwise_max(C, over_common_denominator([p, p])) == memo_pairwise_max(C, [p, p]) == (0, [])
-        assert _pairwise_max(C, over_common_denominator([p, p, q])) == memo_pairwise_max(C, [p, p, q])
+        assert _attaining(_extremes(C, over_common_denominator([p, p]))) == memo_pairwise_max(C, [p, p]) == (0, [])
+        assert _attaining(_extremes(C, over_common_denominator([p, p, q]))) == memo_pairwise_max(C, [p, p, q])
         # a point repeated among others, one point, and all points equal
         for points in ([q, p, q, p, q], [p], [p] * 5):
-            assert _pairwise_max(C, over_common_denominator(points)) == memo_pairwise_max(C, points)
+            assert _attaining(_extremes(C, over_common_denominator(points))) == memo_pairwise_max(C, points)
         assert _extremes(C, over_common_denominator([p] * 5)) == (0, [])
 
 
