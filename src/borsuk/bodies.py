@@ -304,7 +304,10 @@ class SymmetricBody(_VertexForm):
         the slice's facet and the step between the levels: it has
         dimension ``(dim - 2) + 1``, a facet. The two level normals hold
         all of A at ``t = +-h``, and A is full-dimensional, which D's
-        construction checks.
+        construction checks. Both checks read the upper level alone: the
+        body's certificate closes its vertices under negation, and
+        :attr:`_levels` puts them on two levels, so the lower level is the
+        upper one negated.
         """
         if self._levels is None:
             return None
@@ -330,11 +333,13 @@ class SymmetricBody(_VertexForm):
         L, normals = m * LD * p // g, tuple(tuple(c // g for c in n) for n in normals)
         s, points = self.scaled
         top = L * s  # the value of a . (v * s) on the facet of a / L
-        for k, (a, values) in enumerate(zip(normals, dots(normals, points))):
-            if max(values) > top:
+        # each lower vertex is an upper one negated: it is outside where the
+        # upper value is below -top, and touches where that value is -top
+        upper = [X for X in points if X[-1] > 0]
+        for k, (a, values) in enumerate(zip(normals, dots(normals, upper))):
+            if max(values) > top or min(values) < -top:
                 raise ArithmeticError(f"a vertex times {s} is outside lifted facet normal {a}/{L}")
-            # the scaled vertices' last entries are the two levels
-            if k < len(slice_normals) and len({X[-1] for X, t in zip(points, values) if t == top}) < 2:
+            if k < len(slice_normals) and not (top in values and -top in values):
                 raise ArithmeticError(f"lifted facet normal {a}/{L} does not touch both levels")
         return L, normals
 
@@ -555,10 +560,11 @@ def _spatial_hull(P) -> tuple | None:
     The surface is kept as outward triangles. Each further point replaces
     the triangles that see it strictly (``n . X > c``) by the cone from it
     over their horizon, the edges they share with the triangles that stay.
-    The points are taken in sorted order, so a point lies outside the hull
-    of those before it, and sees a triangle, unless it was passed over
-    while the first tetrahedron was sought; one that sees none is in the
-    hull already. Coplanar triangles then merge into one facet by dividing
+    The points are taken farthest from the origin first, in decreasing
+    ``x^2 + y^2 + z^2`` and by index on a tie, so that the corners tend to
+    come early and a later point, in the hull of those before it already,
+    sees no triangle and builds none. A point outside that hull sees at
+    least one. Coplanar triangles then merge into one facet by dividing
     each ``(n, c)`` by its gcd. The triangles at a point cover the facets
     through it: one for a point inside a facet, two inside an edge, and
     three or more at a vertex, so the corners are the points at which the
@@ -569,10 +575,12 @@ def _spatial_hull(P) -> tuple | None:
     if triangles is None:
         return None
     done = {i for t in triangles for i in t[:3]}
-    for p, X in enumerate(P):
+    # a stable sort, so equal norms stay in index order
+    far = sorted(range(len(P)), key=[x * x + y * y + z * z for x, y, z in P].__getitem__, reverse=True)
+    for p in far:
         if p in done:
             continue
-        x, y, z = X
+        x, y, z = P[p]
         seen, kept = [], []
         for t in triangles:
             a, b, e = t[3]

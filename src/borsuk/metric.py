@@ -32,18 +32,20 @@ when some column of largest spread has one end among its maxima and the
 other among its minima, so the columns of largest spread give every
 diameter question its answer as extreme sets, pairs of index lists
 ``(A, B)``: a diameter graph's edges are the pairs across some
-``(A, B)``, and a part lies strictly below the diameter when it meets
-no ``(A, B)`` on both sides. No pair is compared. A body without
-normals has no table: one pair loop gives its extreme sets as the
-attaining pairs ``([i], [j])``, with one gauge LP per distinct integer
-difference ``P_i - P_j`` up to sign, and since the gauge is homogeneous
-the diameter is the largest over m.
+``(A, B)``, a partition number colours the graph read straight off them
+as neighbour masks, with no edge list
+(:func:`borsuk.partition.borsuk_number`), and a part lies strictly below
+the diameter when it meets no ``(A, B)`` on both sides. No pair is
+compared. A body without normals has no table: one pair loop gives its
+extreme sets as the attaining pairs ``([i], [j])``, with one gauge LP
+per distinct integer difference ``P_i - P_j`` up to sign, and since the
+gauge is homogeneous the diameter is the largest over m.
 
 A set's extreme sets are made once per body and set: the set keeps them
 for the last body asked, keyed by that body's identity, so checking a
-partition after computing it for the same body and set (a diameter graph,
-then :func:`borsuk.partition.verify_partition`) reads them again and
-builds no second table.
+partition after computing it for the same body and set (a partition
+number, then :func:`borsuk.partition.verify_partition`) reads them again
+and builds no second table.
 
 Membership in C is ``gauge(C, x) <= 1`` read from the same normals, or
 one exact LP for a body without them. Diameter-graph edges are decided
@@ -157,7 +159,7 @@ def _set_extremes(C: SymmetricBody, S: PointSet) -> tuple[Fraction, list[tuple[l
     """:func:`_extremes` of S's scaled form, made once per body and set: S
     keeps it for the last body asked, which it holds, so the key is that
     body's identity and no vertex is hashed. A partition computed for
-    (C, S) is then checked on the table its diameter graph was read from."""
+    (C, S) is then checked on the table it was coloured from."""
     held = vars(S).get("extremes")
     if held is None or held[0] is not C:
         held = vars(S)["extremes"] = C, _extremes(C, S.scaled)

@@ -2,8 +2,13 @@
 
 A finite set splits into parts of strictly smaller diameter exactly
 when no part spans an edge of the diameter graph, so the partition
-number is the chromatic number of that graph. The search below is a
-deterministic DSATUR branch and bound (Brelaz, 1979) with a greedy
+number is the chromatic number of that graph. Every step of the
+colouring reads one form of the graph, a list of int neighbour masks,
+bit j of ``nbr[i]`` set when i and j are adjacent. :func:`borsuk_number`
+builds it straight from the set's extreme sets (see :mod:`borsuk.metric`),
+whose pairs across are exactly the edges, with no edge list;
+:func:`chromatic_number` builds it from a graph's edges. The search is
+a deterministic DSATUR branch and bound (Brelaz, 1979) with a greedy
 clique lower bound, run on an explicit stack (no depth limit). It
 colors next the uncolored vertex of highest saturation, the first in
 (-degree, index) order on a tie, and tries colors in increasing order.
@@ -17,12 +22,12 @@ child's state is built from it on copies of the lists it changes, so
 backing out of a child undoes nothing. Outcomes are certified by the
 returned coloring and, when the search finished, by exhaustion.
 
-Checking a given partition needs no graph. A part has a strictly
+Checking a given partition needs no graph either. A part has a strictly
 smaller diameter exactly when it holds no pair attaining the full one,
-and those pairs are the pairs across the set's extreme sets (see
-:mod:`borsuk.metric`): with normals, the maxima and minima of each
-column of largest spread; without, the attaining pairs themselves. So
-a partition is checked by its class labels on the two sides of each.
+and those are the pairs across the extreme sets: with normals, the
+maxima and minima of each column of largest spread; without, the
+attaining pairs themselves. So a partition is checked by its class
+labels on the two sides of each.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from dataclasses import dataclass
 from .bodies import PointSet, SymmetricBody, VPolytope, difference_body, lift_body, lift_set, prune_redundant
 from .errors import BorsukError, DimensionMismatch, IndexOutOfRange, InvalidInput
 from .linalg import common_scale, rational_points, show
-from .metric import DiameterGraph, _set_extremes, diameter_graph
+from .metric import DiameterGraph, _set_extremes
 
 DEFAULT_NODE_BUDGET = 10_000_000
 BUDGET_ENV_VAR = "BORSUK_NODE_BUDGET"
@@ -100,32 +105,37 @@ def _checked_budget(node_budget) -> int:
     return node_budget
 
 
-def _greedy_clique(n, adj) -> list[int]:
+def _greedy_clique(nbr) -> list[int]:
     """A clique grown greedily: each step takes the candidate with the most
     neighbours among the candidates, ties to the least index, and keeps
     only its neighbours as candidates.
 
     While every vertex is a candidate that count is its degree, so the
     first pick is the least vertex of greatest degree. Its neighbours are
-    the candidates from then on: they and their neighbourhoods among them
-    are int bitmasks, bit u for vertex u, counted by ``int.bit_count``.
+    the candidates from then on, a mask like each vertex's own, and a
+    count is ``int.bit_count`` of a neighbour mask and the candidates.
     """
-    if not n:
+    if not nbr:
         return []
-    degrees = list(map(len, adj))
+    degrees = [x.bit_count() for x in nbr]
     first = degrees.index(max(degrees))
-    near = sorted(adj[first])
-    nbr = {u: sum(1 << w for w in adj[u] & adj[first]) for u in near}
-    clique, cand = [first], sum(1 << u for u in near)
+    clique, cand = [first], nbr[first]
     while cand:
-        v = min((u for u in near if cand >> u & 1), key=lambda u: (-(nbr[u] & cand).bit_count(), u))
+        most, x = -1, cand
+        while x:  # the candidates, least first, so a tie keeps the least
+            low = x & -x
+            u = low.bit_length() - 1
+            k = (nbr[u] & cand).bit_count()
+            if k > most:
+                most, v = k, u
+            x ^= low
         clique.append(v)
         cand &= nbr[v]
     return clique
 
 
-def _ranking(adj):
-    """(order, ranked, bit, nbr): the vertices in (-degree, index) order,
+def _ranking(nbr):
+    """(order, ranked, bit, rnbr): the vertices in (-degree, index) order,
     how many of them have a neighbour, and per vertex its own bit and the
     mask of its neighbours, bit r standing for the vertex of rank r.
 
@@ -133,18 +143,23 @@ def _ranking(adj):
     ``bit[v] == 0``: their saturation is always 0, so they are picked only
     once every other vertex is colored, and then in rank order.
     """
-    n = len(adj)
-    degree = [len(a) for a in adj]
+    n = len(nbr)
+    degree = [x.bit_count() for x in nbr]
     # a stable sort, so equal degrees stay in index order
     order = sorted(range(n), key=degree.__getitem__, reverse=True)
     ranked = n - degree.count(0)
     bit = [0] * n
     for r in range(ranked):
         bit[order[r]] = 1 << r
-    nbr = [0] * n
+    rnbr = [0] * n
     for v in order[:ranked]:
-        nbr[v] = sum(bit[u] for u in adj[v])
-    return order, ranked, bit, nbr
+        x, m = nbr[v], 0
+        while x:  # each neighbour's index bit, lowest first, for its rank bit
+            low = x & -x
+            m |= bit[low.bit_length() - 1]
+            x ^= low
+        rnbr[v] = m
+    return order, ranked, bit, rnbr
 
 
 def _count_up(sat, x):
@@ -161,7 +176,7 @@ def _count_up(sat, x):
 def _dsatur_greedy(ranking) -> list[int]:
     """DSATUR's own coloring: each picked vertex takes its first free
     color. Vertices of degree 0 come last and all take color 0."""
-    order, ranked, bit, nbr = ranking
+    order, ranked, bit, rnbr = ranking
     colors = [0] * len(order)
     unc = (1 << ranked) - 1
     near, sat = [], []
@@ -178,22 +193,19 @@ def _dsatur_greedy(ranking) -> list[int]:
             near.append(0)
         colors[v] = c
         unc ^= b
-        x = nbr[v] & ~near[c]
+        x = rnbr[v] & ~near[c]
         if x:
             near[c] |= x
             _count_up(sat, x)
     return colors
 
 
-def _exact_chromatic(n, edges, budget):
-    """Returns (k, colors, clique, optimal, nodes)."""
-    adj = [set() for _ in range(n)]
-    for i, j in edges:
-        adj[i].add(j)
-        adj[j].add(i)
-
-    clique = _greedy_clique(n, adj)
-    ranking = order, ranked, bit, nbr = _ranking(adj)
+def _exact_chromatic(nbr, budget):
+    """Returns (k, colors, clique, optimal, nodes) for the graph whose
+    vertex i has the neighbour mask ``nbr[i]``, bit j for vertex j."""
+    n = len(nbr)
+    clique = _greedy_clique(nbr)
+    ranking = order, ranked, bit, rnbr = _ranking(nbr)
     best = _dsatur_greedy(ranking)
     best_k = max(best) + 1
     lb = len(clique)
@@ -207,8 +219,8 @@ def _exact_chromatic(n, edges, budget):
     sat = [0] * (best_k - 1).bit_length()
     for c, v in enumerate(clique):
         unc ^= bit[v]
-        near[c] = nbr[v]
-        _count_up(sat, nbr[v])
+        near[c] = rnbr[v]
+        _count_up(sat, rnbr[v])
 
     # Depth-first search on an explicit stack of frames [v, next color,
     # colors in use, unc, near, sat], one per colored vertex outside the
@@ -254,7 +266,7 @@ def _exact_chromatic(n, edges, budget):
             continue
         frame[1] = c + 1
         unc ^= b
-        x = nbr[v] & ~near[c]
+        x = rnbr[v] & ~near[c]
         if x:
             near = near.copy()
             near[c] |= x
@@ -282,6 +294,16 @@ def _exact_chromatic(n, edges, budget):
     return best_k, best, clique, optimal, nodes
 
 
+def _certificate(nbr, budget) -> BorsukCertificate:
+    """The certificate of :func:`_exact_chromatic` on the neighbour masks
+    ``nbr``: its coloring as a partition, and its clique sorted."""
+    k, colors, clique, optimal, nodes = _exact_chromatic(nbr, budget)
+    classes: dict[int, list[int]] = {}
+    for v, c in enumerate(colors):
+        classes.setdefault(c, []).append(v)
+    return BorsukCertificate(k, partition(len(nbr), classes.values()), tuple(sorted(clique)), optimal, nodes)
+
+
 def chromatic_number(G: DiameterGraph, node_budget: int | None = None) -> BorsukCertificate:
     """Exact chromatic number with a proper-coloring certificate.
 
@@ -291,20 +313,36 @@ def chromatic_number(G: DiameterGraph, node_budget: int | None = None) -> Borsuk
     of at least 1 raises :class:`InvalidInput`.
     """
     budget = _checked_budget(node_budget)
-    k, colors, clique, optimal, nodes = _exact_chromatic(G.n_points, G.edges, budget)
-    classes: dict[int, list[int]] = {}
-    for v, c in enumerate(colors):
-        classes.setdefault(c, []).append(v)
-    part = partition(G.n_points, classes.values())
-    return BorsukCertificate(k, part, tuple(sorted(clique)), optimal, nodes)
+    nbr = [0] * G.n_points
+    for i, j in G.edges:
+        nbr[i] |= 1 << j
+        nbr[j] |= 1 << i
+    return _certificate(nbr, budget)
 
 
 def borsuk_number(C: SymmetricBody, S: PointSet, node_budget: int | None = None) -> BorsukCertificate:
-    """Least number of parts of S with diameter strictly below d_C(S)."""
+    """Least number of parts of S with diameter strictly below d_C(S).
+
+    The chromatic number of S's diameter graph, coloured straight from
+    S's extreme sets (see :mod:`borsuk.metric`): the pairs attaining the
+    diameter are those across some ``(A, B)``, so each vertex of A gets
+    B's bits in its neighbour mask and each of B gets A's. No edge is
+    listed. A set of one point needs one part, whatever its dimension."""
     budget = _checked_budget(node_budget)
     if len(S) == 1:
         return BorsukCertificate(1, partition(1, [(0,)]), (0,), True, 0)
-    return chromatic_number(diameter_graph(C, S), budget)
+    if S.dim != C.dim:
+        raise DimensionMismatch(f"set of dim {S.dim} against body of dim {C.dim}")
+    _, sides = _set_extremes(C, S)
+    nbr = [0] * len(S)
+    for A, B in sides:
+        a = sum([1 << i for i in A])
+        b = sum([1 << j for j in B])
+        for i in A:
+            nbr[i] |= b
+        for j in B:
+            nbr[j] |= a
+    return _certificate(nbr, budget)
 
 
 def verify_partition(C: SymmetricBody, S: PointSet, P: Partition) -> bool:

@@ -22,7 +22,6 @@ from .bodies import (
     difference_body,
     lift_body,
     lift_set,
-    point_set,
     scale_polytope,
 )
 from .covering import binomial_bound, covering_bound, partition_bound
@@ -91,7 +90,7 @@ def _suite_difference_norm(report, count, seed):
 
         report.record(all(gauge(C, w) <= 1 for w in D.vertices), payload, "difference_body_inside_unit_ball")
         report.record(
-            polytope_diameter(C, VPolytope(dim, D.vertices, pruned=True)) == 2,
+            polytope_diameter(C, VPolytope(dim, scaled=D.scaled, pruned=True)) == 2,
             payload,
             "difference_body_diameter_two",
         )
@@ -107,18 +106,19 @@ def _suite_lifted_cross(report, count, seed):
         s = _child_seed(seed, i)
         dim = 1 + (i % 3)
         K = gen_random_polytope(s, dim, dim + 2, max_numerator=6, max_denominator=4)
-        S = point_set(K.vertices)
+        S = PointSet(dim, scaled=lowest_terms(*K.scaled))
         L = lift_body(K)
-        D_up = difference_body(VPolytope(L.dim, L.vertices, pruned=True))
+        D_up = difference_body(VPolytope(L.dim, scaled=L.scaled, pruned=True))
         lifted = lift_set(S)
-        n = len(S.points)
+        n = len(S)
 
         def payload():
             return {"instance_seed": s, "dim": dim, "polytope": jsonio.polytope_to_obj(K)}
 
         if n >= 2:
-            upper = point_set(lifted.points[:n])
-            lower = point_set(lifted.points[n:])
+            m, rows = lifted.scaled
+            upper = PointSet(lifted.dim, scaled=lowest_terms(m, rows[:n]))
+            lower = PointSet(lifted.dim, scaled=lowest_terms(m, rows[n:]))
             report.record(set_diameter(D_up, upper)[0] == 1, payload, "upper_copy_diameter_one")
             report.record(set_diameter(D_up, lower)[0] == 1, payload, "lower_copy_diameter_one")
         cross_ok = all(
@@ -225,7 +225,7 @@ def _suite_norm_domination(report, count, seed):
     for i in range(count):
         s = _child_seed(seed, i)
         dim, C, K, D = _unit_diameter_instance(s, i)
-        S = point_set(K.vertices)
+        S = PointSet(dim, scaled=lowest_terms(*K.scaled))
         ambient = borsuk_number(C, S)
         difference = borsuk_number(D, S)
         b_ambient, b_difference = ambient.number, difference.number

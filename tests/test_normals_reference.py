@@ -12,8 +12,9 @@ on at a finer scale than their vertices (difference bodies whose sums
 have a coarser denominator, and generated random bodies); facet bodies
 with redundant facets; and lifts, 4D ones among them. A lift normal
 corrupted in its slice fails the lift's certificate, which makes no rank
-call: a normal outside a vertex fails its ``a . v <= 1``, and a valid
-one off the levels fails its level contacts.
+call: a normal outside a vertex fails its ``a . v <= 1``, on either
+level, though the certificate reads the upper one alone, and a valid one
+off the levels fails its level contacts.
 """
 
 import random
@@ -149,3 +150,34 @@ def test_a_lifted_normal_off_both_levels_fails_the_lift_certificate():
     D.__dict__["normals"] = (2 * L, normals)
     with pytest.raises(ArithmeticError, match="does not touch both levels"):
         C.normals
+
+
+@pytest.mark.parametrize("shift, outside", [(1, "lower"), (-1, "upper")])
+def test_a_lifted_normal_outside_one_level_only_fails_the_lift_certificate(shift, outside, monkeypatch):
+    # each slice normal's column over the base moved by one unit moves the
+    # centre that the lifted normal's last entry is made from: its values
+    # then rise on one level and fall on the other, so it is outside
+    # vertices of one level only. The certificate reads the upper level
+    # alone, the lower level's values being the upper one's negated, so a
+    # lifted normal outside only the lower level must still fail it
+    K = gen_random_polytope(31, 3, 6, max_numerator=8, max_denominator=4)
+    C = lift_body(K)
+    C._levels[1].difference.normals
+    dots, lifted = bodies.dots, []
+
+    def moved(normals, rows):
+        table = dots(normals, rows)
+        if len(normals[0]) == C.dim - 1:
+            return [[t + shift for t in col] for col in table]
+        lifted.append(normals)
+        return table
+
+    monkeypatch.setattr(bodies, "dots", moved)
+    with pytest.raises(ArithmeticError, match="outside lifted facet normal"):
+        C.normals
+    # the first lifted normal, the one that failed, reaches further on the
+    # level it is outside of than on the other
+    _, rows = C.scaled
+    [(a, *_)] = lifted
+    up, down = (max(dots([a], [X for X in rows if (X[-1] > 0) == upper])[0]) for upper in (True, False))
+    assert (down > up) == (outside == "lower") and up != down

@@ -7,6 +7,7 @@ from itertools import product
 import pytest
 
 from borsuk.bodies import (
+    PointSet,
     SymmetricBody,
     VPolytope,
     body_from_facets,
@@ -32,6 +33,7 @@ from borsuk.generators import (
     parallelogram_body,
 )
 from borsuk.metric import DiameterGraph, diameter_graph, polytope_diameter, set_diameter
+from borsuk.verify import _planar_instance
 from borsuk.partition import (
     Partition,
     _dsatur_greedy,
@@ -169,6 +171,70 @@ def test_borsuk_singleton(square_v):
     cert = borsuk_number(square_v, point_set([(2, 3)]))
     assert cert.number == 1
     assert cert.optimal
+
+
+def test_borsuk_refuses_a_set_of_another_dimension(square_v):
+    with pytest.raises(DimensionMismatch, match="set of dim 3 against body of dim 2"):
+        borsuk_number(square_v, point_set([(0, 0, 0), (1, 0, 0)]))
+    with pytest.raises(DimensionMismatch, match="set of dim 2 against body of dim 4"):
+        borsuk_number(cross_polytope_body(4), point_set([(0, 0), (1, 0)]))
+
+
+def _colouring_cases():
+    """(C, S) pairs on both ways into the extreme sets: planar verify
+    instances; doubling sets, base and lifted, some with a midpoint; two
+    4D bodies without normals, whose extreme sets are the attaining pairs
+    one by one; and the {0, 1/2, 1}^3 grid under both forms of the cube."""
+    cases = [_planar_instance(1000 + i, i) for i in range(60)]
+    # the sets of the CLI borsuk digests, whose searches run 3 and 31 nodes
+    planar = body_from_vertices([(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (-1, -1)])
+    cases.append((planar, point_set([(-2, -3), (-2, -1), (1, 2), (2, -2), (2, 0), (3, 0)])))
+    polygon = vpolytope(
+        [(-4, F(-5, 3)), (-4, F(5, 3)), (F(-7, 3), 4), (F(-3, 2), -4), (F(3, 2), 4), (2, F(-7, 3)), (F(7, 2), F(1, 2))]
+    )
+    cases.append((lift_body(polygon), lift_set(point_set(polygon.vertices))))
+    rng = random.Random(3030)
+    for i in range(60):
+        dim = 1 + i % 3
+        K = gen_random_polytope(rng.randrange(10**6), dim, dim + 3 + i % 3, max_numerator=8, max_denominator=4)
+        base = prune_redundant(K)
+        points = list(base.vertices)
+        if i % 2:
+            points.append(tuple((a + b) / 2 for a, b in zip(points[0], points[1])))
+        S = point_set(points)
+        cases += [(difference_body(base), S), (lift_body(base), lift_set(S))]
+    # the 4D vertex body of the CLI gauge and diameter digests
+    slanted = (F(1, 2), F(1, 2), F(1, 2), F(1, 3))
+    lp_body = body_from_vertices([*cross_polytope_body(4).vertices, slanted, tuple(-c for c in slanted)])
+    for C in (lp_body, cross_polytope_body(4)):
+        assert C.normals is None
+        for seed in range(3):
+            cases.append((C, gen_random_points(seed, 4, 7, max_numerator=4, max_denominator=3)))
+    grid = point_set(product((0, F(1, 2), 1), repeat=3))
+    cases += [(cube_body(3), grid), (cube_body(3, facet_form=False), grid)]
+    return cases
+
+
+def test_borsuk_number_matches_the_chromatic_number_of_the_diameter_graph():
+    # borsuk_number builds its neighbour masks from the extreme sets; the
+    # reference lists the diameter graph's edges and colours that, on a
+    # fresh copy of the set, so that neither reads the other's extreme sets
+    searched = cut = lp = 0
+    for C, S in _colouring_cases():
+        lp += C.normals is None
+        for budget in (1, None):
+            got = borsuk_number(C, S, budget)
+            want = chromatic_number(diameter_graph(C, PointSet(S.dim, scaled=S.scaled)), budget)
+            assert (got.number, got.partition, got.lower_bound_clique, got.optimal, got.nodes) == (
+                want.number,
+                want.partition,
+                want.lower_bound_clique,
+                want.optimal,
+                want.nodes,
+            ), (C, S, budget)
+            searched += got.nodes > 1
+            cut += not got.optimal
+    assert lp == 6 and searched >= 3 and cut >= 3, (lp, searched, cut)
 
 
 def test_borsuk_partition_verifies(square_v):
@@ -667,7 +733,7 @@ def test_branch_and_bound_matches_recursive_reference():
     searched = cut = 0
     for n, edges, budgets in cases:
         for budget in budgets:
-            got = _exact_chromatic(n, edges, budget)
+            got = _exact_chromatic(_masks(n, edges), budget)
             assert got == recursive_exact_chromatic(n, edges, budget), (n, edges, budget)
             assert got == level_exact_chromatic(n, edges, budget), (n, edges, budget)
             searched += got[4] > 1
@@ -688,6 +754,12 @@ def _adjacency(n, edges):
         adj[i].add(j)
         adj[j].add(i)
     return adj
+
+
+def _masks(n, edges):
+    """The neighbour masks the search reads: bit j of entry i for each
+    edge (i, j), and bit i of entry j."""
+    return [sum(1 << u for u in near) for near in _adjacency(n, edges)]
 
 
 def test_branch_and_bound_matches_linked_list_reference_at_benchmark_scale():
@@ -713,7 +785,7 @@ def test_branch_and_bound_matches_linked_list_reference_at_benchmark_scale():
         cases.append((n, _padded(n, edges, rng), rng.choice((1, rng.randint(2, 500), 10**7))))
     searched = cut = isolated = 0
     for n, edges, budget in cases:
-        got = _exact_chromatic(n, edges, budget)
+        got = _exact_chromatic(_masks(n, edges), budget)
         assert got == linked_list_exact_chromatic(n, edges, budget), (n, edges, budget)
         assert got == undo_exact_chromatic(n, edges, budget), (n, edges, budget)
         assert got == level_exact_chromatic(n, edges, budget), (n, edges, budget)
@@ -773,7 +845,7 @@ def test_search_saturations_reach_each_new_plane(monkeypatch):
             for budget in (1, 2, rng.randint(3, 300), 10**7):
                 reached.clear()
                 want = level_exact_chromatic(n, edges, budget)
-                assert _exact_chromatic(n, edges, budget) == want, (n, edges, budget)
+                assert _exact_chromatic(_masks(n, edges), budget) == want, (n, edges, budget)
                 assert max(reached) < 2**planes
                 if 2 ** (planes - 1) in reached:
                     tops.add(planes)
@@ -789,12 +861,13 @@ def test_dsatur_greedy_matches_both_references():
         if edges:
             edges = _padded(n, edges, rng)
         adj = _adjacency(n, edges)
-        got = _dsatur_greedy(_ranking(adj))
+        got = _dsatur_greedy(_ranking(_masks(n, edges)))
         assert got == _recursive_dsatur_greedy(n, adj) == linked_list_dsatur_greedy(n, adj) == undo_dsatur_greedy(n, adj)
         assert got == level_dsatur_greedy(n, adj)
     for n in (808, 1200):
-        adj = _adjacency(n, _padded(n, DSATUR_TRAP, rng))
-        got = _dsatur_greedy(_ranking(adj))
+        edges = _padded(n, DSATUR_TRAP, rng)
+        adj = _adjacency(n, edges)
+        got = _dsatur_greedy(_ranking(_masks(n, edges)))
         assert got == linked_list_dsatur_greedy(n, adj) == undo_dsatur_greedy(n, adj) == level_dsatur_greedy(n, adj)
 
 
@@ -819,7 +892,7 @@ def test_greedy_clique_matches_the_set_reference_at_benchmark_scale():
     sizes = set()
     for n, edges in graphs:
         adj = _adjacency(n, edges)
-        clique = _greedy_clique(n, adj)
+        clique = _greedy_clique(_masks(n, edges))
         assert clique == _recursive_greedy_clique(n, adj), (n, edges)
         sizes.add(len(clique))
     assert {1, 2, 3, 4, 5} <= sizes
