@@ -18,7 +18,6 @@ from .bodies import (
     lift_body,
     lift_set,
     minkowski_sum,
-    negate,
     point_set,
     prune_redundant,
     vpolytope,
@@ -82,8 +81,8 @@ __version__ = "0.1.0"
 __all__ = [
     # bodies
     "PointSet", "SymmetricBody", "VPolytope", "body_from_facets", "body_from_vertices",
-    "difference_body", "lift_body", "lift_set", "minkowski_sum", "negate", "point_set",
-    "prune_redundant", "vpolytope",
+    "difference_body", "lift_body", "lift_set", "minkowski_sum", "point_set", "prune_redundant",
+    "vpolytope",
     # covering
     "BoundValue", "Covering", "binomial_bound", "bounds_table", "cover_to_partition",
     "covering_bound", "greedy_cover", "partition_bound",

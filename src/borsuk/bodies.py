@@ -657,11 +657,6 @@ def validate_body(candidate: SymmetricBody) -> SymmetricBody:
     return candidate
 
 
-def negate(K: VPolytope) -> VPolytope:
-    """Reflect a polytope through the origin. Involutive; keeps pruning."""
-    return VPolytope(K.dim, tuple(vneg(v) for v in K.vertices), pruned=K.pruned)
-
-
 def prune_redundant(P: VPolytope) -> VPolytope:
     """Remove every point expressible from the others.
 
@@ -777,9 +772,3 @@ def lift_set(S: PointSet) -> PointSet:
     m, rows = S.scaled
     lifted = tuple([X + (m,) for X in rows] + [vneg(X) + (-m,) for X in rows])
     return PointSet(S.dim + 1, labels=tuple(labels), scaled=(m, lifted))
-
-
-def scale_polytope(K: VPolytope, t: Fraction) -> VPolytope:
-    if t == 0:
-        raise InvalidInput("scale factor must be nonzero")
-    return VPolytope(K.dim, tuple(tuple(t * x for x in v) for v in K.vertices), pruned=K.pruned)

@@ -16,6 +16,12 @@ which is valid because C is symmetric with the origin interior, as every
 body is certified to be where it is made: the positive hull of the
 vertices is then the whole space and the LP is always feasible.
 
+The gauges of many points are one pass, :func:`_gauges`, over their
+scaled form ``(m, P)``: with normals one projection table, the gauge of
+``P_i / m`` being the largest entry of row i over ``L * m``; without,
+one LP per distinct row up to sign, since the gauge is homogeneous and
+g(-z) = g(z). That memo is the only one: the pair loop below reads it.
+
 A diameter value is the largest spread of one projection table. Point
 sets and polytopes carry a scaled form ``(m, P)`` as bodies do, and
 with normals each integer row P_i is projected onto every normal once,
@@ -37,9 +43,8 @@ as neighbour masks, with no edge list
 (:func:`borsuk.partition.borsuk_number`), and a part lies strictly below
 the diameter when it meets no ``(A, B)`` on both sides. No pair is
 compared. A body without normals has no table: one pair loop gives its
-extreme sets as the attaining pairs ``([i], [j])``, with one gauge LP
-per distinct integer difference ``P_i - P_j`` up to sign, and since the
-gauge is homogeneous the diameter is the largest over m.
+extreme sets as the attaining pairs ``([i], [j])``, reading the gauges
+of the differences ``(P_i - P_j) / m`` from :func:`_gauges`.
 
 A set's extreme sets are made once per body and set: the set keeps them
 for the last body asked, keyed by that body's identity, so checking a
@@ -89,10 +94,7 @@ def gauge(C: SymmetricBody, x: Vec) -> Fraction:
     if len(x) != C.dim:
         raise DimensionMismatch(f"point of dim {len(x)} against body of dim {C.dim}")
     if C.normals is not None:
-        # normals N_k / L and x = X / m: the gauge is max_k N_k . X / (L * m)
-        L, normals = C.normals
-        m, (X,) = over_common_denominator((x,))
-        return Fraction(max([v for (v,) in dots(normals, (X,))]), L * m)
+        return _gauges(C, over_common_denominator((x,)))[0]
     if all(v == 0 for v in x):
         return ZERO
     res = lp.solve_combination(C.vertices, x, cost=[ONE] * len(C.vertices))
@@ -107,6 +109,31 @@ def distance(C: SymmetricBody, x: Vec, y: Vec) -> Fraction:
     if len(x) != len(y):
         raise DimensionMismatch("points of different dimensions")
     return gauge(C, vsub(x, y))
+
+
+def _gauges(C: SymmetricBody, scaled: Scaled) -> list[Fraction]:
+    """The gauge of every point p_i = P_i / m of a scaled form ``(m, P)``,
+    in order; each row has C's dimension, which is not checked.
+
+    With normals ``N_k / L`` the gauge of p_i is ``max_k N_k . P_i / (L * m)``,
+    the largest entry of row i of one projection table. Without, the gauge
+    is homogeneous and g(-z) = g(z), so it takes one :func:`gauge` LP per
+    distinct row up to sign, over m.
+    """
+    m, rows = scaled
+    if C.normals is not None:
+        L, normals = C.normals
+        Lm = L * m
+        return [Fraction(max(values), Lm) for values in zip(*dots(normals, rows))]
+    memo: dict[tuple[int, ...], Fraction] = {}
+    values = []
+    for P in rows:
+        key = canonical_sign(P)
+        g = memo.get(key)
+        if g is None:
+            g = memo[key] = gauge(C, key) / m
+        values.append(g)
+    return values
 
 
 def _extremes(C: SymmetricBody, scaled: Scaled) -> tuple[Fraction, list[tuple[list[int], list[int]]]]:
@@ -135,24 +162,11 @@ def _extremes(C: SymmetricBody, scaled: Scaled) -> tuple[Fraction, list[tuple[li
             if best and hi - lo == best and col.index(hi) < col.index(lo)
         ]
         return Fraction(best, L * m), sides
-    # the gauge is homogeneous, so that of p_i - p_j is the gauge of
-    # P_i - P_j over m, and g(-z) = g(z): one LP per integer difference
-    # up to sign, which many pairs share
-    memo: dict[tuple[int, ...], Fraction] = {}
-    best = 0
-    sides = []
-    for i, P in enumerate(rows):
-        for j in range(i + 1, len(rows)):
-            key = canonical_sign(tuple(map(sub, P, rows[j])))
-            g = memo.get(key)
-            if g is None:
-                g = memo[key] = gauge(C, key)
-            if g > best:
-                best = g
-                sides = [([i], [j])]
-            elif g == best and g > 0:
-                sides.append(([i], [j]))
-    return Fraction(best, m), sides
+    # p_i - p_j = (P_i - P_j) / m, one LP per difference up to sign
+    pairs = [(i, j) for i in range(len(rows)) for j in range(i + 1, len(rows))]
+    values = _gauges(C, (m, [tuple(map(sub, rows[i], rows[j])) for i, j in pairs]))
+    best = max(values, default=ZERO)
+    return best, [([i], [j]) for (i, j), g in zip(pairs, values) if best and g == best]
 
 
 def _set_extremes(C: SymmetricBody, S: PointSet) -> tuple[Fraction, list[tuple[list[int], list[int]]]]:

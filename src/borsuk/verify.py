@@ -12,23 +12,15 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
-from fractions import Fraction
-from operator import add
+from operator import add, sub
 
 from . import jsonio
-from .bodies import (
-    PointSet,
-    VPolytope,
-    difference_body,
-    lift_body,
-    lift_set,
-    scale_polytope,
-)
+from .bodies import PointSet, VPolytope, difference_body, lift_body, lift_set
 from .covering import binomial_bound, covering_bound, partition_bound
 from .errors import BorsukError, UnknownSuite
 from .generators import cube_body, cube_vertices, gen_random_body, gen_random_points, gen_random_polytope
 from .linalg import common_scale, lowest_terms
-from .metric import distance, gauge, polytope_diameter, set_diameter
+from .metric import _extremes, _gauges, polytope_diameter
 from .partition import borsuk_number, doubling_check, verify_partition
 
 
@@ -65,11 +57,16 @@ def _child_seed(seed: int, index: int) -> int:
 
 def _unit_diameter_instance(s: int, i: int):
     """A random body C and polytope K in dimension 2 or 3, K scaled to
-    d_C(K) = 1, and its difference body D = K - K: (dim, C, K, D)."""
+    d_C(K) = 1, and its difference body D = K - K: (dim, C, K, D). K's
+    rows X / m over its diameter t = p / q are the rows X * q over m * p,
+    in lowest terms."""
     dim = 2 + (i % 2)
     C = gen_random_body(s, dim, dim + 2, max_numerator=6, max_denominator=4)
     K = gen_random_polytope(s + 1, dim, dim + 3, max_numerator=6, max_denominator=4)
-    K = scale_polytope(K, Fraction(1) / polytope_diameter(C, K))
+    t = polytope_diameter(C, K)
+    m, rows = K.scaled
+    scaled = lowest_terms(m * t.numerator, [tuple([x * t.denominator for x in X]) for X in rows])
+    K = VPolytope(dim, scaled=scaled, pruned=K.pruned)
     return dim, C, K, difference_body(K)
 
 
@@ -88,7 +85,7 @@ def _suite_difference_norm(report, count, seed):
                 "polytope": jsonio.polytope_to_obj(K),
             }
 
-        report.record(all(gauge(C, w) <= 1 for w in D.vertices), payload, "difference_body_inside_unit_ball")
+        report.record(max(_gauges(C, D.scaled)) <= 1, payload, "difference_body_inside_unit_ball")
         report.record(
             polytope_diameter(C, VPolytope(dim, scaled=D.scaled, pruned=True)) == 2,
             payload,
@@ -115,18 +112,12 @@ def _suite_lifted_cross(report, count, seed):
         def payload():
             return {"instance_seed": s, "dim": dim, "polytope": jsonio.polytope_to_obj(K)}
 
-        if n >= 2:
-            m, rows = lifted.scaled
-            upper = PointSet(lifted.dim, scaled=lowest_terms(m, rows[:n]))
-            lower = PointSet(lifted.dim, scaled=lowest_terms(m, rows[n:]))
-            report.record(set_diameter(D_up, upper)[0] == 1, payload, "upper_copy_diameter_one")
-            report.record(set_diameter(D_up, lower)[0] == 1, payload, "lower_copy_diameter_one")
-        cross_ok = all(
-            distance(D_up, lifted.points[a], lifted.points[n + b]) == 1
-            for a in range(n)
-            for b in range(n)
-        )
-        report.record(cross_ok, payload, "cross_copy_distances_one")
+        m, rows = lifted.scaled
+        upper, lower = rows[:n], rows[n:]
+        report.record(_extremes(D_up, (m, upper))[0] == 1, payload, "upper_copy_diameter_one")
+        report.record(_extremes(D_up, (m, lower))[0] == 1, payload, "lower_copy_diameter_one")
+        cross = _gauges(D_up, (m, [tuple(map(sub, U, W)) for U in upper for W in lower]))
+        report.record(all(g == 1 for g in cross), payload, "cross_copy_distances_one")
         report.instances_run += 1
 
 
@@ -143,12 +134,11 @@ def _suite_doubling(report, count, seed):
         dim, n_points = _doubling_sizes(i)
         K = gen_random_polytope(s, dim, n_points, max_numerator=8, max_denominator=4)
         m, rows = K.scaled
-        if i % 4 == 0 and len(rows) >= 2:
-            # the midpoint of the first two vertices, over 2m with them
+        if i % 4 == 0:
+            # the midpoint of the first two vertices, over 2m with them; a
+            # vertex of a pruned polytope is no midpoint of two others
             mid = tuple(map(add, rows[0], rows[1]))
-            m, rows = 2 * m, [tuple([2 * x for x in X]) for X in rows]
-            if mid not in rows:
-                rows.append(mid)  # interior points keep the span
+            m, rows = 2 * m, [tuple([2 * x for x in X]) for X in rows] + [mid]
         S = PointSet(dim, scaled=lowest_terms(m, rows))
         b1, b2, ok = doubling_check(K, S)
 
@@ -225,7 +215,7 @@ def _suite_norm_domination(report, count, seed):
     for i in range(count):
         s = _child_seed(seed, i)
         dim, C, K, D = _unit_diameter_instance(s, i)
-        S = PointSet(dim, scaled=lowest_terms(*K.scaled))
+        S = PointSet(dim, scaled=K.scaled)
         ambient = borsuk_number(C, S)
         difference = borsuk_number(D, S)
         b_ambient, b_difference = ambient.number, difference.number

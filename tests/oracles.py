@@ -39,7 +39,11 @@ outline drawn from a body's normals: a vertex body's hull vertices, or
 every feasible crossing of two facet lines, sorted by angle.
 :func:`fraction_minkowski_sum` and :func:`fraction_difference_body` are
 the references for sums taken on integer rows: every pairwise sum built
-as a ``Fraction`` tuple, hashed into a set and pruned.
+as a ``Fraction`` tuple, hashed into a set and pruned, with :func:`negate`
+for ``-K``. :func:`fraction_scale_polytope` is the reference for the verify
+suites' polytopes scaled on their rows: every vertex times a ``Fraction``.
+:func:`cross_distances` is the reference for the lifted cross check read
+from one table: one package ``distance`` per pair of points.
 :func:`certified_normals` is the reference for ``SymmetricBody.normals``,
 which reads a hull's planes certified where the hull is made, and a
 lift's from its slice in every dimension: the same normals, in the same
@@ -72,7 +76,6 @@ from borsuk.bodies import (
     VPolytope,
     contains_point,
     is_full_dimensional,
-    negate,
     prune_redundant,
 )
 from borsuk.covering import SAMPLE_CERTIFIED, Covering
@@ -87,7 +90,7 @@ from borsuk.errors import (
 )
 from borsuk.linalg import Vec, canonical_sign, matrix_rank, over_common_denominator, vneg, vsub
 from borsuk.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult
-from borsuk.metric import gauge, set_diameter
+from borsuk.metric import distance, gauge, set_diameter
 from borsuk.partition import Partition
 
 ZERO = Fraction(0)
@@ -1230,6 +1233,21 @@ def outline_by_facet_crossings(C: SymmetricBody):
             if all(abs(a[0] * x + a[1] * y) <= b for a, b in C.facets):
                 pts.add(p)
     return _angular_sort(pts)
+
+
+def negate(K: VPolytope) -> VPolytope:
+    """Reflect a polytope through the origin. Involutive; keeps pruning."""
+    return VPolytope(K.dim, tuple(vneg(v) for v in K.vertices), pruned=K.pruned)
+
+
+def fraction_scale_polytope(K: VPolytope, t: Fraction) -> VPolytope:
+    """K times t, each vertex a ``Fraction`` tuple."""
+    return VPolytope(K.dim, tuple(tuple(t * x for x in v) for v in K.vertices), pruned=K.pruned)
+
+
+def cross_distances(C, xs, ys):
+    """``distance(C, x, y)`` for every x in xs and y in ys, x before y."""
+    return [distance(C, x, y) for x in xs for y in ys]
 
 
 def fraction_minkowski_sum(A: VPolytope, B: VPolytope) -> VPolytope:

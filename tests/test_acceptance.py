@@ -21,7 +21,6 @@ from borsuk.bodies import (
     lift_body,
     lift_set,
     point_set,
-    scale_polytope,
     vpolytope,
 )
 from borsuk.covering import (
@@ -41,7 +40,7 @@ from borsuk.generators import (
 )
 from borsuk.metric import DiameterGraph, distance, gauge, polytope_diameter, set_diameter
 from borsuk.partition import borsuk_number, chromatic_number, verify_partition
-from oracles import chromatic_by_bruteforce
+from oracles import chromatic_by_bruteforce, fraction_scale_polytope
 
 F = Fraction
 BASE_SEED = 20240601
@@ -83,7 +82,7 @@ def test_criterion_2_difference_norm_suite():
         dim = 2 + (i % 2)
         C = gen_random_body(seed, dim, dim + 2, max_numerator=6, max_denominator=4)
         K = gen_random_polytope(seed + 1, dim, dim + 3, max_numerator=6, max_denominator=4)
-        K = scale_polytope(K, F(1) / polytope_diameter(C, K))  # d_C(K) = 1
+        K = fraction_scale_polytope(K, F(1) / polytope_diameter(C, K))  # d_C(K) = 1
         D = difference_body(K)
         inside = all(gauge(C, w) <= 1 for w in D.vertices)
         diam_two = polytope_diameter(C, VPolytope(dim, D.vertices, pruned=True)) == 2

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from borsuk import lp
-from borsuk.linalg import matrix_rank, over_common_denominator
+from borsuk import lp, metric
+from borsuk.linalg import canonical_sign, matrix_rank, over_common_denominator, rational_points
 from borsuk.bodies import (
     SymmetricBody,
     VPolytope,
@@ -23,10 +23,18 @@ from borsuk.bodies import (
     vpolytope,
 )
 from borsuk.errors import DegenerateBody, DimensionMismatch, InvalidInput
-from borsuk.generators import cross_polytope_body, cube_body, cube_vertices, gen_random_body, gen_random_points
+from borsuk.generators import (
+    cross_polytope_body,
+    cube_body,
+    cube_vertices,
+    gen_random_body,
+    gen_random_points,
+    gen_random_polytope,
+)
 from borsuk.metric import (
     _extremes,
     _attaining,
+    _gauges,
     body_contains,
     diameter_graph,
     distance,
@@ -34,7 +42,13 @@ from borsuk.metric import (
     polytope_diameter,
     set_diameter,
 )
-from oracles import counter_clockwise, gauge_by_support_enumeration, memo_pairwise_max, pairwise_max_by_fractions
+from oracles import (
+    counter_clockwise,
+    gauge_by_support_enumeration,
+    lp_path,
+    memo_pairwise_max,
+    pairwise_max_by_fractions,
+)
 
 F = Fraction
 
@@ -543,3 +557,82 @@ def test_normals_of_each_body_kind(hexagon_v):
     for b in (F(0), F(-1)):
         with pytest.raises(DegenerateBody, match=f"^facet offset {b} is not strictly positive$"):
             SymmetricBody(2, facets=(((F(1), F(0)), F(1)), ((F(0), F(1)), b)))
+
+
+def _gauge_rows(rng, dim):
+    """Seeded integer rows of ``dim`` entries, among them a zero row, a row
+    and its negation, and a row listed twice, shuffled."""
+    rows = [tuple(rng.randint(-9, 9) for _ in range(dim)) for _ in range(5)]
+    rows += [(0,) * dim, tuple(-x for x in rows[0]), rows[1]]
+    rng.shuffle(rows)
+    return rows
+
+
+def _reference_gauge(C, x):
+    """A vertex body's gauge by support enumeration; a facet body's as its
+    largest ratio ``|a . x| / b``, which needs no vertices."""
+    if C.facets is not None:
+        return max(abs(sum(u * v for u, v in zip(a, x))) / b for a, b in C.facets)
+    return gauge_by_support_enumeration(C.vertices, x)
+
+
+def _lp_bodies():
+    return [
+        cross_polytope_body(4),
+        body_from_vertices([(2, 1), (-2, -1), (0, 1), (0, -1), (1, -1), (-1, 1)]),
+        gen_random_body(5, 3, 4, max_numerator=6, max_denominator=4),
+    ]
+
+
+def test_gauges_match_support_enumeration(hexagon_v, hexagon_h, monkeypatch):
+    # row by row, over scaled forms with zero, negated and repeated rows:
+    # facet bodies in 1D-4D, vertex bodies in 1D-3D, 4D lifts with normals,
+    # and vertex bodies on the LP path, the 4D cross-polytope among them
+    rng = random.Random(20261031)
+    bodies = [hexagon_v, hexagon_h, *_facet_bodies(rng), body_from_vertices([(F(3, 7),), (F(-3, 7),)])]
+    bodies += [gen_random_body(seed, 1 + seed % 3, 3, max_numerator=6, max_denominator=4) for seed in range(6)]
+    lifts = [lift_body(gen_random_polytope(seed, 3, 5, max_numerator=6, max_denominator=4)) for seed in range(2)]
+    assert all(C.normals is not None for C in bodies + lifts)
+
+    def check(C):
+        m = rng.randint(1, 6)
+        rows = _gauge_rows(rng, C.dim)
+        assert _gauges(C, (m, rows)) == [_reference_gauge(C, x) for x in rational_points(m, rows)]
+
+    for C in bodies + lifts:
+        check(C)
+    lp_path(monkeypatch)
+    for C in _lp_bodies():
+        assert C.normals is None
+        check(C)
+
+
+def test_gauges_take_one_lp_per_distinct_row_up_to_sign(hexagon_h, monkeypatch):
+    asked = []
+    real = metric.gauge
+
+    def counted(C, x):
+        asked.append(x)
+        return real(C, x)
+
+    monkeypatch.setattr(metric, "gauge", counted)
+    rng = random.Random(20261032)
+    _gauges(hexagon_h, (2, _gauge_rows(rng, 2)))
+    assert asked == []  # a body with normals reads one table
+    lp_path(monkeypatch)
+    for C in _lp_bodies():
+        rows = _gauge_rows(rng, C.dim)
+        asked.clear()
+        _gauges(C, (3, rows))
+        keys = {canonical_sign(X) for X in rows}
+        assert len(asked) == len(keys) < len(rows) and set(asked) == keys
+        # and the LP pair loop of a diameter, through the same memo
+        rows = sorted(set(rows))
+        asked.clear()
+        _extremes(C, (3, rows))
+        differences = {canonical_sign(tuple(x - y for x, y in zip(P, Q))) for P in rows for Q in rows if P < Q}
+        assert len(asked) == len(differences) and set(asked) == differences
+        # with no positive pair the diameter is still a Fraction
+        for few in (rows[:1], [(0,) * C.dim]):
+            diam, sides = _extremes(C, (3, few))
+            assert type(diam) is Fraction and diam == 0 and sides == []

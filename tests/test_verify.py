@@ -2,14 +2,21 @@
 
 import hashlib
 import json
+import sys
+from fractions import Fraction
+from operator import sub
 
 import pytest
 
-from borsuk import jsonio, verify
-from borsuk.bodies import difference_body, point_set
+from borsuk import jsonio, linalg, verify
+from borsuk.bodies import PointSet, VPolytope, difference_body, lift_body, lift_set, point_set
 from borsuk.errors import BorsukError, UnknownSuite
+from borsuk.generators import cube_body, gen_random_body, gen_random_polytope
+from borsuk.linalg import lowest_terms
+from borsuk.metric import _gauges, polytope_diameter
 from borsuk.partition import borsuk_number, doubling_check
 from borsuk.verify import SUITES, run_verify_suite
+from oracles import cross_distances, fraction_scale_polytope
 
 
 @pytest.mark.parametrize("suite", SUITES)
@@ -99,3 +106,56 @@ def test_passing_checks_serialize_nothing(monkeypatch):
         monkeypatch.setattr(jsonio, name, refuse)
     for suite in SUITES:
         assert run_verify_suite(suite, 2, 11).passed
+
+
+def test_cross_gauges_match_per_pair_distances():
+    # the lifted cross check reads the gauges of the row differences of the
+    # two copies from one table: on lifted_cross instances, under the
+    # lifted difference body (every value 1), the lift itself and the cube
+    # (values other than 1), they are one distance per pair
+    unequal = 0
+    for s in range(30):
+        dim = 1 + (s % 3)
+        K = gen_random_polytope(s, dim, dim + 2, max_numerator=6, max_denominator=4)
+        S = PointSet(dim, scaled=lowest_terms(*K.scaled))
+        L = lift_body(K)
+        lifted = lift_set(S)
+        m, rows = lifted.scaled
+        n = len(S)
+        differences = [tuple(map(sub, U, W)) for U in rows[:n] for W in rows[n:]]
+        for C in (difference_body(VPolytope(L.dim, scaled=L.scaled, pruned=True)), L, cube_body(dim + 1)):
+            expected = cross_distances(C, lifted.points[:n], lifted.points[n:])
+            assert _gauges(C, (m, differences)) == expected
+            unequal += any(g != 1 for g in expected)
+    assert unequal >= 30
+
+
+def test_unit_diameter_polytopes_serialize_as_scaled_fractions():
+    # K scaled on its rows to d_C(K) = 1 is the polytope, and the failure
+    # payload, of K's Fraction vertices times 1 / d_C(K)
+    for s in range(40):
+        dim, C, K, D = verify._unit_diameter_instance(s, s)
+        K0 = gen_random_polytope(s + 1, dim, dim + 3, max_numerator=6, max_denominator=4)
+        expected = fraction_scale_polytope(K0, Fraction(1) / polytope_diameter(C, K0))
+        assert C == gen_random_body(s, dim, dim + 2, max_numerator=6, max_denominator=4)
+        assert K == expected and K.scaled == expected.scaled
+        assert jsonio.polytope_to_obj(K) == jsonio.polytope_to_obj(expected)
+        assert polytope_diameter(C, K) == 1
+
+
+@pytest.mark.parametrize("suite", ["difference_norm", "lifted_cross", "norm_domination"])
+def test_row_suites_rescale_no_fraction(suite, monkeypatch):
+    # these suites read integer rows throughout: no module scales Fraction
+    # points back to rows
+    calls = []
+    real = linalg.over_common_denominator
+
+    def counted(points):
+        calls.append(points)
+        return real(points)
+
+    for module in list(sys.modules.values()):
+        if module is not None and getattr(module, "over_common_denominator", None) is real:
+            monkeypatch.setattr(module, "over_common_denominator", counted)
+    assert run_verify_suite(suite, 10, 0).passed
+    assert calls == []
