@@ -34,8 +34,9 @@ and pruned polytopes, difference bodies, lifts, lifted point sets and
 random point sets are built from the integer rows they were made of, so
 no ``Fraction`` is made that nothing reads, nor scaled back to its row.
 Other bodies from dimension 4, where facet counts can be exponential in
-the vertex count, and coplanar points in space are answered by the
-exact simplex in :mod:`borsuk.lp`.
+the vertex count, and flat sets, which have no facets, are answered by
+the exact simplex in :mod:`borsuk.lp`: flat sets take the LP in every
+dimension.
 """
 
 from __future__ import annotations
@@ -123,8 +124,8 @@ class _VertexForm:
         """The exact hull of the vertices, which answers pruning with no LP
         and from which a body's normals are made: the seed hull when one
         was handed on, else :func:`integer_hull`'s of the scaled form,
-        which is None from dimension 4 and for coplanar points in space;
-        None for a facet body."""
+        which is None from dimension 4 and for a flat set (flat sets take
+        the LP in every dimension); None for a facet body."""
         if self.facets is not None:
             return None
         return self.seed_hull if self.seed_hull is not None else integer_hull(*self.scaled)
@@ -406,8 +407,8 @@ class Hull(NamedTuple):
     half-spaces ``n . X <= c`` in ``planes`` over such scaled points, one
     per facet. In the plane the half-plane of edge (P, Q) has
     ``c = P x Q``, the orientation of the origin against that edge. A hull
-    that is one point, or a segment in the plane, gets the half-spaces
-    that pin it down.
+    is full-dimensional: a flat set has none, and takes the LP in every
+    dimension.
 
     A hull holds data only, certified once by :func:`integer_hull` as it
     is made: a body reads its planes as its normals, and pruning its
@@ -425,18 +426,19 @@ def integer_hull(m: int, rows) -> Hull | None:
     """Exact convex hull of the points ``X / m``, X an integer row, in
     dimensions 1 to MAX_HULL_DIM, at scale m: the least common
     denominator of the points, as the callers make it. None in higher
-    dimensions, and for coplanar points in space.
+    dimensions, and for a flat set, whose affine rank is below its
+    dimension: one point, collinear points in the plane, coplanar points
+    in space. A flat set has no facets in its space, so flat sets take
+    the LP in every dimension.
 
     The rows are sorted once, and the hull of each dimension is built from
     those sorted points P alone. It is certified here, the one place a
     hull is, over all of P: (a) every point satisfies ``n . X <= c`` for
-    every plane; and for a full-dimensional hull, (b) each plane holds d
-    affinely independent points, so it is a facet's, and (c) the facets
-    close up: as many as corners on the line and in the plane, and
-    Euler's ``V - E + F = 2`` in space, where each edge lies on two
-    facets, so that 2E counts the (corner, facet) incidences. A point, or
-    a segment in the plane, is checked by (a) alone: its planes only pin
-    it down.
+    every plane; (b) each plane holds d affinely independent points, so it
+    is a facet's; and (c) the facets close up: as many as corners on the
+    line and in the plane, and Euler's ``V - E + F = 2`` in space, where
+    each edge lies on two facets, so that 2E counts the (corner, facet)
+    incidences.
     """
     d = len(next(iter(rows)))
     if d > MAX_HULL_DIM:
@@ -446,31 +448,31 @@ def integer_hull(m: int, rows) -> Hull | None:
     if made is None:
         return None
     corners, planes = made
-    full = not len(corners) <= d < MAX_HULL_DIM
     corner_set, incidences = set(corners), 0
     for (n, c), values in zip(planes, dots([n for n, _ in planes], P)):
         if max(values) > c:
             raise ArithmeticError(f"point {P[values.index(max(values))]} is outside the hull's half-space {n} . X <= {c}")
-        if full:
-            on = [X for X, t in zip(P, values) if t == c]
-            # on the line and in the plane any d distinct points are
-            # independent; in space three are when one is off the line
-            # through the first two, so that their triangle's normal is not 0
-            spans = len(on) >= d if d < 3 else any(any(_triangle(on, 0, 1, k)[3]) for k in range(2, len(on)))
-            if not spans:
-                raise ArithmeticError(f"the hull's plane {n} . X = {c} holds fewer than {d} affinely independent points")
-            incidences += len(corner_set.intersection(on))
+        on = [X for X, t in zip(P, values) if t == c]
+        # on the line and in the plane any d distinct points are
+        # independent; in space three are when one is off the line
+        # through the first two, so that their triangle's normal is not 0
+        spans = len(on) >= d if d < 3 else any(any(_triangle(on, 0, 1, k)[3]) for k in range(2, len(on)))
+        if not spans:
+            raise ArithmeticError(f"the hull's plane {n} . X = {c} holds fewer than {d} affinely independent points")
+        incidences += len(corner_set.intersection(on))
     V, F = len(corners), len(planes)
-    if full and ((F != V) if d < 3 else (2 * V - incidences + 2 * F != 4)):
+    if (F != V) if d < 3 else (2 * V - incidences + 2 * F != 4):
         raise ArithmeticError(f"the {F} facets of the hull do not close up around its {V} corners")
     return Hull(m, tuple(corners), planes)
 
 
-def _segment_hull(P) -> tuple:
+def _segment_hull(P) -> tuple | None:
     """The hull of the sorted distinct integer points P on the line: the
-    least and the greatest, one half-line at each."""
+    least and the greatest, one half-line at each; None for one point."""
+    if len(P) < 2:
+        return None
     (lo,), (hi,) = P[0], P[-1]
-    return (P[0], P[-1]) if lo < hi else (P[0],), (((1,), hi), ((-1,), -lo))
+    return (P[0], P[-1]), (((1,), hi), ((-1,), -lo))
 
 
 def _turn(o, a, b) -> int:
@@ -489,34 +491,23 @@ def _chain(points) -> list:
     return chain
 
 
-def _half_planes(corners) -> tuple[HalfSpace, ...]:
-    """The half-planes whose intersection is the hull of the corners,
-    given counter-clockwise."""
-    if len(corners) == 1:
-        ((x, y),) = corners
-        return ((1, 0), x), ((-1, 0), -x), ((0, 1), y), ((0, -1), -y)
-    # X is left of P -> Q (or on it) when n . X <= P x Q
-    planes = [
-        ((qy - py, px - qx), px * qy - py * qx)
-        for (px, py), (qx, qy) in zip(corners, corners[1:] + corners[:1])
-    ]
-    if len(corners) == 2:
-        # a segment: its line from both sides, and a cap at each end
-        (px, py), (qx, qy) = corners
-        planes.append(((px - qx, py - qy), (px - qx) * px + (py - qy) * py))
-        planes.append(((qx - px, qy - py), (qx - px) * qx + (qy - py) * qy))
-    return tuple(planes)
-
-
-def planar_hull(P) -> tuple:
+def planar_hull(P) -> tuple | None:
     """The corners and half-planes of the hull of the sorted distinct
     integer points P in the plane, by Andrew's monotone chain (1979), for
-    :func:`integer_hull` to certify. Only strict left turns are kept, so
-    collinear boundary points are dropped: the corners are the strict
-    extreme points, counter-clockwise from the least.
+    :func:`integer_hull` to certify; None below 3 corners, for collinear
+    points. Only strict left turns are kept, so collinear boundary points
+    are dropped: the corners are the strict extreme points,
+    counter-clockwise from the least. X is left of the edge P -> Q, or on
+    it, when ``n . X <= P x Q``.
     """
-    corners = _chain(P)[:-1] + _chain(reversed(P))[:-1] if len(P) > 2 else P
-    return corners, _half_planes(corners)
+    corners = _chain(P)[:-1] + _chain(reversed(P))[:-1]
+    if len(corners) < 3:
+        return None
+    planes = tuple(
+        ((qy - py, px - qx), px * qy - py * qx)
+        for (px, py), (qx, qy) in zip(corners, corners[1:] + corners[:1])
+    )
+    return corners, planes
 
 
 def _triangle(P, i, j, k):
@@ -662,11 +653,11 @@ def prune_redundant(P: VPolytope) -> VPolytope:
 
     The survivors are exactly the extreme points of the hull, in sorted
     order. In dimensions 1 to 3 they are the vertices of the exact hull,
-    which the pruned polytope keeps as its own.
-    From dimension 4, and for a flat set in space, candidates are scanned
-    in sorted order by exact LPs; a point found inside the hull of the
-    current survivors is dropped immediately, which never changes the hull
-    and shrinks the later LPs.
+    which the pruned polytope keeps as its own. From dimension 4, and for
+    a flat set, which has no hull (flat sets take the LP in every
+    dimension), candidates are scanned in sorted order by exact LPs; a
+    point found inside the hull of the current survivors is dropped
+    immediately, which never changes the hull and shrinks the later LPs.
     """
     hull = P.hull
     if hull is not None:

@@ -16,8 +16,9 @@ import time
 from . import jsonio
 from .bodies import difference_body, lift_set
 from .covering import bounds_table, greedy_cover
-from .errors import BorsukError, InvalidInput
-from .metric import diameter_graph, gauge
+from .errors import BorsukError, DimensionMismatch, InvalidInput
+from .linalg import over_common_denominator
+from .metric import _gauges, diameter_graph
 from .partition import borsuk_number
 from .svgplot import render_svg
 from .verify import SUITES, run_verify_suite
@@ -54,7 +55,10 @@ def _cmd_gauge(args) -> int:
         points.append(jsonio.parse_rational_point(text))
     if not points:
         raise BorsukError("give at least one --point or a --points file")
-    values = [jsonio.format_rational(gauge(C, p)) for p in points]
+    for p in points:
+        if len(p) != C.dim:
+            raise DimensionMismatch(f"point of dim {len(p)} against body of dim {C.dim}")
+    values = [jsonio.format_rational(g) for g in _gauges(C, over_common_denominator(points))]
     _write_text(jsonio.dumps({"values": values}), args.out)
     return 0
 

@@ -12,14 +12,14 @@ spacing ``step * m``, and ``Fraction``s are built only for the witnesses
 and centers returned. Membership of w in c + lam*K is decided per center
 as one bitmask over the witnesses, on the two paths that
 :mod:`borsuk.metric` takes: exact planes, or LPs. Where K has an exact
-hull (dimensions 1 to 3, and K not a flat set in space), the witnesses
-are sorted once along each of the hull's integer planes, and a center's
-mask is the AND over the planes of the prefix of that order its
-translate's plane bounds, found by bisection. Otherwise one exact LP
-decides each distinct difference w - c, which grid witnesses and grid
-centers repeat many times. A partition from a cover tests a point set
-the same way, on the set's own scaled form, with the centers' rows, kept
-on the covering, put over the same denominator.
+hull (dimensions 1 to 3, and K not flat: flat sets take the LP in every
+dimension), the witnesses are sorted once along each of the hull's
+integer planes, and a center's mask is the AND over the planes of the
+prefix of that order its translate's plane bounds, found by bisection.
+Otherwise one exact LP decides each distinct difference w - c, which
+grid witnesses and grid centers repeat many times. A partition from a
+cover tests a point set the same way, on the set's own scaled form, with
+the centers' rows, kept on the covering, put over the same denominator.
 
 The closed-form bound evaluators are the only deliberately inexact
 computation in the package: they report double-precision values of
@@ -93,9 +93,8 @@ def _lattice_axes(lo, hi, step: Fraction) -> tuple[list[range], int]:
     # stop - start, since len() of a range overflows past sys.maxsize
     count = math.prod(max(0, r.stop - r.start) for r in axes)
     if count > MAX_GRID_POINTS:
-        raise InvalidInput(
-            f"grid step too fine: {count} lattice points, more than {MAX_GRID_POINTS} per grid"
-        )
+        # the count itself can have more digits than str(int) will write
+        raise InvalidInput(f"grid step too fine: more than {MAX_GRID_POINTS} lattice points per grid")
     return axes, count
 
 

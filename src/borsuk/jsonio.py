@@ -167,6 +167,8 @@ def body_to_obj(C: SymmetricBody) -> dict:
 @_parses("body")
 def body_from_obj(obj) -> SymmetricBody:
     dim = _int(obj["dim"], "dim")
+    if "vertices" in obj and "facets" in obj:
+        raise InvalidInput("body: give one of 'vertices' and 'facets', not both")
     if "vertices" in obj:
         return SymmetricBody(dim, vertices=tuple(_vec_from_obj(v) for v in obj["vertices"]))
     facets = tuple(

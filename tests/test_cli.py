@@ -1,12 +1,14 @@
 """End-to-end CLI runs: JSON in, JSON/CSV/SVG out, exit codes, determinism."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
 from borsuk import jsonio
 from borsuk.cli import cli_dispatch
 from borsuk.errors import BorsukError
+from borsuk.metric import gauge
 
 
 @pytest.fixture
@@ -51,6 +53,34 @@ def test_gauge_inline_point(cube2, capsys):
     code, out = run(["gauge", "--body", body, "--point", '["2","0"]', "--point", '["1/2","1/3"]'], capsys)
     assert code == 0
     assert json.loads(out)["values"] == ["2", "1/2"]
+
+
+@pytest.mark.parametrize("body", [
+    {"dim": 2, "vertices": [[1, 0], [0, 1], [-1, 0], [0, -1], [1, 1], [-1, -1]]},
+    # no normals: each gauge is an LP
+    {"dim": 4, "vertices": [[1, 0, 0, 0], [-1, 0, 0, 0], [0, 1, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0],
+                            [0, 0, -1, 0], [0, 0, 0, 1], [0, 0, 0, -1],
+                            ["1/2", "1/2", "1/2", "1/3"], ["-1/2", "-1/2", "-1/2", "-1/3"]]},
+])
+def test_gauge_of_file_and_inline_points_matches_gauge_per_point(body, tmp_path, capsys):
+    # the file's points and the --point texts are one table over a common
+    # denominator; a point of another dimension is refused in order
+    d = body["dim"]
+    inline = [[str(Fraction(k, 3 + i)) for i in range(d)] for k in (-2, 5)]
+    points = [["0"] * d, [str(Fraction(i + 1, 2 * i + 1)) for i in range(d)]] + inline
+    C = jsonio.body_from_obj(body)
+    body_path, points_path = tmp_path / "body.json", tmp_path / "points.json"
+    body_path.write_text(json.dumps(body))
+    points_path.write_text(json.dumps({"dim": d, "points": points[:2]}))
+    argv = ["gauge", "--body", body_path, "--points", points_path]
+    code, out = run([*argv, *(a for p in inline for a in ("--point", json.dumps(p)))], capsys)
+    assert code == 0
+    expected = [jsonio.format_rational(gauge(C, tuple(map(Fraction, p)))) for p in points]
+    assert json.loads(out)["values"] == expected
+    code = cli_dispatch([str(a) for a in argv] + ["--point", json.dumps(["1"] * (d + 1)), "--point", '["x"]'])
+    assert code == 1 and capsys.readouterr().err == "error: not a rational number: 'x'\n"
+    code = cli_dispatch([str(a) for a in argv] + ["--point", json.dumps(["1"] * (d + 1)), "--point", '["1"]'])
+    assert code == 1 and capsys.readouterr().err == f"error: point of dim {d + 1} against body of dim {d}\n"
 
 
 def test_diameter_graph(cube2, capsys):
@@ -268,6 +298,11 @@ def _bad_input_argv(case, tmp_path):
         segment = tmp_path / "segment.json"
         segment.write_text(json.dumps({"dim": 1, "vertices": [["0"], ["1"]]}))
         return ["cover", "--polytope", segment, "--ratio", "1/2", "--grid-step", "1e-30"]
+    if case == "grid step too fine in the plane":
+        # the lattice count has more digits than str(int) will write
+        triangle = tmp_path / "triangle.json"
+        triangle.write_text(json.dumps({"dim": 2, "vertices": [[0, 0], [1, 0], [0, 1]]}))
+        return ["cover", "--polytope", triangle, "--ratio", "1/2", "--grid-step", "1e-3000"]
     if case == "grid pairs too many":
         # each grid is under MAX_GRID_POINTS, but their 1.3e9 pairs are not
         return ["cover", "--polytope", square, "--ratio", "3/5", "--grid-step", "1/150"]
@@ -275,6 +310,9 @@ def _bad_input_argv(case, tmp_path):
         return ["bounds", "--n-max", "2000"]
     if case == "bounds range empty":
         return ["bounds", "--n-min", "5", "--n-max", "3"]
+    if case == "body with vertices and facets":
+        body.write_text(json.dumps({"dim": 2, "vertices": [[1, 0], [-1, 0], [0, 1], [0, -1]], "facets": []}))
+        return ["gauge", "--body", body, "--point", '["1","1"]']
     if case == "body without vertices":
         body.write_text(json.dumps({"dim": 2, "vertices": []}))
         return ["gauge", "--body", body, "--point", '["1","1"]']
@@ -294,8 +332,9 @@ def _bad_input_argv(case, tmp_path):
     "malformed json", "json nested too deep", "infinite dim", "missing dim", "bad rational", "duplicate points", "bad inline point",
     "string points", "string inline point", "string facet normal", "string class", "fractional class index",
     "partition for another set",
-    "ratio abc", "ratio 2", "grid step 0", "grid step too fine", "grid pairs too many", "bounds past double range",
-    "bounds range empty", "body without vertices", "result too long to write", *REFUSED_BODIES,
+    "ratio abc", "ratio 2", "grid step 0", "grid step too fine", "grid step too fine in the plane", "grid pairs too many",
+    "bounds past double range", "bounds range empty", "body with vertices and facets", "body without vertices",
+    "result too long to write", *REFUSED_BODIES,
 ])
 def test_bad_input_is_an_error_line_not_a_traceback(case, tmp_path, capsys):
     # an uncaught exception would escape cli_dispatch and fail the test

@@ -78,6 +78,9 @@ def _clouds():
         clouds.append([tuple(b + s * x for b, x in zip(base, u)) for s, _ in ts])
     for _ in range(20):
         clouds.append([(_rational(rng, 6, 3),) for _ in range(rng.randint(1, 5))])
+    # more segments on the line, since a single point there is flat
+    for _ in range(8):
+        clouds.append([(_rational(rng, 6, 3),) for _ in range(rng.randint(2, 5))])
     return [vpolytope(cloud) for cloud in clouds]
 
 
@@ -91,12 +94,13 @@ def test_hull_prune_and_facets_match_lps_and_brute_force(monkeypatch):
     tally = Counter()
     for P, pruned in zip(clouds, by_hull):
         hull = integer_hull(*over_common_denominator(P.vertices))
-        if P.dim == 1:
-            assert list(hull.corners) == [tuple(x * hull.scale for x in v) for v in pruned.vertices]
-            tally["line"] += 1
-        elif affine_rank(list(P.vertices)) < 3:
+        if affine_rank(list(P.vertices)) < P.dim:
+            # a flat set, one point on the line included, takes the LP
             assert hull is None
             tally["flat"] += 1
+        elif P.dim == 1:
+            assert list(hull.corners) == [tuple(x * hull.scale for x in v) for v in pruned.vertices]
+            tally["line"] += 1
         else:
             # one plane per facet, each in lowest terms, and only extreme points
             assert set(hull.planes) == facets_by_triples(P.vertices)
@@ -105,6 +109,47 @@ def test_hull_prune_and_facets_match_lps_and_brute_force(monkeypatch):
             tally["space"] += 1
     assert tally["flat"] >= 12 and tally["space"] >= 50 and tally["line"] >= 20
     assert max(len(P.vertices) for P in by_hull) >= 8
+
+
+def _affine_clouds(rng, d):
+    """Seeded clouds in dimension d, 16 on an affine subspace of each
+    dimension 0 to d, some of their points repeated."""
+    for r in range(d + 1):
+        for _ in range(16):
+            base = [_rational(rng, 3, 3) for _ in range(d)]
+            span = [[_rational(rng, 3, 3) for _ in range(d)] for _ in range(r)]
+            points = [
+                tuple(b + sum(t * u[i] for t, u in zip(ts, span)) for i, b in enumerate(base))
+                for ts in ([_rational(rng, 3, 2) for _ in range(r)] for _ in range(rng.randint(r + 1, d + 5)))
+            ]
+            points += rng.sample(points, rng.randint(0, len(points)))
+            yield points
+
+
+def test_integer_hull_is_none_exactly_on_flat_sets():
+    # a flat set, of affine rank below its dimension, has no facets, so it
+    # gets no hull in any dimension: one point, repeated or not, collinear
+    # points in the plane, coplanar points in space
+    rng = random.Random(20261020)
+    clouds = [
+        [(2,)],
+        [(F(1, 3),)] * 3,
+        [(0, 0)],
+        [(1, 2)] * 4,
+        [(0, 0), (1, 1)],
+        [(0, 0), (2, 1), (4, 2), (2, 1)],
+        [(0, 0, 0)] * 2,
+        [(0, 0, 0), (1, 1, 1), (2, 2, 2)],
+        [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (F(1, 2), F(1, 2), 0)],
+    ]
+    for d in (1, 2, 3):
+        clouds += _affine_clouds(rng, d)
+    tally = Counter()
+    for points in clouds:
+        d, flat = len(points[0]), affine_rank(points) < len(points[0])
+        assert (integer_hull(*over_common_denominator(points)) is None) == flat
+        tally[d, flat] += 1
+    assert all(tally[d, flat] >= 10 for d in (1, 2, 3) for flat in (False, True))
 
 
 def _symmetric_candidates():
