@@ -41,7 +41,6 @@ dimension.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -49,6 +48,7 @@ from operator import add, sub
 from typing import NamedTuple
 
 from . import lp
+from ._value import Value
 from .errors import DegenerateBody, DimensionMismatch, InvalidInput, NotSymmetric
 from .linalg import (
     Vec,
@@ -131,22 +131,22 @@ class _VertexForm:
         return self.seed_hull if self.seed_hull is not None else integer_hull(*self.scaled)
 
 
-# Each class below is a frozen dataclass for its ``==``, ``hash`` and
-# ``repr``, with its own ``__init__``, so that its points can be left out:
-# the field ``vertices`` or ``points`` then defaults to the cached property
-# that makes them from the scaled form.
+# Each class below is a value type (:class:`borsuk._value.Value`) whose
+# ``__init__`` can leave its points out: the field ``vertices`` or
+# ``points`` is then the cached property that makes them from the scaled
+# form, which ``==``, ``hash`` and ``repr`` read like any other field.
 
 
-@dataclass(frozen=True, init=False)
-class VPolytope(_VertexForm):
+class VPolytope(_VertexForm, Value):
     """Convex polytope given by (a superset of) its vertices, as tuples of
     ``Fraction`` or as a scaled form ``scaled=(m, rows)`` alone."""
 
+    _fields = ("dim", "vertices", "pruned")
     dim: int
     vertices: tuple[Vec, ...]
-    pruned: bool = False
+    pruned: bool
     # the hull this polytope was pruned with, read only through ``hull``
-    seed_hull: Hull | None = field(default=None, compare=False, repr=False)
+    seed_hull: Hull | None
 
     def __init__(self, dim, vertices=None, pruned=False, *, seed_hull=None, scaled=None):
         vars(self).update(dim=dim, pruned=pruned, seed_hull=seed_hull)
@@ -172,8 +172,7 @@ class VPolytope(_VertexForm):
         return SymmetricBody(self.dim, scaled=scaled, seed_hull=hull)
 
 
-@dataclass(frozen=True, init=False)
-class SymmetricBody(_VertexForm):
+class SymmetricBody(_VertexForm, Value):
     """Centrally symmetric convex body with the origin interior.
 
     Exactly one representation is present: ``vertices`` (closed under
@@ -183,13 +182,14 @@ class SymmetricBody(_VertexForm):
     :func:`validate_body`, which raises on a set that is no such body.
     """
 
+    _fields = ("dim", "vertices", "facets")
     dim: int
     vertices: tuple[Vec, ...] | None
-    facets: tuple[Facet, ...] | None = None
+    facets: tuple[Facet, ...] | None
     # a hull handed on by the construction, read only through ``hull``, and
     # a symmetric lift's base, whose difference body is its slice
-    seed_hull: Hull | None = field(default=None, compare=False, repr=False)
-    lift_base: VPolytope | None = field(default=None, compare=False, repr=False)
+    seed_hull: Hull | None
+    lift_base: VPolytope | None
 
     def __init__(self, dim, vertices=None, facets=None, *, scaled=None, seed_hull=None, lift_base=None):
         vars(self).update(dim=dim, facets=facets, seed_hull=seed_hull, lift_base=lift_base)
@@ -345,8 +345,7 @@ class SymmetricBody(_VertexForm):
         return L, normals
 
 
-@dataclass(frozen=True, init=False)
-class PointSet:
+class PointSet(Value):
     """Finite labeled set of rational points, pairwise distinct, given as
     tuples of ``Fraction`` or as the scaled form the diameter pass reads,
     ``scaled=(m, rows)``, alone: least-common-denominator rows in the
@@ -354,9 +353,10 @@ class PointSet:
     the last body asked on the set (:func:`borsuk.metric._set_extremes`),
     which ``==``, ``hash`` and ``repr`` do not read."""
 
+    _fields = ("dim", "points", "labels")
     dim: int
     points: tuple[Vec, ...]
-    labels: tuple | None = None
+    labels: tuple | None
 
     def __init__(self, dim, points=None, labels=None, *, scaled=None):
         vars(self).update(dim=dim, labels=labels)
@@ -412,9 +412,8 @@ class Hull(NamedTuple):
 
     A hull holds data only, certified once by :func:`integer_hull` as it
     is made: a body reads its planes as its normals, and pruning its
-    corners as the pruned vertices. A named tuple rather than a frozen
-    dataclass: it is as immutable and costs a sixth of the time to define
-    when the package is imported.
+    corners as the pruned vertices. A named tuple: a hull is its three
+    fields and nothing more.
     """
 
     scale: int

@@ -32,11 +32,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, product
 from operator import or_, sub
 
+from ._value import Value
 from .bodies import PointSet, Scaled, SymmetricBody, VPolytope, contains_point
 from .errors import DimensionMismatch, DomainError, GridTooCoarse, InvalidInput, PointUncovered
 from .linalg import ONE, Vec, common_scale, dots, over_common_denominator, show
@@ -64,10 +64,10 @@ MAX_GRID_POINTS = 10**5
 MAX_COVER_PAIRS = 10**7
 
 
-@dataclass(frozen=True)
-class Covering:
+class Covering(Value):
     """Translate centers for a shrunk copy of a body, with witnesses."""
 
+    _fields = ("ratio", "centers", "body", "certificate_level", "witnesses")
     ratio: Fraction
     centers: tuple[Vec, ...]
     body: VPolytope
@@ -76,14 +76,27 @@ class Covering:
     # the centers as the integer rows they were picked as, over a common
     # denominator, which a partition from the cover reads; a covering
     # built by hand from its centers alone has them made from those
-    center_rows: Scaled | None = field(default=None, compare=False, repr=False)
+    center_rows: Scaled | None
+
+    def __init__(self, ratio, centers, body, certificate_level, witnesses, center_rows=None):
+        vars(self).update(
+            ratio=ratio,
+            centers=centers,
+            body=body,
+            certificate_level=certificate_level,
+            witnesses=witnesses,
+            center_rows=center_rows,
+        )
 
 
-@dataclass(frozen=True)
-class BoundValue:
+class BoundValue(Value):
+    _fields = ("n", "value", "formula")
     n: int
     value: float
     formula: str
+
+    def __init__(self, n, value, formula):
+        vars(self).update(n=n, value=value, formula=formula)
 
 
 def _lattice_axes(lo, hi, step: Fraction) -> tuple[list[range], int]:

@@ -29,9 +29,10 @@ one rank.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+
+from ._value import Value
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -41,12 +42,15 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 
-@dataclass
-class LPResult:
+class LPResult(Value):
+    _fields = ("status", "value", "x", "pivots")
     status: str
-    value: Fraction | None = None
-    x: list[Fraction] | None = None
-    pivots: int = 0
+    value: Fraction | None
+    x: list[Fraction] | None
+    pivots: int
+
+    def __init__(self, status, value=None, x=None, pivots=0):
+        vars(self).update(status=status, value=value, x=x, pivots=pivots)
 
 
 class _Tableau:

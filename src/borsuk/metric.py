@@ -59,33 +59,33 @@ by exact rational equality; there is no tolerance anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import sub
 
 from . import lp
+from ._value import Value
 from .bodies import PointSet, Scaled, SymmetricBody, VPolytope, contains_point
 from .errors import DimensionMismatch, IndexOutOfRange, InvalidInput
 from .linalg import ONE, ZERO, Vec, canonical_sign, dots, over_common_denominator, vsub
 
 
-@dataclass(frozen=True)
-class DiameterGraph:
+class DiameterGraph(Value):
     """Graph on point indices; edges are the pairs attaining the diameter."""
 
+    _fields = ("n_points", "diameter", "edges")
     n_points: int
     diameter: Fraction
     edges: tuple[tuple[int, int], ...]  # pairs (i, j) with i < j
 
-    def __post_init__(self):
+    def __init__(self, n_points, diameter, edges):
+        vars(self).update(n_points=n_points, diameter=diameter, edges=edges)
         # the colouring indexes per-vertex tables by these, so a negative
         # index would alias another vertex and a self-loop never colours
-        if self.n_points < 1:
-            raise InvalidInput(f"a diameter graph needs at least one point, got {self.n_points}")
-        n = self.n_points
-        for i, j in self.edges:
-            if not (0 <= i < n and 0 <= j < n):
-                raise IndexOutOfRange(f"edge ({i}, {j}) outside 0..{n - 1}")
+        if n_points < 1:
+            raise InvalidInput(f"a diameter graph needs at least one point, got {n_points}")
+        for i, j in edges:
+            if not (0 <= i < n_points and 0 <= j < n_points):
+                raise IndexOutOfRange(f"edge ({i}, {j}) outside 0..{n_points - 1}")
             if i == j:
                 raise InvalidInput(f"self-loop at vertex {i}")
 

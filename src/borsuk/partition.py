@@ -35,6 +35,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
+from ._value import Value
 from .bodies import PointSet, SymmetricBody, VPolytope, difference_body, lift_body, lift_set, prune_redundant
 from .errors import BorsukError, DimensionMismatch, IndexOutOfRange, InvalidInput
 from .linalg import common_scale, rational_points, show
@@ -44,25 +45,26 @@ DEFAULT_NODE_BUDGET = 10_000_000
 BUDGET_ENV_VAR = "BORSUK_NODE_BUDGET"
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Value):
     """Disjoint nonempty index classes covering 0..n_points-1."""
 
+    _fields = ("n_points", "classes")
     n_points: int
     classes: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
+    def __init__(self, n_points, classes):
+        vars(self).update(n_points=n_points, classes=classes)
         seen: set[int] = set()
-        for cls in self.classes:
+        for cls in classes:
             if not cls:
                 raise InvalidInput("empty partition class")
             for i in cls:
-                if not 0 <= i < self.n_points:
-                    raise IndexOutOfRange(f"index {i} outside 0..{self.n_points - 1}")
+                if not 0 <= i < n_points:
+                    raise IndexOutOfRange(f"index {i} outside 0..{n_points - 1}")
                 if i in seen:
                     raise InvalidInput(f"index {i} appears in two classes")
                 seen.add(i)
-        if len(seen) != self.n_points:
+        if len(seen) != n_points:
             raise InvalidInput("classes do not cover all indices")
 
 

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, field
+from copy import deepcopy
 from operator import add, sub
 
 from . import jsonio
+from ._value import Value
 from .bodies import PointSet, VPolytope, difference_body, lift_body, lift_set
 from .covering import binomial_bound, covering_bound, partition_bound
 from .errors import BorsukError, UnknownSuite
@@ -24,15 +25,33 @@ from .metric import _extremes, _gauges, polytope_diameter
 from .partition import borsuk_number, doubling_check, verify_partition
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(Value):
+    """A suite's counts and failure payloads, filled in as it runs: unlike
+    the other value types, it can be assigned to and is not hashable."""
+
+    _fields = ("suite", "count", "seed", "instances_run", "checks_passed", "checks_failed", "failures")
     suite: str
     count: int
     seed: int
-    instances_run: int = 0
-    checks_passed: int = 0
-    checks_failed: int = 0
-    failures: list = field(default_factory=list)
+    instances_run: int
+    checks_passed: int
+    checks_failed: int
+    failures: list
+
+    __hash__ = None
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+
+    def __init__(self, suite, count, seed, instances_run=0, checks_passed=0, checks_failed=0, failures=None):
+        vars(self).update(
+            suite=suite,
+            count=count,
+            seed=seed,
+            instances_run=instances_run,
+            checks_passed=checks_passed,
+            checks_failed=checks_failed,
+            failures=[] if failures is None else failures,
+        )
 
     @property
     def passed(self) -> bool:
@@ -48,7 +67,9 @@ class VerificationReport:
             self.failures.append({**payload(), "check": check})
 
     def to_obj(self) -> dict:
-        return asdict(self)
+        """The fields as a dict, the failures a deep copy, so that the
+        report and the dict change apart."""
+        return dict(zip(self._fields, self._values(self)), failures=deepcopy(self.failures))
 
 
 def _child_seed(seed: int, index: int) -> int:
