@@ -17,10 +17,16 @@ the style of San Segundo (2012): per color, the vertices next to it;
 per bit i of the saturations, a plane of the vertices with it set. The
 search never has best_k colors in use, best_k those of the greedy
 coloring, so (best_k - 1).bit_length() planes hold every saturation.
-Each frame of the stack keeps the state its vertex was picked in, and a
-child's state is built from it on copies of the lists it changes, so
-backing out of a child undoes nothing. Outcomes are certified by the
-returned coloring and, when the search finished, by exhaustion.
+The search works on ranks, reading a vertex's index only to write out a
+coloring. Each child is entered in the loop step that builds it, and
+only a node with a next color to try is pushed, keeping its state: the
+lists it holds are copied before they change, so backing out of a child
+undoes nothing, and a frame is read back only to try its next color.
+Vertices of degree 0 are colored last, one level each, and those levels
+are counted, not walked: each of them takes color 0 down to a leaf, and
+backing out tries each other color in use, which the leaf rules out.
+Outcomes are certified by the returned coloring and, when the search
+finished, by exhaustion.
 
 Checking a given partition needs no graph either. A part has a strictly
 smaller diameter exactly when it holds no pair attaining the full one,
@@ -137,13 +143,14 @@ def _greedy_clique(nbr) -> list[int]:
 
 
 def _ranking(nbr):
-    """(order, ranked, bit, rnbr): the vertices in (-degree, index) order,
-    how many of them have a neighbour, and per vertex its own bit and the
-    mask of its neighbours, bit r standing for the vertex of rank r.
+    """(order, rnbr): the vertices in (-degree, index) order, and per rank
+    r of a vertex with a neighbour the mask of the neighbours of
+    ``order[r]``, bit s standing for the vertex of rank s.
 
-    Vertices of degree 0 rank last and stay out of the masks, with
-    ``bit[v] == 0``: their saturation is always 0, so they are picked only
-    once every other vertex is colored, and then in rank order.
+    The search and DSATUR work on ranks: the vertex of rank r is bit
+    ``1 << r`` of their masks, and ``order`` maps a rank back to its
+    vertex. Vertices of degree 0 rank last, past the end of ``rnbr``, and
+    stay out of the masks: nothing constrains their colors.
     """
     n = len(nbr)
     degree = [x.bit_count() for x in nbr]
@@ -153,15 +160,15 @@ def _ranking(nbr):
     bit = [0] * n
     for r in range(ranked):
         bit[order[r]] = 1 << r
-    rnbr = [0] * n
-    for v in order[:ranked]:
-        x, m = nbr[v], 0
+    rnbr = [0] * ranked
+    for r in range(ranked):
+        x, m = nbr[order[r]], 0
         while x:  # each neighbour's index bit, lowest first, for its rank bit
             low = x & -x
             m |= bit[low.bit_length() - 1]
             x ^= low
-        rnbr[v] = m
-    return order, ranked, bit, rnbr
+        rnbr[r] = m
+    return order, rnbr
 
 
 def _count_up(sat, x):
@@ -177,25 +184,25 @@ def _count_up(sat, x):
 
 def _dsatur_greedy(ranking) -> list[int]:
     """DSATUR's own coloring: each picked vertex takes its first free
-    color. Vertices of degree 0 come last and all take color 0."""
-    order, ranked, bit, rnbr = ranking
+    color. Vertices of degree 0 all take color 0."""
+    order, rnbr = ranking
     colors = [0] * len(order)
-    unc = (1 << ranked) - 1
+    unc = (1 << len(rnbr)) - 1
     near, sat = [], []
-    for _ in range(ranked):
+    for _ in rnbr:
         m = unc
         for p in reversed(sat):
             m = m & p or m
-        v = order[(m & -m).bit_length() - 1]
-        b = bit[v]
+        b = m & -m
         c = 0
         while c < len(near) and near[c] & b:
             c += 1
         if c == len(near):
             near.append(0)
-        colors[v] = c
+        r = b.bit_length() - 1
+        colors[order[r]] = c
         unc ^= b
-        x = rnbr[v] & ~near[c]
+        x = rnbr[r] & ~near[c]
         if x:
             near[c] |= x
             _count_up(sat, x)
@@ -207,7 +214,7 @@ def _exact_chromatic(nbr, budget):
     vertex i has the neighbour mask ``nbr[i]``, bit j for vertex j."""
     n = len(nbr)
     clique = _greedy_clique(nbr)
-    ranking = order, ranked, bit, rnbr = _ranking(nbr)
+    ranking = order, rnbr = _ranking(nbr)
     best = _dsatur_greedy(ranking)
     best_k = max(best) + 1
     lb = len(clique)
@@ -216,63 +223,99 @@ def _exact_chromatic(nbr, budget):
 
     # Fixing the clique's colors breaks color-permutation symmetry and
     # is sound: any proper coloring can be relabeled to match.
-    unc = (1 << ranked) - 1
+    unc = (1 << len(rnbr)) - 1
     near = [0] * best_k
     sat = [0] * (best_k - 1).bit_length()
     for c, v in enumerate(clique):
-        unc ^= bit[v]
-        near[c] = rnbr[v]
-        _count_up(sat, rnbr[v])
+        r = order.index(v)
+        unc ^= 1 << r
+        near[c] = rnbr[r]
+        _count_up(sat, rnbr[r])
 
-    # Depth-first search on an explicit stack of frames [v, next color,
-    # colors in use, unc, near, sat], one per colored vertex outside the
-    # clique, holding the state before v is colored: `unc` masks the
-    # uncolored vertices, `near[c]` those with a neighbour of color c and
-    # `sat[i]` those, colored or not, whose saturation has bit i set. The
-    # lists a child changes are copies, so backing out of it is just
-    # reading its frame again. v is picked on the frame's first visit, and
-    # its color is the next color less one. A node with `used` colors in
-    # use tries each free color below `used`, then one new color if that
-    # could still beat the best. A child is entered where it is built; the
-    # budget is checked there and after each child that reused a color.
+    # Depth-first search over the vertices with a neighbour outside the
+    # clique, one colored per level; `path_rank[i]` and `path_color[i]` hold
+    # the rank and color of the one at depth i on the current path. The
+    # locals hold the node at depth d: `used` colors in use, `unc` masking
+    # the uncolored vertices, `near[c]` those with a neighbour of color c
+    # and `sat[i]` those, colored or not, whose saturation has bit i set. A
+    # node tries each free color below `used`, then one new color if that
+    # could still beat the best. It is entered in the loop step that builds
+    # it: its vertex is picked, its first color found and its own first
+    # child built from the locals. Only a node with a color after that is
+    # pushed, as a frame [d, r, next color, used, unc, near, sat] with r its
+    # vertex's rank, and a frame is read back only to try that color. The
+    # lists a frame holds never change: `owned` says no frame holds the
+    # locals' near and sat, which are then changed in place, and otherwise
+    # copied first. Each child is charged to the budget as it is built, and the
+    # search ends unfinished when it must build a child or back up with the
+    # budget spent, without looking for a node left to try. The reference
+    # searches of tests/oracles.py stop at the same node: they check the
+    # budget before a node whose child reused a color tries its next, and a
+    # path backed out of always holds one, since a path of new colors only
+    # never ends (each vertex outside the greedy clique, which is maximal,
+    # misses one of the clique's colors).
     nodes = 1  # the root, within any budget of at least 1
-    exhausted = True
-    stack: list[list] = [[0, 0, lb, unc, near, sat]]
-    while stack:
-        frame = stack[-1]
-        v, c, frame_used, unc, near, sat = frame
-        if c:  # a child of this frame has returned
-            if c > frame_used:  # it had opened a new color
-                stack.pop()
-                continue
+    stack: list[list] = []
+    path_rank = [0] * (len(rnbr) - lb)
+    path_color = [0] * (len(rnbr) - lb)
+    used, d = lb, 0
+    entering = owned = True
+    while True:
+        if entering:
+            if unc:  # the uncolored vertex of highest saturation, the first on a tie
+                m = unc
+                for p in reversed(sat):
+                    m = m & p or m
+                b = m & -m
+                r = b.bit_length() - 1
+                c = 0
+                while c < used and near[c] & b:
+                    c += 1
+                entering = c < used or used + 1 < best_k
+            else:
+                # A leaf: the t vertices of degree 0 left, one per level in
+                # rank order, take color 0, each a node, and the coloring
+                # has `used` colors. Backing out, each of them then tries
+                # colors 1 to used - 1, each a node that the leaf rules out.
+                t = n - lb - d
+                if nodes + t > budget:
+                    return best_k, best, clique, best_k == lb, budget
+                best_k, best = used, [0] * n
+                for c, v in enumerate(clique):
+                    best[v] = c
+                for i in range(d):
+                    best[order[path_rank[i]]] = path_color[i]
+                nodes = min(budget, nodes + t * used)
+                entering = False
+        if not entering:  # back up to the last node with a next color
             if nodes >= budget:
-                exhausted = False
-                stack.pop()
-                continue
-        elif unc:  # the uncolored vertex of highest saturation, the first on a tie
-            m = unc
-            for p in reversed(sat):
-                m = m & p or m
-            frame[0] = v = order[(m & -m).bit_length() - 1]
-        else:  # every ranked vertex is colored: the first isolated one left
-            frame[0] = v = order[lb + len(stack) - 1]
-        b = bit[v]
-        while c < frame_used and near[c] & b:
-            c += 1
-        if c < frame_used:
-            used = frame_used
-        elif frame_used + 1 < best_k:  # c == frame_used: open a new color
-            used = frame_used + 1
-        else:
-            stack.pop()
-            continue
-        frame[1] = c + 1
+                return best_k, best, clique, best_k == lb, nodes
+            while True:
+                if not stack:
+                    return best_k, best, clique, True, nodes
+                d, r, c, used, unc, near, sat = stack.pop()
+                if c < used or used + 1 < best_k:  # a new color the best has not ruled out since
+                    break
+            b = 1 << r
+            owned = False
+        if c < used:  # the node is pushed if it has a color after c
+            k = c + 1
+            while k < used and near[k] & b:
+                k += 1
+            if k < used or used + 1 < best_k:
+                stack.append([d, r, k, used, unc, near, sat])
+                owned = False
+        path_rank[d] = r
+        path_color[d] = c
+        d += 1
+        if c == used:
+            used += 1
         unc ^= b
-        x = rnbr[v] & ~near[c]
+        x = rnbr[r] & ~near[c]
         if x:
-            near = near.copy()
+            if not owned:
+                near, sat, owned = near.copy(), sat.copy(), True
             near[c] |= x
-            sat = sat.copy()
             i = 0
             while x:  # a ripple carry; it never runs past the top plane
                 p = sat[i]
@@ -280,20 +323,9 @@ def _exact_chromatic(nbr, budget):
                 x &= p
                 i += 1
         if nodes >= budget:
-            exhausted = False
-            continue
+            return best_k, best, clique, best_k == lb, nodes
         nodes += 1
-        if used < best_k:
-            if lb + len(stack) == n:
-                best_k, best = used, [-1] * n
-                for c, v in enumerate(clique):
-                    best[v] = c
-                for frame in stack:
-                    best[frame[0]] = frame[1] - 1
-            else:
-                stack.append([0, 0, used, unc, near, sat])
-    optimal = exhausted or best_k == lb
-    return best_k, best, clique, optimal, nodes
+        entering = used < best_k
 
 
 def _certificate(nbr, budget) -> BorsukCertificate:
@@ -329,12 +361,12 @@ def borsuk_number(C: SymmetricBody, S: PointSet, node_budget: int | None = None)
     S's extreme sets (see :mod:`borsuk.metric`): the pairs attaining the
     diameter are those across some ``(A, B)``, so each vertex of A gets
     B's bits in its neighbour mask and each of B gets A's. No edge is
-    listed. A set of one point needs one part, whatever its dimension."""
+    listed. A set of one point, of the body's dimension, needs one part."""
     budget = _checked_budget(node_budget)
-    if len(S) == 1:
-        return BorsukCertificate(1, partition(1, [(0,)]), (0,), True, 0)
     if S.dim != C.dim:
         raise DimensionMismatch(f"set of dim {S.dim} against body of dim {C.dim}")
+    if len(S) == 1:
+        return BorsukCertificate(1, partition(1, [(0,)]), (0,), True, 0)
     _, sides = _set_extremes(C, S)
     nbr = [0] * len(S)
     for A, B in sides:

@@ -262,6 +262,9 @@ def _bad_input_argv(case, tmp_path):
     if case == "duplicate points":
         bad.write_text(json.dumps({"dim": 2, "points": [["1", "1"], ["0", "0"], ["1", "1"]]}))
         return ["borsuk", *points]
+    if case == "one point of another dim":
+        bad.write_text(json.dumps({"dim": 3, "points": [[0, 0, 0]]}))
+        return ["borsuk", *points]
     if case == "bad inline point":
         return ["gauge", "--body", body, "--point", '["1", "x"]']
     if case == "string points":
@@ -329,7 +332,8 @@ def _bad_input_argv(case, tmp_path):
 
 
 @pytest.mark.parametrize("case", [
-    "malformed json", "json nested too deep", "infinite dim", "missing dim", "bad rational", "duplicate points", "bad inline point",
+    "malformed json", "json nested too deep", "infinite dim", "missing dim", "bad rational", "duplicate points",
+    "one point of another dim", "bad inline point",
     "string points", "string inline point", "string facet normal", "string class", "fractional class index",
     "partition for another set",
     "ratio abc", "ratio 2", "grid step 0", "grid step too fine", "grid step too fine in the plane", "grid pairs too many",

@@ -176,6 +176,8 @@ def test_borsuk_singleton(square_v):
 def test_borsuk_refuses_a_set_of_another_dimension(square_v):
     with pytest.raises(DimensionMismatch, match="set of dim 3 against body of dim 2"):
         borsuk_number(square_v, point_set([(0, 0, 0), (1, 0, 0)]))
+    with pytest.raises(DimensionMismatch, match="set of dim 3 against body of dim 2"):
+        borsuk_number(square_v, point_set([(0, 0, 0)]))
     with pytest.raises(DimensionMismatch, match="set of dim 2 against body of dim 4"):
         borsuk_number(cross_polytope_body(4), point_set([(0, 0), (1, 0)]))
 
@@ -850,6 +852,31 @@ def test_search_saturations_reach_each_new_plane(monkeypatch):
                 if 2 ** (planes - 1) in reached:
                     tops.add(planes)
     assert tops == {3, 4}
+
+
+def test_branch_and_bound_matches_level_reference_at_every_budget():
+    # every budget from 1 to one past the unbudgeted node count, so the
+    # search is cut after each of its nodes and also ends exactly at its
+    # budget; on G(n, p) with n <= 14, M4, two 5-cycles joined, and the
+    # trap with isolated vertices on both sides of it
+    rng = random.Random(3434)
+    graphs = [_mycielski(4), _join(_cycle(5), _cycle(5))]
+    for before, after in ((1, 1), (3, 6), (7, 2)):
+        graphs.append((before + 8 + after, [(i + before, j + before) for i, j in DSATUR_TRAP]))
+    for _ in range(400):
+        n = rng.randint(5, 14)
+        p = rng.choice((0.3, 0.5, 0.7, rng.random()))
+        graphs.append((n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]))
+    searched = ends_at_budget = 0
+    for n, edges in graphs:
+        full = level_exact_chromatic(n, edges, 10**9)[4]
+        for budget in range(1, full + 2):
+            got = _exact_chromatic(_masks(n, edges), budget)
+            assert got == level_exact_chromatic(n, edges, budget), (n, edges, budget)
+            if budget == full:
+                ends_at_budget += got[0] > len(got[2]) and not got[3]
+        searched += full > 1
+    assert searched >= 40 and ends_at_budget >= 30, (searched, ends_at_budget)
 
 
 def test_dsatur_greedy_matches_both_references():
