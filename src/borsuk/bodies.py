@@ -15,11 +15,14 @@ negation and spanning the space, and a facet body by its normals
 (:func:`validate_body`, called by the body's constructor).
 Redundancy removal is answered in dimensions 1 to 3 by one exact convex
 hull per body (:func:`integer_hull` of the scaled form, held by the
-body's ``hull``), in integer form and certified once, where it is made;
-Minkowski sums and difference bodies add integer rows and hull them
-directly. Gauges, membership and planar outlines all read one integer
-form, the facet normals ``SymmetricBody.normals``, read from that hull
-or made from a facet body's facets. A symmetric lift, the hull of
+body's ``hull``), in integer form and certified once, where it is made.
+Every pruned polytope comes from :func:`prune_redundant`, which returns
+one already pruned as it is: Minkowski sums, difference bodies and the
+generators build a polytope of their integer rows and prune it there,
+so a set is hulled once, and a flat one falls back to the LP. Gauges,
+membership and planar outlines all read one integer form, the facet
+normals ``SymmetricBody.normals``, read from that hull or made from a
+facet body's facets. A symmetric lift, the hull of
 ``(A, h)`` and ``(-A, -h)``, takes its facets from the hull of its
 middle slice ``A - A`` one dimension down, each certified as it is made.
 Every lift made by :func:`lift_body` does so in every dimension, so its
@@ -163,12 +166,13 @@ class VPolytope(_VertexForm, Value):
         m, rows = self.scaled
         distinct = set(rows)
         if all(vneg(X) in distinct for X in distinct):
-            m, rows = (self if self.pruned else prune_redundant(self)).scaled
+            m, rows = prune_redundant(self).scaled
             scaled = lowest_terms(m, [tuple([2 * x for x in X]) for X in sorted(set(rows))])
             hull = None
         else:
-            sums = _pruned_rows(self.dim, m, {tuple(map(sub, a, b)) for a in rows for b in rows})
-            scaled, hull = sums.scaled, sums.hull
+            sums = {tuple(map(sub, a, b)) for a in rows for b in rows}
+            pruned = prune_redundant(VPolytope(self.dim, scaled=lowest_terms(m, sums)))
+            scaled, hull = pruned.scaled, pruned.hull
         return SymmetricBody(self.dim, scaled=scaled, seed_hull=hull)
 
 
@@ -648,19 +652,33 @@ def validate_body(candidate: SymmetricBody) -> SymmetricBody:
 
 
 def prune_redundant(P: VPolytope) -> VPolytope:
-    """Remove every point expressible from the others.
+    """Remove every point expressible from the others: the one function
+    that makes a pruned polytope, for every construction in the package.
 
-    The survivors are exactly the extreme points of the hull, in sorted
-    order. In dimensions 1 to 3 they are the vertices of the exact hull,
-    which the pruned polytope keeps as its own. From dimension 4, and for
-    a flat set, which has no hull (flat sets take the LP in every
-    dimension), candidates are scanned in sorted order by exact LPs; a
-    point found inside the hull of the current survivors is dropped
-    immediately, which never changes the hull and shrinks the later LPs.
+    A polytope already marked ``pruned`` is returned as the same object.
+    Otherwise the survivors are exactly the extreme points of the hull, in
+    sorted order. In dimensions 1 to 3 they are the corners of the exact
+    hull, which the pruned polytope keeps as its own, sorted as its scaled
+    form. From dimension 4, and for a flat set, which has no hull (flat
+    sets take the LP in every dimension), candidates are scanned in sorted
+    order by exact LPs; a point found inside the hull of the current
+    survivors is dropped immediately, which never changes the hull and
+    shrinks the later LPs.
+
+    Constructions that make their points as integer rows X over a common
+    denominator m (pairwise sums of two scaled forms, or the points a
+    generator drew) build ``VPolytope(dim, scaled=lowest_terms(m, rows))``
+    first, since the points can have a coarser denominator than m (a sum
+    ``1/2 + 3/2`` is 2, and a drawn ``2/4`` is ``1/2``): m is then the
+    least common denominator of the points, the scale their hull would
+    have had from them as ``Fraction``s, which are made only when the
+    pruned polytope's vertices are read, or by the LPs.
     """
+    if P.pruned:
+        return P
     hull = P.hull
     if hull is not None:
-        return _pruned_by(P.dim, hull)
+        return VPolytope(P.dim, pruned=True, seed_hull=hull, scaled=(hull.scale, tuple(sorted(hull.corners))))
     unique = sorted(set(P.vertices))
     if len(unique) == 1:
         return VPolytope(P.dim, tuple(unique), pruned=True)
@@ -676,33 +694,6 @@ def prune_redundant(P: VPolytope) -> VPolytope:
     return VPolytope(P.dim, tuple(survivors), pruned=True)
 
 
-def _pruned_by(dim: int, hull: Hull) -> VPolytope:
-    """The pruned polytope of the hull's corners, sorted and divided by its
-    scale, which keeps the hull: its corners, sorted, are then its scaled
-    form."""
-    return VPolytope(dim, pruned=True, seed_hull=hull, scaled=(hull.scale, tuple(sorted(hull.corners))))
-
-
-def _pruned_rows(dim: int, m: int, rows) -> VPolytope:
-    """The pruned polytope of the points ``X / m`` for the integer rows X
-    in ``rows`` over any common denominator m: the pairwise sums of two
-    scaled forms, or the points a generator drew.
-
-    The rows and m are first divided by ``g = gcd(m, every entry)``,
-    since the points can have a coarser denominator than m (a sum
-    ``1/2 + 3/2`` is 2, and a drawn ``2/4`` is ``1/2``): m is then the
-    least common denominator of the points, the scale their hull would
-    have had from them as ``Fraction``s, which are made only when the
-    pruned polytope's vertices are read. Without a hull, all of them are
-    made and pruned by LPs.
-    """
-    m, rows = lowest_terms(m, rows)
-    hull = integer_hull(m, rows)
-    if hull is None:
-        return prune_redundant(VPolytope(dim, scaled=(m, tuple(sorted(rows)))))
-    return _pruned_by(dim, hull)
-
-
 def minkowski_sum(A: VPolytope, B: VPolytope) -> VPolytope:
     """Pruned hull of all pairwise vertex sums, summed as integer rows of
     the two scaled forms over their least common scale."""
@@ -710,7 +701,7 @@ def minkowski_sum(A: VPolytope, B: VPolytope) -> VPolytope:
         raise DimensionMismatch(f"dims {A.dim} and {B.dim} differ")
     m, (XA, XB) = common_scale(A.scaled, B.scaled)
     sums = {tuple(map(add, a, b)) for a in XA for b in XB}
-    return _pruned_rows(A.dim, m, sums)
+    return prune_redundant(VPolytope(A.dim, scaled=lowest_terms(m, sums)))
 
 
 def is_full_dimensional(K: VPolytope) -> bool:
@@ -740,7 +731,7 @@ def lift_body(K: VPolytope) -> SymmetricBody:
     """
     if not is_full_dimensional(K):
         raise DegenerateBody("lift requires a full-dimensional polytope")
-    base = K if K.pruned else prune_redundant(K)
+    base = prune_redundant(K)
     # the lifted points' integer rows sort in the order the points would,
     # and are the lift's scaled form, over the least common denominator (a
     # hull's scale can be finer than its corners need)

@@ -18,7 +18,7 @@ A positive scale keeps both equality and lexicographic order, so
 deduplicating, negating, sorting and the rank test run on the rows and
 give the same points, in the same order, as on ``Fraction`` tuples.
 Pruning divides the rows by their gcd with the scale, down to the least
-common denominator, and hulls them (:func:`borsuk.bodies._pruned_rows`);
+common denominator, and hulls them (:func:`borsuk.bodies.prune_redundant`);
 a random point set, polytope or body is built from its rows alone,
 divided the same way, as its scaled form. ``Fraction``s are made only
 when its points are read (in dimension 4, by the LPs that prune a
@@ -33,7 +33,7 @@ from fractions import Fraction
 from itertools import product
 from math import lcm
 
-from .bodies import PointSet, Scaled, SymmetricBody, VPolytope, _pruned_rows, body_from_facets
+from .bodies import PointSet, Scaled, SymmetricBody, VPolytope, body_from_facets, prune_redundant
 from .errors import DegenerateBody, GenerationFailed, InvalidInput
 from .linalg import affine_rank, common_scale, lowest_terms, vneg
 
@@ -94,7 +94,7 @@ def gen_random_body(
     rng = random.Random(seed)
     for _ in range(RETRY_BUDGET):
         m, rows = _draw(rng, n_vertex_pairs, dim, max_numerator, max_denominator)
-        pruned = _pruned_rows(dim, m, {*rows, *map(vneg, rows)})
+        pruned = prune_redundant(VPolytope(dim, scaled=lowest_terms(m, {*rows, *map(vneg, rows)})))
         try:
             return SymmetricBody(dim, scaled=pruned.scaled, seed_hull=pruned.hull)
         except DegenerateBody:
@@ -114,7 +114,7 @@ def gen_random_polytope(
     for _ in range(RETRY_BUDGET):
         m, rows = _draw(rng, n_points, dim, max_numerator, max_denominator)
         if affine_rank(rows) == dim:
-            return _pruned_rows(dim, m, set(rows))
+            return prune_redundant(VPolytope(dim, scaled=lowest_terms(m, set(rows))))
     raise GenerationFailed(f"no full-dimensional polytope after {RETRY_BUDGET} tries")
 
 

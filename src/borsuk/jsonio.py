@@ -189,7 +189,7 @@ def pointset_from_obj(obj) -> PointSet:
     points = tuple(_vec_from_obj(p) for p in obj["points"])
     labels = obj.get("labels")
     if labels is not None:
-        labels = tuple(_freeze(l) for l in labels)
+        labels = tuple(_freeze(l) for l in _list(labels, "labels"))
     return PointSet(_int(obj["dim"], "dim"), points, labels)
 
 

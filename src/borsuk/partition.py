@@ -361,12 +361,10 @@ def borsuk_number(C: SymmetricBody, S: PointSet, node_budget: int | None = None)
     S's extreme sets (see :mod:`borsuk.metric`): the pairs attaining the
     diameter are those across some ``(A, B)``, so each vertex of A gets
     B's bits in its neighbour mask and each of B gets A's. No edge is
-    listed. A set of one point, of the body's dimension, needs one part."""
+    listed. A set of one point has no extreme sets, and so one part."""
     budget = _checked_budget(node_budget)
     if S.dim != C.dim:
         raise DimensionMismatch(f"set of dim {S.dim} against body of dim {C.dim}")
-    if len(S) == 1:
-        return BorsukCertificate(1, partition(1, [(0,)]), (0,), True, 0)
     _, sides = _set_extremes(C, S)
     nbr = [0] * len(S)
     for A, B in sides:
@@ -435,7 +433,7 @@ def doubling_check(K: VPolytope, S: PointSet, node_budget: int | None = None):
     """
     if S.dim != K.dim:
         raise DimensionMismatch(f"set of dim {S.dim} against polytope of dim {K.dim}")
-    base = K if K.pruned else prune_redundant(K)
+    base = prune_redundant(K)
     m, (XK, XS) = common_scale(base.scaled, S.scaled)
     points = set(XS)
     missing = [X for X in XK if X not in points]

@@ -69,7 +69,7 @@ from functools import cmp_to_key
 from itertools import combinations, product
 from operator import mul
 
-from borsuk import bodies, lp
+from borsuk import lp
 from borsuk.bodies import (
     PointSet,
     SymmetricBody,
@@ -1107,12 +1107,10 @@ def lp_path(patch):
     exact hull, so pruning, gauges and membership of vertex bodies in
     every dimension are all answered by exact LPs. Certification is a
     rank check on either path; :func:`axis_extent_verdict` is its LP
-    reference. The integer hull entry is nulled too, so that Minkowski
-    sums and difference bodies, which hull their integer sums directly,
-    prune them by LPs."""
+    reference. Minkowski sums and difference bodies prune their integer
+    sums through a polytope's ``hull`` too, so they prune them by LPs."""
     for kind in (VPolytope, SymmetricBody):
         patch.setattr(kind, "hull", property(lambda body: None))
-    patch.setattr(bodies, "integer_hull", lambda m, rows: None)
     # read afresh, so normals a body kept from before do not outlive its hull
     patch.setattr(SymmetricBody, "normals", property(SymmetricBody.normals.func))
 

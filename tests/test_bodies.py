@@ -7,7 +7,7 @@ from math import lcm
 
 import pytest
 
-from borsuk import lp
+from borsuk import bodies, generators, lp
 from borsuk.bodies import (
     PointSet,
     SymmetricBody,
@@ -385,6 +385,55 @@ def test_sums_without_a_hull_are_pruned_by_lps(monkeypatch):
         lp_path(patch)
         got = minkowski_sum(_copy(K), negate(K))
         assert got.hull is None and got.vertices == expected.vertices
+
+
+def _counting(patch, module, name):
+    """Count the calls through ``module``'s binding of ``name``."""
+    calls = []
+    fn = getattr(module, name)
+    patch.setattr(module, name, lambda *args: calls.append(args) or fn(*args))
+    return calls
+
+
+def test_every_construction_prunes_through_prune_redundant(monkeypatch):
+    # one function makes every pruned polytope: the generators' draws,
+    # Minkowski sums and difference bodies build a polytope of their rows
+    # and hand it to prune_redundant, in 2D (a hull) and 4D (LPs)
+    in_bodies = _counting(monkeypatch, bodies, "prune_redundant")
+    in_generators = _counting(monkeypatch, generators, "prune_redundant")
+    for dim in (2, 4):
+        for generate in (gen_random_polytope, gen_random_body):
+            generate(31, dim, dim + 3, max_numerator=5, max_denominator=3)
+            assert len(in_generators) == 1 and not in_generators[0][0].pruned
+            in_generators.clear()
+        K = gen_random_polytope(31, dim, dim + 3, max_numerator=5, max_denominator=3)
+        in_generators.clear()
+        assert not all(X in K.scaled[1] for X in map(vneg, K.scaled[1]))  # K - K takes the sums
+        for build in (lambda: minkowski_sum(K, negate(K)), lambda: difference_body(_copy(K))):
+            build()
+            assert len(in_bodies) == 1 and not in_bodies[0][0].pruned
+            in_bodies.clear()
+    assert in_generators == [] and in_bodies == []
+
+
+def test_a_flat_sum_is_hulled_once(monkeypatch):
+    # two parallel segments sum to a flat set: its one hull is None, and
+    # the LP prunes it with no second hull asked for
+    hulls = _counting(monkeypatch, bodies, "integer_hull")
+    A, B = vpolytope([(0, 0), (1, 1)]), vpolytope([(F(1, 2), F(1, 2)), (2, 2)])
+    S = minkowski_sum(A, B)
+    assert len(hulls) == 1
+    assert S.pruned and S.vertices == ((F(1, 2), F(1, 2)), (F(3), F(3)))
+
+
+def test_prune_redundant_returns_a_pruned_polytope_as_it_is():
+    K = gen_random_polytope(5, 2, 9, max_numerator=6, max_denominator=2)
+    assert K.pruned and prune_redundant(K) is K
+    inner = tuple(sum(c) / len(K.vertices) for c in zip(*K.vertices))
+    for P in (VPolytope(2, K.vertices + (inner,)), VPolytope(4, cross_polytope_body(4).vertices + ((F(1, 5),) * 4,))):
+        pruned = prune_redundant(P)
+        assert pruned is not P and pruned.pruned
+        assert set(pruned.vertices) == set(P.vertices[:-1])
 
 
 def _planar_clouds():

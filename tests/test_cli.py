@@ -270,6 +270,11 @@ def _bad_input_argv(case, tmp_path):
     if case == "string points":
         bad.write_text(json.dumps({"dim": 2, "points": ["10", "01"]}))
         return ["borsuk", *points]
+    if case in ("string labels", "object labels"):
+        # each was read one character or key per label
+        labels = "ab" if case == "string labels" else {"a": 1, "b": 2}
+        bad.write_text(json.dumps({"dim": 1, "points": [[0], [1]], "labels": labels}))
+        return ["lift", "--points", bad]
     if case == "string inline point":
         return ["gauge", "--body", body, "--point", '"11"']
     if case == "string facet normal":
@@ -334,7 +339,7 @@ def _bad_input_argv(case, tmp_path):
 @pytest.mark.parametrize("case", [
     "malformed json", "json nested too deep", "infinite dim", "missing dim", "bad rational", "duplicate points",
     "one point of another dim", "bad inline point",
-    "string points", "string inline point", "string facet normal", "string class", "fractional class index",
+    "string points", "string labels", "object labels", "string inline point", "string facet normal", "string class", "fractional class index",
     "partition for another set",
     "ratio abc", "ratio 2", "grid step 0", "grid step too fine", "grid step too fine in the plane", "grid pairs too many",
     "bounds past double range", "bounds range empty", "body with vertices and facets", "body without vertices",

@@ -161,13 +161,16 @@ def test_result_too_long_to_write_is_a_domain_error(value, digits):
 
 @pytest.mark.parametrize("parse, obj", [
     (jsonio.pointset_from_obj, {"dim": 2, "points": ["10", "01"]}),
+    (jsonio.pointset_from_obj, {"dim": 1, "points": [[0], [1]], "labels": "ab"}),
+    (jsonio.pointset_from_obj, {"dim": 1, "points": [[0], [1]], "labels": {"a": 1, "b": 2}}),
     (jsonio.polytope_from_obj, {"dim": 2, "vertices": ["10", "01"]}),
     (jsonio.body_from_obj, {"dim": 2, "vertices": ["10", "01"]}),
     (jsonio.body_from_obj, {"dim": 2, "facets": [{"a": "10", "b": "1"}, {"a": ["0", "1"], "b": "1"}]}),
     (jsonio.partition_from_obj, {"classes": ["01"]}),
-], ids=["points", "polytope vertices", "body vertices", "facet normal", "class"])
+], ids=["points", "string labels", "object labels", "polytope vertices", "body vertices", "facet normal", "class"])
 def test_a_string_is_not_read_as_a_list(parse, obj):
-    # each of these was read one character per coordinate or index
+    # each of these was read one character per coordinate, index or label,
+    # or one key per label
     with pytest.raises(InvalidInput, match="must be a JSON list"):
         parse(obj)
 

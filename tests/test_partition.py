@@ -20,7 +20,7 @@ from borsuk.bodies import (
     validate_body,
     vpolytope,
 )
-from borsuk import metric
+from borsuk import lp, metric
 from borsuk.covering import cover_to_partition, greedy_cover
 from borsuk.errors import DegenerateBody, DimensionMismatch, IndexOutOfRange, InvalidInput
 from borsuk.generators import (
@@ -167,10 +167,20 @@ def test_borsuk_triangle_under_difference_norm(triangle, hexagon_v):
     assert cert.number == 3
 
 
-def test_borsuk_singleton(square_v):
-    cert = borsuk_number(square_v, point_set([(2, 3)]))
-    assert cert.number == 1
-    assert cert.optimal
+def test_borsuk_singleton(square_v, monkeypatch):
+    # one point has no extreme sets, so the general path certifies one part
+    # with no LP and no search node, on the normals and on the LP path
+    calls = []
+    solve_min = lp.solve_min
+    monkeypatch.setattr(lp, "solve_min", lambda *a: calls.append(a) or solve_min(*a))
+    cases = [(square_v, (2, 3)), (cube_body(2), (2, 3)), (cross_polytope_body(4), (1, F(1, 2), -3, 0))]
+    assert cross_polytope_body(4).normals is None
+    for C, x in cases:
+        cert = borsuk_number(C, point_set([x]))
+        assert (cert.number, cert.partition, cert.lower_bound_clique, cert.optimal, cert.nodes) == (
+            1, partition(1, [(0,)]), (0,), True, 0
+        )
+    assert calls == []
 
 
 def test_borsuk_refuses_a_set_of_another_dimension(square_v):
