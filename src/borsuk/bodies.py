@@ -39,7 +39,9 @@ no ``Fraction`` is made that nothing reads, nor scaled back to its row.
 Other bodies from dimension 4, where facet counts can be exponential in
 the vertex count, and flat sets, which have no facets, are answered by
 the exact simplex in :mod:`borsuk.lp`: flat sets take the LP in every
-dimension.
+dimension. The LPs read the integer rows too: pruning scans a set's
+rows, and membership and gauge LPs a body's, so no ``Fraction`` point
+is made on the way down to the LP.
 """
 
 from __future__ import annotations
@@ -364,6 +366,8 @@ class PointSet(Value):
 
     def __init__(self, dim, points=None, labels=None, *, scaled=None):
         vars(self).update(dim=dim, labels=labels)
+        if dim < 1:
+            raise InvalidInput("dimension must be >= 1")
         _keep_points(self, "points", points, scaled, "a point set needs at least one point", "point")
         n = len(self)
         if len(set(self.scaled[1])) != n:
@@ -593,31 +597,42 @@ def _spatial_hull(P) -> tuple | None:
     return corners, tuple(sorted(set().union(*facets_at.values())))
 
 
+def _dim(points) -> int:
+    """The dimension of the first point, for the coercing constructors
+    below; 1 when there is none, so that the constructor refuses the
+    empty set with its own message."""
+    return len(points[0]) if points else 1
+
+
 def vpolytope(points, pruned=False) -> VPolytope:
     """Coercing constructor: accepts ints/strings/Fractions as coords."""
     verts = tuple(as_vec(p) for p in points)
-    return VPolytope(len(verts[0]), verts, pruned=pruned)
+    return VPolytope(_dim(verts), verts, pruned=pruned)
 
 
 def point_set(points, labels=None) -> PointSet:
     pts = tuple(as_vec(p) for p in points)
-    return PointSet(len(pts[0]), pts, tuple(labels) if labels is not None else None)
+    return PointSet(_dim(pts), pts, tuple(labels) if labels is not None else None)
 
 
 def body_from_vertices(points) -> SymmetricBody:
     """Build a symmetric body, certified, from its vertex list."""
     verts = tuple(as_vec(p) for p in points)
-    return SymmetricBody(len(verts[0]), vertices=verts)
+    return SymmetricBody(_dim(verts), vertices=verts)
 
 
 def body_from_facets(facets) -> SymmetricBody:
-    """Build a symmetric body, certified, from facet pairs (a, b)."""
+    """Build a symmetric body, certified, from facet pairs (a, b). With no
+    facet there is no dimension to read, which the constructor refuses as
+    dimension 0."""
     fs = tuple((as_vec(a), Fraction(b)) for a, b in facets)
-    return SymmetricBody(len(fs[0][0]), facets=fs)
+    return SymmetricBody(len(fs[0][0]) if fs else 0, facets=fs)
 
 
-def contains_point(generators: tuple[Vec, ...], x: Vec) -> bool:
-    """Exact test whether x lies in the convex hull of the generators."""
+def contains_point(generators, x) -> bool:
+    """Exact test whether x lies in the convex hull of the generators: the
+    package's callers hand the integer rows of a scaled form, and x at
+    that scale."""
     res = lp.solve_combination(generators, x, groups=[range(len(generators))])
     return res.status == lp.OPTIMAL
 
@@ -657,13 +672,15 @@ def prune_redundant(P: VPolytope) -> VPolytope:
 
     A polytope already marked ``pruned`` is returned as the same object.
     Otherwise the survivors are exactly the extreme points of the hull, in
-    sorted order. In dimensions 1 to 3 they are the corners of the exact
-    hull, which the pruned polytope keeps as its own, sorted as its scaled
-    form. From dimension 4, and for a flat set, which has no hull (flat
-    sets take the LP in every dimension), candidates are scanned in sorted
-    order by exact LPs; a point found inside the hull of the current
-    survivors is dropped immediately, which never changes the hull and
-    shrinks the later LPs.
+    sorted order, and one construction makes the pruned polytope from
+    their integer rows. In dimensions 1 to 3 they are the corners of the
+    exact hull, which the pruned polytope keeps as its own, sorted as its
+    scaled form. From dimension 4, and for a flat set, which has no hull
+    (flat sets take the LP in every dimension), the distinct rows of the
+    scaled form are scanned in sorted order by exact LPs on those rows; a
+    point found inside the hull of the current survivors is dropped
+    immediately, which never changes the hull and shrinks the later LPs.
+    The survivors are then put over their own least common denominator.
 
     Constructions that make their points as integer rows X over a common
     denominator m (pairwise sums of two scaled forms, or the points a
@@ -672,26 +689,22 @@ def prune_redundant(P: VPolytope) -> VPolytope:
     ``1/2 + 3/2`` is 2, and a drawn ``2/4`` is ``1/2``): m is then the
     least common denominator of the points, the scale their hull would
     have had from them as ``Fraction``s, which are made only when the
-    pruned polytope's vertices are read, or by the LPs.
+    pruned polytope's vertices are read.
     """
     if P.pruned:
         return P
     hull = P.hull
     if hull is not None:
-        return VPolytope(P.dim, pruned=True, seed_hull=hull, scaled=(hull.scale, tuple(sorted(hull.corners))))
-    unique = sorted(set(P.vertices))
-    if len(unique) == 1:
-        return VPolytope(P.dim, tuple(unique), pruned=True)
-    survivors = list(unique)
-    idx = 0
-    while idx < len(survivors):
-        candidate = survivors[idx]
-        rest = survivors[:idx] + survivors[idx + 1 :]
-        if contains_point(tuple(rest), candidate):
-            del survivors[idx]
-        else:
-            idx += 1
-    return VPolytope(P.dim, tuple(survivors), pruned=True)
+        scaled = hull.scale, tuple(sorted(hull.corners))
+    else:
+        m, rows = P.scaled
+        survivors = sorted(set(rows))
+        # a single point is kept without a test
+        for X in list(survivors) if len(survivors) > 1 else ():
+            if contains_point([Y for Y in survivors if Y != X], X):
+                survivors.remove(X)
+        scaled = lowest_terms(m, survivors)
+    return VPolytope(P.dim, pruned=True, seed_hull=hull, scaled=scaled)
 
 
 def minkowski_sum(A: VPolytope, B: VPolytope) -> VPolytope:

@@ -8,18 +8,22 @@ which is the constructive reading of "few homothets force few parts".
 
 Every witness and center is an integer vector over one common
 denominator m: the grid point ``k * step`` is ``k`` times the integer
-spacing ``step * m``, and ``Fraction``s are built only for the witnesses
-and centers returned. Membership of w in c + lam*K is decided per center
-as one bitmask over the witnesses, on the two paths that
+spacing ``step * m``, the lattice boxes are read off K's rows over m by
+integer floor division, and ``Fraction``s are built only for the
+witnesses and centers returned. Membership of w in c + lam*K is decided
+per center as one bitmask over the witnesses, on the two paths that
 :mod:`borsuk.metric` takes: exact planes, or LPs. Where K has an exact
 hull (dimensions 1 to 3, and K not flat: flat sets take the LP in every
 dimension), the witnesses are sorted once along each of the hull's
 integer planes, and a center's mask is the AND over the planes of the
 prefix of that order its translate's plane bounds, found by bisection.
-Otherwise one exact LP decides each distinct difference w - c, which
-grid witnesses and grid centers repeat many times. A partition from a
-cover tests a point set the same way, on the set's own scaled form, with
-the centers' rows, kept on the covering, put over the same denominator.
+Otherwise one exact LP on integer rows decides each distinct difference
+w - c, which grid witnesses and grid centers repeat many times: with W
+and C their rows over m, K's scaled form ``(s, Y)`` and ``lam = p/q``,
+whether ``q*s*(W - C)`` lies in the hull of the rows ``m*p*Y``. A
+partition from a cover tests a point set the same way, on the set's own
+scaled form, with the centers' rows, kept on the covering, put over the
+same denominator.
 
 The closed-form bound evaluators are the only deliberately inexact
 computation in the package: they report double-precision values of
@@ -99,10 +103,11 @@ class BoundValue(Value):
         vars(self).update(n=n, value=value, formula=formula)
 
 
-def _lattice_axes(lo, hi, step: Fraction) -> tuple[list[range], int]:
-    """Per axis, the k with k * step in [lo_i, hi_i], and the number of
+def _lattice_axes(box, step: int) -> tuple[list[range], int]:
+    """Per axis (lo, hi) of the box, the k with k * step in [lo, hi], all
+    integers and step positive, found by floor division, and the number of
     points of that lattice box, checked to be at most MAX_GRID_POINTS."""
-    axes = [range(math.ceil(a / step), math.floor(b / step) + 1) for a, b in zip(lo, hi)]
+    axes = [range(-(-lo // step), hi // step + 1) for lo, hi in box]
     # stop - start, since len() of a range overflows past sys.maxsize
     count = math.prod(max(0, r.stop - r.start) for r in axes)
     if count > MAX_GRID_POINTS:
@@ -119,18 +124,24 @@ def _lattice_membership(
     over the common denominator m. With ``first``, a center's mask keeps
     only the points in no earlier translate.
 
-    With K's exact hull ``n . X <= c`` at K's scale s, for ``lam = p/q``,
-    W lies in C + lam*K exactly when ``s*q*(n . W - n . C) <= p*m*c`` on
-    every plane; the factor s*q is folded into the normals. Per plane one
-    call of :func:`~borsuk.linalg.dots` gives ``n . W`` at every point and
+    With K's scaled form ``(s, Y)`` and ``lam = p/q``, W lies in
+    C + lam*K exactly when ``s*q*(W - C)`` lies in the hull of the rows
+    ``p*m*Y``. With K's exact hull ``n . X <= c``, at the same scale s,
+    that is ``s*q*(n . W - n . C) <= p*m*c`` on every plane; the factor
+    s*q is folded into the normals. Per plane one call of
+    :func:`~borsuk.linalg.dots` gives ``n . W`` at every point and
     ``n . C`` at every center, the points are sorted by ``n . W`` once, and
     the points under a bound are a prefix of that order, found by
     bisection, so a center costs one bisection and one AND per plane.
-    Without a hull, one exact LP decides each distinct difference W - C,
-    and with ``first`` no point is tested past its first translate.
+    Without a hull, one exact LP over those integer rows decides each
+    distinct difference W - C, and with ``first`` no point is tested past
+    its first translate.
     """
     hull = K.hull
+    s, Y = K.scaled
+    f, g = s * lam.denominator, lam.numerator * m
     if hull is None:
+        generators = [tuple([g * y for y in X]) for X in Y]
         memo: dict[tuple[int, ...], bool] = {}
         masks = []
         wanted = (1 << len(points)) - 1
@@ -140,13 +151,12 @@ def _lattice_membership(
                 if wanted >> i & 1:
                     z = tuple(map(sub, W, C))
                     if z not in memo:
-                        memo[z] = contains_point(K.vertices, tuple(Fraction(x, m) / lam for x in z))
+                        memo[z] = contains_point(generators, tuple([f * x for x in z]))
                     mask |= memo[z] << i
             masks.append(mask)
             if first:
                 wanted &= ~mask
         return masks
-    f = hull.scale * lam.denominator
     k = len(points)
     masks = [(1 << k) - 1] * len(centers)
     rows = [*points, *centers]
@@ -156,7 +166,7 @@ def _lattice_membership(
         order = sorted(range(k), key=column.__getitem__)
         values = [column[i] for i in order]
         prefix = [0, *accumulate((1 << i for i in order), or_)]
-        offset = lam.numerator * m * c
+        offset = g * c
         # a center whose mask is empty already skips the bisection
         masks = [mask and mask & prefix[bisect_right(values, v + offset)] for mask, v in zip(masks, column[k:])]
     if first:
@@ -184,18 +194,19 @@ def greedy_cover(K: VPolytope, lam: Fraction, grid_step: Fraction) -> Covering:
     if grid_step <= 0:
         raise InvalidInput(f"grid step must be positive, got {grid_step}")
 
-    lo, hi = [min(x) for x in zip(*K.vertices)], [max(x) for x in zip(*K.vertices)]
-    inner_axes, inner = _lattice_axes(lo, hi, grid_step)
-    outer_axes, outer = _lattice_axes(
-        [a - lam * b for a, b in zip(lo, hi)], [b - lam * a for a, b in zip(lo, hi)], grid_step
-    )
+    # vertices and lattice points as integer vectors over one denominator
+    # m, the grid's spacing u; positive scaling keeps their lexicographic
+    # order. K's box is (lo, hi) over m, and the box K - lam*K, for
+    # lam = p/q, is (q*lo - p*hi, q*hi - p*lo) over q*m
+    m, (rows, [(u,)]) = common_scale(K.scaled, (grid_step.denominator, [(grid_step.numerator,)]))
+    box = [(min(x), max(x)) for x in zip(*rows)]
+    p, q = lam.numerator, lam.denominator
+    inner_axes, inner = _lattice_axes(box, u)
+    outer_axes, outer = _lattice_axes([(q * lo - p * hi, q * hi - p * lo) for lo, hi in box], q * u)
     if inner * outer > MAX_COVER_PAIRS:
         raise InvalidInput(
             f"grid step too fine: {inner} x {outer} witness-center pairs, more than {MAX_COVER_PAIRS}"
         )
-    # vertices and lattice points as integer vectors over one denominator
-    # m; positive scaling keeps their lexicographic order
-    m, (rows, [(u,)]) = common_scale(K.scaled, (grid_step.denominator, [(grid_step.numerator,)]))
     vertices = set(rows)
     # the grid points in K are those in the translate 0 + 1*K
     grid = list(product(*([k * u for k in r] for r in inner_axes)))

@@ -161,7 +161,8 @@ def cube_body(dim: int, facet_form: bool = True) -> SymmetricBody:
 
 
 def cube_vertices(dim: int) -> PointSet:
-    pts = sorted(product((Fraction(-1), Fraction(1)), repeat=dim))
+    # a dimension below 1 draws the one empty point, which PointSet refuses
+    pts = sorted(product((Fraction(-1), Fraction(1)), repeat=max(dim, 0)))
     return PointSet(dim, tuple(pts))
 
 

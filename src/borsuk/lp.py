@@ -2,7 +2,10 @@
 
 A dense-tableau primal simplex run in two phases, with Bland's
 smallest-index rule for both the entering and the leaving variable.
-Inputs are exact rationals (ints or ``fractions.Fraction``). The tableau
+Inputs are exact rationals (ints or ``fractions.Fraction``); the
+package's callers hand integer rows, the scaled forms of its polytopes
+and bodies, and only a point asked about through the API, by a gauge or
+a membership test, can hold ``Fraction``s. The tableau
 is fraction-free: the constraint rows are scaled to integers by one
 common denominator, and pivoting is done on Python ints over a single
 common denominator per tableau, with exact Edmonds-Bareiss division.

@@ -14,7 +14,9 @@ the optimum of the exact LP
 
 which is valid because C is symmetric with the origin interior, as every
 body is certified to be where it is made: the positive hull of the
-vertices is then the whole space and the LP is always feasible.
+vertices is then the whole space and the LP is always feasible. It is
+solved on the body's scaled form ``(s, V)``, ``V_i = s * v_i``, as
+``s * min sum(nu)`` subject to ``sum(nu_i * V_i) = x``, with ``nu = mu / s``.
 
 The gauges of many points are one pass, :func:`_gauges`, over their
 scaled form ``(m, P)``: with normals one projection table, the gauge of
@@ -53,7 +55,8 @@ number, then :func:`borsuk.partition.verify_partition`) reads them again
 and builds no second table.
 
 Membership in C is ``gauge(C, x) <= 1`` read from the same normals, or
-one exact LP for a body without them. Diameter-graph edges are decided
+one exact LP for a body without them, whether ``s * x`` lies in the
+hull of the rows V. Diameter-graph edges are decided
 by exact rational equality; there is no tolerance anywhere.
 """
 
@@ -66,7 +69,7 @@ from . import lp
 from ._value import Value
 from .bodies import PointSet, Scaled, SymmetricBody, VPolytope, contains_point
 from .errors import DimensionMismatch, IndexOutOfRange, InvalidInput
-from .linalg import ONE, ZERO, Vec, canonical_sign, dots, over_common_denominator, vsub
+from .linalg import ZERO, Vec, canonical_sign, dots, over_common_denominator, vsub
 
 
 class DiameterGraph(Value):
@@ -97,11 +100,13 @@ def gauge(C: SymmetricBody, x: Vec) -> Fraction:
         return _gauges(C, over_common_denominator((x,)))[0]
     if all(v == 0 for v in x):
         return ZERO
-    res = lp.solve_combination(C.vertices, x, cost=[ONE] * len(C.vertices))
+    # on the rows V = s * v the weights are nu = mu / s
+    s, V = C.scaled
+    res = lp.solve_combination(V, x, cost=[1] * len(V))
     # a certified body keeps this LP feasible for every x
     if res.status != lp.OPTIMAL:
         raise InvalidInput(f"gauge LP failed ({res.status})")
-    return res.value
+    return s * res.value
 
 
 def distance(C: SymmetricBody, x: Vec, y: Vec) -> Fraction:
@@ -218,9 +223,11 @@ def diameter_graph(C: SymmetricBody, S: PointSet) -> DiameterGraph:
 
 def body_contains(C: SymmetricBody, x: Vec) -> bool:
     """Whether x lies in C: ``gauge(C, x) <= 1`` when C has normals, else
-    one exact LP for x in the hull of the vertices."""
+    one exact LP for ``s * x`` in the hull of the rows of C's scaled form
+    ``(s, V)``."""
     if len(x) != C.dim:
         raise DimensionMismatch(f"point of dim {len(x)} against body of dim {C.dim}")
     if C.normals is not None:
         return gauge(C, x) <= 1
-    return contains_point(C.vertices, x)
+    s, V = C.scaled
+    return contains_point(V, tuple([s * c for c in x]))

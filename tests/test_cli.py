@@ -324,6 +324,9 @@ def _bad_input_argv(case, tmp_path):
     if case == "body without vertices":
         body.write_text(json.dumps({"dim": 2, "vertices": []}))
         return ["gauge", "--body", body, "--point", '["1","1"]']
+    if case == "zero-dimensional points":
+        bad.write_text(json.dumps({"dim": 0, "points": [[]]}))
+        return ["lift", "--points", bad]
     if case in REFUSED_BODIES:
         obj, _ = REFUSED_BODIES[case]
         body.write_text(json.dumps(obj))
@@ -343,6 +346,7 @@ def _bad_input_argv(case, tmp_path):
     "partition for another set",
     "ratio abc", "ratio 2", "grid step 0", "grid step too fine", "grid step too fine in the plane", "grid pairs too many",
     "bounds past double range", "bounds range empty", "body with vertices and facets", "body without vertices",
+    "zero-dimensional points",
     "result too long to write", *REFUSED_BODIES,
 ])
 def test_bad_input_is_an_error_line_not_a_traceback(case, tmp_path, capsys):

@@ -9,17 +9,32 @@ from fractions import Fraction
 import pytest
 
 from borsuk import metric, verify
-from borsuk.bodies import PointSet, SymmetricBody, VPolytope, difference_body, lift_body, lift_set
-from borsuk.errors import BorsukError, GenerationFailed
+from borsuk.bodies import (
+    PointSet,
+    SymmetricBody,
+    VPolytope,
+    difference_body,
+    lift_body,
+    lift_set,
+    point_set,
+    prune_redundant,
+)
+from borsuk.covering import cover_to_partition, greedy_cover
+from borsuk.errors import BorsukError, GenerationFailed, GridTooCoarse, PointUncovered
 from borsuk.generators import gen_random_body, gen_random_points, gen_random_polytope
-from borsuk.linalg import rational_points, vneg
-from borsuk.metric import set_diameter
+from borsuk.linalg import lowest_terms, rational_points, vneg
+from borsuk.metric import body_contains, gauge, set_diameter
 from borsuk.partition import borsuk_number, partition, verify_partition
 from oracles import (
     fraction_difference_body,
     fraction_gen_random_body,
     fraction_gen_random_points,
     fraction_gen_random_polytope,
+    gauge_by_support_enumeration,
+    lp_min_by_enumeration,
+    lp_path,
+    per_pair_cover_to_partition,
+    per_pair_greedy_cover,
 )
 
 F = Fraction
@@ -63,8 +78,7 @@ def _twins():
         Kf = fraction_gen_random_polytope(seed, dim, dim + 1 + seed % 4, N, D)
         yield "vertices", K, Kf
         yield "vertices", lift_body(K), _lifted_twin(Kf)
-        if dim < 4:  # in 4D the sums are pruned by LPs, as are the polytope's points
-            yield "vertices", difference_body(K), fraction_difference_body(Kf)
+        yield "vertices", difference_body(K), fraction_difference_body(Kf)
 
 
 def test_row_built_objects_equal_their_fraction_built_twins():
@@ -72,8 +86,9 @@ def test_row_built_objects_equal_their_fraction_built_twins():
     for kind, row, frac in _twins():
         key = (type(row).__name__, row.dim)
         kinds[key] = kinds.get(key, 0) + 1
-        # a 4D polytope is pruned by LPs, which read and return Fractions
-        assert kind not in vars(row) or key == ("VPolytope", 4), row
+        # a 4D polytope and the sums of its difference body are pruned by
+        # LPs, which read the rows too
+        assert kind not in vars(row), row
         # repr, hash and == read the points on their own
         assert repr(row) == repr(frac)
         assert hash(row) == hash(frac)
@@ -214,3 +229,132 @@ def test_an_equal_fresh_set_gives_the_same_verdict():
             assert verdict == verify_partition(C, PointSet(2, scaled=S.scaled), P)
             verdicts.add(verdict)
     assert verdicts == {True, False}
+
+
+def _extreme_rows(rows):
+    """The distinct rows outside the hull of the other distinct rows, in
+    sorted order, by basic-solution enumeration: the reference for pruning
+    by LPs. A single row is kept without a test."""
+    distinct = sorted(set(rows))
+    if len(distinct) == 1:
+        return distinct
+
+    def inside(X):
+        others = [Y for Y in distinct if Y != X]
+        A = [list(column) for column in zip(*others)] + [[1] * len(others)]
+        return lp_min_by_enumeration([0] * len(others), A, [*X, 1]) is not None
+
+    return [X for X in distinct if not inside(X)]
+
+
+# flat sets, which take the LP in every dimension, as (dim, m, rows): a
+# segment with an inner point, three collinear points in the plane,
+# coplanar and collinear points in space, and one point given twice
+FLAT_SETS = [
+    (2, 3, [(0, 0), (3, 3), (1, 1)]),
+    (2, 1, [(0, 0), (2, 1), (4, 2)]),
+    (3, 2, [(0, 0, 0), (2, 0, 1), (0, 2, 1), (2, 2, 2), (1, 1, 1)]),
+    (3, 5, [(1, 1, 1), (3, 3, 3), (2, 2, 2)]),
+    (4, 7, [(1, 2, 3, 4), (1, 2, 3, 4)]),
+]
+
+
+def _lp_pruned_sets():
+    """(dim, m, rows): seeded sets in 4D over m = 6, each with its first
+    point given twice and the midpoints of two pairs, then the flat sets."""
+    rng = random.Random(36)
+    for _ in range(3):
+        rows = [tuple([2 * rng.randint(-3, 3) for _ in range(4)]) for _ in range(5)]
+        midpoints = [tuple([(a + b) // 2 for a, b in zip(rows[i], rows[i + 1])]) for i in (1, 3)]
+        yield 4, 6, rows + [rows[0]] + midpoints
+    yield from FLAT_SETS
+
+
+@pytest.mark.parametrize("path", ["hull", "lp"])
+def test_lp_pruning_reads_rows_and_keeps_the_extreme_points(path, monkeypatch):
+    if path == "lp":
+        lp_path(monkeypatch)
+    for dim, m, rows in _lp_pruned_sets():
+        P = VPolytope(dim, scaled=lowest_terms(m, rows))
+        pruned = prune_redundant(P)
+        assert "vertices" not in vars(P) and "vertices" not in vars(pruned)
+        assert pruned.pruned and pruned.seed_hull is None and prune_redundant(pruned) is pruned
+        extreme = _extreme_rows(rows)
+        # over the least common denominator of the survivors
+        assert pruned.scaled == lowest_terms(m, extreme)
+        assert pruned == VPolytope(dim, rational_points(m, extreme), pruned=True)
+
+
+def _lp_bodies():
+    """Row-built 4D bodies: seeded random bodies, which take the LP on
+    either path, and symmetric lifts, whose normals come from the hull of
+    their slice unless every hull is taken away."""
+    for seed in range(3):
+        yield gen_random_body(seed, 4, 4, 6, 3)
+        yield lift_body(gen_random_polytope(seed, 3, 5, 6, 3))
+
+
+@pytest.mark.parametrize("path", ["hull", "lp"])
+def test_lp_gauges_and_membership_read_rows(path, monkeypatch):
+    if path == "lp":
+        lp_path(monkeypatch)
+    rng = random.Random(7)
+    inside = {True: 0, False: 0}
+    for C in _lp_bodies():
+        vertices = rational_points(*C.scaled)
+        points = [(F(0),) * 4, vertices[0], tuple(2 * c for c in vertices[-1])]
+        points += [tuple(F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(4)) for _ in range(3)]
+        for x in points:
+            expected = gauge_by_support_enumeration(vertices, x)
+            assert gauge(C, x) == expected
+            assert body_contains(C, x) == (expected <= 1)
+            inside[expected <= 1] += 1
+        assert "vertices" not in vars(C)
+    assert min(inside.values()) >= 6
+
+
+def _lp_covers():
+    """(K, ratio, grid step) with K row-built: the 4-simplex, seeded 4D
+    polytopes, and the flat sets, which take the LP on either path."""
+    simplex = [(0,) * 4] + [tuple(int(i == k) for i in range(4)) for k in range(4)]
+    yield VPolytope(4, scaled=(1, tuple(simplex))), F(3, 5), F(1, 2)
+    for seed in range(3):
+        yield gen_random_polytope(seed, 4, 6, 1, 1), F(1, 2), F(1)
+    for (dim, m, rows), step in zip(FLAT_SETS[:4], (F(1, 8), F(1, 4), F(1, 2), F(1, 5))):
+        yield VPolytope(dim, scaled=lowest_terms(m, rows)), F(3, 5), step
+
+
+def _outcome(f, *args):
+    """f's result, or the class of the error it refused its input with."""
+    try:
+        return f(*args)
+    except (GridTooCoarse, PointUncovered) as refused:
+        return type(refused)
+
+
+@pytest.mark.parametrize("path", ["hull", "lp"])
+def test_lp_covers_and_their_partitions_read_rows(path, monkeypatch):
+    if path == "lp":
+        lp_path(monkeypatch)
+    rng = random.Random(5)
+    covered = uncovered = 0
+    for K, lam, step in _lp_covers():
+        twin = VPolytope(K.dim, rational_points(*K.scaled))
+        cov = _outcome(greedy_cover, K, lam, step)
+        reference = _outcome(per_pair_greedy_cover, twin, lam, step)
+        assert "vertices" not in vars(K)
+        if cov is GridTooCoarse:
+            assert reference is GridTooCoarse
+            continue
+        assert (cov.centers, cov.witnesses) == (reference.centers, reference.witnesses)
+        # points of K's box in fifths: some off the witness grid yet
+        # covered, some outside every translate
+        box = [(min(c), max(c)) for c in zip(*twin.vertices)]
+        extra = {tuple(a + (b - a) * F(rng.randint(0, 5), 5) for a, b in box) for _ in range(3)}
+        S = point_set(sorted(set(cov.witnesses) | extra))
+        P = _outcome(cover_to_partition, S, cov, None)
+        assert "vertices" not in vars(K)
+        assert P == _outcome(per_pair_cover_to_partition, S, reference)
+        covered += 1
+        uncovered += P is PointUncovered
+    assert covered >= 6 and uncovered >= 2

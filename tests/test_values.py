@@ -19,11 +19,13 @@ from borsuk.bodies import (
     body_from_vertices,
     difference_body,
     lift_body,
+    point_set,
     prune_redundant,
     vpolytope,
 )
 from borsuk.covering import BoundValue, Covering, binomial_bound, greedy_cover
 from borsuk.errors import IndexOutOfRange, InvalidInput
+from borsuk.generators import cube_body, cube_vertices
 from borsuk.metric import DiameterGraph
 from borsuk.partition import BorsukCertificate, Partition, partition
 
@@ -190,6 +192,30 @@ def test_partitions_and_graphs_are_checked_as_they_are_made(make, error, text):
     with pytest.raises(error) as caught:
         make()
     assert type(caught.value) is error and str(caught.value) == text
+
+
+@pytest.mark.parametrize(
+    "make, text",
+    [
+        # an empty list has no first point to read the dimension from
+        (lambda: vpolytope([]), "a polytope needs at least one vertex"),
+        (lambda: point_set([]), "a point set needs at least one point"),
+        (lambda: body_from_vertices([]), "a body needs at least one vertex"),
+        (lambda: body_from_facets([]), "dimension must be >= 1"),
+        (lambda: cube_body(0), "dimension must be >= 1"),
+        (lambda: cube_body(-1), "dimension must be >= 1"),
+        # points of no coordinate
+        (lambda: point_set([()]), "dimension must be >= 1"),
+        (lambda: cube_vertices(0), "dimension must be >= 1"),
+        (lambda: cube_vertices(-1), "dimension must be >= 1"),
+        (lambda: cube_body(0, facet_form=False), "dimension must be >= 1"),
+        (lambda: PointSet(0, scaled=(1, ((),))), "dimension must be >= 1"),
+    ],
+)
+def test_empty_and_zero_dimensional_inputs_are_invalid(make, text):
+    with pytest.raises(InvalidInput) as caught:
+        make()
+    assert str(caught.value) == text
 
 
 def test_a_failing_report_dict_is_a_copy_of_its_fields(monkeypatch):
