@@ -15,7 +15,13 @@ negation and spanning the space, and a facet body by its normals
 (:func:`validate_body`, called by the body's constructor).
 Redundancy removal is answered in dimensions 1 to 3 by one exact convex
 hull per body (:func:`integer_hull` of the scaled form, held by the
-body's ``hull``), in integer form and certified once, where it is made.
+body's ``hull``), in integer form and certified once, where it is made,
+by one function, :func:`_certified`. The difference body ``K - K`` of a
+polytope with a hull in the plane or in space takes a hull read off K's
+own instead (:func:`_difference_hull`: K's and -K's edges merged by
+angle in the plane, K's facet normals and the cross products of its
+disjoint edges in space), certified by that function through K's
+projections, so its n^2 differences are never hulled.
 Every pruned polytope comes from :func:`prune_redundant`, which returns
 one already pruned as it is: Minkowski sums, difference bodies and the
 generators build a polytope of their integer rows and prune it there,
@@ -30,7 +36,7 @@ lifted points are never hulled; a lift read from its vertices does so
 where it has no hull, in dimension 4, which it then answers without an
 LP. Constructions hand on what they build:
 a pruned polytope keeps the hull it was pruned with, the difference body
-is built on the hull of its pruned sums and kept on its polytope, a
+is built on the hull of its pruned differences and kept on its polytope, a
 lift's slice is that same difference body of the lift's base, so
 ``K - K`` is hulled and certified once however many of these ask for it,
 and pruned polytopes, difference bodies, lifts, lifted point sets and
@@ -46,8 +52,10 @@ is made on the way down to the LP.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 from math import gcd, lcm
 from operator import add, sub
 from typing import NamedTuple
@@ -59,7 +67,9 @@ from .linalg import (
     Vec,
     affine_rank,
     as_vec,
+    canonical_sign,
     common_scale,
+    differences,
     dots,
     lowest_terms,
     matrix_rank,
@@ -163,7 +173,9 @@ class VPolytope(_VertexForm, Value):
     def difference(self) -> SymmetricBody:
         """The difference body ``K - K``, built once: see
         :func:`difference_body`."""
-        if not is_full_dimensional(self):
+        hull = self.hull
+        # a polytope with a hull is full-dimensional
+        if hull is None and not is_full_dimensional(self):
             raise DegenerateBody("difference body requires a full-dimensional polytope")
         m, rows = self.scaled
         distinct = set(rows)
@@ -172,8 +184,10 @@ class VPolytope(_VertexForm, Value):
             scaled = lowest_terms(m, [tuple([2 * x for x in X]) for X in sorted(set(rows))])
             hull = None
         else:
-            sums = {tuple(map(sub, a, b)) for a in rows for b in rows}
-            pruned = prune_redundant(VPolytope(self.dim, scaled=lowest_terms(m, sums)))
+            scaled = lowest_terms(m, differences(rows, rows))
+            # in the plane and in space the differences' hull is read off K's
+            seed = None if hull is None or self.dim == 1 else _difference_hull(hull, rows, m // scaled[0])
+            pruned = prune_redundant(VPolytope(self.dim, scaled=scaled, seed_hull=seed))
             scaled, hull = pruned.scaled, pruned.hull
         return SymmetricBody(self.dim, scaled=scaled, seed_hull=hull)
 
@@ -418,10 +432,11 @@ class Hull(NamedTuple):
     is full-dimensional: a flat set has none, and takes the LP in every
     dimension.
 
-    A hull holds data only, certified once by :func:`integer_hull` as it
-    is made: a body reads its planes as its normals, and pruning its
-    corners as the pruned vertices. A named tuple: a hull is its three
-    fields and nothing more.
+    A hull holds data only, certified once by :func:`_certified` as it is
+    made, by :func:`integer_hull` or, for a difference body, by
+    :func:`_difference_hull`: a body reads its planes as its normals, and
+    pruning its corners as the pruned vertices. A named tuple: a hull is
+    its three fields and nothing more.
     """
 
     scale: int
@@ -439,13 +454,12 @@ def integer_hull(m: int, rows) -> Hull | None:
     the LP in every dimension.
 
     The rows are sorted once, and the hull of each dimension is built from
-    those sorted points P alone. It is certified here, the one place a
-    hull is, over all of P: (a) every point satisfies ``n . X <= c`` for
-    every plane; (b) each plane holds d affinely independent points, so it
-    is a facet's; and (c) the facets close up: as many as corners on the
-    line and in the plane, and Euler's ``V - E + F = 2`` in space, where
-    each edge lies on two facets, so that 2E counts the (corner, facet)
-    incidences.
+    those sorted points P alone, then certified over all of P by
+    :func:`_certified`, fed each plane's largest value over P and the
+    points attaining it from one table ``dots(planes, P)``. The hull of a
+    difference body ``K - K`` in the plane and in space is built from K's
+    own hull instead (:func:`_difference_hull`), and certified by the same
+    function through K's projections.
     """
     d = len(next(iter(rows)))
     if d > MAX_HULL_DIM:
@@ -455,22 +469,54 @@ def integer_hull(m: int, rows) -> Hull | None:
     if made is None:
         return None
     corners, planes = made
+    tops = []
+    for values in dots([n for n, _ in planes], P):
+        top = max(values)
+        tops.append((top, [X for X, t in zip(P, values) if t == top]))
+    return _certified(m, d, corners, planes, tops)
+
+
+def _certified(m: int, d: int, corners, planes, tops) -> Hull:
+    """The hull at scale m with these corners and planes, once it is
+    certified, the one place every hull is; ``tops`` gives, per plane, the
+    largest value ``n . X`` over the point set and the distinct points
+    attaining it. Three checks: (a) every point satisfies ``n . X <= c``
+    for every plane; (b) each plane holds d affinely independent points, so
+    it is a facet's; and (c) the facets close up: as many as corners on
+    the line and in the plane, and Euler's ``V - E + F = 2`` in space,
+    where each edge lies on two facets, so that 2E counts the (corner,
+    facet) incidences. A plane whose largest value is below its offset
+    holds none of the points, and fails (b).
+    """
     corner_set, incidences = set(corners), 0
-    for (n, c), values in zip(planes, dots([n for n, _ in planes], P)):
-        if max(values) > c:
-            raise ArithmeticError(f"point {P[values.index(max(values))]} is outside the hull's half-space {n} . X <= {c}")
-        on = [X for X, t in zip(P, values) if t == c]
-        # on the line and in the plane any d distinct points are
-        # independent; in space three are when one is off the line
-        # through the first two, so that their triangle's normal is not 0
-        spans = len(on) >= d if d < 3 else any(any(_triangle(on, 0, 1, k)[3]) for k in range(2, len(on)))
-        if not spans:
+    for (n, c), (top, on) in zip(planes, tops):
+        if top != c:
+            if top > c:
+                raise ArithmeticError(f"point {on[0]} is outside the hull's half-space {n} . X <= {c}")
+            on = []
+        # on the line and in the plane any d distinct points are independent
+        if not (len(on) >= d if d < 3 else _spans(on)):
             raise ArithmeticError(f"the hull's plane {n} . X = {c} holds fewer than {d} affinely independent points")
         incidences += len(corner_set.intersection(on))
     V, F = len(corners), len(planes)
     if (F != V) if d < 3 else (2 * V - incidences + 2 * F != 4):
         raise ArithmeticError(f"the {F} facets of the hull do not close up around its {V} corners")
     return Hull(m, tuple(corners), planes)
+
+
+def _spans(on) -> bool:
+    """Whether the distinct points ``on`` in space hold three affinely
+    independent ones: a point off the line through the first two, whose
+    step from the first crossed with theirs is not 0."""
+    if len(on) < 3:
+        return False
+    (ax, ay, az), (bx, by, bz) = on[0], on[1]
+    ux, uy, uz = bx - ax, by - ay, bz - az
+    for x, y, z in on[2:]:
+        x, y, z = x - ax, y - ay, z - az
+        if uy * z - uz * y or uz * x - ux * z or ux * y - uy * x:
+            return True
+    return False
 
 
 def _segment_hull(P) -> tuple | None:
@@ -504,17 +550,23 @@ def planar_hull(P) -> tuple | None:
     :func:`integer_hull` to certify; None below 3 corners, for collinear
     points. Only strict left turns are kept, so collinear boundary points
     are dropped: the corners are the strict extreme points,
-    counter-clockwise from the least. X is left of the edge P -> Q, or on
-    it, when ``n . X <= P x Q``.
+    counter-clockwise from the least, and the half-planes those of its
+    edges (:func:`_edge_planes`).
     """
     corners = _chain(P)[:-1] + _chain(reversed(P))[:-1]
     if len(corners) < 3:
         return None
-    planes = tuple(
+    return corners, _edge_planes(corners)
+
+
+def _edge_planes(corners) -> tuple[HalfSpace, ...]:
+    """The half-plane of each edge (P, Q) of a polygon's corners, listed
+    counter-clockwise: X is left of P -> Q, or on it, when
+    ``n . X <= P x Q``."""
+    return tuple(
         ((qy - py, px - qx), px * qy - py * qx)
         for (px, py), (qx, qy) in zip(corners, corners[1:] + corners[:1])
     )
-    return corners, planes
 
 
 def _triangle(P, i, j, k):
@@ -595,6 +647,147 @@ def _spatial_hull(P) -> tuple | None:
             facets_at.setdefault(p, set()).add(facet)
     corners = tuple(P[p] for p in sorted(facets_at) if len(facets_at[p]) >= 3)
     return corners, tuple(sorted(set().union(*facets_at.values())))
+
+
+def _difference_hull(hull: Hull, rows, g: int) -> Hull:
+    """The hull of ``K - K``, in the plane or in space, from the hull of K:
+    K's rows ``rows`` are at the hull's scale m, and the differences of
+    every two of them, over their own least common denominator, at scale
+    ``m // g``. No table over the n^2 differences is made.
+
+    In the plane K's edges and -K's are merged by angle
+    (:func:`_merged_outline`); in space the facets are found among
+    candidate normals (:func:`_difference_facets`). Each is certified by
+    :func:`_certified`, as every hull is, fed by K's projections on each
+    plane's normal (:func:`_difference_tops`).
+    """
+    if len(rows[0]) == 2:
+        corners = _merged_outline(hull.corners)
+        if g > 1:
+            corners = [tuple([x // g for x in X]) for X in corners]
+        planes = _edge_planes(corners)
+        tops = _difference_tops(list(dict.fromkeys(canonical_sign(n) for n, _ in planes)), rows, g)
+        return _certified(hull.scale // g, 2, corners, planes, [tops[n] for n, _ in planes])
+    return _certified(hull.scale // g, 3, *_difference_facets(hull, rows, g))
+
+
+def _difference_tops(normals, rows, g: int) -> dict:
+    """Per normal n, and per -n, the largest value of n over the
+    differences ``(a - b) / g`` of the rows a and b of K, and the distinct
+    differences attaining it, for :func:`_certified`: the largest is
+    ``(max n . V - min n . V) / g`` over K's rows V, attained at
+    ``F_K(n) - F_K(-n)``, where ``F_K(n)`` is the face of K on which n is
+    largest. The column of -n is that of n negated, so one column is read
+    per pair ``n, -n``, the normals given sign-canonical."""
+    tops = {}
+    for n, col in zip(normals, dots(normals, rows)):
+        hi, lo = max(col), min(col)
+        # most faces are one corner, found without a scan
+        top = [a for a, t in zip(rows, col) if t >= hi] if col.count(hi) > 1 else [rows[col.index(hi)]]
+        bottom = [b for b, t in zip(rows, col) if t <= lo] if col.count(lo) > 1 else [rows[col.index(lo)]]
+        for u, on in ((n, differences(top, bottom)), (vneg(n), differences(bottom, top))):
+            tops[u] = (hi - lo) // g, [tuple([x // g for x in X]) for X in on] if g > 1 else list(on)
+    return tops
+
+
+def _merged_outline(corners) -> list:
+    """The corners of ``K - K`` for a polygon K with these corners,
+    counter-clockwise from the least, at K's scale: K's edges and -K's,
+    each counter-clockwise from its least corner, merged by angle
+    (de Berg et al., *Computational Geometry*, 3rd ed., 2008, ch. 13),
+    from the least corner of K minus the greatest. Parallel edges of the
+    two merge into one, so every corner is strict.
+
+    Along each list the edges turn left through less than a half turn, so
+    the next edges of the two lists are less than a half turn apart, and
+    the sign of their cross product orders them.
+    """
+    k, j = len(corners), corners.index(max(corners))
+    ring = corners + corners[:1]
+    edges = [(qx - px, qy - py) for (px, py), (qx, qy) in zip(ring, ring[1:])]
+    mirrored = [(-ex, -ey) for ex, ey in edges[j:] + edges[:j]]
+    x, y = corners[0][0] - corners[j][0], corners[0][1] - corners[j][1]
+    outline = [(x, y)]
+    i = l = 0
+    while i < k and l < k:
+        (ex, ey), (fx, fy) = edges[i], mirrored[l]
+        turn = ex * fy - ey * fx
+        if turn >= 0:
+            x, y, i = x + ex, y + ey, i + 1
+        if turn <= 0:
+            x, y, l = x + fx, y + fy, l + 1
+        outline.append((x, y))
+    for ex, ey in edges[i:] + mirrored[l:]:
+        x, y = x + ex, y + ey
+        outline.append((x, y))
+    outline.pop()  # the last edge closes the outline at its first corner
+    return outline
+
+
+def _difference_facets(hull: Hull, rows, g: int) -> tuple:
+    """The corners, planes and feed of :func:`_certified` for the hull of
+    ``K - K`` in space, K's rows at its hull's scale.
+
+    A face of a Minkowski sum is a sum of faces of its summands (Fukuda,
+    2004), so the face of ``K - K`` on which u is largest is
+    ``F_K(u) - F_K(-u)``: a facet exactly when it spans a plane, that is
+    when ``F_K(u)`` or ``F_K(-u)`` is a facet of K, or both are edges, not
+    parallel, and then u is normal to both. Those two edges share no
+    corner, or K would be flat along u. So the facet normals, up to sign,
+    are K's and the cross products of two disjoint edges of K, two corners
+    of K being an edge's ends when they lie on two common facets; the
+    cross product u of such edges is a facet's when K lies between the
+    planes through them with normal u. It lies then strictly inside the
+    normal cone of the one, spanned by its two facets' normals, and -u
+    inside the other's, so each edge's step splits the other's two facet
+    normals, one on each side: pairs that fail this are passed over
+    unprojected. Each direction that is a facet's gives two, u and -u,
+    since ``K - K`` is symmetric; the corners are the points on three
+    facets or more, as in :func:`_spatial_hull`.
+    """
+    corners, normals = hull.corners, [n for n, _ in hull.planes]
+    # two corners of K on two common facets are the ends of an edge
+    sides: dict = {}
+    for n, (_, c), col in zip(normals, hull.planes, dots(normals, corners)):
+        for pair in combinations([i for i, t in enumerate(col) if t == c], 2):
+            sides.setdefault(pair, []).append(n)
+    edges = [
+        (i, j, corners[i], tuple(map(sub, corners[j], corners[i])), *facets)
+        for (i, j), facets in sides.items()
+        if len(facets) == 2
+    ]
+    directions = dict.fromkeys(map(_direction, normals))
+    for first, second in combinations(edges, 2):
+        i, j, (ax, ay, az), (ux, uy, uz), (a1, a2, a3), (b1, b2, b3) = first
+        p, q, (bx, by, bz), (vx, vy, vz), (c1, c2, c3), (d1, d2, d3) = second
+        if i == p or i == q or j == p or j == q:
+            continue
+        # each step splits the other edge's two facet normals
+        if (a1 * vx + a2 * vy + a3 * vz) * (b1 * vx + b2 * vy + b3 * vz) >= 0:
+            continue
+        if (c1 * ux + c2 * uy + c3 * uz) * (d1 * ux + d2 * uy + d3 * uz) >= 0:
+            continue
+        nx, ny, nz = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
+        # n is normal to both edges: a facet's when K lies between the
+        # planes through them
+        s, t = nx * ax + ny * ay + nz * az, nx * bx + ny * by + nz * bz
+        col = [nx * x + ny * y + nz * z for x, y, z in rows]
+        if min(col) == min(s, t) and max(col) == max(s, t) and s != t:
+            directions[_direction((nx, ny, nz))] = None
+    tops = _difference_tops(list(directions), rows, g)
+    planes = tuple(sorted((n, c) for n, (c, _) in tops.items()))
+    # per point on a facet, the number of facets through it
+    on_facets = Counter(X for _, on in tops.values() for X in on)
+    corners = sorted(X for X, count in on_facets.items() if count >= 3)
+    return corners, planes, [tops[n] for n, _ in planes]
+
+
+def _direction(u) -> tuple[int, ...]:
+    """The integer vector u divided by the gcd of its entries, with its
+    first nonzero entry positive: one key for the directions of u and
+    -u."""
+    g = gcd(*u)
+    return canonical_sign(tuple([x // g for x in u]))
 
 
 def _dim(points) -> int:
@@ -727,9 +920,19 @@ def difference_body(K: VPolytope) -> SymmetricBody:
     Built once per polytope and kept on it (``K.difference``), so a
     later request, such as the slice of K's symmetric lift, gets the same
     body with the hull, normals and certificate it already holds. The
-    body keeps the hull its pruned sums were taken from. When K = -K,
-    K - K = 2K, whose vertices are twice those of K: the quadratic set of
-    pairwise sums is then neither built nor pruned.
+    body keeps the hull its pruned differences were taken from. For a K
+    with a hull in the plane or in space that hull is read off K's own,
+    not built from the n^2 differences: an edge merge in the plane, and
+    in space K's facet normals and the cross products of K's disjoint
+    edges (:func:`_difference_hull`). It is certified as every hull is,
+    by :func:`_certified`, fed from K's projections on each facet normal
+    n: the largest value ``max n . V - min n . V`` over K's rows V and
+    the differences ``F_K(n) - F_K(-n)`` attaining it. Then
+    :func:`prune_redundant` makes the pruned polytope of the differences,
+    over their own least common denominator, from that hull. On the line,
+    from dimension 4 and on the LP path the differences are pruned as any
+    set is. When K = -K, K - K = 2K, whose vertices are twice those of
+    K: the quadratic set of differences is then neither built nor pruned.
     """
     return K.difference
 

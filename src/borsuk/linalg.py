@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
+from operator import mul, sub
 
 Vec = tuple[Fraction, ...]
 
@@ -101,6 +101,19 @@ def dots(normals, rows) -> list[list[int]]:
     if d == 4:
         return [[a * x + b * y + c * z + e * w for x, y, z, w in rows] for a, b, c, e in normals]
     return [[sum(map(mul, n, X)) for X in rows] for n in normals]
+
+
+def differences(A, B) -> set[tuple[int, ...]]:
+    """The set of ``a - b`` over the rows a of A and b of B, tuples of
+    ints of one length, for difference bodies and their faces. Written
+    out in dimensions 2 and 3, where it is several times faster than
+    ``tuple(map(sub, a, b))``."""
+    d = len(A[0])
+    if d == 2:
+        return {(ax - bx, ay - by) for ax, ay in A for bx, by in B}
+    if d == 3:
+        return {(ax - bx, ay - by, az - bz) for ax, ay, az in A for bx, by, bz in B}
+    return {tuple(map(sub, a, b)) for a in A for b in B}
 
 
 def canonical_sign(a: Vec) -> Vec:

@@ -22,7 +22,9 @@ saturation, instead of as binary counters.
 :func:`per_pair_greedy_cover`
 and :func:`per_pair_cover_to_partition` are the references for the
 covering layer: one membership LP per (witness, center) pair, and only
-centers whose translate meets the body, as an LP of its own.
+centers whose translate meets the body, as an LP of its own; the cover
+refuses, before any LP, the grids ``greedy_cover`` refuses, counted
+from their bounds alone.
 :func:`pairwise_max_by_fractions` and :func:`memo_pairwise_max` are
 the references for the diameter pass, which projects integer points onto
 integer normals: every pair's gauge of its ``Fraction`` difference, with
@@ -78,13 +80,14 @@ from borsuk.bodies import (
     is_full_dimensional,
     prune_redundant,
 )
-from borsuk.covering import SAMPLE_CERTIFIED, Covering
+from borsuk.covering import MAX_COVER_PAIRS, MAX_GRID_POINTS, SAMPLE_CERTIFIED, Covering
 from borsuk.errors import (
     DegenerateBody,
     DimensionMismatch,
     GenerationFailed,
     GridTooCoarse,
     IndexOutOfRange,
+    InvalidInput,
     NotSymmetric,
     PointUncovered,
 )
@@ -1013,6 +1016,10 @@ def _lattice_axis(lo, hi, step):
     return [k * step for k in range(math.ceil(lo / step), math.floor(hi / step) + 1)]
 
 
+def _lattice_count(lo, hi, step):
+    return max(0, math.floor(hi / step) - math.ceil(lo / step) + 1)
+
+
 def _translate_meets_body(K, lam, center):
     # z in K and (z - center)/lam in K: sum(a_i v_i) - lam * sum(b_i v_i)
     # = center with both combinations convex
@@ -1028,10 +1035,19 @@ def _in_translate(K, lam, center, point):
 
 def per_pair_greedy_cover(K, lam, grid_step) -> Covering:
     """Greedy cover with one membership LP per (witness, center) pair,
-    over the centers whose translate meets K (valid lam and grid_step)."""
+    over the centers whose translate meets K (valid lam and grid_step).
+    Grids past ``MAX_GRID_POINTS`` points, or past ``MAX_COVER_PAIRS``
+    witness-center pairs between them, are refused with ``InvalidInput``
+    as ``greedy_cover`` refuses them, before any LP."""
     dim = K.dim
     lo = [min(v[i] for v in K.vertices) for i in range(dim)]
     hi = [max(v[i] for v in K.vertices) for i in range(dim)]
+    inner = math.prod(_lattice_count(lo[i], hi[i], grid_step) for i in range(dim))
+    outer = math.prod(_lattice_count(lo[i] - lam * hi[i], hi[i] - lam * lo[i], grid_step) for i in range(dim))
+    if max(inner, outer) > MAX_GRID_POINTS:
+        raise InvalidInput(f"grid step too fine: more than {MAX_GRID_POINTS} lattice points per grid")
+    if inner * outer > MAX_COVER_PAIRS:
+        raise InvalidInput(f"grid step too fine: {inner} x {outer} witness-center pairs, more than {MAX_COVER_PAIRS}")
     witnesses = set(K.vertices)
     for p in product(*(_lattice_axis(lo[i], hi[i], grid_step) for i in range(dim))):
         if contains_point(K.vertices, p):

@@ -398,7 +398,9 @@ def _counting(patch, module, name):
 def test_every_construction_prunes_through_prune_redundant(monkeypatch):
     # one function makes every pruned polytope: the generators' draws,
     # Minkowski sums and difference bodies build a polytope of their rows
-    # and hand it to prune_redundant, in 2D (a hull) and 4D (LPs)
+    # and hand it to prune_redundant, in 2D (a hull) and 4D (LPs); a
+    # difference body in 2D hands it on with the hull read off K's as its
+    # seed, and a Minkowski sum with none
     in_bodies = _counting(monkeypatch, bodies, "prune_redundant")
     in_generators = _counting(monkeypatch, generators, "prune_redundant")
     for dim in (2, 4):
@@ -409,9 +411,10 @@ def test_every_construction_prunes_through_prune_redundant(monkeypatch):
         K = gen_random_polytope(31, dim, dim + 3, max_numerator=5, max_denominator=3)
         in_generators.clear()
         assert not all(X in K.scaled[1] for X in map(vneg, K.scaled[1]))  # K - K takes the sums
-        for build in (lambda: minkowski_sum(K, negate(K)), lambda: difference_body(_copy(K))):
+        for build, seeded in ((lambda: minkowski_sum(K, negate(K)), False), (lambda: difference_body(_copy(K)), dim == 2)):
             build()
-            assert len(in_bodies) == 1 and not in_bodies[0][0].pruned
+            [(P,)] = in_bodies
+            assert not P.pruned and (P.seed_hull is not None) == seeded
             in_bodies.clear()
     assert in_generators == [] and in_bodies == []
 

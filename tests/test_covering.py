@@ -23,7 +23,8 @@ from borsuk.covering import (
     partition_bound,
     _lattice_membership,
 )
-from borsuk.errors import DimensionMismatch, DomainError, GridTooCoarse, PointUncovered
+from borsuk.errors import DimensionMismatch, DomainError, GridTooCoarse, InvalidInput, PointUncovered
+from borsuk.generators import gen_random_polytope
 from borsuk.linalg import over_common_denominator, rational_points
 from borsuk.partition import borsuk_number, verify_partition
 from oracles import _in_translate, counter_clockwise, lp_path, per_pair_cover_to_partition, per_pair_greedy_cover
@@ -297,6 +298,22 @@ def test_greedy_cover_and_partition_match_per_pair_reference():
             assert P == _outcome(per_pair_cover_to_partition, S, cov)
             raised[PointUncovered] += P is PointUncovered
     assert min(raised.values()) >= 5
+
+
+@pytest.mark.parametrize(
+    "K, step, refusal",
+    [
+        # 4D grids of 1575 and 6370 points, each allowed, but too many pairs
+        (gen_random_polytope(0, 4, 6, max_numerator=2, max_denominator=2), F(1, 2), "1575 x 6370 witness-center pairs"),
+        # a segment cut into a million steps
+        (vpolytope([(0,), (1,)]), F(1, 10**6), "lattice points per grid"),
+    ],
+)
+def test_the_reference_cover_refuses_what_greedy_cover_refuses(K, step, refusal):
+    # refused at once by both covers, the reference before any of its LPs
+    for cover in (greedy_cover, per_pair_greedy_cover):
+        with pytest.raises(InvalidInput, match=refusal):
+            cover(K, F(3, 5), step)
 
 
 def test_a_cover_built_from_its_centers_alone_gives_the_same_partition():

@@ -16,7 +16,8 @@ A lift's slice is the difference body of its base, shared with
 pruned sums. Shared bodies are compared with bodies built afresh from
 their vertex tuple on seeded polytopes, pruned, unpruned with inner
 points and negation-closed; one doubling check is counted to hull
-``K - K`` once, and still to make LPs on the LP path.
+``K - K`` once, from K's hull and never from its sums, and still to make
+LPs on the LP path.
 
 Every lift made by ``lift_body`` reads its normals from its slice, in 2D
 and 3D too, where the lifted rows have a hull. On the seeded 1D and 2D
@@ -337,14 +338,18 @@ def _count_spatial_hull_entries(monkeypatch):
 def test_one_doubling_check_hulls_k_minus_k_once(monkeypatch):
     K = gen_random_polytope(31, 3, 6, max_numerator=8, max_denominator=4)
     S = point_set(K.vertices)
-    calls = _count_spatial_hull_entries(monkeypatch)
+    entries = _count_spatial_hull_entries(monkeypatch)
+    builds = []
+    build = bodies._difference_hull
+    monkeypatch.setattr(bodies, "_difference_hull", lambda *args: builds.append(args) or build(*args))
     b1, b2, ok = doubling_check(K, S)
     assert ok
-    sums = {tuple(a - b for a, b in zip(u, v)) for u in K.vertices for v in K.vertices}
-    assert calls == [len(sums)]
+    # K - K is hulled once, from K's own hull: its sums are never hulled
+    assert len(builds) == 1 and builds[0][0] is K.hull
+    assert entries == []
     # the lift's slice is the difference body, certified once
     assert lift_body(K)._levels[1].difference is difference_body(K)
-    assert calls == [len(sums)]
+    assert len(builds) == 1 and entries == []
 
 
 def test_shared_bodies_on_the_lp_path_make_lps(monkeypatch):
