@@ -1,12 +1,14 @@
 """The base of the package's value types.
 
-A value type lists its fields in ``_fields`` and writes them in its own
-``__init__`` with ``vars(self).update(...)``, where ``cached_property``
-writes too. It then compares, hashes and shows as those fields alone:
-anything else it keeps, such as a hull handed on by a construction or a
-cached property, is read by none of the three. Instances are immutable,
-like those of a frozen dataclass, at a fraction of the cost of defining
-one when the package is imported.
+Every value type derives from :class:`Value`: the bodies, point sets and
+polytopes, partitions and their certificates, diameter graphs, coverings,
+bounds and LP results. A value type lists its fields in ``_fields`` and
+writes them in its own ``__init__`` with ``vars(self).update(...)``, where
+``cached_property`` writes too. It then compares, hashes and shows as
+those fields alone: anything else it keeps, such as a hull handed on by a
+construction or a cached property, is read by none of the three.
+Instances are immutable, like those of a frozen dataclass, at a fraction
+of the cost of defining one when the package is imported.
 """
 
 from __future__ import annotations

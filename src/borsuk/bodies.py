@@ -52,13 +52,12 @@ is made on the way down to the LP.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import gcd, lcm
 from operator import add, sub
-from typing import NamedTuple
 
 from . import lp
 from ._value import Value
@@ -417,7 +416,7 @@ class PointSet(Value):
 MAX_HULL_DIM = 3
 
 
-class Hull(NamedTuple):
+class Hull(namedtuple("Hull", ("scale", "corners", "planes"))):
     """Exact convex hull of a finite point set on the line, in the plane
     or in space, in integer form only.
 
@@ -439,6 +438,7 @@ class Hull(NamedTuple):
     its three fields and nothing more.
     """
 
+    __slots__ = ()
     scale: int
     corners: tuple[tuple[int, ...], ...]
     planes: tuple[HalfSpace, ...]

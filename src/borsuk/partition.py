@@ -34,12 +34,15 @@ and those are the pairs across the extreme sets: with normals, the
 maxima and minima of each column of largest spread; without, the
 attaining pairs themselves. So a partition is checked by its class
 labels on the two sides of each.
+
+A :class:`Partition` and the :class:`BorsukCertificate` a colouring
+returns are value types on :class:`borsuk._value.Value`, like the
+bodies and graphs they come from.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 from ._value import Value
 from .bodies import PointSet, SymmetricBody, VPolytope, difference_body, lift_body, lift_set, prune_redundant
@@ -80,13 +83,53 @@ def partition(n_points: int, classes) -> Partition:
     return Partition(n_points, cleaned)
 
 
-@dataclass(frozen=True)
-class BorsukCertificate:
+class _DataclassTwin:
+    """``__dataclass_fields__`` or ``__dataclass_params__`` of
+    :class:`BorsukCertificate`, read from a frozen dataclass with its
+    fields. That twin is made, and ``dataclasses`` imported, on the first
+    read of either; both attributes are then the twin's, so
+    ``dataclasses.replace``, ``fields``, ``asdict``, ``astuple`` and
+    ``is_dataclass`` treat a certificate as a frozen dataclass. A stopgap
+    for ``perfbench/test_perfbench.py``, which builds wrong certificates
+    with ``dataclasses.replace``: it goes once that test calls the
+    constructor."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner):
+        from dataclasses import make_dataclass
+
+        twin = make_dataclass(
+            owner.__qualname__, [(name, owner.__annotations__[name]) for name in owner._fields], frozen=True
+        )
+        owner.__dataclass_fields__ = twin.__dataclass_fields__
+        owner.__dataclass_params__ = twin.__dataclass_params__
+        return getattr(owner, self.name)
+
+
+class BorsukCertificate(Value):
+    """The outcome of a colouring: ``number`` colours, the ``partition``
+    into colour classes, a clique of the graph as the lower bound, whether
+    the search proved ``number`` optimal, and the search ``nodes`` it took.
+    It also passes as a frozen dataclass to the ``dataclasses`` functions
+    (see :class:`_DataclassTwin`)."""
+
+    _fields = ("number", "partition", "lower_bound_clique", "optimal", "nodes")
+    __match_args__ = _fields
     number: int
     partition: Partition
     lower_bound_clique: tuple[int, ...]
     optimal: bool
     nodes: int
+
+    __dataclass_fields__ = _DataclassTwin()
+    __dataclass_params__ = _DataclassTwin()
+
+    def __init__(self, number, partition, lower_bound_clique, optimal, nodes):
+        vars(self).update(
+            number=number, partition=partition, lower_bound_clique=lower_bound_clique, optimal=optimal, nodes=nodes
+        )
 
 
 def node_budget_default() -> int:

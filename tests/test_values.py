@@ -1,11 +1,17 @@
 """The value types: ``==``, ``hash`` and ``repr`` over their fields alone,
 immutability, construction, validation, and a report's dict."""
 
+import copy
+import dataclasses
 import hashlib
 import importlib
 import inspect
+import pickle
 import pkgutil
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -27,7 +33,7 @@ from borsuk.covering import BoundValue, Covering, binomial_bound, greedy_cover
 from borsuk.errors import IndexOutOfRange, InvalidInput
 from borsuk.generators import cube_body, cube_vertices
 from borsuk.metric import DiameterGraph
-from borsuk.partition import BorsukCertificate, Partition, partition
+from borsuk.partition import BorsukCertificate, Partition, chromatic_number, partition
 
 F = Fraction
 TRIANGLE = ((F(0), F(0)), (F(1), F(0)), (F(0), F(1, 2)))
@@ -46,6 +52,7 @@ def _instances():
         Covering(F(1, 2), ((F(0),),), SEGMENT, "sample_certified", ((F(1),),)),
         binomial_bound(3),
         lp.LPResult("optimal", F(1), [F(1)], 2),
+        BorsukCertificate(2, Partition(3, ((0, 2), (1,))), (0, 1), True, 3),
     ]
 
 
@@ -65,6 +72,8 @@ REPRS = [
     " witnesses=((Fraction(1, 1),),))",
     "BoundValue(n=3, value=371.5596069770885, formula='binomial')",
     "LPResult(status='optimal', value=Fraction(1, 1), x=[Fraction(1, 1)], pivots=2)",
+    "BorsukCertificate(number=2, partition=Partition(n_points=3, classes=((0, 2), (1,))),"
+    " lower_bound_clique=(0, 1), optimal=True, nodes=3)",
 ]
 
 
@@ -133,7 +142,7 @@ def test_frozen_values_refuse_assignment_and_deletion():
                 setattr(value, name, None)
         with pytest.raises(AttributeError):
             delattr(value, names[0])
-    # a certificate is still a frozen dataclass
+    # a certificate refuses them as its frozen dataclass twin does
     cert = BorsukCertificate(2, partition(2, [(0,), (1,)]), (0, 1), True, 3)
     with pytest.raises(AttributeError):
         cert.number = 1
@@ -238,9 +247,9 @@ def test_a_failing_report_dict_is_a_copy_of_its_fields(monkeypatch):
 
 def test_the_only_dataclass_is_the_certificate():
     # perfbench/test_perfbench.py builds wrong certificates with
-    # dataclasses.replace, which needs BorsukCertificate to be a dataclass;
-    # every other value type derives from borsuk._value.Value, so that
-    # importing the package defines no further dataclass
+    # dataclasses.replace, so BorsukCertificate passes as a dataclass, by
+    # the fields of a twin made when first read; no other value type does,
+    # and importing the package defines no dataclass
     dataclasses = set()
     for info in pkgutil.iter_modules(borsuk.__path__):
         module = importlib.import_module(f"borsuk.{info.name}")
@@ -248,3 +257,67 @@ def test_the_only_dataclass_is_the_certificate():
             if inspect.isclass(cls) and cls.__module__ == module.__name__ and hasattr(cls, "__dataclass_fields__"):
                 dataclasses.add(cls)
     assert dataclasses == {BorsukCertificate}
+
+
+@dataclasses.dataclass(frozen=True)
+class Twin:
+    """A frozen dataclass with a certificate's fields."""
+
+    number: int
+    partition: Partition
+    lower_bound_clique: tuple[int, ...]
+    optimal: bool
+    nodes: int
+
+
+def test_a_certificate_passes_as_its_frozen_dataclass_twin():
+    graph = DiameterGraph(5, 1, ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4)))
+    cert = chromatic_number(graph)
+    twin = Twin(*(getattr(cert, f.name) for f in dataclasses.fields(Twin)))
+    assert dataclasses.is_dataclass(BorsukCertificate) and dataclasses.is_dataclass(cert)
+    assert dataclasses.is_dataclass(Twin) and dataclasses.is_dataclass(twin)
+    names = [f.name for f in dataclasses.fields(twin)]
+    for made in (cert, BorsukCertificate):
+        assert [f.name for f in dataclasses.fields(made)] == names
+    assert dataclasses.asdict(cert) == dataclasses.asdict(twin)
+    fields = (3, cert.partition, cert.lower_bound_clique, True, cert.nodes)
+    assert dataclasses.astuple(cert) == dataclasses.astuple(twin) == fields
+    # the benchmark's two wrong certificates
+    merged = partition(5, [tuple(range(5))])
+    for changes in ({"number": 1, "partition": merged}, {"lower_bound_clique": (0, 1, 2)}):
+        changed = dataclasses.replace(cert, **changes)
+        assert type(changed) is BorsukCertificate
+        assert dataclasses.astuple(changed) == dataclasses.astuple(dataclasses.replace(twin, **changes))
+    match cert:
+        case BorsukCertificate(number, classes, clique, optimal, nodes):
+            assert (number, classes, clique, optimal, nodes) == dataclasses.astuple(twin)
+    assert BorsukCertificate.__match_args__ == Twin.__match_args__ == tuple(names)
+    for value in (cert, twin):
+        for kept in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+            assert kept == value and hash(kept) == hash(value) and kept is not value
+    assert repr(cert).removeprefix("BorsukCertificate") == repr(twin).removeprefix("Twin")
+    assert hash(cert) == hash(twin) == hash(dataclasses.astuple(twin))
+    assert cert != twin and cert == BorsukCertificate(*dataclasses.astuple(twin))
+    for value in (cert, twin):
+        for name in ("number", "anything_else"):
+            with pytest.raises(AttributeError):
+                setattr(value, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(value, "number")
+
+
+def test_importing_the_package_loads_no_dataclasses_inspect_or_typing():
+    # -S: no site, so no .pth file can import these first and hide a
+    # regression; the certificate still passes as a dataclass there
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import borsuk, borsuk.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'typing', 'ast', 'dis'} & set(sys.modules))); "
+        "import dataclasses; from borsuk.partition import BorsukCertificate, partition; "
+        "cert = BorsukCertificate(2, partition(2, [(0,), (1,)]), (0, 1), True, 3); "
+        "print(*(f.name for f in dataclasses.fields(cert)))"
+    )
+    src = str(Path(borsuk.__file__).resolve().parents[1])
+    run = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code, src], capture_output=True, text=True, check=True, timeout=60
+    )
+    assert run.stdout.splitlines() == ["[]", "number partition lower_bound_clique optimal nodes"]
