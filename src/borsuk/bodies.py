@@ -21,7 +21,7 @@ polytope with a hull in the plane or in space takes a hull read off K's
 own instead (:func:`_difference_hull`: K's and -K's edges merged by
 angle in the plane, K's facet normals and the cross products of its
 disjoint edges in space), certified by that function through K's
-projections, so its n^2 differences are never hulled.
+projections, so its n^2 differences are never made.
 Every pruned polytope comes from :func:`prune_redundant`, which returns
 one already pruned as it is: Minkowski sums, difference bodies and the
 generators build a polytope of their integer rows and prune it there,
@@ -180,15 +180,20 @@ class VPolytope(_VertexForm, Value):
         distinct = set(rows)
         if all(vneg(X) in distinct for X in distinct):
             m, rows = prune_redundant(self).scaled
-            scaled = lowest_terms(m, [tuple([2 * x for x in X]) for X in sorted(set(rows))])
-            hull = None
+            doubled = [tuple([2 * x for x in X]) for X in sorted(set(rows))]
+            return SymmetricBody(self.dim, scaled=lowest_terms(m, doubled))
+        if hull is not None and self.dim > 1:
+            # in the plane and in space the differences' hull is read off
+            # K's, and no difference is made: their scale is m // g, g the
+            # gcd of m and the differences from one row, which span the
+            # same lattice as all n^2
+            X0 = rows[0]
+            seed = _difference_hull(hull, rows, gcd(m, *[x - y for X in rows for x, y in zip(X, X0)]))
+            differences_of_K = VPolytope(self.dim, scaled=(seed.scale, seed.corners), seed_hull=seed)
         else:
-            scaled = lowest_terms(m, differences(rows, rows))
-            # in the plane and in space the differences' hull is read off K's
-            seed = None if hull is None or self.dim == 1 else _difference_hull(hull, rows, m // scaled[0])
-            pruned = prune_redundant(VPolytope(self.dim, scaled=scaled, seed_hull=seed))
-            scaled, hull = pruned.scaled, pruned.hull
-        return SymmetricBody(self.dim, scaled=scaled, seed_hull=hull)
+            differences_of_K = VPolytope(self.dim, scaled=lowest_terms(m, differences(rows, rows)))
+        pruned = prune_redundant(differences_of_K)
+        return SymmetricBody(self.dim, scaled=pruned.scaled, seed_hull=pruned.hull)
 
 
 class SymmetricBody(_VertexForm, Value):

@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Subcommands read JSON from files (or "-" for stdin) and write JSON, CSV
-or SVG to stdout or ``--out``. Exit codes: 0 success, 1 domain errors
-or failed verification, 2 usage errors.
+or SVG to stdout or ``--out``. An existing regular ``--out`` file is
+rewritten in place and cut to the length written, not truncated first;
+devices, pipes and FIFOs are written as streams. Exit codes: 0 success,
+1 domain errors, failed verification or a failed write, 2 usage errors.
 """
 
 from __future__ import annotations
@@ -10,6 +12,8 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
+import stat
 import sys
 import time
 
@@ -35,11 +39,23 @@ def _read_json(path: str):
 
 
 def _write_text(text: str, out: str | None):
+    """Write ``text`` to stdout (``out`` None or "-") or to the file
+    ``out``, created with the mode ``open(out, "w")`` gives a new file.
+    An existing file is opened without ``O_TRUNC`` and overwritten from
+    its start: on ext4 (``auto_da_alloc``) truncating a file to zero and
+    writing it again forces its blocks out at close, several times the
+    cost of the write. A regular file left longer than the text is then
+    cut to its length; anything else, such as /dev/null, a pipe or a
+    FIFO, is written as a stream, since ``ftruncate`` fails on it."""
     if out is None or out == "-":
         sys.stdout.write(text)
-    else:
-        with open(out, "wb") as fh:
-            fh.write(text.encode("utf-8"))
+        return
+    data = text.encode("utf-8")
+    with open(os.open(out, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        st = os.fstat(fh.fileno())
+        fh.write(data)
+        if stat.S_ISREG(st.st_mode) and st.st_size > len(data):
+            fh.truncate()
 
 
 def _load_body(path: str):

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from copy import deepcopy
 from operator import add, sub
 
 from . import jsonio
@@ -69,7 +68,19 @@ class VerificationReport(Value):
     def to_obj(self) -> dict:
         """The fields as a dict, the failures a deep copy, so that the
         report and the dict change apart."""
-        return dict(zip(self._fields, self._values(self)), failures=deepcopy(self.failures))
+        return dict(zip(self._fields, self._values(self)), failures=_copied(self.failures))
+
+
+def _copied(value):
+    """A copy of a JSON value such as a failure payload: its dicts and
+    lists are copied at every depth, and the strings, numbers, booleans
+    and None in them, which cannot change, are shared. Written out so
+    that ``import borsuk`` does not load the ``copy`` module for it."""
+    if isinstance(value, dict):
+        return {k: _copied(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_copied(v) for v in value]
+    return value
 
 
 def _child_seed(seed: int, index: int) -> int:

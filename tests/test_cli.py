@@ -1,6 +1,9 @@
 """End-to-end CLI runs: JSON in, JSON/CSV/SVG out, exit codes, determinism."""
 
 import json
+import os
+import stat
+import threading
 from fractions import Fraction
 
 import pytest
@@ -398,3 +401,100 @@ def test_repeated_dispatch_keeps_no_state(cube2, capsys):
     outputs = [run(gauge_argv, capsys) for _ in range(2)]
     assert outputs[0] == outputs[1] == (0, jsonio.dumps({"values": ["2", "1/2"]}))
     assert run(["borsuk", "--body", body, "--points", points], capsys) == first
+
+
+# --- writing --out ---------------------------------------------------------
+
+BOUNDS_ARGV = ["bounds", "--n-max", "6", "--format", "json"]
+
+
+def _report(capsys):
+    code, out = run(BOUNDS_ARGV, capsys)
+    assert code == 0
+    return out.encode()
+
+
+@pytest.mark.parametrize("old", [b"x" * 10_000, b"{}", b""], ids=["longer", "shorter", "empty"])
+def test_out_rewrites_an_existing_file_in_place(old, tmp_path, capsys):
+    # a longer file loses its old tail, a shorter one grows, and the file
+    # written is the one that was there, not a replacement
+    expected = _report(capsys)
+    out_file = tmp_path / "report.json"
+    out_file.write_bytes(old)
+    inode = out_file.stat().st_ino
+    assert run(BOUNDS_ARGV + ["--out", out_file], capsys) == (0, "")
+    assert out_file.read_bytes() == expected
+    assert out_file.stat().st_ino == inode
+
+
+def test_out_dev_null_exits_zero(capsys):
+    assert run(BOUNDS_ARGV + ["--out", os.devnull], capsys) == (0, "")
+
+
+def test_out_fifo_receives_the_whole_report(tmp_path, capsys):
+    expected = _report(capsys)
+    fifo = tmp_path / "report.fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert run(BOUNDS_ARGV + ["--out", fifo], capsys) == (0, "")
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert received == [expected]
+
+
+@pytest.mark.parametrize("target", [
+    "directory",
+    "below a regular file",
+    pytest.param("read-only file", marks=pytest.mark.skipif(
+        os.geteuid() == 0, reason="root may write a read-only file")),
+    "full device",
+])
+def test_unwritable_out_is_an_error_line_not_a_traceback(target, tmp_path, capsys):
+    if target == "directory":
+        out = tmp_path
+    elif target == "below a regular file":
+        (tmp_path / "plain").write_text("")
+        out = tmp_path / "plain" / "report.json"
+    elif target == "read-only file":
+        out = tmp_path / "report.json"
+        out.write_text("")
+        out.chmod(0o444)
+    else:
+        out = "/dev/full"  # every write fails with ENOSPC
+        if not os.path.exists(out):
+            pytest.skip("no /dev/full")
+    code = cli_dispatch([str(a) for a in BOUNDS_ARGV + ["--out", out]])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_new_out_file_gets_the_mode_open_gives(tmp_path, capsys):
+    old = os.umask(0o027)
+    try:
+        with open(tmp_path / "by-open.json", "wb"):
+            pass
+        assert run(BOUNDS_ARGV + ["--out", tmp_path / "report.json"], capsys) == (0, "")
+    finally:
+        os.umask(old)
+    mode = stat.S_IMODE((tmp_path / "report.json").stat().st_mode)
+    assert mode == 0o666 & ~0o027 == stat.S_IMODE((tmp_path / "by-open.json").stat().st_mode)
+
+
+def test_out_is_never_opened_truncating(tmp_path, monkeypatch, capsys):
+    flags = []
+    real_open = os.open
+
+    def recording_open(path, flag, *args, **kwargs):
+        flags.append(flag)
+        return real_open(path, flag, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", recording_open)
+    out_file = tmp_path / "report.json"
+    for _ in range(2):  # once new, once existing
+        assert run(BOUNDS_ARGV + ["--out", out_file], capsys) == (0, "")
+    assert len(flags) == 2
+    assert all(f & os.O_CREAT and not f & os.O_TRUNC for f in flags)

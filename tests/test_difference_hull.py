@@ -24,7 +24,7 @@ from operator import sub
 from borsuk import bodies
 from borsuk.bodies import VPolytope, difference_body, integer_hull, is_full_dimensional, vpolytope
 from borsuk.generators import gen_random_polytope
-from borsuk.linalg import lowest_terms, vneg
+from borsuk.linalg import differences, lowest_terms, vneg
 from oracles import fraction_difference_body
 
 F = Fraction
@@ -104,3 +104,43 @@ def test_the_sums_scale_is_read_from_every_row():
         D = difference_body(K)
         assert D.hull.scale == 3 and all(x % 3 == 0 for X in D.hull.corners for x in X)
         assert D.hull == _sums_hull(K) == fraction_difference_body(_copy(K)).hull
+
+
+def test_the_sums_scale_is_that_of_every_difference():
+    # the differences from one row span the lattice of all n^2, so their
+    # gcd with m gives the scale lowest_terms finds over all of them, also
+    # over an m that is not the rows' least common denominator
+    rng = random.Random(20261022)
+    for seed in range(200):
+        dim = 2 + seed % 2
+        K = gen_random_polytope(seed, dim, dim + 1 + seed % 6, max_numerator=8, max_denominator=1 + seed % 6)
+        m, rows = K.scaled
+        k = rng.randint(2, 12)
+        for K in (K, VPolytope(dim, scaled=(m * k, [tuple([x * k * rng.randint(1, 3) for x in X]) for X in rows]))):
+            m, rows = K.scaled
+            assert difference_body(K).hull.scale == lowest_terms(m, differences(rows, rows))[0]
+
+
+def test_no_difference_is_made_for_a_k_with_a_hull(monkeypatch):
+    # in the plane and in space the pruned candidates are the seed hull's
+    # corners: the n^2 differences are neither made nor hulled
+    def refuse(A, B):
+        raise AssertionError("the n^2 differences were made")
+
+    def faces_only(A, B):
+        # the faces attaining each plane's top are differenced, not K
+        return refuse(A, B) if A is B else differences(A, B)
+
+    polytopes = [gen_random_polytope(seed, 2 + seed % 2, 5 + seed % 2, 8, 4) for seed in range(40)]
+    for K in polytopes:
+        K.hull  # made with the polytope, before the guards are set
+    monkeypatch.setattr(bodies, "differences", faces_only)
+    monkeypatch.setattr(bodies, "integer_hull", lambda m, rows: refuse(rows, rows))
+    pruned = []
+    prune = bodies.prune_redundant
+    monkeypatch.setattr(bodies, "prune_redundant", lambda P: pruned.append(P) or prune(P))
+    for K in polytopes:
+        pruned.clear()
+        D = difference_body(K)
+        (P,) = pruned
+        assert sorted(P.scaled[1]) == sorted(D.hull.corners) and P.scaled[0] == D.hull.scale

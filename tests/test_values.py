@@ -308,10 +308,11 @@ def test_a_certificate_passes_as_its_frozen_dataclass_twin():
 
 def test_importing_the_package_loads_no_dataclasses_inspect_or_typing():
     # -S: no site, so no .pth file can import these first and hide a
-    # regression; the certificate still passes as a dataclass there
+    # regression; the certificate still passes as a dataclass there. Nor
+    # is copy loaded: a report copies its failures itself
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import borsuk, borsuk.cli; "
-        "print(sorted({'dataclasses', 'inspect', 'typing', 'ast', 'dis'} & set(sys.modules))); "
+        "print(sorted({'dataclasses', 'inspect', 'typing', 'ast', 'dis', 'copy'} & set(sys.modules))); "
         "import dataclasses; from borsuk.partition import BorsukCertificate, partition; "
         "cert = BorsukCertificate(2, partition(2, [(0,), (1,)]), (0, 1), True, 3); "
         "print(*(f.name for f in dataclasses.fields(cert)))"

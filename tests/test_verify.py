@@ -98,6 +98,25 @@ def test_a_forced_failure_report_is_pinned(monkeypatch):
     assert digest == "bb26588251788dab460af0732abf13885e48f6dcd0f61d9b39a082d7e58f20af"
 
 
+def test_report_and_its_obj_change_apart(monkeypatch):
+    # every partition check fails, so each failure holds nested dicts and
+    # lists; changing them on either side leaves the other as it was
+    monkeypatch.setattr(verify, "verify_partition", lambda C, S, P: False)
+    report = run_verify_suite("grunbaum_plane", 3, 4)
+    shown = jsonio.dumps(report.to_obj())
+    obj = report.to_obj()
+    obj["failures"][0]["points"]["points"][0][0] = "changed"
+    obj["failures"][1]["body"]["changed"] = True
+    obj["failures"].append({"check": "changed"})
+    assert jsonio.dumps(report.to_obj()) == shown
+    obj = report.to_obj()
+    kept = jsonio.dumps(obj)
+    report.failures[0]["points"]["points"][0][0] = "changed"
+    report.failures[2]["polytope"] = None
+    report.failures.pop(1)
+    assert jsonio.dumps(obj) == kept != jsonio.dumps(report.to_obj())
+
+
 def test_passing_checks_serialize_nothing(monkeypatch):
     def refuse(obj):
         raise AssertionError(f"a payload was built for a passing check: {obj!r}")
